@@ -12,15 +12,18 @@ partial output file behind.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
-from .circuit import effective_junction, mode_spectrum
+from .circuit import coupling_table
 from .config import build_scenario_config, load_config
+from .dynamics import cutoff_sweep
 from .errors import (
     ConfigError,
     DegenerateFrequencyError,
@@ -32,7 +35,6 @@ from .errors import (
 from .rwa import classify_terms, driven_cavity_terms
 from .scenarios import (
     SCENARIO_NAMES,
-    convergence_gate,
     resolve_circuit,
     run_scenario,
     sweep_observables,
@@ -48,9 +50,7 @@ from .serialize import (
 )
 from .witnesses import (
     dv_genuine_witness,
-    genuine_witness_max,
-    genuine_witness_sum,
-    hz_witness,
+    mode_moment_witnesses,
     negativity,
     optimize_vlf,
 )
@@ -75,12 +75,8 @@ def _require_circuit(cli_config):
 def cmd_modes(args) -> int:
     cfg = load_config(args.config)
     circuit = _require_circuit(cfg)
-    eff = effective_junction(circuit.squid)
-    e_bar = circuit.e_bar_override if circuit.e_bar_override is not None \
-        else eff.e_bar
-    spectrum = mode_spectrum(circuit.cavity, e_bar, args.n_modes)
+    eff, spectrum = resolve_circuit(circuit, args.n_modes)
     if args.tables_json:
-        from .circuit import coupling_table
         atomic_write_text(args.tables_json, circuit_tables_json(
             spectrum, coupling_table(spectrum, eff)))
     lines = ["n,k_n,omega_n,c_n,l_n,edge_amplitude"]
@@ -109,9 +105,10 @@ def _term_label(term) -> str:
 def cmd_rwa(args) -> int:
     cfg = load_config(args.config)
     circuit = _require_circuit(cfg)
-    _, spectrum, table = resolve_circuit(circuit)
+    eff, spectrum = resolve_circuit(circuit)
     lam = circuit.squid.pump_amplitude
-    terms = driven_cavity_terms(table, lam, spectrum.n_modes)
+    terms = driven_cavity_terms(coupling_table(spectrum, eff), lam,
+                                spectrum.n_modes)
     freqs = list(spectrum.frequencies)
     drive = circuit.squid.pump_frequency or float(np.sum(freqs))
     cls = classify_terms(terms, freqs, drive, tolerance=args.tolerance)
@@ -163,10 +160,8 @@ def cmd_witness(args) -> int:
     qubits = state.layout.qubit_indices()
     if len(bosons) == 3:
         add(optimize_vlf(state, restarts=args.restarts, seed=args.seed))
-        for singled in range(3):
-            add(hz_witness(state, singled))
-        add(genuine_witness_sum(state))
-        add(genuine_witness_max(state))
+        for rep in mode_moment_witnesses(state).values():
+            add(rep)
     if len(qubits) == 3:
         add(dv_genuine_witness(state))
     if not rows:
@@ -183,42 +178,25 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
-def _sweep_one(payload):
-    config, cutoff = payload
-    return cutoff, sweep_observables(config, cutoff)
-
-
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     config = build_scenario_config(cfg, name=args.scenario, seed=args.seed)
     cutoffs = sorted(int(c) for c in args.cutoffs.split(","))
     if len(cutoffs) < 2:
         raise ConfigError("sweep needs at least two cutoffs")
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = dict(pool.map(_sweep_one,
-                                    [(config, c) for c in cutoffs]))
-        observables = [results[c] for c in cutoffs]
-        names = list(observables[0].keys())
-        deltas = {}
-        for name in names:
-            deltas[name] = [
-                float(np.max(np.abs(np.asarray(curr[name])
-                                    - np.asarray(prev[name]))))
-                for prev, curr in zip(observables, observables[1:])]
-        converged = all(d[-1] < args.threshold for d in deltas.values())
-    else:
-        report = convergence_gate(config, cutoffs, threshold=args.threshold)
-        deltas = report.deltas
-        converged = report.converged
-    doc = {"cutoffs": cutoffs, "deltas": deltas, "converged": converged,
-           "threshold": args.threshold}
+    with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 \
+            else contextlib.nullcontext() as pool:
+        report = cutoff_sweep(partial(sweep_observables, config), cutoffs,
+                              threshold=args.threshold,
+                              map=pool.map if pool else map)
+    doc = {"cutoffs": cutoffs, "deltas": report.deltas,
+           "converged": report.converged, "threshold": args.threshold}
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
         atomic_write_text(args.out, text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK if converged else EXIT_NOT_CONVERGED
+    return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 
 def build_parser() -> argparse.ArgumentParser:

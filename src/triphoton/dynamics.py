@@ -245,19 +245,22 @@ class ConvergenceReport:
 
 def cutoff_sweep(run: Callable[[int], Mapping[str, np.ndarray]],
                  cutoffs: Sequence[int],
-                 threshold: float = 1e-6) -> ConvergenceReport:
+                 threshold: float = 1e-6,
+                 map: Callable = map) -> ConvergenceReport:
     """Run a scenario at each cutoff and report observable drift.
 
     ``run(cutoff)`` must return named observable arrays on a common time
     grid. The report flags non-convergence when the change between the
-    two largest cutoffs still exceeds the threshold.
+    two largest cutoffs still exceeds the threshold. ``map`` applies
+    ``run`` over the cutoffs in order; pass an executor's ``map`` to run
+    the cutoffs in parallel.
     """
     cutoffs = list(cutoffs)
     if len(cutoffs) < 2:
         raise ValueError("need at least two cutoffs")
     if sorted(cutoffs) != cutoffs:
         raise ValueError("cutoffs must be increasing")
-    results = [run(c) for c in cutoffs]
+    results = list(map(run, cutoffs))
     names = list(results[0].keys())
     deltas: dict[str, list[float]] = {n: [] for n in names}
     for prev, curr in zip(results, results[1:]):

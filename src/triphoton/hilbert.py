@@ -193,12 +193,11 @@ class QuantumState:
 
 def _apply_factor_vec(psi: np.ndarray, dims: Sequence[int], index: int,
                       mat: np.ndarray) -> np.ndarray:
-    """Apply a single-subsystem matrix to a state vector."""
+    """Apply a single-subsystem matrix to a state vector (or, from the
+    left, to a matrix whose rows run over the register)."""
     pre = int(np.prod(dims[:index])) if index else 1
-    d = dims[index]
-    post = int(np.prod(dims[index + 1:])) if index + 1 < len(dims) else 1
-    block = psi.reshape(pre, d, post)
-    return np.einsum("ab,xbz->xaz", mat, block).reshape(-1)
+    block = psi.reshape(pre, dims[index], -1)
+    return np.einsum("ab,xbz->xaz", mat, block).reshape(psi.shape)
 
 
 def _apply_monomial_vec(psi: np.ndarray, layout: RegisterLayout,
@@ -342,45 +341,6 @@ def partial_trace(state: QuantumState, keep: Iterable[int]) -> QuantumState:
     return QuantumState(new_layout, rho, validate=False)
 
 
-def _ladder_pair_moments(state: QuantumState, modes: Sequence[int]):
-    """All first and second ladder moments over the listed modes.
-
-    Returns (single, pair) with single[i] = <a_i> and
-    pair[(i, j, si, sj)] = <a_i^{si} a_j^{sj}> where s = 0 means
-    annihilate and s = 1 means create.
-    """
-    m = len(modes)
-    single = np.zeros((m, 2), dtype=complex)
-    pair = np.zeros((m, m, 2, 2), dtype=complex)
-    kinds = (ANNIHILATE, CREATE)
-    if state.is_pure:
-        psi = state.data
-        branch = np.empty((m, 2, psi.size), dtype=complex)
-        for a, mode in enumerate(modes):
-            for s, kind in enumerate(kinds):
-                branch[a, s] = _apply_monomial_vec(psi, state.layout,
-                                                   ((mode, kind),))
-        for a in range(m):
-            for s in range(2):
-                single[a, s] = np.vdot(psi, branch[a, s])
-        for a in range(m):
-            for b in range(m):
-                for sa in range(2):
-                    for sb in range(2):
-                        # <a^sa a^sb> = ((a^sa)^dag psi)^dag (a^sb psi)
-                        pair[a, b, sa, sb] = np.vdot(branch[a, 1 - sa],
-                                                     branch[b, sb])
-    else:
-        for a, mode_a in enumerate(modes):
-            for sa, kind_a in enumerate(kinds):
-                single[a, sa] = expect_monomial(state, ((mode_a, kind_a),))
-                for b, mode_b in enumerate(modes):
-                    for sb, kind_b in enumerate(kinds):
-                        pair[a, b, sa, sb] = expect_monomial(
-                            state, ((mode_a, kind_a), (mode_b, kind_b)))
-    return single, pair
-
-
 def covariance_matrix(state: QuantumState,
                       modes: Sequence[int] | None = None) -> np.ndarray:
     """Symmetrized quadrature covariance matrix over the listed bosonic
@@ -388,6 +348,9 @@ def covariance_matrix(state: QuantumState,
 
         C[A, B] = <AB + BA>/2 - <A><B>
 
+    <R_A R_B> is a Gram matrix of the quadratures applied to the state:
+    (R_A psi)^dag (R_B psi) for a pure state, and the Hilbert-Schmidt
+    product of R_A with R_B rho, i.e. Tr(R_A R_B rho), for a density.
     Vacuum gives diag(1/2, ..., 1/2) in this convention.
     """
     layout = state.layout
@@ -399,44 +362,29 @@ def covariance_matrix(state: QuantumState,
         if layout.kind(i) != BOSON:
             raise LayoutMismatchError(
                 f"covariance requested on non-bosonic subsystem {i}")
-    m = len(modes)
-    single, pair = _ladder_pair_moments(state, modes)
 
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    mean = np.empty(2 * m)
-    for a in range(m):
-        av_a, av_ad = single[a, 0], single[a, 1]
-        mean[a] = ((av_a + av_ad) * inv_sqrt2).real
-        mean[m + a] = (1j * (av_ad - av_a) * inv_sqrt2).real
+    def quadratures(ket: np.ndarray) -> np.ndarray:
+        """Rows sqrt(2) R_A ket, flattened, for A = x_1..x_m, p_1..p_m."""
+        def apply(i, kind):
+            return _apply_factor_vec(ket, layout.dims, i,
+                                     _factor_matrix(layout, i, kind))
 
-    cov = np.empty((2 * m, 2 * m))
-    for a in range(m):
-        for b in range(m):
-            aa = pair[a, b, 0, 0]      # <a_a a_b>
-            ac = pair[a, b, 0, 1]      # <a_a a_b^dag>
-            ca = pair[a, b, 1, 0]      # <a_a^dag a_b>
-            cc = pair[a, b, 1, 1]      # <a_a^dag a_b^dag>
-            xx = 0.5 * (aa + ac + ca + cc)
-            pp = -0.5 * (cc - ca - ac + aa)
-            xp = 0.5j * (ac - aa + cc - ca)
-            # symmetrize using the transposed pair moments
-            aa_t = pair[b, a, 0, 0]
-            ac_t = pair[b, a, 0, 1]
-            ca_t = pair[b, a, 1, 0]
-            cc_t = pair[b, a, 1, 1]
-            xx_t = 0.5 * (aa_t + ac_t + ca_t + cc_t)
-            pp_t = -0.5 * (cc_t - ca_t - ac_t + aa_t)
-            # <p_b x_a> from the transposed pair moments
-            px_t = 0.5j * (ca_t + cc_t - aa_t - ac_t)
-            cov[a, b] = (0.5 * (xx + xx_t)).real - mean[a] * mean[b]
-            cov[m + a, m + b] = (0.5 * (pp + pp_t)).real \
-                - mean[m + a] * mean[m + b]
-            cov[a, m + b] = (0.5 * (xp + px_t)).real \
-                - mean[a] * mean[m + b]
-    for a in range(m):
-        for b in range(m):
-            cov[m + b, a] = cov[a, m + b]
-    return cov
+        pairs = [(apply(i, ANNIHILATE), apply(i, CREATE)) for i in modes]
+        rows = [lo + up for lo, up in pairs] + \
+            [1j * (up - lo) for lo, up in pairs]
+        return np.array([r.reshape(-1) for r in rows])
+
+    if state.is_pure:
+        bra = state.data
+        left = right = quadratures(bra)
+    else:
+        bra = np.eye(layout.total_dim, dtype=complex)
+        left = quadratures(bra)
+        right = quadratures(state.data)
+    mean = (right @ bra.reshape(-1).conj()).real
+    gram = left.conj() @ right.T
+    # the factor 1/2 restores the 1/sqrt(2) left out of both rows
+    return 0.5 * (0.5 * (gram + gram.T).real - np.outer(mean, mean))
 
 
 def fock_state(layout: RegisterLayout,

@@ -2,16 +2,23 @@
 
 Each scenario wires the circuit model, the rotating-wave reduction, the
 truncated-register dynamics and the witness suite into one reproducible
-run. Times in the down-conversion scenarios are quoted as the
-dimensionless g0 * t; interaction-picture Hamiltonians are static there,
-so the free mode rotation never enters the recorded moments (photon
-numbers and moment moduli are picture-invariant).
+run, in two steps: an evolution step (g0 and pump resolution,
+Hamiltonian, initial state, grid, integrator tolerances) that returns
+the trajectory with its recorded observables, and an analysis step that
+evaluates the witness series and builds the summary. A cutoff sweep
+reruns only the evolution step, so it shares the run's Hamiltonian,
+pump check and tolerances, and records observables only.
+
+Times in the down-conversion scenarios are quoted as the dimensionless
+g0 * t; interaction-picture Hamiltonians are static there, so the free
+mode rotation never enters the recorded moments (photon numbers and
+moment moduli are picture-invariant).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from functools import partial
 
 import numpy as np
 
@@ -56,11 +63,9 @@ from .rwa import (
     rwa_reduce,
 )
 from .witnesses import (
-    WitnessReport,
     dv_genuine_witness,
     genuine_witness_max,
-    genuine_witness_sum,
-    hz_witness,
+    mode_moment_witnesses,
     negativity,
     optimize_vlf,
 )
@@ -159,21 +164,25 @@ class ScenarioResult:
     config: ScenarioConfig
     trajectory: Trajectory
     witness_series: dict[str, np.ndarray]
-    reports: dict[str, WitnessReport]
     summary: dict
 
 
 _DEFAULT_HORIZON = {"3spdc": 0.2, "22spdc": 0.3, "hybrid-swap": 0.2}
 
 
-def resolve_circuit(circuit: CircuitConfig):
-    """Junction, spectrum and coupling table for a circuit config."""
+def _grid(config: ScenarioConfig) -> np.ndarray:
+    """Evenly spaced g0 * t grid up to the (default) horizon."""
+    horizon = config.horizon if config.horizon is not None \
+        else _DEFAULT_HORIZON[config.name]
+    return np.linspace(0.0, horizon, config.n_steps)
+
+
+def resolve_circuit(circuit: CircuitConfig, n_modes: int = 3):
+    """Junction and ``n_modes``-mode spectrum for a circuit config."""
     eff = effective_junction(circuit.squid)
     e_bar = circuit.e_bar_override if circuit.e_bar_override is not None \
         else eff.e_bar
-    spectrum = mode_spectrum(circuit.cavity, e_bar, 3)
-    table = coupling_table(spectrum, eff)
-    return eff, spectrum, table
+    return eff, mode_spectrum(circuit.cavity, e_bar, n_modes)
 
 
 def _resolve_g0(config: ScenarioConfig) -> tuple[float, dict]:
@@ -181,7 +190,7 @@ def _resolve_g0(config: ScenarioConfig) -> tuple[float, dict]:
         return float(config.g0), {"g0_source": "direct"}
     if config.circuit is None:
         raise ValueError("scenario needs either g0 or a circuit config")
-    _, spectrum, table = resolve_circuit(config.circuit)
+    eff, spectrum = resolve_circuit(config.circuit)
     ensure_anharmonic(spectrum.frequencies)
     w_sum = float(np.sum(spectrum.frequencies))
     pump = config.pump_frequency
@@ -192,7 +201,8 @@ def _resolve_g0(config: ScenarioConfig) -> tuple[float, dict]:
             raise PumpMismatchError(
                 f"pump tone {pump:.9g} does not match the three-mode "
                 f"resonance {w_sum:.9g}")
-    g0 = three_spdc_coupling(table, config.circuit.squid.pump_amplitude)
+    g0 = three_spdc_coupling(coupling_table(spectrum, eff),
+                             config.circuit.squid.pump_amplitude)
     if g0 == 0.0:
         raise ValueError("circuit yields zero three-mode coupling; "
                          "check asymmetry, bias and pump amplitude")
@@ -260,8 +270,8 @@ def _detection_windows(times: np.ndarray, values: np.ndarray) -> list:
     return windows
 
 
-def _mode_witness_series(states: list[QuantumState], times: np.ndarray,
-                         vlf_restarts: int, seed: int) -> dict[str, np.ndarray]:
+def _mode_witness_series(states: list[QuantumState], vlf_restarts: int,
+                         seed: int) -> dict[str, np.ndarray]:
     n = len(states)
     series = {
         "i1": np.empty(n), "i2": np.empty(n), "i3": np.empty(n),
@@ -269,10 +279,11 @@ def _mode_witness_series(states: list[QuantumState], times: np.ndarray,
         "cov_cross_max": np.empty(n),
     }
     for k, state in enumerate(states):
+        reports = mode_moment_witnesses(state)
         for singled in range(3):
-            series[f"i{singled + 1}"][k] = hz_witness(state, singled).value
-        series["g1"][k] = genuine_witness_sum(state).value
-        series["g2"][k] = genuine_witness_max(state).value
+            series[f"i{singled + 1}"][k] = reports[f"hz_i{singled + 1}"].value
+        series["g1"][k] = reports["genuine_sum"].value
+        series["g2"][k] = reports["genuine_max"].value
         rep = optimize_vlf(state, restarts=vlf_restarts, seed=seed + k)
         series["s_opt"][k] = rep.value
         cx = rep.components["cov_x"].copy()
@@ -281,45 +292,6 @@ def _mode_witness_series(states: list[QuantumState], times: np.ndarray,
         np.fill_diagonal(cp, 0.0)
         series["cov_cross_max"][k] = max(np.abs(cx).max(), np.abs(cp).max())
     return series
-
-
-def _spdc_summary(name: str, g0: float, times: np.ndarray,
-                  traj: Trajectory, series: dict) -> dict:
-    def peak(key):
-        idx = int(np.argmax(series[key]))
-        return float(series[key][idx]), float(times[idx])
-
-    g2_peak, g2_at = peak("g2")
-    g1_peak, g1_at = peak("g1")
-    s_peak, s_at = peak("s_opt")
-    i1_peak, i1_at = peak("i1")
-    return {
-        "scenario": name,
-        "g0": float(g0),
-        "g2_peak": g2_peak, "g2_peak_time": g2_at,
-        "g1_peak": g1_peak, "g1_peak_time": g1_at,
-        "s_peak": s_peak, "s_peak_time": s_at,
-        "i1_peak": i1_peak, "i1_peak_time": i1_at,
-        "windows": {
-            "g2": _detection_windows(times, series["g2"]),
-            "s_opt": _detection_windows(times, series["s_opt"]),
-        },
-        "norm_drift": float(np.abs(traj.observables["norm"] - 1.0).max()),
-    }
-
-
-def _peak_reports(states, times, series, config) -> dict[str, WitnessReport]:
-    """Full witness reports at each witness's best grid point."""
-    k_g2 = int(np.argmax(series["g2"]))
-    k_s = int(np.argmax(series["s_opt"]))
-    return {
-        "genuine_max": genuine_witness_max(states[k_g2]),
-        "genuine_sum": genuine_witness_sum(states[k_g2]),
-        "hz_i1": hz_witness(states[int(np.argmax(series["i1"]))], 0),
-        "vlf_s_opt": optimize_vlf(states[k_s],
-                                  restarts=config.vlf_restarts,
-                                  seed=config.seed + k_s),
-    }
 
 
 def _mode_observables():
@@ -331,54 +303,64 @@ def _mode_observables():
     }
 
 
-def run_3spdc(config: ScenarioConfig) -> ScenarioResult:
-    """Vacuum evolved under the reduced triple down-conversion
-    Hamiltonian; records photon numbers, the triple moment, covariance
-    cross terms and the full witness suite per grid point."""
-    g0, details = _resolve_g0(config)
-    horizon = config.horizon if config.horizon is not None \
-        else _DEFAULT_HORIZON["3spdc"]
-    tau = np.linspace(0.0, horizon, config.n_steps)  # g0 * t
-    layout = RegisterLayout.bosons(3, config.effective_cutoff)
-    # time is measured in 1/g0; a switched-off pump freezes the state
-    h = HamiltonianSpec(triple_interaction(1.0 if g0 != 0.0 else 0.0))
-    rtol, atol = config.step_control
-    traj = evolve(h, fock_state(layout, (0, 0, 0)), tau, rtol=rtol,
-                  atol=atol, observables=_mode_observables())
-    series = _mode_witness_series(traj.states, tau, config.vlf_restarts,
-                                  config.seed)
-    summary = _spdc_summary("3spdc", g0, tau, traj, series)
-    summary.update(details)
-    summary["cov_cross_max"] = float(series["cov_cross_max"].max())
-    reports = _peak_reports(traj.states, tau, series, config)
-    return ScenarioResult(config, traj, series, reports, summary)
+def _norm_drift(traj: Trajectory) -> float:
+    return float(np.abs(traj.observables["norm"] - 1.0).max())
 
 
-def run_22spdc(config: ScenarioConfig) -> ScenarioResult:
-    """Vacuum evolved under the double pair down-conversion Hamiltonian
-    (pumps at w1+w2 and w2+w3); same recording as run_3spdc."""
+def _resolve_pair_coupling(config: ScenarioConfig) -> tuple[float, dict]:
+    """Direct pair coupling; a configured pump tone must sit on one of
+    the two pair resonances w1+w2, w2+w3."""
     if config.circuit is not None and config.pump_frequency is not None:
-        _, spectrum, _ = resolve_circuit(config.circuit)
+        _, spectrum = resolve_circuit(config.circuit)
         w = spectrum.frequencies
         pairs = (w[0] + w[1], w[1] + w[2])
         if all(abs(config.pump_frequency - p) > _PUMP_TOL * p for p in pairs):
             raise PumpMismatchError(
                 f"pump tone {config.pump_frequency:.9g} matches neither "
                 f"pair resonance {pairs[0]:.9g} / {pairs[1]:.9g}")
-    g = config.pair_coupling
-    horizon = config.horizon if config.horizon is not None \
-        else _DEFAULT_HORIZON["22spdc"]
-    tau = np.linspace(0.0, horizon, config.n_steps)
+    return config.pair_coupling, {}
+
+
+def _evolve_spdc(config: ScenarioConfig) -> tuple[Trajectory, dict]:
+    """Vacuum evolved under the reduced triple (3spdc) or the double pair
+    (22spdc, pumps at w1+w2 and w2+w3) down-conversion Hamiltonian;
+    records photon numbers and the triple moment."""
+    if config.name == "3spdc":
+        g0, details = _resolve_g0(config)
+        interaction = triple_interaction
+    else:
+        g0, details = _resolve_pair_coupling(config)
+        interaction = pair_interaction
     layout = RegisterLayout.bosons(3, config.effective_cutoff)
-    h = HamiltonianSpec(pair_interaction(1.0 if g != 0.0 else 0.0))
+    # time is measured in 1/g0; a switched-off pump freezes the state
+    h = HamiltonianSpec(interaction(1.0 if g0 != 0.0 else 0.0))
     rtol, atol = config.step_control
-    traj = evolve(h, fock_state(layout, (0, 0, 0)), tau, rtol=rtol,
-                  atol=atol, observables=_mode_observables())
-    series = _mode_witness_series(traj.states, tau, config.vlf_restarts,
+    traj = evolve(h, fock_state(layout, (0, 0, 0)), _grid(config),
+                  rtol=rtol, atol=atol, observables=_mode_observables())
+    return traj, {"g0": float(g0), **details}
+
+
+def _analyze_spdc(config: ScenarioConfig, traj: Trajectory,
+                  details: dict) -> ScenarioResult:
+    """Full witness suite per grid point; peaks and detection windows."""
+    times = traj.times
+    series = _mode_witness_series(traj.states, config.vlf_restarts,
                                   config.seed)
-    summary = _spdc_summary("22spdc", g, tau, traj, series)
-    reports = _peak_reports(traj.states, tau, series, config)
-    return ScenarioResult(config, traj, series, reports, summary)
+    summary = {"scenario": config.name}
+    for key, label in (("g2", "g2"), ("g1", "g1"), ("s_opt", "s"),
+                       ("i1", "i1")):
+        idx = int(np.argmax(series[key]))
+        summary[f"{label}_peak"] = float(series[key][idx])
+        summary[f"{label}_peak_time"] = float(times[idx])
+    summary["windows"] = {
+        "g2": _detection_windows(times, series["g2"]),
+        "s_opt": _detection_windows(times, series["s_opt"]),
+    }
+    summary["norm_drift"] = _norm_drift(traj)
+    summary.update(details)
+    if config.name == "3spdc":
+        summary["cov_cross_max"] = float(series["cov_cross_max"].max())
+    return ScenarioResult(config, traj, series, summary)
 
 
 def hybrid_interaction(g0: float, jc: float) -> list[LadderMonomial]:
@@ -412,28 +394,30 @@ def _eta_family_fidelity(rho_q: np.ndarray) -> tuple[float, float]:
     return float(fid(best)), float(best)
 
 
-def run_hybrid_swap(config: ScenarioConfig) -> ScenarioResult:
-    """Down-conversion feeding three resonant qubits; tracks how the
-    genuinely tripartite moment structure transfers from the field
-    register to the qubit register."""
+def _evolve_hybrid(config: ScenarioConfig) -> tuple[Trajectory, dict]:
+    """Down-conversion feeding three resonant qubits; records photon
+    numbers, the triple moment and the total qubit excitation."""
     g0, details = _resolve_g0(config) if (
         config.g0 is not None or config.circuit is not None) \
         else (1.0, {"g0_source": "default"})
     jc = config.jc_ratio  # in units of g0, matching the 1/g0 time scale
-    cutoff = config.effective_cutoff
-    horizon = config.horizon if config.horizon is not None \
-        else _DEFAULT_HORIZON["hybrid-swap"]
-    tau = np.linspace(0.0, horizon, config.n_steps)
     layout = RegisterLayout(
-        (("boson", cutoff + 1),) * 3 + (("qubit", 2),) * 3)
+        (("boson", config.effective_cutoff + 1),) * 3 + (("qubit", 2),) * 3)
     h = HamiltonianSpec(hybrid_interaction(1.0, jc))
     obs = _mode_observables()
     obs["qubit_excitation"] = [
         mono([(q, PAULI_PLUS), (q, PAULI_MINUS)], 1.0) for q in (3, 4, 5)]
     rtol, atol = config.step_control
-    traj = evolve(h, fock_state(layout, (0,) * 6), tau, rtol=rtol,
-                  atol=atol, observables=obs)
+    traj = evolve(h, fock_state(layout, (0,) * 6), _grid(config),
+                  rtol=rtol, atol=atol, observables=obs)
+    return traj, {"g0": float(g0), "jc_ratio": float(jc), **details}
 
+
+def _analyze_hybrid(config: ScenarioConfig, traj: Trajectory,
+                    details: dict) -> ScenarioResult:
+    """Tracks how the genuinely tripartite moment structure transfers
+    from the field register to the qubit register."""
+    tau = traj.times
     n = len(tau)
     series = {
         "dv": np.empty(n), "neg_q1": np.empty(n), "neg_q2": np.empty(n),
@@ -458,8 +442,6 @@ def run_hybrid_swap(config: ScenarioConfig) -> ScenarioResult:
                          series["neg_q3"])
     summary = {
         "scenario": "hybrid-swap",
-        "g0": float(g0),
-        "jc_ratio": float(jc),
         "dv_peak": float(series["dv"][dv_idx]),
         "dv_peak_time": float(tau[dv_idx]),
         "neg_min_at_dv_peak": float(all_neg[dv_idx]),
@@ -468,12 +450,10 @@ def run_hybrid_swap(config: ScenarioConfig) -> ScenarioResult:
             "all_bipartitions_negative": _detection_windows(tau, all_neg),
         },
         "swap_fidelity_peak": float(series["swap_fidelity"].max()),
-        "norm_drift": float(np.abs(traj.observables["norm"] - 1.0).max()),
+        "norm_drift": _norm_drift(traj),
     }
     summary.update(details)
-    reports = {"dv_genuine": dv_genuine_witness(
-        partial_trace(traj.states[dv_idx], {3, 4, 5}))}
-    return ScenarioResult(config, traj, series, reports, summary)
+    return ScenarioResult(config, traj, series, summary)
 
 
 def dce_envelope(p: DceParams):
@@ -492,15 +472,11 @@ def dce_envelope(p: DceParams):
     raise ValueError(f"unknown envelope {p.envelope!r}")
 
 
-def run_dce(config: ScenarioConfig) -> ScenarioResult:
+def _evolve_dce(config: ScenarioConfig) -> tuple[Trajectory, dict]:
     """Rabi model with a modulated coupling: photon pair production from
-    vacuum while the qubit stays close to its ground state.
-
-    Records the photon number, the two-photon moment, the qubit
-    excitation and the qubit reduced entropy; the summary carries
-    windowed photon-number averages (window = ``window_periods``
-    modulation periods) and their monotonicity flag.
-    """
+    vacuum while the qubit stays close to its ground state. Records the
+    photon number, the two-photon moment and the qubit excitation over
+    ``periods`` modulation periods (``n_steps`` does not apply)."""
     p = config.dce
     layout = RegisterLayout(
         (("boson", config.effective_cutoff + 1), ("qubit", 2)))
@@ -524,6 +500,15 @@ def run_dce(config: ScenarioConfig) -> ScenarioResult:
                       "qubit_excitation": mono([(1, PAULI_PLUS),
                                                 (1, PAULI_MINUS)]),
                   })
+    return traj, {}
+
+
+def _analyze_dce(config: ScenarioConfig, traj: Trajectory,
+                 details: dict) -> ScenarioResult:
+    """Qubit reduced entropy per grid point; the summary carries
+    windowed photon-number averages (window = ``window_periods``
+    modulation periods) and their monotonicity flag."""
+    p = config.dce
     entropy = np.array([von_neumann_entropy(partial_trace(s, {1}))
                         for s in traj.states])
     series = {"qubit_entropy": entropy}
@@ -545,44 +530,35 @@ def run_dce(config: ScenarioConfig) -> ScenarioResult:
         "qubit_excitation_max": float(
             traj.observables["qubit_excitation"].real.max()),
         "qubit_entropy_max": float(entropy.max()),
-        "norm_drift": float(np.abs(traj.observables["norm"] - 1.0).max()),
+        "norm_drift": _norm_drift(traj),
     }
-    return ScenarioResult(config, traj, series, {}, summary)
+    return ScenarioResult(config, traj, series, summary)
 
 
-_RUNNERS: dict[str, Callable[[ScenarioConfig], ScenarioResult]] = {
-    "3spdc": run_3spdc,
-    "22spdc": run_22spdc,
-    "hybrid-swap": run_hybrid_swap,
-    "dce-rabi": run_dce,
+# Each scenario is an evolution step, config -> (Trajectory, details),
+# and an analysis step that adds witness series and the summary;
+# ``details`` holds the summary fields the set-up resolved (g0 and its
+# source).
+_STEPS = {
+    "3spdc": (_evolve_spdc, _analyze_spdc),
+    "22spdc": (_evolve_spdc, _analyze_spdc),
+    "hybrid-swap": (_evolve_hybrid, _analyze_hybrid),
+    "dce-rabi": (_evolve_dce, _analyze_dce),
 }
 
 
 def sweep_observables(config: ScenarioConfig, cutoff: int) -> dict:
     """Scenario observables at one cutoff, for convergence gating.
 
-    Witness series are omitted: they are functions of the recorded
-    moments, so converged moments pin them too.
+    Reruns only the scenario's own evolution step (same Hamiltonian,
+    pump check and tolerances) on the run's grid capped at 41 points,
+    and returns every recorded observable except ``norm``. Witness
+    series are not evaluated.
     """
-    cfg = replace(config, cutoff=cutoff, vlf_restarts=1,
-                  n_steps=min(config.n_steps, 41))
-    runner = _RUNNERS[config.name]
-    if config.name in ("3spdc", "22spdc"):
-        # bypass witness evaluation entirely for speed
-        horizon = cfg.horizon if cfg.horizon is not None \
-            else _DEFAULT_HORIZON[cfg.name]
-        tau = np.linspace(0.0, horizon, cfg.n_steps)
-        layout = RegisterLayout.bosons(3, cutoff)
-        terms = triple_interaction(1.0) if config.name == "3spdc" \
-            else pair_interaction(1.0)
-        traj = evolve(HamiltonianSpec(terms), fock_state(layout, (0, 0, 0)),
-                      tau, observables=_mode_observables())
-        return {k: v for k, v in traj.observables.items() if k != "norm"}
-    result = runner(cfg)
-    keep = ("n", "pair", "qubit_excitation") if config.name == "dce-rabi" \
-        else ("n1", "n2", "n3", "triple", "qubit_excitation")
-    return {k: v for k, v in result.trajectory.observables.items()
-            if k in keep}
+    evolve_step, _ = _STEPS[config.name]
+    traj, _ = evolve_step(replace(config, cutoff=cutoff,
+                                  n_steps=min(config.n_steps, 41)))
+    return {k: v for k, v in traj.observables.items() if k != "norm"}
 
 
 def convergence_gate(config: ScenarioConfig, cutoffs=None, threshold=1e-6):
@@ -590,18 +566,24 @@ def convergence_gate(config: ScenarioConfig, cutoffs=None, threshold=1e-6):
     if cutoffs is None:
         base = config.effective_cutoff
         cutoffs = [base, base + 2]
-    return cutoff_sweep(lambda c: sweep_observables(config, c), cutoffs,
+    return cutoff_sweep(partial(sweep_observables, config), cutoffs,
                         threshold=threshold)
 
 
 def run_scenario(config: ScenarioConfig,
                  check_convergence: bool = False) -> ScenarioResult:
-    """Dispatch a scenario by name; optionally gate on the cutoff sweep
-    and record the verdict in the summary."""
-    result = _RUNNERS[config.name](config)
+    """Run a scenario's evolution step, then its analysis step;
+    optionally gate on the cutoff sweep and record the verdict in the
+    summary."""
+    evolve_step, analyze = _STEPS[config.name]
+    result = analyze(config, *evolve_step(config))
     if check_convergence:
         report = convergence_gate(config)
         result.summary["converged"] = report.converged
         result.summary["convergence_final_change"] = {
             k: float(v) for k, v in report.final_change.items()}
     return result
+
+
+# Per-scenario entry points; the config's name selects the steps.
+run_3spdc = run_22spdc = run_hybrid_swap = run_dce = run_scenario

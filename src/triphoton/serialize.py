@@ -119,11 +119,10 @@ def snapshot_states(trajectory, times, directory: str,
                     prefix: str = "state"):
     """Dump the trajectory states nearest to the requested times as JSON
     files; returns the written paths."""
-    import numpy as _np
     paths = []
-    grid = _np.asarray(trajectory.times)
+    grid = np.asarray(trajectory.times)
     for t in times:
-        k = int(_np.argmin(_np.abs(grid - t)))
+        k = int(np.argmin(np.abs(grid - t)))
         path = os.path.join(directory, f"{prefix}_{grid[k]:g}.json")
         save_state(trajectory.states[k], path)
         paths.append(path)

@@ -65,28 +65,6 @@ class WitnessReport:
         key, _ = max(terms, key=lambda kv: kv[1])
         return int(key.split("_")[1])
 
-    def to_dict(self) -> dict:
-        def clean(value):
-            if isinstance(value, complex):
-                return [value.real, value.imag]
-            if isinstance(value, np.ndarray):
-                return value.tolist()
-            return value
-
-        doc = {
-            "name": self.name,
-            "value": self.value,
-            "detects": self.detects,
-            "components": {k: clean(v) for k, v in self.components.items()},
-        }
-        if self.parameters is not None:
-            doc["parameters"] = {"g": list(self.parameters.g),
-                                 "h": list(self.parameters.h)}
-        bipartition = self.argmax_bipartition()
-        if bipartition is not None:
-            doc["argmax_bipartition"] = bipartition
-        return doc
-
 
 def _report(name, value, components, parameters=None) -> WitnessReport:
     value = float(value)
@@ -94,28 +72,24 @@ def _report(name, value, components, parameters=None) -> WitnessReport:
                          components=components, parameters=parameters)
 
 
-def _three_modes(state: QuantumState, modes) -> list[int]:
-    layout = state.layout
-    modes = list(modes) if modes is not None else layout.boson_indices()
-    if len(modes) != 3:
-        raise LayoutMismatchError("witness needs exactly three bosonic modes")
-    for i in modes:
-        layout.check_index(i)
-        if layout.kind(i) != BOSON:
-            raise LayoutMismatchError(f"subsystem {i} is not bosonic")
-    return modes
+_KIND_NOUNS = {BOSON: ("bosonic modes", "bosonic"),
+               QUBIT: ("qubits", "a qubit")}
 
 
-def _three_qubits(state: QuantumState, qubits) -> list[int]:
+def _three_sites(state: QuantumState, sites, kind: str) -> list[int]:
+    """The three subsystems of the given kind a witness acts on; all of
+    the register's when ``sites`` is None."""
     layout = state.layout
-    qubits = list(qubits) if qubits is not None else layout.qubit_indices()
-    if len(qubits) != 3:
-        raise LayoutMismatchError("witness needs exactly three qubits")
-    for i in qubits:
+    plural, adjective = _KIND_NOUNS[kind]
+    sites = list(sites) if sites is not None else \
+        [i for i, (k, _) in enumerate(layout.subsystems) if k == kind]
+    if len(sites) != 3:
+        raise LayoutMismatchError(f"witness needs exactly three {plural}")
+    for i in sites:
         layout.check_index(i)
-        if layout.kind(i) != QUBIT:
-            raise LayoutMismatchError(f"subsystem {i} is not a qubit")
-    return qubits
+        if layout.kind(i) != kind:
+            raise LayoutMismatchError(f"subsystem {i} is not {adjective}")
+    return sites
 
 
 def vlf_value(cov: np.ndarray, g, h) -> float:
@@ -139,7 +113,7 @@ def vlf_witness(state: QuantumState, params: VlfParams,
                 modes=None) -> WitnessReport:
     """Covariance (Gaussian) genuine-entanglement witness at fixed
     weights; positive S certifies genuine tripartite entanglement."""
-    modes = _three_modes(state, modes)
+    modes = _three_sites(state, modes, BOSON)
     cov = covariance_matrix(state, modes)
     value = vlf_value(cov, params.g, params.h)
     return _report("vlf_s", value,
@@ -161,7 +135,7 @@ def optimize_vlf(state: QuantumState, restarts: int = 20, seed: int = 0,
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    modes = _three_modes(state, modes)
+    modes = _three_sites(state, modes, BOSON)
     cov = covariance_matrix(state, modes)
     rng = np.random.default_rng(seed)
 
@@ -187,10 +161,54 @@ def optimize_vlf(state: QuantumState, restarts: int = 20, seed: int = 0,
                    parameters=params)
 
 
-def _triple_moment(state: QuantumState, modes) -> complex:
-    i, j, k = modes
-    return expect_monomial(
-        state, ((i, ANNIHILATE), (j, ANNIHILATE), (k, ANNIHILATE)))
+# The moment witnesses share one inequality (Hillery-Zubairy):
+#
+#     |<L1 L2 L3>| - combine over singled alpha of
+#         sqrt(<M_alpha> <M_beta M_gamma>)
+#
+# with L the lowering operator (a for modes, sigma- for qubits) and
+# M = L+ L (normal ordering) or L L+ (antinormal). The combine rule is
+# a single alpha (pairwise inseparability), the max or the sum over
+# alpha (genuine tripartite entanglement).
+
+_RAISING = {ANNIHILATE: CREATE, PAULI_MINUS: PAULI_PLUS}
+
+
+def _triple(state: QuantumState, sites, lower: str) -> complex:
+    return expect_monomial(state, tuple((s, lower) for s in sites))
+
+
+def _bound_moments(state: QuantumState, sites, lower: str, ordering: str,
+                   singled=(0, 1, 2)) -> dict[int, tuple[float, float]]:
+    """(<M_alpha>, <M_beta M_gamma>) real parts per singled position."""
+    pair = (_RAISING[lower], lower) if ordering == "normal" \
+        else (lower, _RAISING[lower])
+
+    def m(site):
+        return ((site, pair[0]), (site, pair[1]))
+
+    out = {}
+    for p in singled:
+        beta, gamma = [s for q, s in enumerate(sites) if q != p]
+        out[p] = (expect_monomial(state, m(sites[p])).real,
+                  expect_monomial(state, m(beta) + m(gamma)).real)
+    return out
+
+
+def _moment_witness(name: str, triple: complex, moments,
+                    combine) -> WitnessReport:
+    """Report for the shared inequality; ``combine`` is "max", "sum" or
+    the position of a single singled subsystem."""
+    terms = {p: np.sqrt(max(single, 0.0) * max(pair, 0.0))
+             for p, (single, pair) in moments.items()}
+    if isinstance(combine, int):
+        single, pair = moments[combine]
+        return _report(name, abs(triple) - terms[combine], {
+            "triple": triple, "n_singled": single, "n_pair": pair})
+    comps = {"triple": triple}
+    comps.update({f"term_{p + 1}": t for p, t in terms.items()})
+    bound = max(terms.values()) if combine == "max" else sum(terms.values())
+    return _report(name, abs(triple) - bound, comps)
 
 
 def hz_witness(state: QuantumState, singled: int = 0,
@@ -202,20 +220,13 @@ def hz_witness(state: QuantumState, singled: int = 0,
     Positive values rule out separability across the alpha | beta gamma
     split only; this is not yet a genuine-entanglement statement.
     """
-    modes = _three_modes(state, modes)
+    modes = _three_sites(state, modes, BOSON)
     if singled not in (0, 1, 2):
         raise LayoutMismatchError("singled mode index must be 0, 1 or 2")
-    alpha = modes[singled]
-    beta, gamma = [m for p, m in enumerate(modes) if p != singled]
-    triple = _triple_moment(state, modes)
-    n_alpha = expect_monomial(state, ((alpha, CREATE), (alpha, ANNIHILATE)))
-    n_pair = expect_monomial(
-        state, ((beta, CREATE), (beta, ANNIHILATE),
-                (gamma, CREATE), (gamma, ANNIHILATE)))
-    value = abs(triple) - np.sqrt(max(n_alpha.real, 0.0)
-                                  * max(n_pair.real, 0.0))
-    return _report(f"hz_i{singled + 1}", value, {
-        "triple": triple, "n_singled": n_alpha.real, "n_pair": n_pair.real})
+    return _moment_witness(
+        f"hz_i{singled + 1}", _triple(state, modes, ANNIHILATE),
+        _bound_moments(state, modes, ANNIHILATE, "normal", (singled,)),
+        singled)
 
 
 def genuine_witness_sum(state: QuantumState, modes=None) -> WitnessReport:
@@ -225,21 +236,10 @@ def genuine_witness_sum(state: QuantumState, modes=None) -> WitnessReport:
         |<a1 a2 a3>| - sum over singled alpha of
             sqrt(<a_alpha a_alpha+> <a_beta a_beta+ a_gamma a_gamma+>)
     """
-    modes = _three_modes(state, modes)
-    triple = _triple_moment(state, modes)
-    bound = 0.0
-    comps = {"triple": triple}
-    for p in range(3):
-        alpha = modes[p]
-        beta, gamma = [m for q, m in enumerate(modes) if q != p]
-        single = expect_monomial(state, ((alpha, ANNIHILATE), (alpha, CREATE)))
-        pair = expect_monomial(
-            state, ((beta, ANNIHILATE), (beta, CREATE),
-                    (gamma, ANNIHILATE), (gamma, CREATE)))
-        term = np.sqrt(max(single.real, 0.0) * max(pair.real, 0.0))
-        comps[f"term_{p + 1}"] = term
-        bound += term
-    return _report("genuine_sum", abs(triple) - bound, comps)
+    modes = _three_sites(state, modes, BOSON)
+    return _moment_witness(
+        "genuine_sum", _triple(state, modes, ANNIHILATE),
+        _bound_moments(state, modes, ANNIHILATE, "antinormal"), "sum")
 
 
 def genuine_witness_max(state: QuantumState, modes=None) -> WitnessReport:
@@ -250,21 +250,26 @@ def genuine_witness_max(state: QuantumState, modes=None) -> WitnessReport:
         |<a1 a2 a3>| - max over singled alpha of
             sqrt(<N_alpha> <N_beta N_gamma>)
     """
-    modes = _three_modes(state, modes)
-    triple = _triple_moment(state, modes)
-    terms = []
-    comps = {"triple": triple}
-    for p in range(3):
-        alpha = modes[p]
-        beta, gamma = [m for q, m in enumerate(modes) if q != p]
-        n_single = expect_monomial(state, ((alpha, CREATE), (alpha, ANNIHILATE)))
-        n_pair = expect_monomial(
-            state, ((beta, CREATE), (beta, ANNIHILATE),
-                    (gamma, CREATE), (gamma, ANNIHILATE)))
-        term = np.sqrt(max(n_single.real, 0.0) * max(n_pair.real, 0.0))
-        comps[f"term_{p + 1}"] = term
-        terms.append(term)
-    return _report("genuine_max", abs(triple) - max(terms), comps)
+    modes = _three_sites(state, modes, BOSON)
+    return _moment_witness(
+        "genuine_max", _triple(state, modes, ANNIHILATE),
+        _bound_moments(state, modes, ANNIHILATE, "normal"), "max")
+
+
+def mode_moment_witnesses(state: QuantumState,
+                          modes=None) -> dict[str, WitnessReport]:
+    """I_1..I_3, genuine_sum and genuine_max, keyed by report name, from
+    one evaluation of each moment they share."""
+    modes = _three_sites(state, modes, BOSON)
+    triple = _triple(state, modes, ANNIHILATE)
+    normal = _bound_moments(state, modes, ANNIHILATE, "normal")
+    out = {f"hz_i{p + 1}": _moment_witness(f"hz_i{p + 1}", triple, normal, p)
+           for p in range(3)}
+    out["genuine_sum"] = _moment_witness(
+        "genuine_sum", triple,
+        _bound_moments(state, modes, ANNIHILATE, "antinormal"), "sum")
+    out["genuine_max"] = _moment_witness("genuine_max", triple, normal, "max")
+    return out
 
 
 def dv_genuine_witness(state: QuantumState, ordering: str = "normal",
@@ -282,28 +287,10 @@ def dv_genuine_witness(state: QuantumState, ordering: str = "normal",
         raise ValueError("ordering must be 'normal' or 'antinormal'")
     if combine not in ("max", "sum"):
         raise ValueError("combine must be 'max' or 'sum'")
-    qubits = _three_qubits(state, qubits)
-    numerator = expect_monomial(
-        state, tuple((q, PAULI_MINUS) for q in qubits))
-    if ordering == "normal":
-        m_factors = (PAULI_PLUS, PAULI_MINUS)
-    else:
-        m_factors = (PAULI_MINUS, PAULI_PLUS)
-    terms = []
-    comps = {"triple": numerator}
-    for p in range(3):
-        alpha = qubits[p]
-        beta, gamma = [q for i, q in enumerate(qubits) if i != p]
-        single = expect_monomial(
-            state, ((alpha, m_factors[0]), (alpha, m_factors[1])))
-        pair = expect_monomial(
-            state, ((beta, m_factors[0]), (beta, m_factors[1]),
-                    (gamma, m_factors[0]), (gamma, m_factors[1])))
-        term = np.sqrt(max(single.real, 0.0) * max(pair.real, 0.0))
-        comps[f"term_{p + 1}"] = term
-        terms.append(term)
-    bound = max(terms) if combine == "max" else sum(terms)
-    return _report("dv_genuine", abs(numerator) - bound, comps)
+    qubits = _three_sites(state, qubits, QUBIT)
+    return _moment_witness(
+        "dv_genuine", _triple(state, qubits, PAULI_MINUS),
+        _bound_moments(state, qubits, PAULI_MINUS, ordering), combine)
 
 
 def negativity(state: QuantumState, bipartition) -> float:
@@ -327,14 +314,6 @@ def negativity(state: QuantumState, bipartition) -> float:
     transposed = tensor.transpose(perm).reshape(rho.shape)
     eigs = np.linalg.eigvalsh(transposed)
     return float(-eigs[eigs < 0.0].sum())
-
-
-def qubit_bipartition_negativities(state: QuantumState) -> dict[str, float]:
-    """Negativity across each single-vs-pair split of a 3-qubit state."""
-    out = {}
-    for i in range(3):
-        out[f"{i}|rest"] = negativity(state, {i})
-    return out
 
 
 def triple_superposition(layout: RegisterLayout, eps: float,

@@ -266,6 +266,37 @@ n_steps = 9
 """)
         assert main(["sweep", "--config", cfg, "--cutoffs", "4,6"]) == 4
 
+    def test_parallel_sweep_writes_the_serial_report(self, tmp_path):
+        cfg = write(tmp_path, "s.ini", """
+[scenario]
+name = 3spdc
+g0 = 1.0
+n_steps = 9
+""")
+        reports = []
+        for jobs in ("1", "2"):
+            out = str(tmp_path / f"report-{jobs}.json")
+            main(["sweep", "--config", cfg, "--cutoffs", "4,6",
+                  "--jobs", jobs, "--out", out])
+            reports.append(open(out, "rb").read())
+        assert reports[0] == reports[1]
+
+    def test_pump_mismatch_exits_3_like_run(self, tmp_path, capsys):
+        cfg = write(tmp_path, "s.ini", MINIMAL_CIRCUIT + """
+pump_frequency = 123.0
+
+[scenario]
+name = 3spdc
+n_steps = 5
+""")
+        out = str(tmp_path / "report.json")
+        assert main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "run")]) == 3
+        assert main(["sweep", "--config", cfg, "--cutoffs", "2,3",
+                     "--out", out]) == 3
+        assert "pump tone" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestAuxiliaryOutputs:
     def test_tables_json(self, tmp_path):

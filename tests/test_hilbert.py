@@ -295,6 +295,56 @@ class TestCovariance:
                            atol=1e-12)
 
 
+class TestCovarianceOracle:
+    """Covariance against explicit quadrature matrices built with
+    terms_to_matrix: C[A, B] = <AB + BA>/2 - <A><B>."""
+
+    @staticmethod
+    def quadratures(layout):
+        r = 1.0 / np.sqrt(2.0)
+        xs, ps = [], []
+        for i in layout.boson_indices():
+            xs.append(terms_to_matrix([mono([(i, ANNIHILATE)], r),
+                                       mono([(i, CREATE)], r)], layout,
+                                      sparse=False))
+            ps.append(terms_to_matrix([mono([(i, CREATE)], 1j * r),
+                                       mono([(i, ANNIHILATE)], -1j * r)],
+                                      layout, sparse=False))
+        return xs + ps
+
+    def oracle(self, state):
+        ops = self.quadratures(state.layout)
+
+        def mean(mat):
+            return expectation(state, OperatorMatrix(state.layout, mat)).real
+
+        n = len(ops)
+        cov = np.empty((n, n))
+        for a in range(n):
+            for b in range(n):
+                sym = 0.5 * (ops[a] @ ops[b] + ops[b] @ ops[a])
+                cov[a, b] = mean(sym) - mean(ops[a]) * mean(ops[b])
+        return cov
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_pure_and_mixed_states(self, seed):
+        rng = np.random.default_rng(seed)
+        lay = RegisterLayout.bosons(2, 4)
+        n = lay.total_dim
+        vec = rng.normal(size=n) + 1j * rng.normal(size=n)
+        pure = QuantumState(lay, vec / np.linalg.norm(vec))
+        k = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+        rho = k @ k.conj().T
+        mixed = QuantumState(lay, rho / np.trace(rho).real)
+        for state in (pure, mixed):
+            expected = self.oracle(state)
+            # nonzero first moments, so the mean subtraction is exercised
+            means = [expectation(state, OperatorMatrix(lay, m)).real
+                     for m in self.quadratures(lay)]
+            assert np.abs(means).max() > 1e-2
+            assert np.abs(covariance_matrix(state) - expected).max() < 1e-13
+
+
 class TestNamedStates:
     def test_ghz_amplitudes(self):
         state = ghz_state(THREE_QUBITS)

@@ -38,6 +38,7 @@ from triphoton.scenarios import (
     convergence_gate,
     reduced_cavity_hamiltonian,
     run_scenario,
+    sweep_observables,
 )
 
 REF_SQUID = SquidParams(ej1=6.1, ej2=4.99, c1=1e-13, c2=1e-13,
@@ -200,6 +201,42 @@ class TestConvergenceGate:
         res = run_scenario(fast_config("3spdc", g0=1.0),
                            check_convergence=True)
         assert res.summary["converged"] is True
+
+
+class TestSweepRunParity:
+    """A sweep point reruns the scenario's own evolution step, so its
+    observables are the run's, bit for bit, at the same cutoff and grid."""
+
+    @pytest.mark.parametrize("config", [
+        fast_config("3spdc", g0=1.0),
+        fast_config("3spdc", g0=1.0, rtol=1e-5),
+        fast_config("3spdc", g0=0.0),
+        fast_config("3spdc", circuit=CircuitConfig(REF_SQUID, REF_CAVITY)),
+        fast_config("22spdc", pair_coupling=0.5),
+        fast_config("hybrid-swap", g0=1.0, n_steps=5),
+        fast_config("dce-rabi", dce=DceParams(periods=2, window_periods=1)),
+    ], ids=["3spdc", "3spdc-rtol", "3spdc-g0-zero", "3spdc-circuit",
+            "22spdc", "hybrid-swap", "dce-rabi"])
+    def test_sweep_matches_run(self, config):
+        cutoff = 3
+        run = run_scenario(dataclasses.replace(config, cutoff=cutoff))
+        swept = sweep_observables(config, cutoff)
+        recorded = dict(run.trajectory.observables)
+        del recorded["norm"]
+        assert swept.keys() == recorded.keys()
+        for name, values in recorded.items():
+            assert np.array_equal(swept[name], values), name
+
+    def test_sweep_caps_the_grid(self):
+        swept = sweep_observables(fast_config("3spdc", g0=1.0, n_steps=60),
+                                  3)
+        assert len(swept["n1"]) == 41
+
+    def test_sweep_checks_the_pump(self):
+        squid = dataclasses.replace(REF_SQUID, pump_frequency=123.0)
+        cfg = fast_config("3spdc", circuit=CircuitConfig(squid, REF_CAVITY))
+        with pytest.raises(PumpMismatchError):
+            sweep_observables(cfg, 3)
 
 
 def reference_table(m1_scale=1.0, m2_scale=1.0, m3_scale=1.0):

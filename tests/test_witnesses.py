@@ -23,7 +23,6 @@ from triphoton.witnesses import (
     hz_witness,
     negativity,
     optimize_vlf,
-    qubit_bipartition_negativities,
     random_separable_mixture,
     triple_superposition,
     vlf_witness,
@@ -243,8 +242,6 @@ class TestNegativity:
         state = ghz_state(QUBITS)
         for i in range(3):
             assert negativity(state, {i}) == pytest.approx(0.5, abs=1e-12)
-        negs = qubit_bipartition_negativities(state)
-        assert all(v == pytest.approx(0.5, abs=1e-12) for v in negs.values())
 
     def test_separable_mixture_not_negative(self):
         rng = np.random.default_rng(9)
