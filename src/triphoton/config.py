@@ -45,8 +45,7 @@ _CIRCUIT_REQUIRED = ("ej1", "ej2", "c1", "c2", "flux_bias",
 _SCENARIO_KEYS = {
     "name": _str, "cutoff": _int, "n_steps": _int, "horizon": _float,
     "seed": _int, "g0": _float, "pump_frequency": _float,
-    "vlf_restarts": _int, "kerr": _str, "pair_coupling": _float,
-    "jc_ratio": _float, "rtol": _float, "atol": _float,
+    "vlf_restarts": _int, "pair_coupling": _float, "jc_ratio": _float,
     "dce_mode_freq": _float, "dce_qubit_freq": _float,
     "dce_coupling": _float, "dce_envelope": _str,
     "dce_tone_delta": _float, "dce_cosine_freq": _float,

@@ -202,6 +202,8 @@ def _apply_factor_vec(psi: np.ndarray, dims: Sequence[int], index: int,
 
 def _apply_monomial_vec(psi: np.ndarray, layout: RegisterLayout,
                         term_factors, coefficient=1.0) -> np.ndarray:
+    """Apply the monomial's operator to a state vector, or from the left
+    to a density matrix."""
     out = psi
     for index, kind in reversed(tuple(term_factors)):
         out = _apply_factor_vec(out, layout.dims, index,
@@ -211,31 +213,12 @@ def _apply_monomial_vec(psi: np.ndarray, layout: RegisterLayout,
     return out
 
 
-def _apply_monomial_left(rho: np.ndarray, layout: RegisterLayout,
-                         term_factors, coefficient=1.0) -> np.ndarray:
-    """Left-multiply a density matrix by the monomial's operator."""
-    n = rho.shape[0]
-    out = rho
-    dims = layout.dims
-    for index, kind in reversed(tuple(term_factors)):
-        mat = _factor_matrix(layout, index, kind)
-        pre = int(np.prod(dims[:index])) if index else 1
-        d = dims[index]
-        post = n // (pre * d)
-        block = out.reshape(pre, d, post, n)
-        out = np.einsum("ab,xbzc->xazc", mat, block).reshape(n, n)
-    if coefficient != 1.0:
-        out = coefficient * out
-    return out
-
-
 def expect_monomial(state: QuantumState, factors,
                     coefficient: complex = 1.0) -> complex:
     """<product of factors> on the state (no normalization applied)."""
+    prod = _apply_monomial_vec(state.data, state.layout, factors)
     if state.is_pure:
-        vec = _apply_monomial_vec(state.data, state.layout, factors)
-        return coefficient * complex(np.vdot(state.data, vec))
-    prod = _apply_monomial_left(state.data, state.layout, factors)
+        return coefficient * complex(np.vdot(state.data, prod))
     return coefficient * complex(np.trace(prod))
 
 
@@ -286,19 +269,14 @@ def build_operator(term: LadderMonomial, layout: RegisterLayout,
 
 def terms_to_matrix(terms: Iterable[LadderMonomial], layout: RegisterLayout,
                     sparse: bool | None = None):
-    """Sum of monomial matrices; identity terms contribute a scalar."""
+    """Sum of monomial matrices."""
     if sparse is None:
         sparse = layout.total_dim > DENSE_LIMIT
     n = layout.total_dim
     total = sp.csr_matrix((n, n), dtype=complex) if sparse else \
         np.zeros((n, n), dtype=complex)
     for term in terms:
-        if term.factors == ():
-            eye = sp.identity(n, dtype=complex, format="csr") if sparse \
-                else np.eye(n, dtype=complex)
-            total = total + term.coefficient * eye
-        else:
-            total = total + build_operator(term, layout, sparse=sparse).matrix
+        total = total + build_operator(term, layout, sparse=sparse).matrix
     return total
 
 

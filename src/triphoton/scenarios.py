@@ -3,11 +3,12 @@
 Each scenario wires the circuit model, the rotating-wave reduction, the
 truncated-register dynamics and the witness suite into one reproducible
 run, in two steps: an evolution step (g0 and pump resolution,
-Hamiltonian, initial state, grid, integrator tolerances) that returns
-the trajectory with its recorded observables, and an analysis step that
-evaluates the witness series and builds the summary. A cutoff sweep
-reruns only the evolution step, so it shares the run's Hamiltonian,
-pump check and tolerances, and records observables only.
+Hamiltonian, initial state, grid) that returns the trajectory with its
+recorded observables, and an analysis step that evaluates the witness
+series and builds the summary. Every evolution step runs ``evolve`` at
+its one integrator setting. A cutoff sweep reruns only the evolution
+step, so it shares the run's Hamiltonian, pump check and integrator
+setting, and records observables only.
 
 Times in the down-conversion scenarios are quoted as the dimensionless
 g0 * t; interaction-picture Hamiltonians are static there, so the free
@@ -125,12 +126,9 @@ class ScenarioConfig:
     circuit: CircuitConfig | None = None
     pump_frequency: float | None = None
     vlf_restarts: int = 20
-    kerr: str = "drop"
     pair_coupling: float = 1.0  # 22spdc direct coupling
     jc_ratio: float = 10.0  # hybrid swap: lambda_i = jc_ratio * g0
     dce: DceParams = field(default_factory=DceParams)
-    rtol: float | None = None  # integrator control; scenario default if None
-    atol: float | None = None
 
     def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
@@ -146,17 +144,6 @@ class ScenarioConfig:
         if self.cutoff is not None:
             return self.cutoff
         return 4 if self.name == "hybrid-swap" else 8
-
-    @property
-    def step_control(self) -> tuple[float, float]:
-        """(rtol, atol); the long driven Rabi runs need a tighter pair
-        to hold the norm-drift budget over hundreds of drive cycles."""
-        if self.rtol is not None or self.atol is not None:
-            return (self.rtol if self.rtol is not None else 1e-9,
-                    self.atol if self.atol is not None else 1e-10)
-        if self.name == "dce-rabi":
-            return (1e-12, 1e-14)
-        return (1e-9, 1e-10)
 
 
 @dataclass
@@ -334,9 +321,8 @@ def _evolve_spdc(config: ScenarioConfig) -> tuple[Trajectory, dict]:
     layout = RegisterLayout.bosons(3, config.effective_cutoff)
     # time is measured in 1/g0; a switched-off pump freezes the state
     h = HamiltonianSpec(interaction(1.0 if g0 != 0.0 else 0.0))
-    rtol, atol = config.step_control
     traj = evolve(h, fock_state(layout, (0, 0, 0)), _grid(config),
-                  rtol=rtol, atol=atol, observables=_mode_observables())
+                  observables=_mode_observables())
     return traj, {"g0": float(g0), **details}
 
 
@@ -403,13 +389,15 @@ def _evolve_hybrid(config: ScenarioConfig) -> tuple[Trajectory, dict]:
     jc = config.jc_ratio  # in units of g0, matching the 1/g0 time scale
     layout = RegisterLayout(
         (("boson", config.effective_cutoff + 1),) * 3 + (("qubit", 2),) * 3)
-    h = HamiltonianSpec(hybrid_interaction(1.0, jc))
+    # time is measured in 1/g0 and the exchange terms are jc * g0, so a
+    # zero coupling freezes the state
+    on = 1.0 if g0 != 0.0 else 0.0
+    h = HamiltonianSpec(hybrid_interaction(on, on * jc))
     obs = _mode_observables()
     obs["qubit_excitation"] = [
         mono([(q, PAULI_PLUS), (q, PAULI_MINUS)], 1.0) for q in (3, 4, 5)]
-    rtol, atol = config.step_control
     traj = evolve(h, fock_state(layout, (0,) * 6), _grid(config),
-                  rtol=rtol, atol=atol, observables=obs)
+                  observables=obs)
     return traj, {"g0": float(g0), "jc_ratio": float(jc), **details}
 
 
@@ -492,14 +480,11 @@ def _evolve_dce(config: ScenarioConfig) -> tuple[Trajectory, dict]:
     t_period = 2.0 * np.pi / p.mode_freq
     grid = np.linspace(0.0, p.periods * t_period,
                        p.periods * p.steps_per_period + 1)
-    rtol, atol = config.step_control
-    traj = evolve(h, fock_state(layout, (0, 0)), grid, rtol=rtol, atol=atol,
-                  observables={
-                      "n": mono([(0, NUMBER)]),
-                      "pair": mono([(0, ANNIHILATE), (0, ANNIHILATE)]),
-                      "qubit_excitation": mono([(1, PAULI_PLUS),
-                                                (1, PAULI_MINUS)]),
-                  })
+    traj = evolve(h, fock_state(layout, (0, 0)), grid, observables={
+        "n": mono([(0, NUMBER)]),
+        "pair": mono([(0, ANNIHILATE), (0, ANNIHILATE)]),
+        "qubit_excitation": mono([(1, PAULI_PLUS), (1, PAULI_MINUS)]),
+    })
     return traj, {}
 
 
@@ -551,9 +536,9 @@ def sweep_observables(config: ScenarioConfig, cutoff: int) -> dict:
     """Scenario observables at one cutoff, for convergence gating.
 
     Reruns only the scenario's own evolution step (same Hamiltonian,
-    pump check and tolerances) on the run's grid capped at 41 points,
-    and returns every recorded observable except ``norm``. Witness
-    series are not evaluated.
+    pump check and integrator setting) on the run's grid capped at 41
+    points, and returns every recorded observable except ``norm``.
+    Witness series are not evaluated.
     """
     evolve_step, _ = _STEPS[config.name]
     traj, _ = evolve_step(replace(config, cutoff=cutoff,

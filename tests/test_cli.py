@@ -89,6 +89,14 @@ dce_periods = 10
         with pytest.raises(ConfigError):
             build_scenario_config(cfg)
 
+    @pytest.mark.parametrize("line", ["kerr = keep", "rtol = 1e-5",
+                                      "atol = 1e-8"])
+    def test_removed_scenario_keys_rejected(self, line):
+        # the integrator setting is fixed and no scenario reads a Kerr
+        # mode, so these keys are unknown
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(f"[scenario]\nname = 3spdc\n{line}\n")
+
 
 class TestModesCommand:
     def test_writes_spectrum_csv(self, tmp_path, capsys):

@@ -74,7 +74,7 @@ class TestTripleDownconversion:
         traj = evolve(spec_of(terms), psi0, grid)
         for i, t in enumerate(grid):
             oracle = evolve_static_expm(terms, psi0, t)
-            assert np.linalg.norm(traj.states[i].data - oracle.data) < 1e-7
+            assert np.linalg.norm(traj.states[i].data - oracle.data) < 1e-9
 
 
 class TestJaynesCummings:
