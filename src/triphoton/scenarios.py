@@ -258,13 +258,16 @@ def _detection_windows(times: np.ndarray, values: np.ndarray) -> list:
 
 
 def _mode_witness_series(states: list[QuantumState], vlf_restarts: int,
-                         seed: int) -> dict[str, np.ndarray]:
+                         seed: int) -> tuple[dict[str, np.ndarray], int]:
+    """Witness values per state, and the number of states whose
+    covariance witness was certified rather than searched."""
     n = len(states)
     series = {
         "i1": np.empty(n), "i2": np.empty(n), "i3": np.empty(n),
         "g1": np.empty(n), "g2": np.empty(n), "s_opt": np.empty(n),
         "cov_cross_max": np.empty(n),
     }
+    n_certified = 0
     for k, state in enumerate(states):
         reports = mode_moment_witnesses(state)
         for singled in range(3):
@@ -273,12 +276,13 @@ def _mode_witness_series(states: list[QuantumState], vlf_restarts: int,
         series["g2"][k] = reports["genuine_max"].value
         rep = optimize_vlf(state, restarts=vlf_restarts, seed=seed + k)
         series["s_opt"][k] = rep.value
+        n_certified += rep.components["certified"]
         cx = rep.components["cov_x"].copy()
         cp = rep.components["cov_p"].copy()
         np.fill_diagonal(cx, 0.0)
         np.fill_diagonal(cp, 0.0)
         series["cov_cross_max"][k] = max(np.abs(cx).max(), np.abs(cp).max())
-    return series
+    return series, n_certified
 
 
 def _mode_observables():
@@ -330,8 +334,8 @@ def _analyze_spdc(config: ScenarioConfig, traj: Trajectory,
                   details: dict) -> ScenarioResult:
     """Full witness suite per grid point; peaks and detection windows."""
     times = traj.times
-    series = _mode_witness_series(traj.states, config.vlf_restarts,
-                                  config.seed)
+    series, n_certified = _mode_witness_series(
+        traj.states, config.vlf_restarts, config.seed)
     summary = {"scenario": config.name}
     for key, label in (("g2", "g2"), ("g1", "g1"), ("s_opt", "s"),
                        ("i1", "i1")):
@@ -342,6 +346,7 @@ def _analyze_spdc(config: ScenarioConfig, traj: Trajectory,
         "g2": _detection_windows(times, series["g2"]),
         "s_opt": _detection_windows(times, series["s_opt"]),
     }
+    summary["s_certified_points"] = n_certified
     summary["norm_drift"] = _norm_drift(traj)
     summary.update(details)
     if config.name == "3spdc":

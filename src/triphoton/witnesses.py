@@ -125,18 +125,60 @@ def optimize_vlf(state: QuantumState, restarts: int = 20, seed: int = 0,
                  modes=None, max_iter: int = 300) -> WitnessReport:
     """Best covariance witness over the free weights.
 
-    Simplex (Nelder-Mead) local searches from ``restarts`` random points
-    in the box [-2, 2]^6; deterministic for a fixed seed. S is
-    homogeneous of degree 2 in (g, h), so its sign cannot depend on the
-    overall scale and the search stays confined to the box (a quadratic
-    penalty pulls excursions back); an unconstrained maximum would be
-    unbounded for any detected state. The covariance matrix is computed
-    once per state.
+    Certificate first. With lx = lambda_min(C_x) and lp = lambda_min(C_p)
+    from the state's covariance matrix, lx > 0, lp > 0 and lx lp >= 1/4
+    prove S <= 0 for every weight, so the maximum is exactly 0 at
+    g = h = 0 and no search runs. Proof: for each pair of weights,
+    |h_i g_i| <= lx g_i^2 + h_i^2 / (4 lx), so by the triangle inequality
+    every bound term satisfies
+
+        B_i <= sum_l |h_l g_l| <= lx |g|^2 + |h|^2 / (4 lx)
+            <= lx |g|^2 + lp |h|^2 <= g^T C_x g + h^T C_p h,
+
+    using 1 / (4 lx) <= lp. Hence S = min_i B_i - g^T C_x g - h^T C_p h
+    <= 0. The test lambda_min >= 1/2 for both blocks (vacuum variance)
+    is the special case lx = lp = 1/2. The comparison carries no
+    tolerance: a roundoff miss only falls back to the search.
+
+    Otherwise, simplex (Nelder-Mead) local searches from ``restarts``
+    random points in the box [-2, 2]^6; deterministic for a fixed seed.
+    S is homogeneous of degree 2 in (g, h), so its sign cannot depend on
+    the overall scale and the search stays confined to the box (a
+    quadratic penalty pulls excursions back); an unconstrained maximum
+    would be unbounded for any detected state. The covariance matrix is
+    computed once per state.
+
+    Components hold the covariance blocks, ``certified`` and
+    ``restarts``, the number of searches actually run (0 when
+    certified).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     modes = _three_sites(state, modes, BOSON)
     cov = covariance_matrix(state, modes)
+    certified = _vlf_certified(cov)
+    if certified:
+        best, best_x, restarts = 0.0, np.zeros(6), 0
+    else:
+        best, best_x = _search_vlf(cov, restarts, seed, max_iter)
+    params = VlfParams(g=tuple(best_x[:3]), h=tuple(best_x[3:]))
+    return _report("vlf_s_opt", best,
+                   {"cov_x": cov[:3, :3], "cov_p": cov[3:, 3:],
+                    "certified": certified, "restarts": restarts},
+                   parameters=params)
+
+
+def _vlf_certified(cov: np.ndarray) -> bool:
+    """The certificate of ``optimize_vlf``: lx > 0, lp > 0, lx lp >= 1/4."""
+    lx = np.linalg.eigvalsh(cov[:3, :3])[0]
+    lp = np.linalg.eigvalsh(cov[3:, 3:])[0]
+    return bool(lx > 0.0 and lp > 0.0 and lx * lp >= 0.25)
+
+
+def _search_vlf(cov: np.ndarray, restarts: int, seed: int,
+                max_iter: int) -> tuple[float, np.ndarray]:
+    """Nelder-Mead search of ``optimize_vlf``: the best S and its
+    weights (g, h) as one 6-vector; g = h = 0 counts as a candidate."""
     rng = np.random.default_rng(seed)
 
     def objective(x):
@@ -154,11 +196,7 @@ def optimize_vlf(state: QuantumState, restarts: int = 20, seed: int = 0,
         if -res.fun > best:
             best = -res.fun
             best_x = np.clip(res.x, -2.0, 2.0)
-    params = VlfParams(g=tuple(best_x[:3]), h=tuple(best_x[3:]))
-    return _report("vlf_s_opt", best,
-                   {"cov_x": cov[:3, :3], "cov_p": cov[3:, 3:],
-                    "restarts": restarts},
-                   parameters=params)
+    return best, best_x
 
 
 # The moment witnesses share one inequality (Hillery-Zubairy):

@@ -231,6 +231,16 @@ class TestWitnessCommand:
         assert float(lines["genuine_max"].split(",")[1]) == \
             pytest.approx(0.2, rel=1e-9)
 
+    def test_vacuum_not_detected(self, tmp_path, capsys):
+        path = str(tmp_path / "vacuum.json")
+        save_state(fock_state(RegisterLayout.bosons(3, 4), (0, 0, 0)), path)
+        assert main(["witness", "--state", path]) == 0
+        out = capsys.readouterr().out
+        rows = {line.split(",")[0]: line.split(",") for line in
+                out.splitlines()[1:]}
+        assert float(rows["vlf_s_opt"][1]) == 0.0
+        assert rows["vlf_s_opt"][2] == "false"
+
     def test_three_qubit_state(self, tmp_path, capsys):
         path = str(tmp_path / "ghz.json")
         save_state(ghz_state(RegisterLayout.qubits(3)), path)

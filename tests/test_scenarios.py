@@ -3,6 +3,7 @@ detection pattern, and the reduced Hamiltonians stay consistent with the
 full driven model."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from triphoton.circuit import (
     mode_spectrum,
     three_spdc_coupling,
 )
+from triphoton.config import build_scenario_config, load_config
 from triphoton.dynamics import HamiltonianSpec, evolve
 from triphoton.errors import PumpMismatchError
 from triphoton.hilbert import (
@@ -44,6 +46,7 @@ from triphoton.scenarios import (
 REF_SQUID = SquidParams(ej1=6.1, ej2=4.99, c1=1e-13, c2=1e-13,
                         flux_bias=0.4, pump_amplitude=0.05)
 REF_CAVITY = CavityParams(length=1.0, cap_per_len=1000.0, ind_per_len=1.0)
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def fast_config(name, **kw):
@@ -184,6 +187,26 @@ class TestDce:
         assert s["qubit_excitation_max"] < 0.1
         assert s["qubit_entropy_max"] < 0.1
         assert s["pair_final"] > 0.0
+
+
+class TestShippedConfigs:
+    """Coarse-grid runs of the shipped 3spdc and 22spdc configs."""
+
+    @staticmethod
+    def run(name, **changes):
+        cfg = build_scenario_config(load_config(os.path.join(CONFIGS, name)))
+        return run_scenario(dataclasses.replace(cfg, **changes))
+
+    def test_3spdc_vacuum_not_detected(self):
+        s = self.run("reference.ini", n_steps=3).summary
+        assert s["s_peak"] == 0.0
+        assert s["windows"]["s_opt"] == []
+        assert s["s_certified_points"] == 3
+
+    def test_22spdc_search_pinned(self):
+        s = self.run("spdc22.ini", n_steps=2, seed=7).summary
+        assert s["s_peak"] == 0.9805990180554045
+        assert s["s_certified_points"] == 1
 
 
 class TestReproducibility:

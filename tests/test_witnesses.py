@@ -1,6 +1,12 @@
 """Witness-family tests: formula examples, soundness battery, dominance
 and invariance properties, negativity oracle values."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +15,7 @@ from triphoton.errors import LayoutMismatchError
 from triphoton.hilbert import (
     QuantumState,
     RegisterLayout,
+    covariance_matrix,
     fock_state,
     ghz_state,
     partial_trace,
@@ -17,6 +24,8 @@ from triphoton.hilbert import (
 from triphoton.rwa import CREATE, LadderMonomial
 from triphoton.witnesses import (
     VlfParams,
+    _search_vlf,
+    _vlf_certified,
     dv_genuine_witness,
     genuine_witness_max,
     genuine_witness_sum,
@@ -25,6 +34,7 @@ from triphoton.witnesses import (
     optimize_vlf,
     random_separable_mixture,
     triple_superposition,
+    vlf_value,
     vlf_witness,
 )
 
@@ -106,6 +116,102 @@ class TestOptimizeVlf:
     def test_restart_validation(self):
         with pytest.raises(ValueError):
             optimize_vlf(vacuum3(), restarts=0)
+
+    def test_vacuum_certified_at_exact_zero(self):
+        rep = optimize_vlf(vacuum3())
+        assert rep.value == 0.0
+        assert np.copysign(1.0, rep.value) == 1.0
+        assert not rep.detects
+        assert rep.components["certified"] is True
+        assert rep.components["restarts"] == 0
+        assert rep.parameters == VlfParams(g=(0, 0, 0), h=(0, 0, 0))
+        np.testing.assert_array_equal(rep.components["cov_x"],
+                                      0.5 * np.eye(3))
+
+    def test_uncertified_path_is_the_search(self):
+        state = evolved_pair(0.3)
+        rep = optimize_vlf(state, restarts=20, seed=1)
+        best, x = _search_vlf(covariance_matrix(state), restarts=20, seed=1,
+                              max_iter=300)
+        assert rep.value == best
+        assert rep.parameters == VlfParams(g=tuple(x[:3]), h=tuple(x[3:]))
+
+    def test_uncertified_search_pinned(self):
+        # The 512-dimensional evolution behind evolved_pair sums in an
+        # order that depends on the OpenBLAS thread count, which moves the
+        # last bits of the state. The pin is taken with one BLAS thread,
+        # as the benchmark runs, in a child process so that the setting
+        # holds from the first import of numpy.
+        here = Path(__file__).resolve().parent
+        code = (
+            "import json, sys\n"
+            f"sys.path[:0] = [{str(here)!r}, {str(here.parent / 'src')!r}]\n"
+            "from test_witnesses import evolved_pair\n"
+            "from triphoton.witnesses import optimize_vlf\n"
+            "rep = optimize_vlf(evolved_pair(0.3), restarts=20, seed=1)\n"
+            "print(json.dumps([rep.value, rep.components['certified'],\n"
+            "                  rep.components['restarts'],\n"
+            "                  [float(v) for v in rep.parameters.g],\n"
+            "                  [float(v) for v in rep.parameters.h]]))\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=300).stdout
+        value, certified, restarts, g, h = json.loads(out)
+        assert certified is False
+        assert restarts == 20
+        assert value == 0.845899829656633
+        assert g == [-0.563370268554547, 2.0, -1.0793979859625957]
+        assert h == [-0.9095544303486915, -1.9921451121535956,
+                     -0.4746994760780541]
+
+
+def _covariance(lam_x, lam_p, seed=0):
+    """6x6 (x..., p...) covariance whose blocks have the given spectra
+    in random orthonormal bases, with a random x-p block."""
+    rng = np.random.default_rng(seed)
+    cov = np.zeros((6, 6))
+    for block, lam in ((slice(0, 3), lam_x), (slice(3, 6), lam_p)):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        cov[block, block] = q @ np.diag(lam) @ q.T
+    cov[:3, 3:] = rng.normal(size=(3, 3))
+    cov[3:, :3] = cov[:3, 3:].T
+    return cov
+
+
+class TestVlfCertificate:
+    """The certificate checked against the search it replaces and
+    against random weights."""
+
+    def assert_never_positive(self, cov, rng):
+        assert _search_vlf(cov, restarts=5, seed=3, max_iter=300)[0] <= 1e-9
+        for x in rng.uniform(-2.0, 2.0, size=(10_000, 6)):
+            assert vlf_value(cov, x[:3], x[3:]) <= 1e-12
+
+    def test_certified_states_never_positive(self):
+        rng = np.random.default_rng(2024)
+        states = [vacuum3()] + [evolved_triple(gt) for gt in (0.05, 0.15, 0.3)]
+        states += [random_separable_mixture(LAY3, rng) for _ in range(40)]
+        for state in states:
+            rep = optimize_vlf(state, restarts=5, seed=0)
+            assert rep.components["certified"]
+            assert rep.value == 0.0
+            self.assert_never_positive(covariance_matrix(state), rng)
+
+    def test_product_above_quarter_certifies_below_half(self):
+        cov = _covariance((0.3, 0.5, 0.7), (0.9, 1.0, 1.2))
+        assert _vlf_certified(cov)
+        self.assert_never_positive(cov, np.random.default_rng(5))
+
+    def test_product_below_quarter_not_certified(self):
+        assert not _vlf_certified(_covariance((0.3, 0.5, 0.7),
+                                              (0.8, 1.0, 1.2)))
+
+    def test_negative_spectra_not_certified(self):
+        assert not _vlf_certified(_covariance((-1.0, 0.5, 0.7),
+                                              (-1.0, 1.0, 1.2)))
 
 
 class TestHzWitness:
