@@ -258,16 +258,17 @@ def _detection_windows(times: np.ndarray, values: np.ndarray) -> list:
 
 
 def _mode_witness_series(states: list[QuantumState], vlf_restarts: int,
-                         seed: int) -> tuple[dict[str, np.ndarray], int]:
-    """Witness values per state, and the number of states whose
-    covariance witness was certified rather than searched."""
+                         seed: int) -> tuple[dict[str, np.ndarray], int, int]:
+    """Witness values per state, the number of states whose covariance
+    witness was certified rather than searched, and the objective
+    evaluations of the searches."""
     n = len(states)
     series = {
         "i1": np.empty(n), "i2": np.empty(n), "i3": np.empty(n),
         "g1": np.empty(n), "g2": np.empty(n), "s_opt": np.empty(n),
         "cov_cross_max": np.empty(n),
     }
-    n_certified = 0
+    n_certified = n_evals = 0
     for k, state in enumerate(states):
         reports = mode_moment_witnesses(state)
         for singled in range(3):
@@ -277,12 +278,13 @@ def _mode_witness_series(states: list[QuantumState], vlf_restarts: int,
         rep = optimize_vlf(state, restarts=vlf_restarts, seed=seed + k)
         series["s_opt"][k] = rep.value
         n_certified += rep.components["certified"]
+        n_evals += rep.components["objective_evals"]
         cx = rep.components["cov_x"].copy()
         cp = rep.components["cov_p"].copy()
         np.fill_diagonal(cx, 0.0)
         np.fill_diagonal(cp, 0.0)
         series["cov_cross_max"][k] = max(np.abs(cx).max(), np.abs(cp).max())
-    return series, n_certified
+    return series, n_certified, n_evals
 
 
 def _mode_observables():
@@ -334,7 +336,7 @@ def _analyze_spdc(config: ScenarioConfig, traj: Trajectory,
                   details: dict) -> ScenarioResult:
     """Full witness suite per grid point; peaks and detection windows."""
     times = traj.times
-    series, n_certified = _mode_witness_series(
+    series, n_certified, n_evals = _mode_witness_series(
         traj.states, config.vlf_restarts, config.seed)
     summary = {"scenario": config.name}
     for key, label in (("g2", "g2"), ("g1", "g1"), ("s_opt", "s"),
@@ -347,6 +349,7 @@ def _analyze_spdc(config: ScenarioConfig, traj: Trajectory,
         "s_opt": _detection_windows(times, series["s_opt"]),
     }
     summary["s_certified_points"] = n_certified
+    summary["s_objective_evals"] = n_evals
     summary["norm_drift"] = _norm_drift(traj)
     summary.update(details)
     if config.name == "3spdc":

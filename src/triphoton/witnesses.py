@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import LayoutMismatchError
 from .hilbert import (
@@ -98,15 +97,25 @@ def vlf_value(cov: np.ndarray, g, h) -> float:
         S = min over singled mode i of |h_i g_i| + |h_j g_j + h_k g_k|
             - sum_ij g_i g_j C_x[i,j] - sum_ij h_i h_j C_p[i,j]
     """
-    g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
-    cx = cov[:3, :3]
-    cp = cov[3:, 3:]
-    bound = min(
-        abs(h[i] * g[i]) + abs(h[j] * g[j] + h[k] * g[k])
-        for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-    )
-    return float(bound - g @ cx @ g - h @ cp @ h)
+    x = np.concatenate([np.asarray(g, dtype=float),
+                        np.asarray(h, dtype=float)])
+    return float(_vlf_s(np.stack([cov[:3, :3], cov[3:, 3:]]), x[None])[0])
+
+
+def _vlf_s(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """S of ``vlf_value`` for each row (g, h) of x, shape (m, 6), with
+    blocks = [C_x, C_p] stacked, shape (2, 3, 3).
+
+    The quadratic forms are stacked matmuls, (g C) g per row, so each
+    row sums in the order of ``g @ C @ g`` on one vector."""
+    p = x[:, :3] * x[:, 3:]
+    # columns 1..3 and 2..4 of (p, p) pair to (j, k) = (1, 2), (2, 0),
+    # (0, 1) for the singled mode i = 0, 1, 2
+    pp = np.concatenate((p, p), axis=1)
+    bound = (np.abs(p) + np.abs(pp[:, 1:4] + pp[:, 2:5])).min(axis=1)
+    v = x.reshape(-1, 2, 1, 3)
+    q = (v @ blocks @ v.transpose(0, 1, 3, 2))[..., 0, 0]
+    return bound - q[:, 0] - q[:, 1]
 
 
 def vlf_witness(state: QuantumState, params: VlfParams,
@@ -142,15 +151,17 @@ def optimize_vlf(state: QuantumState, restarts: int = 20, seed: int = 0,
 
     Otherwise, simplex (Nelder-Mead) local searches from ``restarts``
     random points in the box [-2, 2]^6; deterministic for a fixed seed.
+    All restarts advance together as one batched simplex, step for step
+    the same as separate scipy ``minimize(method="Nelder-Mead")`` runs.
     S is homogeneous of degree 2 in (g, h), so its sign cannot depend on
     the overall scale and the search stays confined to the box (a
     quadratic penalty pulls excursions back); an unconstrained maximum
     would be unbounded for any detected state. The covariance matrix is
     computed once per state.
 
-    Components hold the covariance blocks, ``certified`` and
-    ``restarts``, the number of searches actually run (0 when
-    certified).
+    Components hold the covariance blocks, ``certified``, ``restarts``,
+    the number of searches actually run, and ``objective_evals``, the
+    objective evaluations summed over them (both 0 when certified).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -158,13 +169,15 @@ def optimize_vlf(state: QuantumState, restarts: int = 20, seed: int = 0,
     cov = covariance_matrix(state, modes)
     certified = _vlf_certified(cov)
     if certified:
-        best, best_x, restarts = 0.0, np.zeros(6), 0
+        best, best_x, restarts, evals = 0.0, np.zeros(6), 0, 0
     else:
-        best, best_x = _search_vlf(cov, restarts, seed, max_iter)
+        best, best_x, evals = _search_vlf_counted(cov, restarts, seed,
+                                                  max_iter)
     params = VlfParams(g=tuple(best_x[:3]), h=tuple(best_x[3:]))
     return _report("vlf_s_opt", best,
                    {"cov_x": cov[:3, :3], "cov_p": cov[3:, 3:],
-                    "certified": certified, "restarts": restarts},
+                    "certified": certified, "restarts": restarts,
+                    "objective_evals": evals},
                    parameters=params)
 
 
@@ -175,28 +188,134 @@ def _vlf_certified(cov: np.ndarray) -> bool:
     return bool(lx > 0.0 and lp > 0.0 and lx * lp >= 0.25)
 
 
-def _search_vlf(cov: np.ndarray, restarts: int, seed: int,
-                max_iter: int) -> tuple[float, np.ndarray]:
-    """Nelder-Mead search of ``optimize_vlf``: the best S and its
-    weights (g, h) as one 6-vector; g = h = 0 counts as a candidate."""
-    rng = np.random.default_rng(seed)
+def _vlf_objective(cov: np.ndarray):
+    """The search objective on ``cov``, for rows x of shape (m, 6): -S
+    at the row clipped to the box [-2, 2]^6, plus 100 times the squared
+    distance to the box."""
+    blocks = np.stack([cov[:3, :3], cov[3:, 3:]])
 
     def objective(x):
-        xc = np.clip(x, -2.0, 2.0)
-        penalty = 100.0 * float(np.sum((x - xc) ** 2))
-        return -vlf_value(cov, xc[:3], xc[3:]) + penalty
+        xc = x.clip(-2.0, 2.0)
+        d = x - xc
+        return 100.0 * np.add.reduce(d * d, axis=1) - _vlf_s(blocks, xc)
+    return objective
 
-    best_x = np.zeros(6)
-    best = -objective(best_x)
-    for _ in range(restarts):
-        x0 = rng.uniform(-2.0, 2.0, size=6)
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"maxiter": max_iter, "xatol": 1e-10,
-                                "fatol": 1e-10})
-        if -res.fun > best:
-            best = -res.fun
-            best_x = np.clip(res.x, -2.0, 2.0)
+
+def _search_vlf(cov: np.ndarray, restarts: int, seed: int,
+                max_iter: int) -> tuple[float, np.ndarray]:
+    """Search of ``optimize_vlf``: the best S and its weights (g, h) as
+    one 6-vector; g = h = 0 counts as a candidate."""
+    best, best_x, _ = _search_vlf_counted(cov, restarts, seed, max_iter)
     return best, best_x
+
+
+def _search_vlf_counted(cov: np.ndarray, restarts: int, seed: int,
+                        max_iter: int) -> tuple[float, np.ndarray, int]:
+    """``_search_vlf`` plus its objective evaluations over all restarts."""
+    x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(restarts, 6))
+    x, fun, nfev, _ = _nelder_mead(_vlf_objective(cov), x0, max_iter,
+                                   xatol=1e-10, fatol=1e-10)
+    best, best_x = 0.0, np.zeros(6)
+    for xr, fr in zip(x, fun):
+        if -fr > best:
+            best, best_x = float(-fr), np.clip(xr, -2.0, 2.0)
+    return best, best_x, int(nfev.sum())
+
+
+# Trial points of a Nelder-Mead step, a xbar - b worst: reflection,
+# expansion, outside and inside contraction, with scipy's rho = 1,
+# chi = 2, psi = 1/2. The inside point (1 - psi) xbar + psi worst is
+# written with b = -psi, which gives the same bits.
+_TRIAL_A = np.array([2.0, 3.0, 1.5, 0.5])[:, None]
+_TRIAL_B = np.array([1.0, 2.0, 0.5, -0.5])[:, None]
+_SHRINK = 0.5
+
+
+def _nelder_mead(f, x0: np.ndarray, max_iter: int, xatol: float,
+                 fatol: float):
+    """Minimize f from every row of x0, shape (m, n), at once.
+
+    Each row follows scipy's non-adaptive ``_minimize_neldermead`` with
+    ``maxiter=max_iter`` step for step: the same initial simplex, trial
+    point, shrink and sort arithmetic, so it ends on the same bits, and
+    counts the same evaluations, as its own
+    ``minimize(method="Nelder-Mead")`` call. ``f`` maps points (k, n) to
+    values (k,) and must treat rows independently; each step evaluates
+    all four trial points of every live row in one call (a row counts
+    only those scipy would have evaluated). A row stops, and stays
+    frozen, once its vertices are within ``xatol`` and its values within
+    ``fatol`` of the best vertex, or after ``max_iter`` iterations
+    (counted from 1, as scipy does).
+
+    Returns per row the best vertex, its value, the evaluations of f and
+    the iterations (scipy's x, fun, nfev, nit).
+    """
+    m, n = x0.shape
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    k = np.arange(n)
+    sim[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    fsim = f(sim.reshape(-1, n)).reshape(m, n + 1)
+    rows = each = np.arange(m)
+    # scipy sorts the initial simplex twice; with tied values the second
+    # argsort need not be the identity, so it is repeated. Rows are
+    # sorted by argsort and take, as scipy does.
+    for _ in range(2):
+        order = fsim.argsort(axis=1)
+        sim, fsim = sim[each[:, None], order], fsim[each[:, None], order]
+    x_out, f_out = np.empty((m, n)), np.empty(m)
+    nfev_out, nit_out = np.empty(m, dtype=int), np.empty(m, dtype=int)
+    # evaluations beyond the n + 1 initial ones and the one reflection of
+    # every iteration: expansions, contractions and shrinks
+    extra = np.zeros(m, dtype=int)
+
+    def freeze(stop, iterations):
+        r = rows[stop]
+        x_out[r], f_out[r] = sim[stop, 0], fsim[stop].min(axis=1)
+        nfev_out[r] = n + iterations + extra[stop]
+        nit_out[r] = iterations
+
+    iterations = 1
+    while iterations < max_iter:
+        # values are sorted, so max |f_0 - f_i| is f_n - f_0 exactly
+        done = fsim[:, -1] - fsim[:, 0] <= fatol
+        if done.any():
+            done &= np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol
+            if done.any():
+                freeze(done, iterations)
+                live = ~done
+                sim, fsim, extra, rows = (sim[live], fsim[live], extra[live],
+                                          rows[live])
+                each = np.arange(rows.size)
+                if not rows.size:
+                    break
+        xbar = np.add.reduce(sim[:, :-1], 1) / n
+        trial = _TRIAL_A * xbar[:, None] - _TRIAL_B * sim[:, -1:]
+        ft = f(trial.reshape(-1, n)).reshape(-1, 4)
+        fxr, fxe, fxc, fxcc = ft.T
+        f_worst = fsim[:, -1]
+        expand = fxr < fsim[:, 0]
+        contract = ~(expand | (fxr < fsim[:, -2]))
+        outside = contract & (fxr < f_worst)
+        inside = contract & ~outside
+        shrink = outside & ~(fxc <= fxr) | inside & ~(fxcc < f_worst)
+        pick = (expand & (fxe < fxr)) + 2 * outside + 3 * inside
+        extra += expand | contract
+        any_shrink = shrink.any()
+        if any_shrink:
+            extra += n * shrink
+            base = sim[shrink, :1]
+            moved = base + _SHRINK * (sim[shrink, 1:] - base)
+            f_moved = f(moved.reshape(-1, n)).reshape(-1, n)
+        sim[:, -1] = trial[each, pick]
+        fsim[:, -1] = ft[each, pick]
+        if any_shrink:
+            sim[shrink, 1:] = moved
+            fsim[shrink, 1:] = f_moved
+        iterations += 1
+        order = fsim.argsort(axis=1)
+        sim, fsim = sim[each[:, None], order], fsim[each[:, None], order]
+    freeze(np.ones(rows.size, dtype=bool), iterations)
+    return x_out, f_out, nfev_out, nit_out
 
 
 # The moment witnesses share one inequality (Hillery-Zubairy):

@@ -42,6 +42,7 @@ from triphoton.scenarios import (
     run_scenario,
     sweep_observables,
 )
+from triphoton.witnesses import optimize_vlf
 
 REF_SQUID = SquidParams(ej1=6.1, ej2=4.99, c1=1e-13, c2=1e-13,
                         flux_bias=0.4, pump_amplitude=0.05)
@@ -207,6 +208,17 @@ class TestShippedConfigs:
         s = self.run("spdc22.ini", n_steps=2, seed=7).summary
         assert s["s_peak"] == 0.9805990180554045
         assert s["s_certified_points"] == 1
+
+    def test_objective_evals_summed_over_points(self):
+        res = self.run("spdc22.ini", n_steps=2, seed=7)
+        cfg = res.config
+        expected = sum(
+            optimize_vlf(state, restarts=cfg.vlf_restarts, seed=cfg.seed + k)
+            .components["objective_evals"]
+            for k, state in enumerate(res.trajectory.states))
+        assert res.summary["s_objective_evals"] == expected > 0
+        s3 = self.run("reference.ini", n_steps=3).summary
+        assert s3["s_objective_evals"] == 0
 
 
 class TestReproducibility:

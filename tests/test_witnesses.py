@@ -2,6 +2,7 @@
 and invariance properties, negativity oracle values."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from triphoton.dynamics import evolve_static_expm
 from triphoton.errors import LayoutMismatchError
@@ -24,8 +26,10 @@ from triphoton.hilbert import (
 from triphoton.rwa import CREATE, LadderMonomial
 from triphoton.witnesses import (
     VlfParams,
+    _nelder_mead,
     _search_vlf,
     _vlf_certified,
+    _vlf_objective,
     dv_genuine_witness,
     genuine_witness_max,
     genuine_witness_sum,
@@ -166,6 +170,67 @@ class TestOptimizeVlf:
         assert g == [-0.563370268554547, 2.0, -1.0793979859625957]
         assert h == [-0.9095544303486915, -1.9921451121535956,
                      -0.4746994760780541]
+
+
+# A product of single-mode squeezed vacua: lambda_min(C_x) lambda_min(C_p)
+# = e^-1 / 4 < 1/4, so it is searched although it is separable.
+SQUEEZED_PRODUCT = np.diag([np.exp(-1) / 2, 0.5, 0.5, np.exp(1) / 2, 0.5, 0.5])
+
+
+class TestBatchedSearchOracle:
+    """The batched simplex against scipy's Nelder-Mead, restart by
+    restart, on the same objective and starting points."""
+
+    @staticmethod
+    def scipy_restarts(cov, restarts, seed, max_iter):
+        objective = _vlf_objective(cov)
+        rng = np.random.default_rng(seed)
+        return [minimize(lambda x: objective(x[None])[0],
+                         rng.uniform(-2.0, 2.0, size=6),
+                         method="Nelder-Mead",
+                         options={"maxiter": max_iter, "xatol": 1e-10,
+                                  "fatol": 1e-10})
+                for _ in range(restarts)]
+
+    @pytest.mark.parametrize("max_iter", [1, 5, 300])
+    @pytest.mark.parametrize("which", ["evolved_pair", "squeezed_product"])
+    def test_restarts_bit_identical(self, which, max_iter):
+        cov = (covariance_matrix(evolved_pair(0.3)) if which == "evolved_pair"
+               else SQUEEZED_PRODUCT)
+        restarts, seed = 8, 1
+        x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(restarts, 6))
+        x, fun, nfev, nit = _nelder_mead(_vlf_objective(cov), x0, max_iter,
+                                         xatol=1e-10, fatol=1e-10)
+        ref = self.scipy_restarts(cov, restarts, seed, max_iter)
+        for r, res in enumerate(ref):
+            assert np.array_equal(x[r], res.x)
+            assert fun[r] == res.fun
+            assert nfev[r] == res.nfev
+            assert nit[r] == res.nit
+        if which == "squeezed_product" and max_iter == 300:
+            # some restarts stop on xatol/fatol, the others on max_iter
+            assert min(nit) < max_iter
+            assert max(nit) == max_iter
+
+    def test_objective_evals_are_scipys_nfev(self):
+        state = evolved_pair(0.3)
+        rep = optimize_vlf(state, restarts=6, seed=4)
+        ref = self.scipy_restarts(covariance_matrix(state), 6, 4, 300)
+        assert rep.components["objective_evals"] == sum(r.nfev for r in ref)
+        assert rep.value == max(-r.fun for r in ref)
+
+    def test_certified_state_counts_no_evaluations(self):
+        rep = optimize_vlf(vacuum3())
+        assert rep.components["objective_evals"] == 0
+
+    def test_origin_best_returns_positive_zero(self):
+        state = evolved_pair(0.01)
+        assert not _vlf_certified(covariance_matrix(state))
+        rep = optimize_vlf(state, restarts=20, seed=1)
+        assert rep.components["restarts"] == 20
+        assert rep.value == 0.0
+        assert math.copysign(1.0, rep.value) == 1.0
+        assert rep.parameters == VlfParams(g=(0, 0, 0), h=(0, 0, 0))
 
 
 def _covariance(lam_x, lam_p, seed=0):
