@@ -1,16 +1,22 @@
 """Time evolution under static and driven ladder-operator Hamiltonians.
 
 Driven terms carry named real envelopes evaluated exactly at each step;
-no pre-rotation into an interaction picture happens here. Every run,
-static or driven, uses one integrator at one setting: the 8th-order
-Dormand-Prince pair (DOP853) at rtol = 1e-10, atol = 1e-11. It is
-cross-checked by ``evolve_static_expm``, a dense eigendecomposition path
-that serves as the independent oracle for static Hamiltonians.
+no pre-rotation into an interaction picture happens here.
+
+A static run is exact by sector: the basis states the Hamiltonian's
+monomials can reach from psi0 span a subspace H maps into itself, so one
+eigendecomposition of H on that subspace propagates the state to every
+grid point with no tolerance and no norm drift. Driven runs, and static
+runs whose reachable set exceeds ``DENSE_LIMIT``, use one integrator at
+one setting: the 8th-order Dormand-Prince pair (DOP853) at rtol = 1e-10,
+atol = 1e-11. ``evolve_static_expm``, a dense eigendecomposition of the
+full-register Hamiltonian, is the independent oracle for both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -21,6 +27,7 @@ from .hilbert import (
     DENSE_LIMIT,
     QuantumState,
     RegisterLayout,
+    _factor_matrix,
     terms_to_matrix,
 )
 from .rwa import LadderMonomial, hermitian_closure_holds
@@ -119,30 +126,106 @@ def split_drive_branches(terms: Sequence[LadderMonomial],
 
 @dataclass
 class Trajectory:
-    """Time grid, states and recorded observable series."""
+    """Time grid, states and recorded observable series.
+
+    ``diagnostics`` says how the states were obtained: ``path``
+    (``"sector-eigh"`` or ``"dop853"``), ``register_dim``, the dimension
+    actually evolved (``evolved_dim``) and the integrator's right-hand-side
+    evaluations (``rhs_evals``, 0 on the sector path).
+    """
 
     times: np.ndarray
     states: list[QuantumState]
     observables: dict[str, np.ndarray]
+    diagnostics: dict = field(default_factory=dict)
 
 
 SPARSE_EVOLVE_LIMIT = 512  # above this, evolution matrices go sparse
 
 
-def _as_matrix(op, layout: RegisterLayout, sparse: bool):
-    """Matrix of an observable given as one monomial or a term list."""
-    terms = [op] if isinstance(op, LadderMonomial) else op
-    return terms_to_matrix(terms, layout, sparse=sparse)
+def _on_basis(term: LadderMonomial, layout: RegisterLayout,
+              basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """term|s> for each basis state s (flat indices): the flat index it
+    lands on, its amplitude, and the positions in ``basis`` it came from.
+
+    Every ladder, number and Pauli matrix has at most one nonzero per
+    column, so a monomial moves each basis state to one basis state;
+    states the truncation (or a zero coefficient) sends to zero are
+    dropped.
+    """
+    levels = np.array(np.unravel_index(basis, layout.dims))
+    amp = np.full(len(basis), complex(term.coefficient))
+    for index, kind in reversed(term.factors):
+        mat = _factor_matrix(layout, index, kind)
+        target = np.abs(mat).argmax(axis=0)
+        amp = amp * mat[target, np.arange(len(target))][levels[index]]
+        levels[index] = target[levels[index]]
+    cols = np.flatnonzero(amp)
+    return (np.ravel_multi_index(levels[:, cols], layout.dims), amp[cols],
+            cols)
 
 
-def _record(observables, layout, psi_columns, sparse):
+def _reachable(terms: Sequence[LadderMonomial],
+               psi0: QuantumState) -> np.ndarray:
+    """Sorted flat indices of the support of psi0 closed under every
+    monomial; the closure stops once it exceeds ``DENSE_LIMIT``."""
+    found = frontier = np.flatnonzero(psi0.data)
+    while frontier.size and found.size <= DENSE_LIMIT:
+        reached = [_on_basis(t, psi0.layout, frontier)[0] for t in terms]
+        frontier = np.setdiff1d(np.concatenate([found, *reached]), found)
+        found = np.union1d(found, frontier)
+    return found
+
+
+def _sector_matrix(terms: Sequence[LadderMonomial], layout: RegisterLayout,
+                   basis: np.ndarray) -> np.ndarray:
+    """Dense matrix of the summed terms between the basis states (sorted
+    flat indices). Amplitudes landing outside the basis are dropped,
+    which is exact for expectation values of states supported on it."""
+    m = len(basis)
+    out = np.zeros((m, m), dtype=complex)
+    for term in terms:
+        flat, amp, cols = _on_basis(term, layout, basis)
+        rows = np.searchsorted(basis, flat).clip(max=m - 1)
+        inside = basis[rows] == flat
+        # one landing state per column, so no index pair repeats
+        out[rows[inside], cols[inside]] += amp[inside]
+    return out
+
+
+def _record(observables, matrix_of, psi_columns):
+    """Observable series from the columns of psi_columns; ``matrix_of``
+    maps a term list to its matrix on the same basis."""
     out = {}
     for name, op in observables.items():
-        mat = _as_matrix(op, layout, sparse)
+        mat = matrix_of([op] if isinstance(op, LadderMonomial) else op)
         vals = np.array([np.vdot(col, mat @ col) for col in psi_columns.T])
         out[name] = vals
     out["norm"] = np.array([np.linalg.norm(col) for col in psi_columns.T])
     return out
+
+
+def _evolve_sector(terms, psi0, t_grid, basis, observables) -> Trajectory:
+    """Exact static evolution on the reachable basis: one eigh of H
+    there, psi(t) = V exp(-i w (t - t0)) V^dag psi0, embedded back into
+    the full register."""
+    layout = psi0.layout
+    w, v = np.linalg.eigh(_sector_matrix(terms, layout, basis))
+    psi = psi0.data[basis]
+    phases = np.exp(-1j * np.outer(t_grid - t_grid[0], w))
+    columns = v @ (phases * (v.conj().T @ psi)).T
+    # V V^dag psi0 is psi0 only to roundoff, and a roundoff amplitude
+    # would read as a detection on the vacuum
+    columns[:, 0] = psi
+    full = np.zeros((len(t_grid), layout.total_dim), dtype=complex)
+    full[:, basis] = columns.T
+    states = [QuantumState(layout, row, validate=False) for row in full]
+    recorded = _record(observables,
+                       partial(_sector_matrix, layout=layout, basis=basis),
+                       columns)
+    return Trajectory(t_grid, states, recorded, diagnostics={
+        "path": "sector-eigh", "register_dim": layout.total_dim,
+        "evolved_dim": len(basis), "rhs_evals": 0})
 
 
 def evolve(h: HamiltonianSpec,
@@ -151,12 +234,18 @@ def evolve(h: HamiltonianSpec,
            rtol: float = 1e-10,
            atol: float = 1e-11,
            observables: Mapping[str, object] | None = None) -> Trajectory:
-    """Integrate i d psi/dt = H(t) psi with the adaptive 8th-order
-    Dormand-Prince pair (DOP853), sampling states at the grid points.
+    """Propagate i d psi/dt = H(t) psi, sampling states at the grid
+    points.
 
-    The default tolerance pair holds every scenario's norm-drift budget,
-    including the driven runs over many drive periods, so callers pass
-    none; ``rtol``/``atol`` exist for tighter reference runs.
+    A static spec whose reachable basis (the support of psi0 closed
+    under every monomial) fits in ``DENSE_LIMIT`` is propagated exactly
+    by one eigendecomposition on that basis. Any other spec is
+    integrated over the full register with the adaptive 8th-order
+    Dormand-Prince pair (DOP853). ``rtol``/``atol`` apply to that
+    integrator only, so to driven runs (and to static runs past
+    ``DENSE_LIMIT``); the default pair holds every scenario's norm-drift
+    budget over many drive periods, so callers pass none, and tighter
+    pairs serve reference runs.
 
     The norm is never renormalized; its drift is recorded as the
     ``norm`` observable and serves as an accuracy diagnostic.
@@ -167,6 +256,11 @@ def evolve(h: HamiltonianSpec,
     if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
     h.validate()
+    observables = observables or {}
+    if not h.driven_terms and \
+            len(basis := _reachable(h.static_terms, psi0)) <= DENSE_LIMIT:
+        return _evolve_sector(h.static_terms, psi0, t_grid, basis,
+                              observables)
     layout = psi0.layout
     sparse = layout.total_dim > SPARSE_EVOLVE_LIMIT
     h_static = terms_to_matrix(h.static_terms, layout, sparse=sparse)
@@ -192,8 +286,12 @@ def evolve(h: HamiltonianSpec,
             time=failed_at)
     states = [QuantumState(layout, sol.y[:, i], validate=False)
               for i in range(sol.y.shape[1])]
-    recorded = _record(observables or {}, layout, sol.y, sparse)
-    return Trajectory(times=t_grid, states=states, observables=recorded)
+    recorded = _record(observables,
+                       partial(terms_to_matrix, layout=layout, sparse=sparse),
+                       sol.y)
+    return Trajectory(t_grid, states, recorded, diagnostics={
+        "path": "dop853", "register_dim": layout.total_dim,
+        "evolved_dim": layout.total_dim, "rhs_evals": int(sol.nfev)})
 
 
 def evolve_static_expm(h_static: Sequence[LadderMonomial] | HamiltonianSpec,

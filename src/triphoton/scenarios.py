@@ -5,10 +5,13 @@ truncated-register dynamics and the witness suite into one reproducible
 run, in two steps: an evolution step (g0 and pump resolution,
 Hamiltonian, initial state, grid) that returns the trajectory with its
 recorded observables, and an analysis step that evaluates the witness
-series and builds the summary. Every evolution step runs ``evolve`` at
-its one integrator setting. A cutoff sweep reruns only the evolution
-step, so it shares the run's Hamiltonian, pump check and integrator
-setting, and records observables only.
+series and builds the summary. Every evolution step runs ``evolve``:
+the static scenarios are propagated exactly on the basis states their
+Hamiltonian reaches from the vacuum, and the driven ``dce-rabi`` run by
+DOP853 at its one setting. The summary's ``diagnostics`` records which
+path ran and on how many states. A cutoff sweep reruns only the
+evolution step, so it shares the run's Hamiltonian, pump check and
+evolution path, and records observables only.
 
 Times in the down-conversion scenarios are quoted as the dimensionless
 g0 * t; interaction-picture Hamiltonians are static there, so the free
@@ -565,11 +568,12 @@ def convergence_gate(config: ScenarioConfig, cutoffs=None, threshold=1e-6):
 
 def run_scenario(config: ScenarioConfig,
                  check_convergence: bool = False) -> ScenarioResult:
-    """Run a scenario's evolution step, then its analysis step;
-    optionally gate on the cutoff sweep and record the verdict in the
-    summary."""
+    """Run a scenario's evolution step, then its analysis step, and copy
+    the evolution's diagnostics into the summary; optionally gate on the
+    cutoff sweep and record the verdict in the summary."""
     evolve_step, analyze = _STEPS[config.name]
     result = analyze(config, *evolve_step(config))
+    result.summary["diagnostics"] = dict(result.trajectory.diagnostics)
     if check_convergence:
         report = convergence_gate(config)
         result.summary["converged"] = report.converged

@@ -16,6 +16,7 @@ fire on states with nonzero negativity across some bipartition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -134,19 +135,23 @@ def optimize_vlf(state: QuantumState, restarts: int = 20, seed: int = 0,
                  modes=None, max_iter: int = 300) -> WitnessReport:
     """Best covariance witness over the free weights.
 
-    Certificate first. With lx = lambda_min(C_x) and lp = lambda_min(C_p)
-    from the state's covariance matrix, lx > 0, lp > 0 and lx lp >= 1/4
-    prove S <= 0 for every weight, so the maximum is exactly 0 at
-    g = h = 0 and no search runs. Proof: for each pair of weights,
-    |h_i g_i| <= lx g_i^2 + h_i^2 / (4 lx), so by the triangle inequality
-    every bound term satisfies
+    Certificate first. For a sign matrix D = diag(+-1, +-1, +-1) let
 
-        B_i <= sum_l |h_l g_l| <= lx |g|^2 + |h|^2 / (4 lx)
-            <= lx |g|^2 + lp |h|^2 <= g^T C_x g + h^T C_p h,
+        M_D = [[C_x, -D/2], [-D/2, C_p]],
 
-    using 1 / (4 lx) <= lp. Hence S = min_i B_i - g^T C_x g - h^T C_p h
-    <= 0. The test lambda_min >= 1/2 for both blocks (vacuum variance)
-    is the special case lx = lp = 1/2. The comparison carries no
+    so that (g, h) M_D (g, h)^T = g^T C_x g + h^T C_p h - g^T D h. If
+    M_D is positive semidefinite for all 8 sign matrices, S <= 0 for
+    every weight, so the maximum is exactly 0 at g = h = 0 and no search
+    runs. Proof: by the triangle inequality every bound term satisfies
+
+        B_i <= sum_l |g_l h_l| = max_D g^T D h
+            <= g^T C_x g + h^T C_p h,
+
+    hence S = min_i B_i - g^T C_x g - h^T C_p h <= 0. The test holds
+    whenever lambda_min(C_x) lambda_min(C_p) >= 1/4 with both positive
+    (the Schur complement C_p - D C_x^-1 D / 4 is then positive
+    semidefinite), and also on states that product misses, such as
+    products of single-mode squeezed vacua. The comparison carries no
     tolerance: a roundoff miss only falls back to the search.
 
     Otherwise, simplex (Nelder-Mead) local searches from ``restarts``
@@ -182,10 +187,15 @@ def optimize_vlf(state: QuantumState, restarts: int = 20, seed: int = 0,
 
 
 def _vlf_certified(cov: np.ndarray) -> bool:
-    """The certificate of ``optimize_vlf``: lx > 0, lp > 0, lx lp >= 1/4."""
-    lx = np.linalg.eigvalsh(cov[:3, :3])[0]
-    lp = np.linalg.eigvalsh(cov[3:, 3:])[0]
-    return bool(lx > 0.0 and lp > 0.0 and lx * lp >= 0.25)
+    """The certificate of ``optimize_vlf``: M_D is positive semidefinite
+    for every sign matrix D."""
+    signs = np.array(list(product((1.0, -1.0), repeat=3)))
+    blocks = np.zeros((8, 6, 6))
+    blocks[:, :3, :3] = cov[:3, :3]
+    blocks[:, 3:, 3:] = cov[3:, 3:]
+    half_d = 0.5 * signs[:, :, None] * np.eye(3)
+    blocks[:, :3, 3:] = blocks[:, 3:, :3] = -half_d
+    return bool(np.linalg.eigvalsh(blocks)[:, 0].min() >= 0.0)
 
 
 def _vlf_objective(cov: np.ndarray):

@@ -23,6 +23,8 @@ from triphoton.rwa import (
     PAULI_PLUS,
     LadderMonomial,
 )
+from triphoton.scenarios import hybrid_interaction, pair_interaction
+from triphoton.witnesses import genuine_witness_max, optimize_vlf
 
 
 def mono(factors, coeff=1.0, drive=0):
@@ -37,6 +39,18 @@ def triple_spdc_terms(g0=1.0):
 
 def spec_of(terms):
     return HamiltonianSpec(static_terms=list(terms))
+
+
+def driven_displacement(omega=1.0, amp=0.2, wd=3.0):
+    """Cos-driven displacement of one mode."""
+    drive_up = mono([(0, CREATE)], amp)
+    return HamiltonianSpec(
+        [mono([(0, CREATE), (0, ANNIHILATE)], omega)],
+        [(drive_up, Cosine(1.0, wd)), (drive_up.conjugate(), Cosine(1.0, wd))])
+
+
+def hybrid_layout(cutoff):
+    return RegisterLayout((("boson", cutoff + 1),) * 3 + (("qubit", 2),) * 3)
 
 
 class TestEigenstatePhase:
@@ -72,9 +86,98 @@ class TestTripleDownconversion:
         psi0 = fock_state(lay, (0, 0, 0))
         grid = np.linspace(0.0, 0.3, 7)
         traj = evolve(spec_of(terms), psi0, grid)
+        assert traj.diagnostics["evolved_dim"] == 9
         for i, t in enumerate(grid):
             oracle = evolve_static_expm(terms, psi0, t)
-            assert np.linalg.norm(traj.states[i].data - oracle.data) < 1e-9
+            assert np.linalg.norm(traj.states[i].data - oracle.data) < 1e-10
+        assert np.abs(traj.observables["norm"] - 1.0).max() <= 1e-14
+
+
+class TestSectorPath:
+    """Static runs propagate exactly on the basis states H reaches from
+    psi0; checked against the full-register eigendecomposition."""
+
+    CASES = {
+        "22spdc": (RegisterLayout.bosons(3, 8), pair_interaction(1.0), 45),
+        "hybrid-4": (hybrid_layout(4), hybrid_interaction(1.0, 10.0), 34),
+    }
+
+    @staticmethod
+    def assert_matches_oracle(terms, psi0, grid, traj):
+        for i, t in enumerate(grid):
+            oracle = evolve_static_expm(terms, psi0, t)
+            assert np.abs(traj.states[i].data - oracle.data).max() <= 1e-10
+        assert np.abs(traj.observables["norm"] - 1.0).max() <= 1e-14
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_vacuum_runs_match_oracle(self, name):
+        lay, terms, sector = self.CASES[name]
+        psi0 = fock_state(lay, (0,) * lay.n_subsystems)
+        grid = np.array([0.0, 0.1, 0.3])
+        traj = evolve(spec_of(terms), psi0, grid)
+        assert traj.diagnostics == {"path": "sector-eigh",
+                                    "register_dim": lay.total_dim,
+                                    "evolved_dim": sector, "rhs_evals": 0}
+        self.assert_matches_oracle(terms, psi0, grid, traj)
+
+    def test_hybrid_cutoff_12_sector(self):
+        lay = hybrid_layout(12)
+        traj = evolve(spec_of(hybrid_interaction(1.0, 10.0)),
+                      fock_state(lay, (0,) * 6), [0.0, 0.1])
+        assert traj.diagnostics["register_dim"] == 17_576
+        assert traj.diagnostics["evolved_dim"] == 98
+
+    def test_spread_initial_state(self):
+        lay = RegisterLayout.bosons(3, 4)
+        rng = np.random.default_rng(11)
+        vec = np.zeros(lay.total_dim, dtype=complex)
+        support = rng.choice(lay.total_dim, size=40, replace=False)
+        vec[support] = rng.normal(size=40) + 1j * rng.normal(size=40)
+        psi0 = QuantumState(lay, vec / np.linalg.norm(vec))
+        terms = triple_spdc_terms() + [mono([(1, NUMBER)], 0.7)]
+        grid = np.linspace(0.0, 0.5, 6)
+        traj = evolve(spec_of(terms), psi0, grid)
+        assert 40 < traj.diagnostics["evolved_dim"] < lay.total_dim
+        self.assert_matches_oracle(terms, psi0, grid, traj)
+
+    def test_whole_register_reachable(self):
+        lay = RegisterLayout.bosons(2, 3)
+        terms = [mono([(0, CREATE)], 0.8), mono([(0, ANNIHILATE)], 0.8),
+                 mono([(1, CREATE)], 0.5j), mono([(1, ANNIHILATE)], -0.5j),
+                 mono([(0, CREATE), (1, ANNIHILATE)], 0.3),
+                 mono([(1, CREATE), (0, ANNIHILATE)], 0.3)]
+        psi0 = fock_state(lay, (0, 0))
+        grid = np.linspace(0.0, 2.0, 5)
+        traj = evolve(spec_of(terms), psi0, grid)
+        assert traj.diagnostics["evolved_dim"] == lay.total_dim
+        self.assert_matches_oracle(terms, psi0, grid, traj)
+
+    def test_first_state_is_psi0_exactly(self):
+        lay, terms, _ = self.CASES["22spdc"]
+        psi0 = fock_state(lay, (0, 0, 0))
+        traj = evolve(spec_of(terms), psi0, [0.0, 0.3])
+        assert np.array_equal(traj.states[0].data, psi0.data)
+        vacuum = traj.states[0]
+        assert genuine_witness_max(vacuum).value == 0.0
+        assert optimize_vlf(vacuum).value == 0.0
+
+    def test_oversized_sector_integrates(self):
+        # displacements reach all 10,000 states of four 10-level modes,
+        # more than a dense eigendecomposition takes
+        lay = RegisterLayout.bosons(4, 9)
+        terms = [mono([(i, kind)], 1.0) for i in range(4)
+                 for kind in (CREATE, ANNIHILATE)]
+        traj = evolve(spec_of(terms), fock_state(lay, (0,) * 4), [0.0, 0.1])
+        assert traj.diagnostics["path"] == "dop853"
+        assert traj.diagnostics["evolved_dim"] == 10_000
+        assert traj.diagnostics["rhs_evals"] > 0
+
+    def test_driven_spec_integrates(self):
+        traj = evolve(driven_displacement(),
+                      fock_state(RegisterLayout.bosons(1, 10), (0,)),
+                      [0.0, 1.0])
+        assert traj.diagnostics["path"] == "dop853"
+        assert traj.diagnostics["evolved_dim"] == 11
 
 
 class TestJaynesCummings:
@@ -147,12 +250,12 @@ class TestHygiene:
         assert np.abs(energy - energy[0]).max() < 1e-8 * max(1.0, scale)
 
     def test_tighter_control_reduces_drift(self):
-        lay = RegisterLayout.bosons(3, 6)
-        terms = triple_spdc_terms()
-        psi0 = fock_state(lay, (0, 0, 0))
-        grid = np.linspace(0.0, 0.3, 4)
-        loose = evolve(spec_of(terms), psi0, grid, rtol=1e-6, atol=1e-8)
-        tight = evolve(spec_of(terms), psi0, grid, rtol=1e-11, atol=1e-13)
+        # rtol/atol govern the integrator, which only driven runs use
+        h = driven_displacement()
+        psi0 = fock_state(RegisterLayout.bosons(1, 10), (0,))
+        grid = np.linspace(0.0, 15.0, 4)
+        loose = evolve(h, psi0, grid, rtol=1e-6, atol=1e-8)
+        tight = evolve(h, psi0, grid, rtol=1e-11, atol=1e-13)
         drift_loose = np.abs(loose.observables["norm"] - 1.0).max()
         drift_tight = np.abs(tight.observables["norm"] - 1.0).max()
         assert drift_tight < drift_loose
@@ -171,15 +274,9 @@ class TestHygiene:
 
 class TestDrivenEvolution:
     def test_driven_matches_tight_reference(self):
-        # cos-driven displacement of one mode, checked against the same
-        # integrator at much tighter tolerance
+        # checked against the same integrator at much tighter tolerance
         lay = RegisterLayout.bosons(1, 10)
-        omega, amp, wd = 1.0, 0.2, 3.0
-        static = [mono([(0, CREATE), (0, ANNIHILATE)], omega)]
-        drive_up = mono([(0, CREATE)], amp)
-        driven = [(drive_up, Cosine(1.0, wd)),
-                  (drive_up.conjugate(), Cosine(1.0, wd))]
-        h = HamiltonianSpec(static, driven)
+        h = driven_displacement()
         psi0 = fock_state(lay, (0,))
         grid = np.linspace(0.0, 15.0, 11)
         obs = {"n": mono([(0, NUMBER)])}

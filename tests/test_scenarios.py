@@ -17,7 +17,7 @@ from triphoton.circuit import (
     three_spdc_coupling,
 )
 from triphoton.config import build_scenario_config, load_config
-from triphoton.dynamics import HamiltonianSpec, evolve
+from triphoton.dynamics import HamiltonianSpec, evolve, evolve_static_expm
 from triphoton.errors import PumpMismatchError
 from triphoton.hilbert import (
     RegisterLayout,
@@ -38,6 +38,7 @@ from triphoton.scenarios import (
     ScenarioConfig,
     cavity_hamiltonian,
     convergence_gate,
+    pair_interaction,
     reduced_cavity_hamiltonian,
     run_scenario,
     sweep_observables,
@@ -205,9 +206,27 @@ class TestShippedConfigs:
         assert s["s_certified_points"] == 3
 
     def test_22spdc_search_pinned(self):
-        s = self.run("spdc22.ini", n_steps=2, seed=7).summary
-        assert s["s_peak"] == 0.9805990180554045
+        res = self.run("spdc22.ini", n_steps=2, seed=7)
+        s = res.summary
+        assert s["s_peak"] == 0.9805990180686246
         assert s["s_certified_points"] == 1
+        # the same search on the full-register eigendecomposition state
+        vacuum = fock_state(RegisterLayout.bosons(3, 8), (0, 0, 0))
+        oracle = evolve_static_expm(pair_interaction(1.0), vacuum, 0.3)
+        searched = optimize_vlf(oracle, restarts=20, seed=8).value
+        assert abs(s["s_peak"] - searched) <= 1e-9
+        assert s["s_peak"] >= 0.9805990180554045 - 1e-9
+
+    @pytest.mark.parametrize("name, changes, diagnostics", [
+        ("reference.ini", {"n_steps": 3}, ("sector-eigh", 729, 9, 0)),
+        ("hybrid.ini", {"n_steps": 3}, ("sector-eigh", 1000, 34, 0)),
+        ("dce.ini", {}, ("dop853", 18, 18, 30_233)),
+    ])
+    def test_evolution_diagnostics(self, name, changes, diagnostics):
+        s = self.run(name, **changes).summary
+        assert s["diagnostics"] == dict(zip(
+            ("path", "register_dim", "evolved_dim", "rhs_evals"),
+            diagnostics))
 
     def test_objective_evals_summed_over_points(self):
         res = self.run("spdc22.ini", n_steps=2, seed=7)

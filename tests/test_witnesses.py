@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from triphoton import witnesses
 from triphoton.dynamics import evolve_static_expm
 from triphoton.errors import LayoutMismatchError
 from triphoton.hilbert import (
@@ -271,8 +272,29 @@ class TestVlfCertificate:
         self.assert_never_positive(cov, np.random.default_rng(5))
 
     def test_product_below_quarter_not_certified(self):
-        assert not _vlf_certified(_covariance((0.3, 0.5, 0.7),
-                                              (0.8, 1.0, 1.2)))
+        # x and p of mode 0 alone have 0.3 * 0.8 < 1/4, so M_D is
+        # indefinite for every D
+        assert not _vlf_certified(np.diag([0.3, 0.5, 0.7, 0.8, 1.0, 1.2]))
+
+    def test_rotated_blocks_below_quarter_certified(self):
+        # the same spectra in unaligned bases: the product misses it,
+        # the sign-matrix blocks prove it
+        cov = _covariance((0.3, 0.5, 0.7), (0.8, 1.0, 1.2))
+        assert _vlf_certified(cov)
+        self.assert_never_positive(cov, np.random.default_rng(7))
+
+    def test_squeezed_product_certified(self, monkeypatch):
+        # lambda_min(C_x) lambda_min(C_p) = e^-1 / 4 misses this
+        # separable state; the sign-matrix blocks hold with equality
+        assert _vlf_certified(SQUEEZED_PRODUCT)
+        self.assert_never_positive(SQUEEZED_PRODUCT,
+                                   np.random.default_rng(6))
+        monkeypatch.setattr(witnesses, "covariance_matrix",
+                            lambda state, modes: SQUEEZED_PRODUCT)
+        rep = optimize_vlf(vacuum3(), restarts=20, seed=3)
+        assert rep.components["certified"]
+        assert rep.value == 0.0
+        assert math.copysign(1.0, rep.value) == 1.0
 
     def test_negative_spectra_not_certified(self):
         assert not _vlf_certified(_covariance((-1.0, 0.5, 0.7),
