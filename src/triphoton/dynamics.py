@@ -6,11 +6,14 @@ no pre-rotation into an interaction picture happens here.
 A static run is exact by sector: the basis states the Hamiltonian's
 monomials can reach from psi0 span a subspace H maps into itself, so one
 eigendecomposition of H on that subspace propagates the state to every
-grid point with no tolerance and no norm drift. Driven runs, and static
-runs whose reachable set exceeds ``DENSE_LIMIT``, use one integrator at
-one setting: the 8th-order Dormand-Prince pair (DOP853) at rtol = 1e-10,
-atol = 1e-11. ``evolve_static_expm``, a dense eigendecomposition of the
-full-register Hamiltonian, is the independent oracle for both.
+grid point with no tolerance and no norm drift. The closure and the
+matrices on the sector come from the monomials' action on basis states
+in ``hilbert``, the same action that builds full-register operators.
+Driven runs, and static runs whose reachable set exceeds
+``DENSE_LIMIT``, use one integrator at one setting: the 8th-order
+Dormand-Prince pair (DOP853) at rtol = 1e-10, atol = 1e-11.
+``evolve_static_expm``, a dense eigendecomposition of the full-register
+Hamiltonian, is the independent oracle for both.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from .errors import IntegrationError
 from .hilbert import (
     DENSE_LIMIT,
     QuantumState,
-    RegisterLayout,
-    _factor_matrix,
+    _basis_matrix,
+    _on_basis,
     terms_to_matrix,
 )
 from .rwa import LadderMonomial, hermitian_closure_holds
@@ -143,28 +146,6 @@ class Trajectory:
 SPARSE_EVOLVE_LIMIT = 512  # above this, evolution matrices go sparse
 
 
-def _on_basis(term: LadderMonomial, layout: RegisterLayout,
-              basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """term|s> for each basis state s (flat indices): the flat index it
-    lands on, its amplitude, and the positions in ``basis`` it came from.
-
-    Every ladder, number and Pauli matrix has at most one nonzero per
-    column, so a monomial moves each basis state to one basis state;
-    states the truncation (or a zero coefficient) sends to zero are
-    dropped.
-    """
-    levels = np.array(np.unravel_index(basis, layout.dims))
-    amp = np.full(len(basis), complex(term.coefficient))
-    for index, kind in reversed(term.factors):
-        mat = _factor_matrix(layout, index, kind)
-        target = np.abs(mat).argmax(axis=0)
-        amp = amp * mat[target, np.arange(len(target))][levels[index]]
-        levels[index] = target[levels[index]]
-    cols = np.flatnonzero(amp)
-    return (np.ravel_multi_index(levels[:, cols], layout.dims), amp[cols],
-            cols)
-
-
 def _reachable(terms: Sequence[LadderMonomial],
                psi0: QuantumState) -> np.ndarray:
     """Sorted flat indices of the support of psi0 closed under every
@@ -175,22 +156,6 @@ def _reachable(terms: Sequence[LadderMonomial],
         frontier = np.setdiff1d(np.concatenate([found, *reached]), found)
         found = np.union1d(found, frontier)
     return found
-
-
-def _sector_matrix(terms: Sequence[LadderMonomial], layout: RegisterLayout,
-                   basis: np.ndarray) -> np.ndarray:
-    """Dense matrix of the summed terms between the basis states (sorted
-    flat indices). Amplitudes landing outside the basis are dropped,
-    which is exact for expectation values of states supported on it."""
-    m = len(basis)
-    out = np.zeros((m, m), dtype=complex)
-    for term in terms:
-        flat, amp, cols = _on_basis(term, layout, basis)
-        rows = np.searchsorted(basis, flat).clip(max=m - 1)
-        inside = basis[rows] == flat
-        # one landing state per column, so no index pair repeats
-        out[rows[inside], cols[inside]] += amp[inside]
-    return out
 
 
 def _record(observables, matrix_of, psi_columns):
@@ -208,9 +173,10 @@ def _record(observables, matrix_of, psi_columns):
 def _evolve_sector(terms, psi0, t_grid, basis, observables) -> Trajectory:
     """Exact static evolution on the reachable basis: one eigh of H
     there, psi(t) = V exp(-i w (t - t0)) V^dag psi0, embedded back into
-    the full register."""
+    the full register. H and the observables are built on the basis by
+    the same assembly as ``terms_to_matrix``."""
     layout = psi0.layout
-    w, v = np.linalg.eigh(_sector_matrix(terms, layout, basis))
+    w, v = np.linalg.eigh(_basis_matrix(terms, layout, basis))
     psi = psi0.data[basis]
     phases = np.exp(-1j * np.outer(t_grid - t_grid[0], w))
     columns = v @ (phases * (v.conj().T @ psi)).T
@@ -221,7 +187,7 @@ def _evolve_sector(terms, psi0, t_grid, basis, observables) -> Trajectory:
     full[:, basis] = columns.T
     states = [QuantumState(layout, row, validate=False) for row in full]
     recorded = _record(observables,
-                       partial(_sector_matrix, layout=layout, basis=basis),
+                       partial(_basis_matrix, layout=layout, basis=basis),
                        columns)
     return Trajectory(t_grid, states, recorded, diagnostics={
         "path": "sector-eigh", "register_dim": layout.total_dim,

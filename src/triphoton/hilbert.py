@@ -8,6 +8,13 @@ Every module that touches composite indices relies on this convention.
 Qubit basis: index 0 is the ground state, index 1 the excited state;
 pauli_plus = |1><0| raises, sigma_z = diag(-1, +1).
 
+Every ladder, number and Pauli factor is a level map: it sends each
+level of its subsystem to at most one level with one amplitude. That map
+is the one primitive: monomials applied to states, moments, covariance
+matrices, full-register operators and the matrices on a reachable sector
+are all built from it, so no dense single-subsystem matrix or Kronecker
+product is ever formed.
+
 Quadratures are x = (a + a^dag)/sqrt(2), p = i(a^dag - a)/sqrt(2), so
 the vacuum variance is 1/2. Covariance matrices are ordered as
 (x_1 .. x_m, p_1 .. p_m).
@@ -25,6 +32,7 @@ from .errors import LayoutMismatchError
 from .rwa import (
     ANNIHILATE,
     CREATE,
+    NUMBER,
     PAULI_MINUS,
     PAULI_PLUS,
     PAULI_Z,
@@ -97,24 +105,12 @@ class RegisterLayout:
                 f"{len(self.subsystems)}")
 
 
-def _single_matrix(kind: str, dim: int) -> np.ndarray:
-    if kind in BOSON_KINDS:
-        n = np.arange(1, dim)
-        if kind == CREATE:
-            return np.diag(np.sqrt(n), -1).astype(complex)
-        if kind == ANNIHILATE:
-            return np.diag(np.sqrt(n), +1).astype(complex)
-        return np.diag(np.arange(dim)).astype(complex)
-    if kind == PAULI_PLUS:
-        return np.array([[0, 0], [1, 0]], dtype=complex)
-    if kind == PAULI_MINUS:
-        return np.array([[0, 1], [0, 0]], dtype=complex)
-    if kind == PAULI_Z:
-        return np.array([[-1, 0], [0, 1]], dtype=complex)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def _factor_matrix(layout: RegisterLayout, index: int, kind: str) -> np.ndarray:
+def _level_map(layout: RegisterLayout, index: int,
+               kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The factor ``kind`` on subsystem ``index`` as a level map: it
+    sends |l> to amp[l] |target[l]>, and amp[l] is 0 where level l is
+    killed. A qubit's pauli_plus, pauli_minus and sigma_z act on its two
+    levels as a^dag, a and 2n - 1 do."""
     layout.check_index(index)
     skind, dim = layout.subsystems[index]
     if kind in BOSON_KINDS and skind != BOSON:
@@ -123,7 +119,16 @@ def _factor_matrix(layout: RegisterLayout, index: int, kind: str) -> np.ndarray:
     if kind in (PAULI_PLUS, PAULI_MINUS, PAULI_Z) and skind != QUBIT:
         raise LayoutMismatchError(
             f"Pauli factor {kind!r} on non-qubit subsystem {index}")
-    return _single_matrix(kind, dim)
+    levels = np.arange(dim)
+    if kind in (CREATE, PAULI_PLUS):
+        return (levels + 1) % dim, np.append(np.sqrt(levels[1:]), 0.0)
+    if kind in (ANNIHILATE, PAULI_MINUS):
+        return (levels - 1) % dim, np.sqrt(levels)
+    if kind == NUMBER:
+        return levels, levels.astype(float)
+    if kind == PAULI_Z:
+        return levels, 2.0 * levels - 1.0
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 class QuantumState:
@@ -191,26 +196,72 @@ class QuantumState:
         return float(np.trace(rho @ rho).real)
 
 
-def _apply_factor_vec(psi: np.ndarray, dims: Sequence[int], index: int,
-                      mat: np.ndarray) -> np.ndarray:
-    """Apply a single-subsystem matrix to a state vector (or, from the
-    left, to a matrix whose rows run over the register)."""
+def _apply_factor_vec(psi: np.ndarray, layout: RegisterLayout, index: int,
+                      kind: str) -> np.ndarray:
+    """Apply one factor to a state vector (or, from the left, to a matrix
+    whose rows run over the register): the slice of each live level l,
+    times amp[l], lands on level target[l]."""
+    target, amp = _level_map(layout, index, kind)
+    dims = layout.dims
     pre = int(np.prod(dims[:index])) if index else 1
     block = psi.reshape(pre, dims[index], -1)
-    return np.einsum("ab,xbz->xaz", mat, block).reshape(psi.shape)
+    live = np.flatnonzero(amp)
+    out = np.zeros(block.shape, dtype=complex)
+    # live levels land on distinct levels, so no slice is added twice
+    out[:, target[live]] += amp[live, None] * block[:, live]
+    return out.reshape(psi.shape)
 
 
 def _apply_monomial_vec(psi: np.ndarray, layout: RegisterLayout,
-                        term_factors, coefficient=1.0) -> np.ndarray:
-    """Apply the monomial's operator to a state vector, or from the left
-    to a density matrix."""
+                        term_factors) -> np.ndarray:
+    """Apply the factor product to a state vector, or from the left to a
+    density matrix."""
     out = psi
     for index, kind in reversed(tuple(term_factors)):
-        out = _apply_factor_vec(out, layout.dims, index,
-                                _factor_matrix(layout, index, kind))
-    if coefficient != 1.0:
-        out = coefficient * out
+        out = _apply_factor_vec(out, layout, index, kind)
     return out
+
+
+def _on_basis(term: LadderMonomial, layout: RegisterLayout,
+              basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """term|s> for each basis state s (flat indices): the flat index it
+    lands on, its amplitude, and the positions in ``basis`` it came from.
+
+    Each factor's level map moves a basis state to one basis state, so
+    the monomial does too; states the truncation (or a zero coefficient)
+    sends to zero are dropped.
+    """
+    levels = np.array(np.unravel_index(basis, layout.dims))
+    amp = np.full(len(basis), complex(term.coefficient))
+    for index, kind in reversed(term.factors):
+        target, factor_amp = _level_map(layout, index, kind)
+        amp = amp * factor_amp[levels[index]]
+        levels[index] = target[levels[index]]
+    cols = np.flatnonzero(amp)
+    return (np.ravel_multi_index(levels[:, cols], layout.dims), amp[cols],
+            cols)
+
+
+def _basis_matrix(terms: Iterable[LadderMonomial], layout: RegisterLayout,
+                  basis: np.ndarray, sparse: bool = False):
+    """Matrix of the summed terms between the basis states (sorted flat
+    indices), dense or CSR. Amplitudes landing outside the basis are
+    dropped, which is exact for expectation values of states supported
+    on it."""
+    m = len(basis)
+    total = sp.csr_matrix((m, m), dtype=complex) if sparse else \
+        np.zeros((m, m), dtype=complex)
+    for term in terms:
+        flat, amp, cols = _on_basis(term, layout, basis)
+        rows = np.searchsorted(basis, flat).clip(max=m - 1)
+        inside = basis[rows] == flat
+        rows, cols, amp = rows[inside], cols[inside], amp[inside]
+        # one landing state per column, so no index pair repeats
+        if sparse:
+            total = total + sp.csr_matrix((amp, (rows, cols)), shape=(m, m))
+        else:
+            total[rows, cols] += amp
+    return total
 
 
 def expect_monomial(state: QuantumState, factors,
@@ -242,42 +293,21 @@ class OperatorMatrix:
 
 def build_operator(term: LadderMonomial, layout: RegisterLayout,
                    sparse: bool | None = None) -> OperatorMatrix:
-    """Matrix of coefficient times the Kronecker-extended factor product.
+    """Matrix of coefficient times the factor product.
 
     Same-subsystem factors multiply in the order written; factors on
     distinct subsystems commute. An empty factor tuple is the identity.
     """
-    if sparse is None:
-        sparse = layout.total_dim > DENSE_LIMIT
-    locals_: dict[int, np.ndarray] = {}
-    for index, kind in term.factors:
-        mat = _factor_matrix(layout, index, kind)
-        locals_[index] = locals_[index] @ mat if index in locals_ else mat
-    blocks = []
-    for i, (_, dim) in enumerate(layout.subsystems):
-        blocks.append(locals_.get(i, np.eye(dim, dtype=complex)))
-    if sparse:
-        out = sp.csr_matrix(blocks[0])
-        for b in blocks[1:]:
-            out = sp.kron(out, sp.csr_matrix(b), format="csr")
-        return OperatorMatrix(layout, term.coefficient * out)
-    out = blocks[0]
-    for b in blocks[1:]:
-        out = np.kron(out, b)
-    return OperatorMatrix(layout, term.coefficient * out)
+    return OperatorMatrix(layout, terms_to_matrix([term], layout, sparse))
 
 
 def terms_to_matrix(terms: Iterable[LadderMonomial], layout: RegisterLayout,
                     sparse: bool | None = None):
-    """Sum of monomial matrices."""
+    """Sum of monomial matrices over the full register; dense below
+    DENSE_LIMIT, CSR above, unless ``sparse`` says otherwise."""
     if sparse is None:
         sparse = layout.total_dim > DENSE_LIMIT
-    n = layout.total_dim
-    total = sp.csr_matrix((n, n), dtype=complex) if sparse else \
-        np.zeros((n, n), dtype=complex)
-    for term in terms:
-        total = total + build_operator(term, layout, sparse=sparse).matrix
-    return total
+    return _basis_matrix(terms, layout, np.arange(layout.total_dim), sparse)
 
 
 def expectation(state: QuantumState, op: OperatorMatrix) -> complex:
@@ -343,11 +373,8 @@ def covariance_matrix(state: QuantumState,
 
     def quadratures(ket: np.ndarray) -> np.ndarray:
         """Rows sqrt(2) R_A ket, flattened, for A = x_1..x_m, p_1..p_m."""
-        def apply(i, kind):
-            return _apply_factor_vec(ket, layout.dims, i,
-                                     _factor_matrix(layout, i, kind))
-
-        pairs = [(apply(i, ANNIHILATE), apply(i, CREATE)) for i in modes]
+        pairs = [(_apply_factor_vec(ket, layout, i, ANNIHILATE),
+                  _apply_factor_vec(ket, layout, i, CREATE)) for i in modes]
         rows = [lo + up for lo, up in pairs] + \
             [1j * (up - lo) for lo, up in pairs]
         return np.array([r.reshape(-1) for r in rows])

@@ -176,8 +176,7 @@ def optimize_vlf(state: QuantumState, restarts: int = 20, seed: int = 0,
     if certified:
         best, best_x, restarts, evals = 0.0, np.zeros(6), 0, 0
     else:
-        best, best_x, evals = _search_vlf_counted(cov, restarts, seed,
-                                                  max_iter)
+        best, best_x, evals = _search_vlf(cov, restarts, seed, max_iter)
     params = VlfParams(g=tuple(best_x[:3]), h=tuple(best_x[3:]))
     return _report("vlf_s_opt", best,
                    {"cov_x": cov[:3, :3], "cov_p": cov[3:, 3:],
@@ -212,16 +211,10 @@ def _vlf_objective(cov: np.ndarray):
 
 
 def _search_vlf(cov: np.ndarray, restarts: int, seed: int,
-                max_iter: int) -> tuple[float, np.ndarray]:
-    """Search of ``optimize_vlf``: the best S and its weights (g, h) as
-    one 6-vector; g = h = 0 counts as a candidate."""
-    best, best_x, _ = _search_vlf_counted(cov, restarts, seed, max_iter)
-    return best, best_x
-
-
-def _search_vlf_counted(cov: np.ndarray, restarts: int, seed: int,
-                        max_iter: int) -> tuple[float, np.ndarray, int]:
-    """``_search_vlf`` plus its objective evaluations over all restarts."""
+                max_iter: int) -> tuple[float, np.ndarray, int]:
+    """Search of ``optimize_vlf``: the best S, its weights (g, h) as one
+    6-vector, and the objective evaluations over all restarts; g = h = 0
+    counts as a candidate."""
     x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(restarts, 6))
     x, fun, nfev, _ = _nelder_mead(_vlf_objective(cov), x0, max_iter,
                                    xatol=1e-10, fatol=1e-10)

@@ -4,10 +4,15 @@ Direct-computation oracles (explicit Kronecker products, scipy expm)
 live inside the tests and never call the code paths they check.
 """
 
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
+from triphoton.dynamics import HamiltonianSpec, evolve
 from triphoton.errors import LayoutMismatchError
 from triphoton.hilbert import (
     OperatorMatrix,
@@ -30,6 +35,7 @@ from triphoton.rwa import (
     NUMBER,
     PAULI_MINUS,
     PAULI_PLUS,
+    PAULI_Z,
     LadderMonomial,
 )
 
@@ -113,6 +119,119 @@ class TestBuildOperator:
         terms = [mono([(0, NUMBER)], 2.0), mono((), 1.5)]
         total = terms_to_matrix(terms, lay)
         assert np.allclose(total, np.diag([1.5, 3.5, 5.5]))
+
+
+# hand-built single-subsystem matrices of the reference operator
+SINGLE = {
+    CREATE: lambda d: np.diag(np.sqrt(np.arange(1, d)), -1),
+    ANNIHILATE: lambda d: np.diag(np.sqrt(np.arange(1, d)), +1),
+    NUMBER: lambda d: np.diag(np.arange(d)).astype(float),
+    PAULI_PLUS: lambda d: np.array([[0.0, 0.0], [1.0, 0.0]]),
+    PAULI_MINUS: lambda d: np.array([[0.0, 1.0], [0.0, 0.0]]),
+    PAULI_Z: lambda d: np.diag([-1.0, 1.0]),
+}
+
+
+def reference_matrix(terms, layout):
+    """Sum of coefficient times the Kronecker product of per-subsystem
+    factor products, from explicit dense matrices."""
+    dims = layout.dims
+    total = np.zeros((layout.total_dim,) * 2, dtype=complex)
+    for term in terms:
+        blocks = [np.eye(d) for d in dims]
+        for index, kind in term.factors:
+            blocks[index] = blocks[index] @ SINGLE[kind](dims[index])
+        total += term.coefficient * reduce(np.kron, blocks)
+    return total
+
+
+class TestOperatorOracle:
+    """Level-map operators against the hand-built Kronecker reference on
+    a boson(4)/qubit/boson(3) register."""
+
+    LAYOUT = RegisterLayout((("boson", 4), ("qubit", 2), ("boson", 3)))
+    BOSON_WORDS = ((), (ANNIHILATE,), (CREATE,), (NUMBER,),
+                   (ANNIHILATE, CREATE), (CREATE, CREATE, ANNIHILATE,
+                                          ANNIHILATE), (CREATE, NUMBER))
+    QUBIT_WORDS = ((), (PAULI_PLUS,), (PAULI_MINUS,), (PAULI_Z,),
+                   (PAULI_PLUS, PAULI_MINUS), (PAULI_MINUS, PAULI_Z))
+
+    def random_terms(self, rng, count):
+        terms = [mono((), 0.8 - 0.35j)]
+        for _ in range(count):
+            factors = []
+            for index, words in ((0, self.BOSON_WORDS), (1, self.QUBIT_WORDS),
+                                 (2, self.BOSON_WORDS)):
+                word = words[rng.integers(len(words))]
+                factors.append([(index, kind) for kind in word])
+            # subsystems in random order, each word kept in order
+            order = rng.permutation(3)
+            flat = [f for i in order for f in factors[i]]
+            coeff = complex(rng.normal(), rng.normal()) * 1.7
+            terms.append(mono(flat, coeff))
+        return terms
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_terms_to_matrix_dense_and_sparse(self, seed):
+        terms = self.random_terms(np.random.default_rng(seed), 12)
+        expected = reference_matrix(terms, self.LAYOUT)
+        scale = np.abs(expected).max()
+        dense = terms_to_matrix(terms, self.LAYOUT, sparse=False)
+        sparse = terms_to_matrix(terms, self.LAYOUT, sparse=True)
+        assert isinstance(dense, np.ndarray) and sp.issparse(sparse)
+        assert np.abs(dense - expected).max() <= 1e-15 * scale
+        assert np.abs(sparse.toarray() - expected).max() <= 1e-15 * scale
+        for term in terms:
+            expected = reference_matrix([term], self.LAYOUT)
+            got = build_operator(term, self.LAYOUT).matrix
+            assert np.abs(got - expected).max() <= \
+                1e-15 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_expect_monomial_pure_and_mixed(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        lay = self.LAYOUT
+        n = lay.total_dim
+        vec = rng.normal(size=n) + 1j * rng.normal(size=n)
+        pure = QuantumState(lay, vec / np.linalg.norm(vec))
+        k = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+        rho = k @ k.conj().T
+        mixed = QuantumState(lay, rho / np.trace(rho).real)
+        for term in self.random_terms(rng, 12):
+            mat = reference_matrix([term], lay)
+            want_pure = np.vdot(pure.data, mat @ pure.data)
+            want_mixed = np.trace(mat @ mixed.data)
+            for state, want in ((pure, want_pure), (mixed, want_mixed)):
+                got = expect_monomial(state, term.factors, term.coefficient)
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+class TestLargeCutoff:
+    def test_kerr_term_memory_at_cutoff_4095(self):
+        # Every factor is a level map, so nothing scales with d^2: the
+        # sparse build, the moment and the one-state sector evolution of
+        # a single-mode Kerr term stay far below one dense d x d matrix
+        # (256 MiB of complex entries at d = 4096).
+        lay = RegisterLayout.bosons(1, 4095)
+        kerr = mono([(0, CREATE), (0, CREATE), (0, ANNIHILATE),
+                     (0, ANNIHILATE)], 0.5)
+        psi0 = fock_state(lay, (5,))
+        tracemalloc.start()
+        try:
+            h = terms_to_matrix([kerr], lay, sparse=True)
+            moment = expect_monomial(psi0, kerr.factors)
+            traj = evolve(HamiltonianSpec([kerr]), psi0, [0.0, 1.0],
+                          observables={"kerr": kerr})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert moment == pytest.approx(20.0, rel=1e-15)
+        assert h[5, 5] == pytest.approx(10.0, rel=1e-15)
+        assert h.nnz == lay.total_dim - 2  # |0> and |1> are killed
+        assert traj.diagnostics["evolved_dim"] == 1
+        assert traj.observables["kerr"] == pytest.approx([10.0, 10.0],
+                                                         rel=1e-15)
 
 
 class TestExpectation:

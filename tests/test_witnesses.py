@@ -136,8 +136,8 @@ class TestOptimizeVlf:
     def test_uncertified_path_is_the_search(self):
         state = evolved_pair(0.3)
         rep = optimize_vlf(state, restarts=20, seed=1)
-        best, x = _search_vlf(covariance_matrix(state), restarts=20, seed=1,
-                              max_iter=300)
+        best, x, _ = _search_vlf(covariance_matrix(state), restarts=20,
+                                 seed=1, max_iter=300)
         assert rep.value == best
         assert rep.parameters == VlfParams(g=tuple(x[:3]), h=tuple(x[3:]))
 
