@@ -3,17 +3,19 @@
 Driven terms carry named real envelopes evaluated exactly at each step;
 no pre-rotation into an interaction picture happens here.
 
-A static run is exact by sector: the basis states the Hamiltonian's
-monomials can reach from psi0 span a subspace H maps into itself, so one
-eigendecomposition of H on that subspace propagates the state to every
-grid point with no tolerance and no norm drift. The closure and the
-matrices on the sector come from the monomials' action on basis states
-in ``hilbert``, the same action that builds full-register operators.
-Driven runs, and static runs whose reachable set exceeds
-``DENSE_LIMIT``, use one integrator at one setting: the 8th-order
-Dormand-Prince pair (DOP853) at rtol = 1e-10, atol = 1e-11.
-``evolve_static_expm``, a dense eigendecomposition of the full-register
-Hamiltonian, is the independent oracle for both.
+Every run evolves on its sector: the basis states the Hamiltonian's
+static and driven monomials can reach from psi0 span a subspace H(t)
+maps into itself at every t, so nothing outside it is ever populated.
+The closure and the matrices on the sector come from the monomials'
+action on basis states in ``hilbert``, the same action that builds
+full-register operators. A static run whose sector fits in
+``DENSE_LIMIT`` is exact: one eigendecomposition of H there propagates
+the state to every grid point with no tolerance and no norm drift.
+Driven runs, and static runs with larger sectors, use one integrator at
+one setting: the 8th-order Dormand-Prince pair (DOP853) at
+rtol = 1e-10, atol = 1e-11. ``evolve_static_expm``, a dense
+eigendecomposition of the full-register Hamiltonian, is the independent
+oracle for static runs.
 """
 
 from __future__ import annotations
@@ -132,9 +134,10 @@ class Trajectory:
     """Time grid, states and recorded observable series.
 
     ``diagnostics`` says how the states were obtained: ``path``
-    (``"sector-eigh"`` or ``"dop853"``), ``register_dim``, the dimension
-    actually evolved (``evolved_dim``) and the integrator's right-hand-side
-    evaluations (``rhs_evals``, 0 on the sector path).
+    (``"sector-eigh"`` or ``"dop853"``), ``register_dim``, the size of
+    the sector both paths evolve on (``evolved_dim``) and the
+    integrator's right-hand-side evaluations (``rhs_evals``, 0 on the
+    eigendecomposition path).
     """
 
     times: np.ndarray
@@ -143,55 +146,23 @@ class Trajectory:
     diagnostics: dict = field(default_factory=dict)
 
 
-SPARSE_EVOLVE_LIMIT = 512  # above this, evolution matrices go sparse
+SPARSE_EVOLVE_LIMIT = 512  # above this many states, integration goes sparse
 
 
 def _reachable(terms: Sequence[LadderMonomial],
                psi0: QuantumState) -> np.ndarray:
     """Sorted flat indices of the support of psi0 closed under every
-    monomial; the closure stops once it exceeds ``DENSE_LIMIT``."""
-    found = frontier = np.flatnonzero(psi0.data)
-    while frontier.size and found.size <= DENSE_LIMIT:
-        reached = [_on_basis(t, psi0.layout, frontier)[0] for t in terms]
-        frontier = np.setdiff1d(np.concatenate([found, *reached]), found)
-        found = np.union1d(found, frontier)
-    return found
-
-
-def _record(observables, matrix_of, psi_columns):
-    """Observable series from the columns of psi_columns; ``matrix_of``
-    maps a term list to its matrix on the same basis."""
-    out = {}
-    for name, op in observables.items():
-        mat = matrix_of([op] if isinstance(op, LadderMonomial) else op)
-        vals = np.array([np.vdot(col, mat @ col) for col in psi_columns.T])
-        out[name] = vals
-    out["norm"] = np.array([np.linalg.norm(col) for col in psi_columns.T])
-    return out
-
-
-def _evolve_sector(terms, psi0, t_grid, basis, observables) -> Trajectory:
-    """Exact static evolution on the reachable basis: one eigh of H
-    there, psi(t) = V exp(-i w (t - t0)) V^dag psi0, embedded back into
-    the full register. H and the observables are built on the basis by
-    the same assembly as ``terms_to_matrix``."""
-    layout = psi0.layout
-    w, v = np.linalg.eigh(_basis_matrix(terms, layout, basis))
-    psi = psi0.data[basis]
-    phases = np.exp(-1j * np.outer(t_grid - t_grid[0], w))
-    columns = v @ (phases * (v.conj().T @ psi)).T
-    # V V^dag psi0 is psi0 only to roundoff, and a roundoff amplitude
-    # would read as a detection on the vacuum
-    columns[:, 0] = psi
-    full = np.zeros((len(t_grid), layout.total_dim), dtype=complex)
-    full[:, basis] = columns.T
-    states = [QuantumState(layout, row, validate=False) for row in full]
-    recorded = _record(observables,
-                       partial(_basis_matrix, layout=layout, basis=basis),
-                       columns)
-    return Trajectory(t_grid, states, recorded, diagnostics={
-        "path": "sector-eigh", "register_dim": layout.total_dim,
-        "evolved_dim": len(basis), "rhs_evals": 0})
+    monomial: a set of basis states H(t) maps into itself at every t."""
+    # a register-sized mask keeps each pass proportional to its frontier;
+    # frontier[:0] keeps the concatenation defined for an empty term list
+    seen = np.zeros(psi0.layout.total_dim, dtype=bool)
+    frontier = np.flatnonzero(psi0.data)
+    while frontier.size:
+        seen[frontier] = True
+        reached = np.concatenate([frontier[:0], *(
+            _on_basis(t, psi0.layout, frontier)[0] for t in terms)])
+        frontier = np.unique(reached[~seen[reached]])
+    return np.flatnonzero(seen)
 
 
 def evolve(h: HamiltonianSpec,
@@ -203,18 +174,22 @@ def evolve(h: HamiltonianSpec,
     """Propagate i d psi/dt = H(t) psi, sampling states at the grid
     points.
 
-    A static spec whose reachable basis (the support of psi0 closed
-    under every monomial) fits in ``DENSE_LIMIT`` is propagated exactly
-    by one eigendecomposition on that basis. Any other spec is
-    integrated over the full register with the adaptive 8th-order
-    Dormand-Prince pair (DOP853). ``rtol``/``atol`` apply to that
-    integrator only, so to driven runs (and to static runs past
-    ``DENSE_LIMIT``); the default pair holds every scenario's norm-drift
-    budget over many drive periods, so callers pass none, and tighter
-    pairs serve reference runs.
+    Every run evolves on its sector: the support of psi0 closed under
+    every static and driven monomial, which H(t) maps into itself. H,
+    each envelope group and every observable are built there, and the
+    states are embedded back into the full register. A static spec
+    whose sector fits in ``DENSE_LIMIT`` is propagated exactly by one
+    eigendecomposition; any other spec is integrated on the sector with
+    the adaptive 8th-order Dormand-Prince pair (DOP853), dense up to
+    ``SPARSE_EVOLVE_LIMIT`` states and CSR above. ``rtol``/``atol``
+    apply to that integrator only; the default pair holds every
+    scenario's norm-drift budget over many drive periods, so callers
+    pass none, and tighter pairs serve reference runs.
 
     The norm is never renormalized; its drift is recorded as the
-    ``norm`` observable and serves as an accuracy diagnostic.
+    ``norm`` observable and serves as an accuracy diagnostic. A failed
+    integration raises ``IntegrationError`` naming the grid interval
+    where it stalled.
     """
     if not psi0.is_pure:
         raise ValueError("evolve propagates pure states")
@@ -223,41 +198,58 @@ def evolve(h: HamiltonianSpec,
         raise ValueError("t_grid must be strictly increasing")
     h.validate()
     observables = observables or {}
-    if not h.driven_terms and \
-            len(basis := _reachable(h.static_terms, psi0)) <= DENSE_LIMIT:
-        return _evolve_sector(h.static_terms, psi0, t_grid, basis,
-                              observables)
     layout = psi0.layout
-    sparse = layout.total_dim > SPARSE_EVOLVE_LIMIT
-    h_static = terms_to_matrix(h.static_terms, layout, sparse=sparse)
     groups: dict[Envelope, list[LadderMonomial]] = {}
     for term, env in h.driven_terms:
         groups.setdefault(env, []).append(term)
-    h_driven = [(env, terms_to_matrix(terms, layout, sparse=sparse))
-                for env, terms in groups.items()]
+    basis = _reachable([*h.static_terms, *(t for t, _ in h.driven_terms)],
+                       psi0)
+    exact = not groups and len(basis) <= DENSE_LIMIT
+    # eigh takes a dense matrix, so only the integrator goes sparse
+    matrix = partial(_basis_matrix, layout=layout, basis=basis,
+                     sparse=not exact and len(basis) > SPARSE_EVOLVE_LIMIT)
+    h_static = matrix(h.static_terms)
+    psi = psi0.data[basis]
+    if exact:
+        w, v = np.linalg.eigh(h_static)
+        phases = np.exp(-1j * np.outer(t_grid - t_grid[0], w))
+        columns = v @ (phases * (v.conj().T @ psi)).T
+        # V V^dag psi0 is psi0 only to roundoff, and a roundoff amplitude
+        # would read as a detection on the vacuum
+        columns[:, 0] = psi
+        rhs_evals = 0
+    else:
+        h_driven = [(env, matrix(terms)) for env, terms in groups.items()]
 
-    def rhs(t, y):
-        hy = h_static @ y
-        for env, mat in h_driven:
-            hy = hy + float(env(t)) * (mat @ y)
-        return -1j * hy
+        def rhs(t, y):
+            hy = h_static @ y
+            for env, mat in h_driven:
+                hy = hy + float(env(t)) * (mat @ y)
+            return -1j * hy
 
-    t0 = float(t_grid[0])
-    sol = solve_ivp(rhs, (t0, float(t_grid[-1])), psi0.data,
-                    method="DOP853", t_eval=t_grid, rtol=rtol, atol=atol)
-    if not sol.success:
-        failed_at = float(sol.t[-1]) if len(sol.t) else t0
-        raise IntegrationError(
-            f"integration stalled at t = {failed_at:.6g}: {sol.message}",
-            time=failed_at)
-    states = [QuantumState(layout, sol.y[:, i], validate=False)
-              for i in range(sol.y.shape[1])]
-    recorded = _record(observables,
-                       partial(terms_to_matrix, layout=layout, sparse=sparse),
-                       sol.y)
+        sol = solve_ivp(rhs, (float(t_grid[0]), float(t_grid[-1])), psi,
+                        method="DOP853", t_eval=t_grid, rtol=rtol, atol=atol)
+        if not sol.success:
+            # sol.t holds the grid points passed; the first is t_grid[0]
+            reached = max(len(sol.t), 1)
+            last, upcoming = t_grid[reached - 1], t_grid[reached]
+            raise IntegrationError(
+                f"integration stalled between t = {last:.6g} and "
+                f"t = {upcoming:.6g}: {sol.message}", time=float(last))
+        columns, rhs_evals = sol.y, int(sol.nfev)
+    full = np.zeros((len(t_grid), layout.total_dim), dtype=complex)
+    full[:, basis] = columns.T
+    states = [QuantumState(layout, row, validate=False) for row in full]
+    recorded = {}
+    for name, op in observables.items():
+        mat = matrix([op] if isinstance(op, LadderMonomial) else op)
+        recorded[name] = np.array([np.vdot(col, mat @ col)
+                                   for col in columns.T])
+    recorded["norm"] = np.array([np.linalg.norm(col) for col in columns.T])
     return Trajectory(t_grid, states, recorded, diagnostics={
-        "path": "dop853", "register_dim": layout.total_dim,
-        "evolved_dim": layout.total_dim, "rhs_evals": int(sol.nfev)})
+        "path": "sector-eigh" if exact else "dop853",
+        "register_dim": layout.total_dim, "evolved_dim": len(basis),
+        "rhs_evals": rhs_evals})
 
 
 def evolve_static_expm(h_static: Sequence[LadderMonomial] | HamiltonianSpec,

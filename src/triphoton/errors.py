@@ -25,7 +25,11 @@ class PumpMismatchError(TriphotonError, ValueError):
 
 
 class IntegrationError(TriphotonError, RuntimeError):
-    """Time integration failed (step-size underflow / stiffness)."""
+    """Time integration failed (step-size underflow / stiffness).
+
+    ``time`` is the last grid time the integrator reached; it stalled
+    before the next grid point.
+    """
 
     def __init__(self, message: str, time: float | None = None):
         super().__init__(message)

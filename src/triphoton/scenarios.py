@@ -5,13 +5,14 @@ truncated-register dynamics and the witness suite into one reproducible
 run, in two steps: an evolution step (g0 and pump resolution,
 Hamiltonian, initial state, grid) that returns the trajectory with its
 recorded observables, and an analysis step that evaluates the witness
-series and builds the summary. Every evolution step runs ``evolve``:
-the static scenarios are propagated exactly on the basis states their
-Hamiltonian reaches from the vacuum, and the driven ``dce-rabi`` run by
-DOP853 at its one setting. The summary's ``diagnostics`` records which
-path ran and on how many states. A cutoff sweep reruns only the
-evolution step, so it shares the run's Hamiltonian, pump check and
-evolution path, and records observables only.
+series and builds the summary. Every evolution step runs ``evolve`` on
+the basis states the Hamiltonian reaches from the vacuum: exactly for
+the static scenarios, by DOP853 at its one setting for the driven
+``dce-rabi``, whose even-parity sector is half its register. The
+summary's ``diagnostics`` records which path ran and on how many states.
+A cutoff sweep reruns only the evolution step, so it shares the run's
+Hamiltonian, pump check and evolution path, and records observables
+only.
 
 Times in the down-conversion scenarios are quoted as the dimensionless
 g0 * t; interaction-picture Hamiltonians are static there, so the free

@@ -3,6 +3,7 @@ deterministic and atomic output."""
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ class TestModesCommand:
         code = main(["modes", "--config", REFERENCE, "--n-modes", "4",
                      "--out", out])
         assert code == 0
-        lines = open(out).read().strip().splitlines()
+        lines = Path(out).read_text().strip().splitlines()
         assert lines[0] == "n,k_n,omega_n,c_n,l_n,edge_amplitude"
         assert len(lines) == 5
 
@@ -112,7 +113,7 @@ class TestModesCommand:
         out = str(tmp_path / "modes.csv")
         assert main(["modes", "--config", FREE, "--out", out]) == 0
         rows = [line.split(",") for line in
-                open(out).read().strip().splitlines()[1:]]
+                Path(out).read_text().strip().splitlines()[1:]]
         omegas = [float(r[2]) for r in rows]
         base = omegas[0]
         for n, w in enumerate(omegas, start=1):
@@ -123,7 +124,7 @@ class TestModesCommand:
         out_b = str(tmp_path / "b.csv")
         main(["modes", "--config", REFERENCE, "--out", out_a])
         main(["modes", "--config", REFERENCE, "--out", out_b])
-        assert open(out_a, "rb").read() == open(out_b, "rb").read()
+        assert Path(out_a).read_bytes() == Path(out_b).read_bytes()
 
     def test_malformed_config_exits_2_without_output(self, tmp_path):
         bad = write(tmp_path, "bad.ini", MINIMAL_CIRCUIT + "bogus = 1\n")
@@ -170,10 +171,10 @@ vlf_restarts = 3
 """)
         out = str(tmp_path / "out")
         assert main(["run", "--config", cfg, "--out", out]) == 0
-        summary = json.loads(open(os.path.join(out, "summary.json")).read())
+        summary = json.loads(Path(out, "summary.json").read_text())
         assert summary["scenario"] == "22spdc"
         assert summary["s_peak"] > 0
-        header = open(os.path.join(out, "trajectory.csv")).readline()
+        header = Path(out, "trajectory.csv").read_text().splitlines()[0]
         for column in ("time", "n1", "triple_re", "g2", "s_opt"):
             assert column in header
 
@@ -192,8 +193,8 @@ vlf_restarts = 2
         assert main(["run", "--config", cfg, "--out", out_b,
                      "--seed", "5"]) == 0
         for name in ("trajectory.csv", "summary.json"):
-            a = open(os.path.join(out_a, name), "rb").read()
-            b = open(os.path.join(out_b, name), "rb").read()
+            a = Path(out_a, name).read_bytes()
+            b = Path(out_b, name).read_bytes()
             assert a == b
 
     def test_scenario_name_required_somewhere(self, tmp_path):
@@ -215,7 +216,7 @@ vlf_restarts = 1
         code = main(["run", "--config", cfg, "--out", out,
                      "--check-convergence"])
         assert code == 4
-        summary = json.loads(open(os.path.join(out, "summary.json")).read())
+        summary = json.loads(Path(out, "summary.json").read_text())
         assert summary["converged"] is False
 
 
@@ -270,7 +271,7 @@ n_steps = 9
         code = main(["sweep", "--config", cfg, "--cutoffs", "8,10",
                      "--out", out])
         assert code == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["converged"] is True
         assert doc["cutoffs"] == [8, 10]
 
@@ -296,7 +297,7 @@ n_steps = 9
             out = str(tmp_path / f"report-{jobs}.json")
             main(["sweep", "--config", cfg, "--cutoffs", "4,6",
                   "--jobs", jobs, "--out", out])
-            reports.append(open(out, "rb").read())
+            reports.append(Path(out).read_bytes())
         assert reports[0] == reports[1]
 
     def test_pump_mismatch_exits_3_like_run(self, tmp_path, capsys):
@@ -322,7 +323,7 @@ class TestAuxiliaryOutputs:
         tables = str(tmp_path / "tables.json")
         assert main(["modes", "--config", REFERENCE, "--out", out,
                      "--tables-json", tables]) == 0
-        doc = json.loads(open(tables).read())
+        doc = json.loads(Path(tables).read_text())
         assert len(doc["spectrum"]["frequencies"]) == 3
         m3 = np.array(doc["coupling"]["m3_tilde"])
         assert m3.shape == (3, 3, 3)

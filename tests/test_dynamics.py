@@ -1,8 +1,14 @@
 """Integrator tests against closed-form and eigendecomposition oracles."""
 
+import os
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from triphoton import scenarios
+from triphoton.config import build_scenario_config, load_config
 from triphoton.dynamics import (
     Constant,
     Cosine,
@@ -14,7 +20,13 @@ from triphoton.dynamics import (
     evolve_static_expm,
     split_drive_branches,
 )
-from triphoton.hilbert import QuantumState, RegisterLayout, fock_state
+from triphoton.errors import IntegrationError
+from triphoton.hilbert import (
+    QuantumState,
+    RegisterLayout,
+    fock_state,
+    terms_to_matrix,
+)
 from triphoton.rwa import (
     ANNIHILATE,
     CREATE,
@@ -25,6 +37,8 @@ from triphoton.rwa import (
 )
 from triphoton.scenarios import hybrid_interaction, pair_interaction
 from triphoton.witnesses import genuine_witness_max, optimize_vlf
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def mono(factors, coeff=1.0, drive=0):
@@ -47,6 +61,14 @@ def driven_displacement(omega=1.0, amp=0.2, wd=3.0):
     return HamiltonianSpec(
         [mono([(0, CREATE), (0, ANNIHILATE)], omega)],
         [(drive_up, Cosine(1.0, wd)), (drive_up.conjugate(), Cosine(1.0, wd))])
+
+
+@dataclass(frozen=True)
+class Pole:
+    """1 / (1 - t), which no integrator passes."""
+
+    def __call__(self, t):
+        return 1.0 / (1.0 - np.asarray(t))
 
 
 def hybrid_layout(cutoff):
@@ -163,14 +185,22 @@ class TestSectorPath:
 
     def test_oversized_sector_integrates(self):
         # displacements reach all 10,000 states of four 10-level modes,
-        # more than a dense eigendecomposition takes
-        lay = RegisterLayout.bosons(4, 9)
+        # more than a dense eigendecomposition takes; an untouched qubit
+        # doubles the register but not the sector
         terms = [mono([(i, kind)], 1.0) for i in range(4)
                  for kind in (CREATE, ANNIHILATE)]
-        traj = evolve(spec_of(terms), fock_state(lay, (0,) * 4), [0.0, 0.1])
+        modes = RegisterLayout.bosons(4, 9)
+        alone = evolve(spec_of(terms), fock_state(modes, (0,) * 4),
+                       [0.0, 0.1])
+        lay = RegisterLayout(modes.subsystems + (("qubit", 2),))
+        traj = evolve(spec_of(terms), fock_state(lay, (0,) * 5), [0.0, 0.1])
+        assert traj.diagnostics["register_dim"] == 20_000
         assert traj.diagnostics["path"] == "dop853"
         assert traj.diagnostics["evolved_dim"] == 10_000
         assert traj.diagnostics["rhs_evals"] > 0
+        for with_qubit, without in zip(traj.states, alone.states):
+            assert np.array_equal(with_qubit.data[0::2], without.data)
+            assert not with_qubit.data[1::2].any()
 
     def test_driven_spec_integrates(self):
         traj = evolve(driven_displacement(),
@@ -284,6 +314,16 @@ class TestDrivenEvolution:
         b = evolve(h, psi0, grid, rtol=1e-12, atol=1e-13, observables=obs)
         assert np.abs(a.observables["n"] - b.observables["n"]).max() < 1e-6
 
+    def test_stall_names_grid_interval(self):
+        # 1 / (1 - t) on n: the phase of |1> winds without bound at t = 1,
+        # so the integrator passes t = 0.5 and stalls before t = 2
+        lay = RegisterLayout.bosons(1, 1)
+        h = HamiltonianSpec([], [(mono([(0, NUMBER)]), Pole())])
+        with pytest.raises(IntegrationError,
+                           match="stalled between t = 0.5 and t = 2:") as exc:
+            evolve(h, fock_state(lay, (1,)), [0.0, 0.5, 2.0])
+        assert exc.value.time == 0.5
+
     def test_hermiticity_validation(self):
         h = HamiltonianSpec(static_terms=[mono([(0, CREATE)], 1.0)])
         lay = RegisterLayout.bosons(1, 3)
@@ -295,6 +335,47 @@ class TestDrivenEvolution:
         h = spec_of([mono([(0, NUMBER)], 1.0)])
         with pytest.raises(ValueError):
             evolve(h, fock_state(lay, (0,)), [0.0, 0.0, 1.0])
+
+
+class TestDrivenOracle:
+    """The shipped dce-rabi run against the full-register integrator at
+    rtol = 1e-13: same states and photon number, parity kept exactly."""
+
+    def test_dce_matches_full_register_reference(self, monkeypatch):
+        captured = {}
+
+        def spy(h, psi0, grid, **kwargs):
+            captured.update(h=h, psi0=psi0, grid=grid, **kwargs)
+            return evolve(h, psi0, grid, **kwargs)
+
+        monkeypatch.setattr(scenarios, "evolve", spy)
+        traj = scenarios.run_scenario(build_scenario_config(
+            load_config(os.path.join(CONFIGS, "dce.ini")))).trajectory
+        h, psi0, grid = captured["h"], captured["psi0"], captured["grid"]
+        lay = psi0.layout
+        h_static = terms_to_matrix(h.static_terms, lay, sparse=False)
+        h_driven = [(env, terms_to_matrix([term], lay, sparse=False))
+                    for term, env in h.driven_terms]
+
+        def rhs(t, y):
+            return -1j * (h_static @ y + sum(float(env(t)) * (mat @ y)
+                                             for env, mat in h_driven))
+
+        ref = solve_ivp(rhs, (grid[0], grid[-1]), psi0.data,
+                        method="DOP853", t_eval=grid, rtol=1e-13, atol=1e-14)
+        assert ref.success
+        states = np.array([s.data for s in traj.states])
+        assert np.abs(states - ref.y.T).max() <= 5e-8
+        n_mat = terms_to_matrix([captured["observables"]["n"]], lay,
+                                sparse=False)
+        n_ref = [np.vdot(col, n_mat @ col).real for col in ref.y.T]
+        assert np.abs(traj.observables["n"] - n_ref).max() <= 1e-9
+        # (-1)^(n + qubit level) is conserved, and vacuum is even
+        levels = np.unravel_index(np.arange(lay.total_dim), lay.dims)
+        odd = (levels[0] + levels[1]) % 2 == 1
+        assert not states[:, odd].any()
+        assert traj.diagnostics["register_dim"] == 18
+        assert traj.diagnostics["evolved_dim"] == 9
 
 
 class TestEnvelopes:

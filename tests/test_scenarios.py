@@ -220,7 +220,7 @@ class TestShippedConfigs:
     @pytest.mark.parametrize("name, changes, diagnostics", [
         ("reference.ini", {"n_steps": 3}, ("sector-eigh", 729, 9, 0)),
         ("hybrid.ini", {"n_steps": 3}, ("sector-eigh", 1000, 34, 0)),
-        ("dce.ini", {}, ("dop853", 18, 18, 30_233)),
+        ("dce.ini", {}, ("dop853", 18, 9, 31_541)),
     ])
     def test_evolution_diagnostics(self, name, changes, diagnostics):
         s = self.run(name, **changes).summary
