@@ -24,14 +24,7 @@ import numpy as np
 from .circuit import coupling_table
 from .config import build_scenario_config, load_config
 from .dynamics import cutoff_sweep
-from .errors import (
-    ConfigError,
-    DegenerateFrequencyError,
-    IntegrationError,
-    PumpMismatchError,
-    SingularBiasError,
-    TriphotonError,
-)
+from .errors import ConfigError, TriphotonError
 from .rwa import classify_terms, driven_cavity_terms
 from .scenarios import (
     SCENARIO_NAMES,
@@ -268,9 +261,6 @@ def main(argv=None) -> int:
         return EXIT_OK
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    except (SingularBiasError, DegenerateFrequencyError, PumpMismatchError,
-            IntegrationError) as exc:
-        return _fail(EXIT_NUMERIC, str(exc))
     except TriphotonError as exc:
         return _fail(EXIT_NUMERIC, str(exc))
     except ValueError as exc:

@@ -23,6 +23,7 @@ the vacuum variance is 1/2. Covariance matrices are ordered as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -105,12 +106,14 @@ class RegisterLayout:
                 f"{len(self.subsystems)}")
 
 
+@lru_cache(maxsize=1024)
 def _level_map(layout: RegisterLayout, index: int,
                kind: str) -> tuple[np.ndarray, np.ndarray]:
     """The factor ``kind`` on subsystem ``index`` as a level map: it
     sends |l> to amp[l] |target[l]>, and amp[l] is 0 where level l is
     killed. A qubit's pauli_plus, pauli_minus and sigma_z act on its two
-    levels as a^dag, a and 2n - 1 do."""
+    levels as a^dag, a and 2n - 1 do. Maps are cached read-only; errors
+    are not cached, so a bad index or kind raises on every call."""
     layout.check_index(index)
     skind, dim = layout.subsystems[index]
     if kind in BOSON_KINDS and skind != BOSON:
@@ -121,14 +124,18 @@ def _level_map(layout: RegisterLayout, index: int,
             f"Pauli factor {kind!r} on non-qubit subsystem {index}")
     levels = np.arange(dim)
     if kind in (CREATE, PAULI_PLUS):
-        return (levels + 1) % dim, np.append(np.sqrt(levels[1:]), 0.0)
-    if kind in (ANNIHILATE, PAULI_MINUS):
-        return (levels - 1) % dim, np.sqrt(levels)
-    if kind == NUMBER:
-        return levels, levels.astype(float)
-    if kind == PAULI_Z:
-        return levels, 2.0 * levels - 1.0
-    raise ValueError(f"unknown kind {kind!r}")
+        level_map = (levels + 1) % dim, np.append(np.sqrt(levels[1:]), 0.0)
+    elif kind in (ANNIHILATE, PAULI_MINUS):
+        level_map = (levels - 1) % dim, np.sqrt(levels)
+    elif kind == NUMBER:
+        level_map = levels, levels.astype(float)
+    elif kind == PAULI_Z:
+        level_map = levels, 2.0 * levels - 1.0
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    for array in level_map:
+        array.flags.writeable = False
+    return level_map
 
 
 class QuantumState:

@@ -33,6 +33,9 @@ from .hilbert import (
 from .rwa import ANNIHILATE, CREATE, PAULI_MINUS, PAULI_PLUS
 
 
+_MAX_ITER = 300  # simplex iterations per restart of optimize_vlf
+
+
 @dataclass(frozen=True)
 class VlfParams:
     """Free real weights of the covariance witness."""
@@ -132,7 +135,7 @@ def vlf_witness(state: QuantumState, params: VlfParams,
 
 
 def optimize_vlf(state: QuantumState, restarts: int = 20, seed: int = 0,
-                 modes=None, max_iter: int = 300) -> WitnessReport:
+                 modes=None) -> WitnessReport:
     """Best covariance witness over the free weights.
 
     Certificate first. For a sign matrix D = diag(+-1, +-1, +-1) let
@@ -155,7 +158,8 @@ def optimize_vlf(state: QuantumState, restarts: int = 20, seed: int = 0,
     tolerance: a roundoff miss only falls back to the search.
 
     Otherwise, simplex (Nelder-Mead) local searches from ``restarts``
-    random points in the box [-2, 2]^6; deterministic for a fixed seed.
+    random points in the box [-2, 2]^6, of at most ``_MAX_ITER``
+    iterations each; deterministic for a fixed seed.
     All restarts advance together as one batched simplex, step for step
     the same as separate scipy ``minimize(method="Nelder-Mead")`` runs.
     S is homogeneous of degree 2 in (g, h), so its sign cannot depend on
@@ -176,7 +180,7 @@ def optimize_vlf(state: QuantumState, restarts: int = 20, seed: int = 0,
     if certified:
         best, best_x, restarts, evals = 0.0, np.zeros(6), 0, 0
     else:
-        best, best_x, evals = _search_vlf(cov, restarts, seed, max_iter)
+        best, best_x, evals = _search_vlf(cov, restarts, seed, _MAX_ITER)
     params = VlfParams(g=tuple(best_x[:3]), h=tuple(best_x[3:]))
     return _report("vlf_s_opt", best,
                    {"cov_x": cov[:3, :3], "cov_p": cov[3:, 3:],
@@ -330,29 +334,36 @@ def _nelder_mead(f, x0: np.ndarray, max_iter: int, xatol: float,
 # M = L+ L (normal ordering) or L L+ (antinormal). The combine rule is
 # a single alpha (pairwise inseparability), the max or the sum over
 # alpha (genuine tripartite entanglement).
+#
+# Only normal moments are evaluated: L+ L never crosses the cutoff, so
+# they are exact on a truncated register, where a a+ is 0 on the top
+# level instead of c + 1. The antinormal ones follow from a a+ = N + 1
+# and sigma- sigma+ = 1 - sigma+ sigma- (``_antinormal``).
 
 _RAISING = {ANNIHILATE: CREATE, PAULI_MINUS: PAULI_PLUS}
+# positions (beta, gamma) of the other two sites per singled alpha
+_OTHERS = ((1, 2), (0, 2), (0, 1))
 
 
-def _triple(state: QuantumState, sites, lower: str) -> complex:
-    return expect_monomial(state, tuple((s, lower) for s in sites))
+def _normal_moments(state: QuantumState, sites, lower: str):
+    """<L1 L2 L3> and, per singled position, the real parts of the
+    normally ordered (<n_alpha>, <n_beta n_gamma>)."""
+    def n(p):
+        return ((sites[p], _RAISING[lower]), (sites[p], lower))
+
+    triple = expect_monomial(state, tuple((s, lower) for s in sites))
+    single = [expect_monomial(state, n(p)).real for p in range(3)]
+    return triple, {p: (single[p], expect_monomial(state, n(b) + n(g)).real)
+                    for p, (b, g) in enumerate(_OTHERS)}
 
 
-def _bound_moments(state: QuantumState, sites, lower: str, ordering: str,
-                   singled=(0, 1, 2)) -> dict[int, tuple[float, float]]:
-    """(<M_alpha>, <M_beta M_gamma>) real parts per singled position."""
-    pair = (_RAISING[lower], lower) if ordering == "normal" \
-        else (lower, _RAISING[lower])
-
-    def m(site):
-        return ((site, pair[0]), (site, pair[1]))
-
-    out = {}
-    for p in singled:
-        beta, gamma = [s for q, s in enumerate(sites) if q != p]
-        out[p] = (expect_monomial(state, m(sites[p])).real,
-                  expect_monomial(state, m(beta) + m(gamma)).real)
-    return out
+def _antinormal(moments, s: float):
+    """(<L L+>, <L L+ L L+>) per singled position from the normally
+    ordered moments: (1 + s n_alpha, 1 + s (n_beta + n_gamma) +
+    n_beta_gamma), with s = +1 for modes and -1 for qubits."""
+    n = [moments[p][0] for p in range(3)]
+    return {p: (1.0 + s * n[p], 1.0 + s * (n[b] + n[g]) + moments[p][1])
+            for p, (b, g) in enumerate(_OTHERS)}
 
 
 def _moment_witness(name: str, triple: complex, moments,
@@ -380,13 +391,9 @@ def hz_witness(state: QuantumState, singled: int = 0,
     Positive values rule out separability across the alpha | beta gamma
     split only; this is not yet a genuine-entanglement statement.
     """
-    modes = _three_sites(state, modes, BOSON)
     if singled not in (0, 1, 2):
         raise LayoutMismatchError("singled mode index must be 0, 1 or 2")
-    return _moment_witness(
-        f"hz_i{singled + 1}", _triple(state, modes, ANNIHILATE),
-        _bound_moments(state, modes, ANNIHILATE, "normal", (singled,)),
-        singled)
+    return mode_moment_witnesses(state, modes)[f"hz_i{singled + 1}"]
 
 
 def genuine_witness_sum(state: QuantumState, modes=None) -> WitnessReport:
@@ -395,11 +402,10 @@ def genuine_witness_sum(state: QuantumState, modes=None) -> WitnessReport:
 
         |<a1 a2 a3>| - sum over singled alpha of
             sqrt(<a_alpha a_alpha+> <a_beta a_beta+ a_gamma a_gamma+>)
+
+    with <a a+> taken as <N> + 1, which stays exact at the cutoff.
     """
-    modes = _three_sites(state, modes, BOSON)
-    return _moment_witness(
-        "genuine_sum", _triple(state, modes, ANNIHILATE),
-        _bound_moments(state, modes, ANNIHILATE, "antinormal"), "sum")
+    return mode_moment_witnesses(state, modes)["genuine_sum"]
 
 
 def genuine_witness_max(state: QuantumState, modes=None) -> WitnessReport:
@@ -410,24 +416,19 @@ def genuine_witness_max(state: QuantumState, modes=None) -> WitnessReport:
         |<a1 a2 a3>| - max over singled alpha of
             sqrt(<N_alpha> <N_beta N_gamma>)
     """
-    modes = _three_sites(state, modes, BOSON)
-    return _moment_witness(
-        "genuine_max", _triple(state, modes, ANNIHILATE),
-        _bound_moments(state, modes, ANNIHILATE, "normal"), "max")
+    return mode_moment_witnesses(state, modes)["genuine_max"]
 
 
 def mode_moment_witnesses(state: QuantumState,
                           modes=None) -> dict[str, WitnessReport]:
     """I_1..I_3, genuine_sum and genuine_max, keyed by report name, from
-    one evaluation of each moment they share."""
+    one evaluation of the seven moments they share."""
     modes = _three_sites(state, modes, BOSON)
-    triple = _triple(state, modes, ANNIHILATE)
-    normal = _bound_moments(state, modes, ANNIHILATE, "normal")
+    triple, normal = _normal_moments(state, modes, ANNIHILATE)
     out = {f"hz_i{p + 1}": _moment_witness(f"hz_i{p + 1}", triple, normal, p)
            for p in range(3)}
     out["genuine_sum"] = _moment_witness(
-        "genuine_sum", triple,
-        _bound_moments(state, modes, ANNIHILATE, "antinormal"), "sum")
+        "genuine_sum", triple, _antinormal(normal, 1.0), "sum")
     out["genuine_max"] = _moment_witness("genuine_max", triple, normal, "max")
     return out
 
@@ -440,17 +441,18 @@ def dv_genuine_witness(state: QuantumState, ordering: str = "normal",
             sqrt(<m_alpha> <m_beta m_gamma>)
 
     where m = sigma+ sigma- for normal ordering (excited population) or
-    sigma- sigma+ for antinormal (ground population); ``combine`` is
-    "max" or "sum".
+    sigma- sigma+ = 1 - sigma+ sigma- for antinormal (ground
+    population); ``combine`` is "max" or "sum".
     """
     if ordering not in ("normal", "antinormal"):
         raise ValueError("ordering must be 'normal' or 'antinormal'")
     if combine not in ("max", "sum"):
         raise ValueError("combine must be 'max' or 'sum'")
     qubits = _three_sites(state, qubits, QUBIT)
-    return _moment_witness(
-        "dv_genuine", _triple(state, qubits, PAULI_MINUS),
-        _bound_moments(state, qubits, PAULI_MINUS, ordering), combine)
+    triple, moments = _normal_moments(state, qubits, PAULI_MINUS)
+    if ordering == "antinormal":
+        moments = _antinormal(moments, -1.0)
+    return _moment_witness("dv_genuine", triple, moments, combine)
 
 
 def negativity(state: QuantumState, bipartition) -> float:
@@ -492,14 +494,12 @@ def triple_superposition(layout: RegisterLayout, eps: float,
 
 def random_separable_mixture(layout: RegisterLayout,
                              rng: np.random.Generator,
-                             max_components: int = 4,
-                             margin: int = 2) -> QuantumState:
+                             max_components: int = 4) -> QuantumState:
     """Random convex mixture of random product pure states.
 
-    Per-subsystem amplitudes leave the top ``margin`` levels of each
-    bosonic mode empty: right at the cutoff the truncated a a^dagger
-    loses its <N> + 1 form and moment inequalities that rely on it stop
-    holding, which would say nothing about the physics being modeled.
+    Per-subsystem amplitudes are drawn on every level, the top Fock
+    level of each bosonic mode included: the moment witnesses evaluate
+    exact moments there, so no level needs to be held back.
     """
     n_components = int(rng.integers(1, max_components + 1))
     weights = rng.dirichlet(np.ones(n_components))
@@ -507,10 +507,8 @@ def random_separable_mixture(layout: RegisterLayout,
     rho = np.zeros((dim, dim), dtype=complex)
     for w in weights:
         vec = np.ones(1, dtype=complex)
-        for kind, d in layout.subsystems:
-            live = d - margin if (kind == BOSON and d > margin + 1) else d
+        for _, d in layout.subsystems:
             local = rng.normal(size=d) + 1j * rng.normal(size=d)
-            local[live:] = 0.0
             local /= np.linalg.norm(local)
             vec = np.kron(vec, local)
         rho += w * np.outer(vec, vec.conj())

@@ -160,8 +160,9 @@ def test_criterion_03_mutual_exclusion(heavy_3spdc, default_22spdc):
 
 
 def _dominance_bank():
-    """200 seeded states, mixed and pure, all with bosonic support held
-    clear of the truncation edge."""
+    """200 seeded states, mixed and pure. The separable mixtures fill
+    every Fock level up to the cutoff, where the witness moments are
+    still exact."""
     rng = np.random.default_rng(2024)
     lay = RegisterLayout.bosons(3, 4)
     bank = []

@@ -132,6 +132,15 @@ class TestModesCommand:
         assert main(["modes", "--config", bad, "--out", out]) == 2
         assert not os.path.exists(out)
 
+    def test_singular_bias_exits_3_without_output(self, tmp_path, capsys):
+        # cos(pi/2) is 6e-17, on the tan singularity of the bias
+        bad = write(tmp_path, "bad.ini", MINIMAL_CIRCUIT.replace(
+            "flux_bias = 0.4", f"flux_bias = {np.pi / 2!r}"))
+        out = str(tmp_path / "never.csv")
+        assert main(["modes", "--config", bad, "--out", out]) == 3
+        assert "singularity" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_missing_circuit_section(self, tmp_path):
         cfg = write(tmp_path, "s.ini", "[scenario]\nname = 3spdc\n")
         assert main(["modes", "--config", cfg]) == 2

@@ -15,6 +15,7 @@ from triphoton.dynamics import (
     HamiltonianSpec,
     Motional,
     TwoTone,
+    _reachable,
     cutoff_sweep,
     evolve,
     evolve_static_expm,
@@ -24,6 +25,7 @@ from triphoton.errors import IntegrationError
 from triphoton.hilbert import (
     QuantumState,
     RegisterLayout,
+    _level_map,
     fock_state,
     terms_to_matrix,
 )
@@ -201,6 +203,18 @@ class TestSectorPath:
         for with_qubit, without in zip(traj.states, alone.states):
             assert np.array_equal(with_qubit.data[0::2], without.data)
             assert not with_qubit.data[1::2].any()
+
+    def test_chain_closure_builds_each_level_map_once(self):
+        # a displacement walks one level per pass: 4,096 passes of two
+        # factors each, all served by the two cached level maps
+        terms = [mono([(0, CREATE)], 1.0), mono([(0, ANNIHILATE)], 1.0)]
+        psi0 = fock_state(RegisterLayout.bosons(1, 4095), (0,))
+        _level_map.cache_clear()
+        basis = _reachable(terms, psi0)
+        info = _level_map.cache_info()
+        np.testing.assert_array_equal(basis, np.arange(4096))
+        assert info.misses == 2
+        assert info.hits + info.misses == 2 * 4096
 
     def test_driven_spec_integrates(self):
         traj = evolve(driven_displacement(),

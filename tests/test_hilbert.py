@@ -18,6 +18,7 @@ from triphoton.hilbert import (
     OperatorMatrix,
     QuantumState,
     RegisterLayout,
+    _level_map,
     build_operator,
     covariance_matrix,
     expect_monomial,
@@ -68,6 +69,29 @@ class TestLayout:
             RegisterLayout((("spin", 2),))
         with pytest.raises(ValueError):
             RegisterLayout((("boson", 1),))
+
+
+class TestLevelMap:
+    def test_cached_maps_are_read_only(self):
+        lay = RegisterLayout.bosons(2, 3)
+        target, amp = _level_map(lay, 1, CREATE)
+        assert _level_map(lay, 1, CREATE)[1] is amp
+        np.testing.assert_array_equal(target, [1, 2, 3, 0])
+        np.testing.assert_array_equal(amp, [1, np.sqrt(2), np.sqrt(3), 0])
+        with pytest.raises(ValueError):
+            amp[0] = 2.0
+
+    def test_errors_raise_on_every_call(self):
+        lay = RegisterLayout((("boson", 3), ("qubit", 2)))
+        for _ in range(2):
+            with pytest.raises(LayoutMismatchError):
+                _level_map(lay, 2, NUMBER)
+            with pytest.raises(LayoutMismatchError):
+                _level_map(lay, 1, CREATE)
+            with pytest.raises(LayoutMismatchError):
+                _level_map(lay, 0, PAULI_Z)
+            with pytest.raises(ValueError):
+                _level_map(lay, 0, "squeeze")
 
 
 class TestBuildOperator:

@@ -19,12 +19,13 @@ from triphoton.hilbert import (
     QuantumState,
     RegisterLayout,
     covariance_matrix,
+    expect_monomial,
     fock_state,
     ghz_state,
     partial_trace,
     w_state,
 )
-from triphoton.rwa import CREATE, LadderMonomial
+from triphoton.rwa import CREATE, NUMBER, LadderMonomial
 from triphoton.witnesses import (
     VlfParams,
     _nelder_mead,
@@ -35,6 +36,7 @@ from triphoton.witnesses import (
     genuine_witness_max,
     genuine_witness_sum,
     hz_witness,
+    mode_moment_witnesses,
     negativity,
     optimize_vlf,
     random_separable_mixture,
@@ -49,6 +51,18 @@ QUBITS = RegisterLayout.qubits(3)
 
 def vacuum3(layout=LAY3):
     return fock_state(layout, (0, 0, 0))
+
+
+def random_full_support(layout, rng, mixed):
+    """A seeded pure state, or a rank-4 mixture, with every basis level
+    populated, the top Fock level of each mode included."""
+    n = layout.total_dim
+    if not mixed:
+        vec = rng.normal(size=n) + 1j * rng.normal(size=n)
+        return QuantumState(layout, vec / np.linalg.norm(vec))
+    k = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    rho = k @ k.conj().T
+    return QuantumState(layout, rho / np.trace(rho).real)
 
 
 def evolved_triple(gt, cutoff=8):
@@ -346,6 +360,59 @@ class TestGenuineSum:
             hand = -3.0 + eps - 6.0 * eps**2  # O(eps^3) hand expansion
             assert rep.value == pytest.approx(hand, abs=40 * eps**3)
 
+    def test_top_fock_level_is_untruncated(self):
+        # <a a+> = c + 1 on |c>, which the truncated a a+ would give as 0
+        for c in (1, 2, 4):
+            state = fock_state(RegisterLayout.bosons(3, c), (c, c, c))
+            rep = genuine_witness_sum(state)
+            assert rep.value == pytest.approx(-3 * np.sqrt((c + 1)**3),
+                                              abs=1e-12)
+
+    def test_matches_number_moment_form(self):
+        rng = np.random.default_rng(515)
+        lay = RegisterLayout.bosons(3, 2)
+        for mixed in (False, True, False, True):
+            state = random_full_support(lay, rng, mixed)
+            n = [expect_monomial(state, ((i, NUMBER),)).real
+                 for i in range(3)]
+            bound = 0.0
+            for a, (b, g) in enumerate(((1, 2), (0, 2), (0, 1))):
+                nn = expect_monomial(state, ((b, NUMBER), (g, NUMBER))).real
+                bound += np.sqrt((n[a] + 1) * (nn + n[b] + n[g] + 1))
+            rep = genuine_witness_sum(state)
+            assert rep.value == pytest.approx(
+                abs(rep.components["triple"]) - bound, rel=1e-12)
+
+
+class TestMomentEvaluation:
+    def test_seven_moments_per_state(self, monkeypatch):
+        calls = []
+        real = witnesses.expect_monomial
+
+        def counting(state, factors, coefficient=1.0):
+            calls.append(factors)
+            return real(state, factors, coefficient)
+
+        monkeypatch.setattr(witnesses, "expect_monomial", counting)
+        states = [vacuum3(), triple_superposition(LAY3, 0.5),
+                  evolved_triple(0.1).to_density()]
+        for state in states:
+            reports = mode_moment_witnesses(state)
+            assert set(reports) == {"hz_i1", "hz_i2", "hz_i3",
+                                    "genuine_sum", "genuine_max"}
+        assert len(calls) == 7 * len(states)
+
+    def test_lookups_match_the_shared_evaluation(self):
+        state = evolved_triple(0.12)
+        reports = mode_moment_witnesses(state)
+        for singled in range(3):
+            assert hz_witness(state, singled).value == \
+                reports[f"hz_i{singled + 1}"].value
+        assert genuine_witness_sum(state).value == \
+            reports["genuine_sum"].value
+        assert genuine_witness_max(state).value == \
+            reports["genuine_max"].value
+
 
 class TestGenuineMax:
     def test_vacuum(self):
@@ -407,6 +474,35 @@ class TestDvGenuine:
         assert rep.value == pytest.approx(eta * (1 - eta) / (1 + eta**2),
                                           rel=1e-12)
         assert rep.detects
+
+    def test_antinormal_matches_explicit_moments(self):
+        # ground populations from explicit sigma- sigma+ matrices, as
+        # against the 1 - sigma+ sigma- identity the witness uses
+        down = np.array([[0, 1], [0, 0]], dtype=complex)
+        ground = down @ down.conj().T
+        eye = np.eye(2)
+
+        def on(site, op):
+            mats = [op if i == site else eye for i in range(3)]
+            return np.kron(np.kron(mats[0], mats[1]), mats[2])
+
+        lowers = on(0, down) @ on(1, down) @ on(2, down)
+        rng = np.random.default_rng(616)
+        for mixed in (False, True) * 3:
+            state = random_full_support(QUBITS, rng, mixed)
+            rho = state.to_density().data
+
+            def moment(op):
+                return np.trace(rho @ op)
+
+            terms = [np.sqrt(max(moment(on(a, ground)).real, 0.0)
+                             * max(moment(on(b, ground) @ on(g, ground)).real,
+                                   0.0))
+                     for a, (b, g) in enumerate(((1, 2), (0, 2), (0, 1)))]
+            triple = abs(moment(lowers))
+            for combine, bound in (("max", max(terms)), ("sum", sum(terms))):
+                rep = dv_genuine_witness(state, "antinormal", combine)
+                assert abs(rep.value - (triple - bound)) <= 1e-15
 
     def test_non_qubit_rejected(self):
         with pytest.raises(LayoutMismatchError):
