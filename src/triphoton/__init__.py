@@ -43,13 +43,10 @@ from .errors import (
     TriphotonError,
 )
 from .hilbert import (
-    OperatorMatrix,
     QuantumState,
     RegisterLayout,
-    build_operator,
     covariance_matrix,
     expect_monomial,
-    expectation,
     fock_state,
     ghz_state,
     partial_trace,
@@ -106,10 +103,9 @@ __all__ = [
     "ConfigError", "DegenerateFrequencyError", "IntegrationError",
     "LayoutMismatchError", "PumpMismatchError", "SingularBiasError",
     "TriphotonError",
-    "OperatorMatrix", "QuantumState", "RegisterLayout", "build_operator",
-    "covariance_matrix", "expect_monomial", "expectation", "fock_state",
-    "ghz_state", "partial_trace", "terms_to_matrix", "von_neumann_entropy",
-    "w_state",
+    "QuantumState", "RegisterLayout", "covariance_matrix",
+    "expect_monomial", "fock_state", "ghz_state", "partial_trace",
+    "terms_to_matrix", "von_neumann_entropy", "w_state",
     "LadderMonomial", "TermClassification", "classify_terms",
     "combine_like_terms", "driven_cavity_terms", "ensure_anharmonic",
     "free_mode_terms", "interaction_frequency", "rwa_reduce",

@@ -160,7 +160,8 @@ def _reachable(terms: Sequence[LadderMonomial],
     while frontier.size:
         seen[frontier] = True
         reached = np.concatenate([frontier[:0], *(
-            _on_basis(t, psi0.layout, frontier)[0] for t in terms)])
+            _on_basis(t.factors, psi0.layout, frontier, t.coefficient)[0]
+            for t in terms)])
         frontier = np.unique(reached[~seen[reached]])
     return np.flatnonzero(seen)
 

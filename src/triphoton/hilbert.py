@@ -10,14 +10,15 @@ pauli_plus = |1><0| raises, sigma_z = diag(-1, +1).
 
 Every ladder, number and Pauli factor is a level map: it sends each
 level of its subsystem to at most one level with one amplitude. That map
-is the one primitive: monomials applied to states, moments, covariance
-matrices, full-register operators and the matrices on a reachable sector
-are all built from it, so no dense single-subsystem matrix or Kronecker
-product is ever formed.
+is the one primitive: moments (summed over a state's support),
+full-register operators and the matrices on a reachable sector are all
+built from it, so no dense single-subsystem matrix or Kronecker product
+is ever formed.
 
 Quadratures are x = (a + a^dag)/sqrt(2), p = i(a^dag - a)/sqrt(2), so
 the vacuum variance is 1/2. Covariance matrices are ordered as
-(x_1 .. x_m, p_1 .. p_m).
+(x_1 .. x_m, p_1 .. p_m) and built from normally ordered moments, which
+stay exact at the Fock cutoff.
 """
 
 from __future__ import annotations
@@ -203,44 +204,20 @@ class QuantumState:
         return float(np.trace(rho @ rho).real)
 
 
-def _apply_factor_vec(psi: np.ndarray, layout: RegisterLayout, index: int,
-                      kind: str) -> np.ndarray:
-    """Apply one factor to a state vector (or, from the left, to a matrix
-    whose rows run over the register): the slice of each live level l,
-    times amp[l], lands on level target[l]."""
-    target, amp = _level_map(layout, index, kind)
-    dims = layout.dims
-    pre = int(np.prod(dims[:index])) if index else 1
-    block = psi.reshape(pre, dims[index], -1)
-    live = np.flatnonzero(amp)
-    out = np.zeros(block.shape, dtype=complex)
-    # live levels land on distinct levels, so no slice is added twice
-    out[:, target[live]] += amp[live, None] * block[:, live]
-    return out.reshape(psi.shape)
-
-
-def _apply_monomial_vec(psi: np.ndarray, layout: RegisterLayout,
-                        term_factors) -> np.ndarray:
-    """Apply the factor product to a state vector, or from the left to a
-    density matrix."""
-    out = psi
-    for index, kind in reversed(tuple(term_factors)):
-        out = _apply_factor_vec(out, layout, index, kind)
-    return out
-
-
-def _on_basis(term: LadderMonomial, layout: RegisterLayout,
-              basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """term|s> for each basis state s (flat indices): the flat index it
-    lands on, its amplitude, and the positions in ``basis`` it came from.
+def _on_basis(factors, layout: RegisterLayout, basis: np.ndarray,
+              coefficient: complex = 1.0
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """coefficient times the factor product on each basis state s (flat
+    indices): the flat index it lands on, its amplitude, and the
+    positions in ``basis`` it came from.
 
     Each factor's level map moves a basis state to one basis state, so
     the monomial does too; states the truncation (or a zero coefficient)
     sends to zero are dropped.
     """
     levels = np.array(np.unravel_index(basis, layout.dims))
-    amp = np.full(len(basis), complex(term.coefficient))
-    for index, kind in reversed(term.factors):
+    amp = np.full(len(basis), complex(coefficient))
+    for index, kind in reversed(tuple(factors)):
         target, factor_amp = _level_map(layout, index, kind)
         amp = amp * factor_amp[levels[index]]
         levels[index] = target[levels[index]]
@@ -259,7 +236,8 @@ def _basis_matrix(terms: Iterable[LadderMonomial], layout: RegisterLayout,
     total = sp.csr_matrix((m, m), dtype=complex) if sparse else \
         np.zeros((m, m), dtype=complex)
     for term in terms:
-        flat, amp, cols = _on_basis(term, layout, basis)
+        flat, amp, cols = _on_basis(term.factors, layout, basis,
+                                    term.coefficient)
         rows = np.searchsorted(basis, flat).clip(max=m - 1)
         inside = basis[rows] == flat
         rows, cols, amp = rows[inside], cols[inside], amp[inside]
@@ -273,39 +251,24 @@ def _basis_matrix(terms: Iterable[LadderMonomial], layout: RegisterLayout,
 
 def expect_monomial(state: QuantumState, factors,
                     coefficient: complex = 1.0) -> complex:
-    """<product of factors> on the state (no normalization applied)."""
-    prod = _apply_monomial_vec(state.data, state.layout, factors)
-    if state.is_pure:
-        return coefficient * complex(np.vdot(state.data, prod))
-    return coefficient * complex(np.trace(prod))
+    """<product of factors> on the state (no normalization applied).
 
-
-@dataclass
-class OperatorMatrix:
-    """Explicit matrix of an operator on a register; dense below
-    DENSE_LIMIT, sparse CSR above."""
-
-    layout: RegisterLayout
-    matrix: np.ndarray | sp.spmatrix
-
-    @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.matrix)
-
-    def dagger(self) -> "OperatorMatrix":
-        if self.is_sparse:
-            return OperatorMatrix(self.layout, self.matrix.conj().T.tocsr())
-        return OperatorMatrix(self.layout, self.matrix.conj().T)
-
-
-def build_operator(term: LadderMonomial, layout: RegisterLayout,
-                   sparse: bool | None = None) -> OperatorMatrix:
-    """Matrix of coefficient times the factor product.
-
-    Same-subsystem factors multiply in the order written; factors on
-    distinct subsystems commute. An empty factor tuple is the identity.
+    The monomial moves each basis state s to one state t(s) with one
+    amplitude a(s) (``_on_basis``), so the moment is a sum over the
+    state's support: conj(psi[t(s)]) a(s) psi[s] over the nonzero
+    amplitudes of a pure state, Tr(O rho) = a(s) rho[s, t(s)] over every
+    basis state for a density.
     """
-    return OperatorMatrix(layout, terms_to_matrix([term], layout, sparse))
+    data, layout = state.data, state.layout
+    if state.is_pure:
+        support = np.flatnonzero(data)
+        flat, amp, cols = _on_basis(factors, layout, support)
+        value = np.vdot(data[flat], amp * data[support[cols]])
+    else:
+        flat, amp, cols = _on_basis(factors, layout,
+                                    np.arange(layout.total_dim))
+        value = np.sum(amp * data[cols, flat])
+    return coefficient * complex(value)
 
 
 def terms_to_matrix(terms: Iterable[LadderMonomial], layout: RegisterLayout,
@@ -315,16 +278,6 @@ def terms_to_matrix(terms: Iterable[LadderMonomial], layout: RegisterLayout,
     if sparse is None:
         sparse = layout.total_dim > DENSE_LIMIT
     return _basis_matrix(terms, layout, np.arange(layout.total_dim), sparse)
-
-
-def expectation(state: QuantumState, op: OperatorMatrix) -> complex:
-    """<psi|O|psi> or Tr(rho O); layouts must match."""
-    if op.layout != state.layout:
-        raise LayoutMismatchError("operator and state layouts differ")
-    if state.is_pure:
-        return complex(np.vdot(state.data, op.matrix @ state.data))
-    prod = op.matrix @ state.data if op.is_sparse else state.data @ op.matrix
-    return complex(np.trace(prod))
 
 
 def partial_trace(state: QuantumState, keep: Iterable[int]) -> QuantumState:
@@ -363,10 +316,19 @@ def covariance_matrix(state: QuantumState,
 
         C[A, B] = <AB + BA>/2 - <A><B>
 
-    <R_A R_B> is a Gram matrix of the quadratures applied to the state:
-    (R_A psi)^dag (R_B psi) for a pure state, and the Hilbert-Schmidt
-    product of R_A with R_B rho, i.e. Tr(R_A R_B rho), for a density.
-    Vacuum gives diag(1/2, ..., 1/2) in this convention.
+    It is built from the normally ordered moments m_i = <a_i>,
+    A_ij = <a_i a_j> and N_ij = <a_i^dag a_j>, with a_i a_j^dag =
+    a_j^dag a_i + delta_ij:
+
+        C_xx = Re A + Re N + I/2 - 2 Re m Re m^T
+        C_pp = -Re A + Re N + I/2 - 2 Im m Im m^T
+        C_xp = Im A + Im N - 2 Re m Im m^T
+
+    Each moment is an overlap of states lowered from the state, such as
+    <a_i psi|a_j psi>, and lowering never crosses the cutoff, so they,
+    and C, are exact for any state of the truncated register, where
+    a a^dag is 0 on the top level instead of c + 1. Vacuum gives
+    diag(1/2, ..., 1/2) in this convention.
     """
     layout = state.layout
     if modes is None:
@@ -377,26 +339,22 @@ def covariance_matrix(state: QuantumState,
         if layout.kind(i) != BOSON:
             raise LayoutMismatchError(
                 f"covariance requested on non-bosonic subsystem {i}")
-
-    def quadratures(ket: np.ndarray) -> np.ndarray:
-        """Rows sqrt(2) R_A ket, flattened, for A = x_1..x_m, p_1..p_m."""
-        pairs = [(_apply_factor_vec(ket, layout, i, ANNIHILATE),
-                  _apply_factor_vec(ket, layout, i, CREATE)) for i in modes]
-        rows = [lo + up for lo, up in pairs] + \
-            [1j * (up - lo) for lo, up in pairs]
-        return np.array([r.reshape(-1) for r in rows])
-
-    if state.is_pure:
-        bra = state.data
-        left = right = quadratures(bra)
-    else:
-        bra = np.eye(layout.total_dim, dtype=complex)
-        left = quadratures(bra)
-        right = quadratures(state.data)
-    mean = (right @ bra.reshape(-1).conj()).real
-    gram = left.conj() @ right.T
-    # the factor 1/2 restores the 1/sqrt(2) left out of both rows
-    return 0.5 * (0.5 * (gram + gram.T).real - np.outer(mean, mean))
+    m = len(modes)
+    mean = np.array([expect_monomial(state, ((i, ANNIHILATE),))
+                     for i in modes])
+    pair, number = np.empty((m, m), complex), np.empty((m, m), complex)
+    for r, s in zip(*np.triu_indices(m)):
+        i, j = modes[r], modes[s]
+        pair[r, s] = pair[s, r] = expect_monomial(
+            state, ((i, ANNIHILATE), (j, ANNIHILATE)))
+        number[r, s] = expect_monomial(state, ((i, CREATE), (j, ANNIHILATE)))
+        number[s, r] = number[r, s].conjugate()
+    half = 0.5 * np.eye(m)
+    x, p = mean.real, mean.imag
+    c_xp = pair.imag + number.imag - 2.0 * np.outer(x, p)
+    return np.block([
+        [pair.real + number.real + half - 2.0 * np.outer(x, x), c_xp],
+        [c_xp.T, -pair.real + number.real + half - 2.0 * np.outer(p, p)]])
 
 
 def fock_state(layout: RegisterLayout,

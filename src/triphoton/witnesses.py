@@ -165,8 +165,15 @@ def optimize_vlf(state: QuantumState, restarts: int = 20, seed: int = 0,
     S is homogeneous of degree 2 in (g, h), so its sign cannot depend on
     the overall scale and the search stays confined to the box (a
     quadratic penalty pulls excursions back); an unconstrained maximum
-    would be unbounded for any detected state. The covariance matrix is
-    computed once per state.
+    would be unbounded for any detected state. The origin g = h = 0,
+    where S = 0, is a candidate too, and a restart displaces it only by
+    beating the rounding error of S at its point (``_search_vlf``), so
+    the value is never negative and roundoff alone never detects.
+
+    The covariance matrix is computed once per state, from normally
+    ordered moments that are exact at the Fock cutoff: population on
+    the top level cannot shrink a variance and fire the witness on a
+    product state.
 
     Components hold the covariance blocks, ``certified``, ``restarts``,
     the number of searches actually run, and ``objective_evals``, the
@@ -218,14 +225,23 @@ def _search_vlf(cov: np.ndarray, restarts: int, seed: int,
                 max_iter: int) -> tuple[float, np.ndarray, int]:
     """Search of ``optimize_vlf``: the best S, its weights (g, h) as one
     6-vector, and the objective evaluations over all restarts; g = h = 0
-    counts as a candidate."""
+    counts as a candidate.
+
+    A restart's value counts only where it beats the rounding error of
+    S at its clipped point, 16 eps times the magnitudes S is summed from,
+    sum |g_l h_l| + |g|^T |C_x| |g| + |h|^T |C_p| |h|; below that its
+    sign is roundoff, and the origin's exact 0 stands."""
     x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(restarts, 6))
     x, fun, nfev, _ = _nelder_mead(_vlf_objective(cov), x0, max_iter,
                                    xatol=1e-10, fatol=1e-10)
+    abs_cov = np.abs(cov)
     best, best_x = 0.0, np.zeros(6)
-    for xr, fr in zip(x, fun):
-        if -fr > best:
-            best, best_x = float(-fr), np.clip(xr, -2.0, 2.0)
+    for xr, fr in zip(x.clip(-2.0, 2.0), fun):
+        g, h = np.abs(xr[:3]), np.abs(xr[3:])
+        rounding = 16 * np.finfo(float).eps * (
+            g @ h + g @ abs_cov[:3, :3] @ g + h @ abs_cov[3:, 3:] @ h)
+        if -fr > max(best, rounding):
+            best, best_x = float(-fr), xr
     return best, best_x, int(nfev.sum())
 
 

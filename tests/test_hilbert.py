@@ -15,14 +15,11 @@ import scipy.sparse as sp
 from triphoton.dynamics import HamiltonianSpec, evolve
 from triphoton.errors import LayoutMismatchError
 from triphoton.hilbert import (
-    OperatorMatrix,
     QuantumState,
     RegisterLayout,
     _level_map,
-    build_operator,
     covariance_matrix,
     expect_monomial,
-    expectation,
     fock_state,
     ghz_state,
     partial_trace,
@@ -95,9 +92,11 @@ class TestLevelMap:
 
 
 class TestBuildOperator:
+    """Single-monomial matrices from terms_to_matrix."""
+
     def test_annihilator_entries_cutoff_two(self):
         lay = RegisterLayout.bosons(1, 2)
-        a = build_operator(mono([(0, ANNIHILATE)]), lay).matrix
+        a = terms_to_matrix([mono([(0, ANNIHILATE)])], lay)
         expected = np.zeros((3, 3), dtype=complex)
         expected[0, 1] = 1.0
         expected[1, 2] = np.sqrt(2.0)
@@ -105,8 +104,8 @@ class TestBuildOperator:
 
     def test_commutator_below_cutoff(self):
         lay = RegisterLayout.bosons(1, 5)
-        a = build_operator(mono([(0, ANNIHILATE)]), lay).matrix
-        ad = build_operator(mono([(0, CREATE)]), lay).matrix
+        a = terms_to_matrix([mono([(0, ANNIHILATE)])], lay)
+        ad = terms_to_matrix([mono([(0, CREATE)])], lay)
         comm = a @ ad - ad @ a
         # identity except on the top Fock level
         assert np.allclose(comm[:5, :5], np.eye(5))
@@ -114,28 +113,28 @@ class TestBuildOperator:
 
     def test_qubit_completeness(self):
         lay = RegisterLayout.qubits(1)
-        pm = build_operator(mono([(0, PAULI_PLUS), (0, PAULI_MINUS)]), lay).matrix
-        mp = build_operator(mono([(0, PAULI_MINUS), (0, PAULI_PLUS)]), lay).matrix
+        pm = terms_to_matrix([mono([(0, PAULI_PLUS), (0, PAULI_MINUS)])], lay)
+        mp = terms_to_matrix([mono([(0, PAULI_MINUS), (0, PAULI_PLUS)])], lay)
         assert np.array_equal(pm + mp, np.eye(2))
 
     def test_dagger_equals_conjugate_build(self):
         lay = RegisterLayout((("boson", 4), ("qubit", 2)))
         term = mono([(0, CREATE), (0, ANNIHILATE), (1, PAULI_PLUS)],
                     coeff=0.3 - 0.7j)
-        left = build_operator(term, lay).dagger().matrix
-        right = build_operator(term.conjugate(), lay).matrix
+        left = terms_to_matrix([term], lay).conj().T
+        right = terms_to_matrix([term.conjugate()], lay)
         assert np.array_equal(left, right)
 
     def test_kind_subsystem_mismatch(self):
         lay = RegisterLayout((("boson", 3), ("qubit", 2)))
         with pytest.raises(LayoutMismatchError):
-            build_operator(mono([(1, CREATE)]), lay)
+            terms_to_matrix([mono([(1, CREATE)])], lay)
         with pytest.raises(LayoutMismatchError):
-            build_operator(mono([(0, PAULI_PLUS)]), lay)
+            terms_to_matrix([mono([(0, PAULI_PLUS)])], lay)
 
     def test_number_kind(self):
         lay = RegisterLayout.bosons(1, 3)
-        n = build_operator(mono([(0, NUMBER)]), lay).matrix
+        n = terms_to_matrix([mono([(0, NUMBER)])], lay)
         assert np.array_equal(n, np.diag([0, 1, 2, 3]).astype(complex))
 
     def test_terms_to_matrix_includes_identity(self):
@@ -207,7 +206,7 @@ class TestOperatorOracle:
         assert np.abs(sparse.toarray() - expected).max() <= 1e-15 * scale
         for term in terms:
             expected = reference_matrix([term], self.LAYOUT)
-            got = build_operator(term, self.LAYOUT).matrix
+            got = terms_to_matrix([term], self.LAYOUT)
             assert np.abs(got - expected).max() <= \
                 1e-15 * np.abs(expected).max()
 
@@ -262,8 +261,8 @@ class TestExpectation:
     def test_vacuum_antinormal_pair(self):
         lay = RegisterLayout.bosons(1, 4)
         vac = fock_state(lay, (0,))
-        op = build_operator(mono([(0, ANNIHILATE), (0, CREATE)]), lay)
-        assert expectation(vac, op) == pytest.approx(1.0)
+        assert expect_monomial(vac, ((0, ANNIHILATE), (0, CREATE))) == \
+            pytest.approx(1.0)
 
     def test_unnormalized_perturbative_state(self):
         g0t = 0.07
@@ -295,15 +294,19 @@ class TestExpectation:
         state = QuantumState(lay, vec)
         terms = [mono([(0, CREATE), (1, ANNIHILATE)], 0.4 + 0.2j)]
         terms.append(terms[0].conjugate())
-        op = OperatorMatrix(lay, terms_to_matrix(terms, lay))
-        assert abs(expectation(state, op).imag) < 1e-12
+        total = sum(expect_monomial(state, t.factors, t.coefficient)
+                    for t in terms)
+        assert abs(total.imag) < 1e-12
 
-    def test_layout_mismatch(self):
-        lay_a = RegisterLayout.bosons(1, 2)
-        lay_b = RegisterLayout.bosons(1, 3)
-        op = build_operator(mono([(0, NUMBER)]), lay_b)
-        with pytest.raises(LayoutMismatchError):
-            expectation(fock_state(lay_a, (0,)), op)
+    @pytest.mark.parametrize("factors", [((-1, NUMBER),), ((2, NUMBER),),
+                                         ((1, CREATE),)])
+    def test_bad_factor_raises_layout_mismatch(self, factors):
+        # an index outside the register, or a ladder factor on a qubit
+        lay = RegisterLayout((("boson", 3), ("qubit", 2)))
+        for state in (fock_state(lay, (0, 0)),
+                      fock_state(lay, (0, 0)).to_density()):
+            with pytest.raises(LayoutMismatchError):
+                expect_monomial(state, factors)
 
     def test_density_expectation_matches_pure(self):
         lay = RegisterLayout.bosons(2, 3)
@@ -395,7 +398,7 @@ class TestCovariance:
         # compared with the analytic squeezing covariances
         gt = 0.1
         lay = RegisterLayout.bosons(2, 10)
-        up = build_operator(mono([(0, CREATE), (1, CREATE)], 1j), lay).matrix
+        up = terms_to_matrix([mono([(0, CREATE), (1, CREATE)], 1j)], lay)
         h = up + up.conj().T
         psi = sla.expm(-1j * h * gt) @ fock_state(lay, (0, 0)).data
         cov = covariance_matrix(QuantumState(lay, psi))
@@ -415,17 +418,22 @@ class TestCovariance:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_uncertainty_relation(self, seed):
-        # C + (i/2) Omega must be positive semidefinite
+        # C + (i/2) Omega must be positive semidefinite, for pure states
+        # and for mixtures
         rng = np.random.default_rng(seed)
         lay = RegisterLayout.bosons(2, 4)
         vec = rng.normal(size=25) + 1j * rng.normal(size=25)
         vec /= np.linalg.norm(vec)
-        cov = covariance_matrix(QuantumState(lay, vec))
+        k = rng.normal(size=(25, 3)) + 1j * rng.normal(size=(25, 3))
+        rho = k @ k.conj().T
         m = 2
         omega = np.block([[np.zeros((m, m)), np.eye(m)],
                           [-np.eye(m), np.zeros((m, m))]])
-        eigs = np.linalg.eigvalsh(cov + 0.5j * omega)
-        assert eigs.min() > -1e-9
+        for state in (QuantumState(lay, vec),
+                      QuantumState(lay, rho / np.trace(rho).real)):
+            cov = covariance_matrix(state)
+            eigs = np.linalg.eigvalsh(cov + 0.5j * omega)
+            assert eigs.min() > -1e-9
 
     def test_density_covariance_matches_pure(self):
         lay = RegisterLayout.bosons(2, 3)
@@ -440,7 +448,12 @@ class TestCovariance:
 
 class TestCovarianceOracle:
     """Covariance against explicit quadrature matrices built with
-    terms_to_matrix: C[A, B] = <AB + BA>/2 - <A><B>."""
+    terms_to_matrix: C[A, B] = <AB + BA>/2 - <A><B>.
+
+    The state is embedded into a register one Fock level larger, where
+    its support stays below the top level: the products of truncated
+    quadratures are exact there for second moments, as they are not on
+    the state's own register once it reaches the cutoff."""
 
     @staticmethod
     def quadratures(layout):
@@ -455,11 +468,27 @@ class TestCovarianceOracle:
                                       layout, sparse=False))
         return xs + ps
 
+    @staticmethod
+    def embed(state):
+        """The density of the state on a register one level larger."""
+        lay = state.layout
+        big = RegisterLayout.bosons(lay.n_subsystems, lay.dims[0])
+        index = np.ravel_multi_index(
+            np.unravel_index(np.arange(lay.total_dim), lay.dims), big.dims)
+        rho = np.zeros((big.total_dim,) * 2, dtype=complex)
+        rho[np.ix_(index, index)] = state.to_density().data
+        return big, rho
+
+    def means(self, state):
+        big, rho = self.embed(state)
+        return [np.trace(m @ rho).real for m in self.quadratures(big)]
+
     def oracle(self, state):
-        ops = self.quadratures(state.layout)
+        big, rho = self.embed(state)
+        ops = self.quadratures(big)
 
         def mean(mat):
-            return expectation(state, OperatorMatrix(state.layout, mat)).real
+            return np.trace(mat @ rho).real
 
         n = len(ops)
         cov = np.empty((n, n))
@@ -482,9 +511,7 @@ class TestCovarianceOracle:
         for state in (pure, mixed):
             expected = self.oracle(state)
             # nonzero first moments, so the mean subtraction is exercised
-            means = [expectation(state, OperatorMatrix(lay, m)).real
-                     for m in self.quadratures(lay)]
-            assert np.abs(means).max() > 1e-2
+            assert np.abs(self.means(state)).max() > 1e-2
             assert np.abs(covariance_matrix(state) - expected).max() < 1e-13
 
 

@@ -155,6 +155,21 @@ class TestOptimizeVlf:
         assert rep.value == best
         assert rep.parameters == VlfParams(g=tuple(x[:3]), h=tuple(x[3:]))
 
+    @pytest.mark.parametrize("cutoff, local", [(2, (1, 0, 1)), (1, (1, 1))],
+                             ids=["0+2", "0+1"])
+    def test_product_at_the_cutoff_certified(self, cutoff, local):
+        # Half the population of every mode sits on the top Fock level,
+        # where a truncated a a^dag reads 0 instead of c + 1; exact
+        # covariances still certify the product state.
+        local = np.array(local, dtype=complex) / np.linalg.norm(local)
+        vec = np.kron(np.kron(local, local), local)
+        state = QuantumState(RegisterLayout.bosons(3, cutoff), vec)
+        rep = optimize_vlf(state, restarts=20, seed=0)
+        assert rep.components["certified"]
+        assert rep.value == 0.0
+        assert not rep.detects
+        assert max(negativity(state, [i]) for i in range(3)) < 1e-15
+
     def test_uncertified_search_pinned(self):
         # The 512-dimensional evolution behind evolved_pair sums in an
         # order that depends on the OpenBLAS thread count, which moves the
@@ -181,7 +196,7 @@ class TestOptimizeVlf:
         value, certified, restarts, g, h = json.loads(out)
         assert certified is False
         assert restarts == 20
-        assert value == 0.845899829656633
+        assert value == 0.8458822213170961
         assert g == [-0.563370268554547, 2.0, -1.0793979859625957]
         assert h == [-0.9095544303486915, -1.9921451121535956,
                      -0.4746994760780541]
@@ -232,7 +247,17 @@ class TestBatchedSearchOracle:
         rep = optimize_vlf(state, restarts=6, seed=4)
         ref = self.scipy_restarts(covariance_matrix(state), 6, 4, 300)
         assert rep.components["objective_evals"] == sum(r.nfev for r in ref)
-        assert rep.value == max(-r.fun for r in ref)
+        # the origin, S = 0, is a candidate too
+        assert rep.value == max(0.0, max(-r.fun for r in ref))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_roundoff_is_not_a_detection(self, seed):
+        # restarts end a few ulps above 0 on this separable covariance;
+        # the rounding bound keeps the origin's exact +0.0
+        best, x, _ = _search_vlf(SQUEEZED_PRODUCT, 20, seed, 300)
+        assert best == 0.0
+        assert math.copysign(1.0, best) == 1.0
+        assert not x.any()
 
     def test_certified_state_counts_no_evaluations(self):
         rep = optimize_vlf(vacuum3())
