@@ -16,7 +16,6 @@ import contextlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -123,15 +122,16 @@ def cmd_run(args) -> int:
     result = run_scenario(config, check_convergence=args.check_convergence)
     out_dir = args.out or cfg.output.get("directory", ".")
     os.makedirs(out_dir, exist_ok=True)
+    if args.snapshot_times:
+        # first, so a time outside the run leaves no output behind
+        times = [float(t) for t in args.snapshot_times.split(",")]
+        snapshot_states(result.trajectory, times, out_dir)
     columns = dict(result.trajectory.observables)
     columns.update(result.witness_series)
     atomic_write_text(os.path.join(out_dir, "trajectory.csv"),
                       series_csv(result.trajectory.times, columns))
     atomic_write_text(os.path.join(out_dir, "summary.json"),
                       summary_json(result.summary))
-    if args.snapshot_times:
-        times = [float(t) for t in args.snapshot_times.split(",")]
-        snapshot_states(result.trajectory, times, out_dir)
     print(f"wrote {out_dir}/trajectory.csv and {out_dir}/summary.json")
     if args.check_convergence and not result.summary.get("converged", True):
         print("warning: observables not converged at the configured cutoff",
@@ -172,16 +172,22 @@ def cmd_witness(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_config(args.config)
     config = build_scenario_config(cfg, name=args.scenario, seed=args.seed)
     cutoffs = sorted(int(c) for c in args.cutoffs.split(","))
     if len(cutoffs) < 2:
         raise ConfigError("sweep needs at least two cutoffs")
-    with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 \
-            else contextlib.nullcontext() as pool:
+    pool = contextlib.nullcontext()
+    if args.jobs > 1:
+        # the process pool's imports are paid only by parallel sweeps
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=args.jobs)
+    with pool as executor:
         report = cutoff_sweep(partial(sweep_observables, config), cutoffs,
                               threshold=args.threshold,
-                              map=pool.map if pool else map)
+                              map=executor.map if executor else map)
     doc = {"cutoffs": cutoffs, "deltas": report.deltas,
            "converged": report.converged, "threshold": args.threshold}
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -243,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated cutoff list, e.g. 6,8,10")
     p.add_argument("--threshold", type=float, default=1e-6)
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers across cutoffs")
+                   help="parallel workers across cutoffs (at least 1)")
     p.add_argument("--out", help="report JSON path (default: stdout)")
     p.set_defaults(func=cmd_sweep)
     return parser

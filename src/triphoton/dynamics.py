@@ -16,6 +16,12 @@ one setting: the 8th-order Dormand-Prince pair (DOP853) at
 rtol = 1e-10, atol = 1e-11. ``evolve_static_expm``, a dense
 eigendecomposition of the full-register Hamiltonian, is the independent
 oracle for static runs.
+
+scipy is imported where it is called, never at module load:
+``scipy.integrate`` inside ``evolve``'s integrator branch, and
+``scipy.sparse`` inside ``hilbert._basis_matrix`` when a sector above
+``SPARSE_EVOLVE_LIMIT`` states is integrated. The exact path needs numpy
+alone, so a process that never integrates never pays for importing scipy.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError
 from .hilbert import (
@@ -220,6 +225,7 @@ def evolve(h: HamiltonianSpec,
         columns[:, 0] = psi
         rhs_evals = 0
     else:
+        from scipy.integrate import solve_ivp
         h_driven = [(env, matrix(terms)) for env, terms in groups.items()]
 
         def rhs(t, y):
@@ -305,16 +311,18 @@ def cutoff_sweep(run: Callable[[int], Mapping[str, np.ndarray]],
     """Run a scenario at each cutoff and report observable drift.
 
     ``run(cutoff)`` must return named observable arrays on a common time
-    grid. The report flags non-convergence when the change between the
-    two largest cutoffs still exceeds the threshold. ``map`` applies
-    ``run`` over the cutoffs in order; pass an executor's ``map`` to run
-    the cutoffs in parallel.
+    grid. The cutoffs must be strictly increasing: a repeated cutoff
+    would report a zero change and fake convergence. The report flags
+    non-convergence when the change between the two largest cutoffs
+    still exceeds the threshold. ``map`` applies ``run`` over the
+    cutoffs in order; pass an executor's ``map`` to run the cutoffs in
+    parallel.
     """
     cutoffs = list(cutoffs)
     if len(cutoffs) < 2:
         raise ValueError("need at least two cutoffs")
-    if sorted(cutoffs) != cutoffs:
-        raise ValueError("cutoffs must be increasing")
+    if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
+        raise ValueError(f"cutoffs must be strictly increasing, got {cutoffs}")
     results = list(map(run, cutoffs))
     names = list(results[0].keys())
     deltas: dict[str, list[float]] = {n: [] for n in names}

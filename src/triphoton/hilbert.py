@@ -28,7 +28,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import LayoutMismatchError
 from .rwa import (
@@ -231,10 +230,14 @@ def _basis_matrix(terms: Iterable[LadderMonomial], layout: RegisterLayout,
     """Matrix of the summed terms between the basis states (sorted flat
     indices), dense or CSR. Amplitudes landing outside the basis are
     dropped, which is exact for expectation values of states supported
-    on it."""
+    on it. ``scipy.sparse`` is imported here, on the CSR branch only, so
+    dense builds never load it."""
     m = len(basis)
-    total = sp.csr_matrix((m, m), dtype=complex) if sparse else \
-        np.zeros((m, m), dtype=complex)
+    if sparse:
+        import scipy.sparse as sp
+        total = sp.csr_matrix((m, m), dtype=complex)
+    else:
+        total = np.zeros((m, m), dtype=complex)
     for term in terms:
         flat, amp, cols = _on_basis(term.factors, layout, basis,
                                     term.coefficient)

@@ -16,6 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .errors import ConfigError
 from .hilbert import QuantumState, RegisterLayout
 
 FLOAT_FMT = "%.17g"
@@ -118,9 +119,15 @@ def circuit_tables_json(spectrum, table) -> str:
 def snapshot_states(trajectory, times, directory: str,
                     prefix: str = "state"):
     """Dump the trajectory states nearest to the requested times as JSON
-    files; returns the written paths."""
-    paths = []
+    files; returns the written paths. A time outside the run's span
+    raises ``ConfigError`` before any file is written."""
     grid = np.asarray(trajectory.times)
+    outside = [t for t in times if not grid[0] <= t <= grid[-1]]
+    if outside:
+        raise ConfigError(
+            f"snapshot times {outside} lie outside the run's span "
+            f"[{float(grid[0])!r}, {float(grid[-1])!r}]")
+    paths = []
     for t in times:
         k = int(np.argmin(np.abs(grid - t)))
         path = os.path.join(directory, f"{prefix}_{grid[k]:g}.json")

@@ -3,6 +3,8 @@ deterministic and atomic output."""
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,9 @@ REFERENCE = os.path.join(os.path.dirname(__file__), "..", "configs",
                          "reference.ini")
 FREE = os.path.join(os.path.dirname(__file__), "..", "configs",
                     "free_cavity.ini")
+CONFIGS = os.path.abspath(os.path.join(os.path.dirname(__file__), "..",
+                                       "configs"))
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
 def write(tmp_path, name, text):
@@ -309,6 +314,21 @@ n_steps = 9
             reports.append(Path(out).read_bytes())
         assert reports[0] == reports[1]
 
+    def test_repeated_cutoffs_rejected(self, tmp_path, capsys):
+        out = str(tmp_path / "report.json")
+        assert main(["sweep", "--config", os.path.join(CONFIGS, "hybrid.ini"),
+                     "--cutoffs", "4,4", "--out", out]) == 2
+        assert "strictly increasing" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        out = str(tmp_path / "report.json")
+        assert main(["sweep", "--config", os.path.join(CONFIGS, "hybrid.ini"),
+                     "--cutoffs", "2,3", "--jobs", jobs, "--out", out]) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_pump_mismatch_exits_3_like_run(self, tmp_path, capsys):
         cfg = write(tmp_path, "s.ini", MINIMAL_CIRCUIT + """
 pump_frequency = 123.0
@@ -354,6 +374,14 @@ vlf_restarts = 1
         last = load_state(os.path.join(out, "state_0.2.json"))
         assert abs(last.data[0]) < 1.0
 
+    @pytest.mark.parametrize("times", ["0.5", "-0.1,0.1"])
+    def test_snapshot_outside_the_run_rejected(self, tmp_path, capsys, times):
+        out = tmp_path / "out"
+        assert main(["run", "--config", REFERENCE, "--out", str(out),
+                     f"--snapshot-times={times}"]) == 2
+        assert "outside the run's span [0.0, 0.2]" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_witness_argmax_column(self, tmp_path, capsys):
         state = triple_superposition(RegisterLayout.bosons(3, 3), 0.5)
         path = str(tmp_path / "state.json")
@@ -379,6 +407,71 @@ class TestStateSerialization:
         again = load_state(path)
         assert not again.is_pure
         assert np.allclose(again.data, state.data)
+
+
+class TestColdStart:
+    """scipy and the process pool load only on the paths that call them.
+
+    The suite itself imports scipy, so each check runs in a fresh
+    interpreter and reads back what it had loaded.
+    """
+
+    LAZY = ("scipy.integrate", "scipy.sparse", "concurrent.futures.process")
+
+    def fresh(self, body: str) -> dict:
+        """Run ``body`` after ``import triphoton, triphoton.cli`` in a new
+        interpreter; it sets ``result``, which comes back with the lazy
+        modules then loaded under ``"loaded"``."""
+        script = (f"import json, sys\nimport triphoton, triphoton.cli\n"
+                  f"{body}\nresult['loaded'] = [m for m in {self.LAZY!r} "
+                  f"if m in sys.modules]\nprint(json.dumps(result))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def run(self, tmp_path, *names) -> dict:
+        """``triphoton run`` on each shipped config, in one interpreter."""
+        runs = [(os.path.join(CONFIGS, n), str(tmp_path / n)) for n in names]
+        return self.fresh(
+            "result = {'codes': [triphoton.cli.main(['run', '--config', c, "
+            f"'--out', o]) for c, o in {runs!r}]}}")
+
+    def test_static_runs_load_neither_scipy_nor_the_pool(self, tmp_path):
+        result = self.run(tmp_path, "reference.ini", "hybrid.ini")
+        assert result == {"codes": [0, 0], "loaded": []}
+
+    def test_driven_run_loads_the_integrator(self, tmp_path):
+        result = self.run(tmp_path, "dce.ini")
+        assert result["codes"] == [0]
+        assert "scipy.integrate" in result["loaded"]
+        summary = json.loads((tmp_path / "dce.ini" / "summary.json")
+                             .read_text())
+        assert summary["diagnostics"]["rhs_evals"] == 31_541
+
+    def test_large_sector_loads_sparse(self):
+        result = self.fresh("""
+from triphoton.dynamics import (SPARSE_EVOLVE_LIMIT, Cosine,
+                                HamiltonianSpec, evolve)
+from triphoton.hilbert import RegisterLayout, fock_state, terms_to_matrix
+from triphoton.rwa import ANNIHILATE, CREATE, NUMBER, LadderMonomial
+layout = RegisterLayout.bosons(1, SPARSE_EVOLVE_LIMIT + 8)
+number = LadderMonomial(((0, NUMBER),), 1.0)
+terms_to_matrix([number], layout, sparse=False)
+result = {'sparse_after_dense_build': 'scipy.sparse' in sys.modules}
+drive = [(LadderMonomial(((0, kind),), 0.01), Cosine(1.0, 1.0))
+         for kind in (CREATE, ANNIHILATE)]
+traj = evolve(HamiltonianSpec([number], drive), fock_state(layout, (0,)),
+              [0.0, 0.1])
+result['diagnostics'] = traj.diagnostics
+result['limit'] = SPARSE_EVOLVE_LIMIT
+""")
+        assert result["sparse_after_dense_build"] is False
+        assert "scipy.sparse" in result["loaded"]
+        assert result["diagnostics"]["path"] == "dop853"
+        assert result["diagnostics"]["evolved_dim"] > result["limit"]
 
 
 def test_top_level_help(capsys):

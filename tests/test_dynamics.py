@@ -466,3 +466,10 @@ class TestCutoffSweep:
     def test_requires_two_cutoffs(self):
         with pytest.raises(ValueError):
             cutoff_sweep(self.run_triple, [8])
+
+    @pytest.mark.parametrize("cutoffs", [[4, 4], [4, 6, 6], [6, 4]])
+    def test_requires_strictly_increasing_cutoffs(self, cutoffs):
+        runs = []
+        with pytest.raises(ValueError, match="strictly increasing"):
+            cutoff_sweep(runs.append, cutoffs)
+        assert runs == []
