@@ -15,16 +15,16 @@ import dataclasses
 
 import numpy as np
 
-from triphoton.scenarios import DceParams, ScenarioConfig, run_dce
+from triphoton.scenarios import DceParams, ScenarioConfig, run_scenario
 
 
 def score(params: DceParams, cutoff: int = 8) -> dict:
     cfg = ScenarioConfig(name="dce-rabi", cutoff=cutoff, dce=params)
-    res = run_dce(cfg)
+    res = run_scenario(cfg)
     s = res.summary
     # cutoff sensitivity of the photon number
     cfg_hi = dataclasses.replace(cfg, cutoff=cutoff + 2)
-    res_hi = run_dce(cfg_hi)
+    res_hi = run_scenario(cfg_hi)
     dn = float(np.abs(res.trajectory.observables["n"]
                       - res_hi.trajectory.observables["n"]).max())
     return {

@@ -73,10 +73,6 @@ from .scenarios import (
     cavity_hamiltonian,
     convergence_gate,
     reduced_cavity_hamiltonian,
-    run_22spdc,
-    run_3spdc,
-    run_dce,
-    run_hybrid_swap,
     run_scenario,
 )
 from .witnesses import (
@@ -111,7 +107,7 @@ __all__ = [
     "free_mode_terms", "interaction_frequency", "rwa_reduce",
     "CircuitConfig", "DceParams", "ScenarioConfig", "ScenarioResult",
     "cavity_hamiltonian", "convergence_gate", "reduced_cavity_hamiltonian",
-    "run_22spdc", "run_3spdc", "run_dce", "run_hybrid_swap", "run_scenario",
+    "run_scenario",
     "VlfParams", "WitnessReport", "dv_genuine_witness",
     "genuine_witness_max", "genuine_witness_sum", "hz_witness",
     "negativity", "optimize_vlf", "triple_superposition", "vlf_witness",

@@ -52,6 +52,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_NOT_CONVERGED = 4
 
+_IGNORED_SEED = "accepted and ignored: nothing in a run is random"
+
 
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -118,7 +120,7 @@ def cmd_rwa(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    config = build_scenario_config(cfg, name=args.scenario, seed=args.seed)
+    config = build_scenario_config(cfg, name=args.scenario)
     result = run_scenario(config, check_convergence=args.check_convergence)
     out_dir = args.out or cfg.output.get("directory", ".")
     os.makedirs(out_dir, exist_ok=True)
@@ -152,7 +154,7 @@ def cmd_witness(args) -> int:
     bosons = state.layout.boson_indices()
     qubits = state.layout.qubit_indices()
     if len(bosons) == 3:
-        add(optimize_vlf(state, restarts=args.restarts, seed=args.seed))
+        add(optimize_vlf(state))
         for rep in mode_moment_witnesses(state).values():
             add(rep)
     if len(qubits) == 3:
@@ -175,7 +177,7 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_config(args.config)
-    config = build_scenario_config(cfg, name=args.scenario, seed=args.seed)
+    config = build_scenario_config(cfg, name=args.scenario)
     cutoffs = sorted(int(c) for c in args.cutoffs.split(","))
     if len(cutoffs) < 2:
         raise ConfigError("sweep needs at least two cutoffs")
@@ -227,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scenario name (overrides the config)")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help=_IGNORED_SEED)
     p.add_argument("--check-convergence", action="store_true",
                    help="gate the run on a cutoff sweep (exit 4 on fail)")
     p.add_argument("--snapshot-times", default=None,
@@ -237,14 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="evaluate witnesses on a saved state")
     p.add_argument("--state", required=True, help="state JSON path")
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("sweep", help="cutoff convergence sweep")
     p.add_argument("--scenario", choices=SCENARIO_NAMES, default=None)
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help=_IGNORED_SEED)
     p.add_argument("--cutoffs", required=True,
                    help="comma-separated cutoff list, e.g. 6,8,10")
     p.add_argument("--threshold", type=float, default=1e-6)

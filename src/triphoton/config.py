@@ -20,42 +20,30 @@ from .errors import ConfigError
 from .scenarios import CircuitConfig, DceParams, ScenarioConfig
 
 
-def _float(text: str) -> float:
-    return float(text)
-
-
-def _int(text: str) -> int:
-    return int(text)
-
-
-def _str(text: str) -> str:
-    return text.strip()
-
-
 _CIRCUIT_KEYS = {
-    "ej1": _float, "ej2": _float, "c1": _float, "c2": _float,
-    "flux_bias": _float, "pump_amplitude": _float, "pump_frequency": _float,
-    "length": _float, "cap_per_len": _float, "ind_per_len": _float,
-    "e_bar": _float,
+    "ej1": float, "ej2": float, "c1": float, "c2": float,
+    "flux_bias": float, "pump_amplitude": float, "pump_frequency": float,
+    "length": float, "cap_per_len": float, "ind_per_len": float,
+    "e_bar": float,
 }
 _CIRCUIT_REQUIRED = ("ej1", "ej2", "c1", "c2", "flux_bias",
                      "pump_amplitude", "length", "cap_per_len",
                      "ind_per_len")
 
 _SCENARIO_KEYS = {
-    "name": _str, "cutoff": _int, "n_steps": _int, "horizon": _float,
-    "seed": _int, "g0": _float, "pump_frequency": _float,
-    "vlf_restarts": _int, "pair_coupling": _float, "jc_ratio": _float,
-    "dce_mode_freq": _float, "dce_qubit_freq": _float,
-    "dce_coupling": _float, "dce_envelope": _str,
-    "dce_tone_delta": _float, "dce_cosine_freq": _float,
-    "dce_motional_velocity": _float, "dce_motional_wavenumber": _float,
-    "dce_motional_origin": _float,
-    "dce_periods": _int, "dce_steps_per_period": _int,
-    "dce_window_periods": _int,
+    "name": str.strip, "cutoff": int, "n_steps": int, "horizon": float,
+    "seed": int, "g0": float, "pump_frequency": float,
+    "vlf_restarts": int, "pair_coupling": float, "jc_ratio": float,
+    "dce_mode_freq": float, "dce_qubit_freq": float,
+    "dce_coupling": float, "dce_envelope": str.strip,
+    "dce_tone_delta": float, "dce_cosine_freq": float,
+    "dce_motional_velocity": float, "dce_motional_wavenumber": float,
+    "dce_motional_origin": float,
+    "dce_periods": int, "dce_steps_per_period": int,
+    "dce_window_periods": int,
 }
 
-_OUTPUT_KEYS = {"directory": _str}
+_OUTPUT_KEYS = {"directory": str.strip}
 
 _SECTIONS = {"circuit": _CIRCUIT_KEYS, "scenario": _SCENARIO_KEYS,
              "output": _OUTPUT_KEYS}
@@ -128,18 +116,19 @@ def load_config(path: str) -> CliConfig:
     return parse_config(text)
 
 
-def build_scenario_config(cli: CliConfig, name: str | None = None,
-                          seed: int | None = None) -> ScenarioConfig:
-    """ScenarioConfig from a parsed file, with optional name/seed
-    overrides from the command line."""
+def build_scenario_config(cli: CliConfig,
+                          name: str | None = None) -> ScenarioConfig:
+    """ScenarioConfig from a parsed file, with an optional name override
+    from the command line. The ``seed`` and ``vlf_restarts`` keys are
+    accepted and not read: no witness is random any more."""
     raw = dict(cli.scenario)
+    raw.pop("seed", None)
+    raw.pop("vlf_restarts", None)
     if name is not None:
         raw["name"] = name
     if "name" not in raw:
         raise ConfigError("no scenario name given (config [scenario] name "
                           "or --scenario)")
-    if seed is not None:
-        raw["seed"] = seed
 
     dce_kwargs = {}
     for key in list(raw):

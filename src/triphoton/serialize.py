@@ -52,17 +52,21 @@ def state_to_json(state: QuantumState) -> str:
 
 
 def state_from_json(text: str) -> QuantumState:
-    doc = json.loads(text)
-    layout = RegisterLayout(tuple((k, int(d)) for k, d in doc["layout"]))
-    flat = np.array([complex(re, im) for re, im in doc["data"]])
-    if doc["kind"] == "pure":
-        data = flat
-    elif doc["kind"] == "density":
+    """State from its JSON document; ``ConfigError`` when the text is not
+    JSON or a key is missing or malformed."""
+    try:
+        doc = json.loads(text)
+        layout = RegisterLayout(tuple((k, int(d)) for k, d in doc["layout"]))
+        flat = np.array([complex(re, im) for re, im in doc["data"]])
+        if doc["kind"] not in ("pure", "density"):
+            raise ValueError(f"unknown state kind {doc['kind']!r}")
         n = layout.total_dim
-        data = flat.reshape(n, n)
-    else:
-        raise ValueError(f"unknown state kind {doc['kind']!r}")
-    return QuantumState(layout, data, validate=False)
+        data = flat if doc["kind"] == "pure" else flat.reshape(n, n)
+        return QuantumState(layout, data, validate=False)
+    except KeyError as exc:
+        raise ConfigError(f"state JSON has no {exc} key") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed state JSON: {exc}") from exc
 
 
 def save_state(state: QuantumState, path: str):
@@ -70,8 +74,12 @@ def save_state(state: QuantumState, path: str):
 
 
 def load_state(path: str) -> QuantumState:
-    with open(path) as handle:
-        return state_from_json(handle.read())
+    try:
+        with open(path) as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read state {path!r}: {exc}") from exc
+    return state_from_json(text)
 
 
 def series_csv(times: np.ndarray, columns: Mapping[str, np.ndarray]) -> str:

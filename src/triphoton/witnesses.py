@@ -33,7 +33,10 @@ from .hilbert import (
 from .rwa import ANNIHILATE, CREATE, PAULI_MINUS, PAULI_PLUS
 
 
-_MAX_ITER = 300  # simplex iterations per restart of optimize_vlf
+_MAX_ITER = 300  # simplex iterations of the polish in optimize_vlf
+# exponentiated-gradient steps of its dual and their size, and the top
+# eigenvectors that start the polish
+_DUAL_STEPS, _DUAL_RATE, _STARTS = 10, 4.0, 4
 
 
 @dataclass(frozen=True)
@@ -134,78 +137,88 @@ def vlf_witness(state: QuantumState, params: VlfParams,
                    parameters=params)
 
 
-def optimize_vlf(state: QuantumState, restarts: int = 20, seed: int = 0,
-                 modes=None) -> WitnessReport:
-    """Best covariance witness over the free weights.
+def optimize_vlf(state: QuantumState, modes=None) -> WitnessReport:
+    """Best covariance witness over the free weights, with a verdict.
 
-    Certificate first. For a sign matrix D = diag(+-1, +-1, +-1) let
+    Write x = (g, h) and C = diag(C_x, C_p) (S never reads C_xp). Each
+    bound term is a maximum over two signs, B_i = max over (s, t) of
+    x^T E_i x = s g_i h_i + t (g_j h_j + g_k h_k). So S(x) > 0 exactly
+    when, for one sign pattern (an (s, t) per i), the three forms
+    f_i = x^T (E_i - C) x are all positive at one x. Of the 64 patterns
+    32 suffice: h -> -h maps a pattern to its negation and leaves C.
+    ``_vlf_dual`` takes exponentiated-gradient steps on mu in the
+    simplex towards min over mu of lambda_max(sum_i mu_i E_i - C), all
+    patterns in one batched ``eigh``; the gradient is f_i at the top
+    unit eigenvector.
 
-        M_D = [[C_x, -D/2], [-D/2, C_p]],
+    "certified": every pattern reached lambda_max <= 0 at some mu. By
+    weak duality that mu is the proof: sum_i mu_i f_i <= 0 everywhere,
+    so some f_i <= 0, S <= 0, and the maximum is exactly 0 at g = h = 0.
+    The first step takes mu uniform; the older block test
+    ([[C_x, -D/2], [-D/2, C_p]] >= 0 for all 8 sign matrices D) makes
+    every mu a proof, since sum_i mu_i E_i - C is then a convex
+    combination of their negatives. The x-p entries, sums of mu_i times
+    signs, are clipped to [-1, 1], so that the rounding of sum mu_i = 1
+    cannot lift the vacuum's zero eigenvalue above 0.
 
-    so that (g, h) M_D (g, h)^T = g^T C_x g + h^T C_p h - g^T D h. If
-    M_D is positive semidefinite for all 8 sign matrices, S <= 0 for
-    every weight, so the maximum is exactly 0 at g = h = 0 and no search
-    runs. Proof: by the triangle inequality every bound term satisfies
-
-        B_i <= sum_l |g_l h_l| = max_D g^T D h
-            <= g^T C_x g + h^T C_p h,
-
-    hence S = min_i B_i - g^T C_x g - h^T C_p h <= 0. The test holds
-    whenever lambda_min(C_x) lambda_min(C_p) >= 1/4 with both positive
-    (the Schur complement C_p - D C_x^-1 D / 4 is then positive
-    semidefinite), and also on states that product misses, such as
-    products of single-mode squeezed vacua. The comparison carries no
-    tolerance: a roundoff miss only falls back to the search.
-
-    Otherwise, simplex (Nelder-Mead) local searches from ``restarts``
-    random points in the box [-2, 2]^6, of at most ``_MAX_ITER``
-    iterations each; deterministic for a fixed seed.
-    All restarts advance together as one batched simplex, step for step
-    the same as separate scipy ``minimize(method="Nelder-Mead")`` runs.
-    S is homogeneous of degree 2 in (g, h), so its sign cannot depend on
-    the overall scale and the search stays confined to the box (a
-    quadratic penalty pulls excursions back); an unconstrained maximum
-    would be unbounded for any detected state. The origin g = h = 0,
-    where S = 0, is a candidate too, and a restart displaces it only by
-    beating the rounding error of S at its point (``_search_vlf``), so
-    the value is never negative and roundoff alone never detects.
-
-    The covariance matrix is computed once per state, from normally
-    ordered moments that are exact at the Fock cutoff: population on
-    the top level cannot shrink a variance and fire the witness on a
-    product state.
-
-    Components hold the covariance blocks, ``certified``, ``restarts``,
-    the number of searches actually run, and ``objective_evals``, the
-    objective evaluations summed over them (both 0 when certified).
+    Otherwise the top eigenvectors with the largest S(x)/|x|^2, scaled
+    into the box [-2, 2]^6, start one batched simplex polish
+    (``_vlf_polish``); S is homogeneous of degree 2, so the box fixes the
+    scale. "detected": a polished S beats its rounding error, 16 eps
+    times the magnitudes it is summed from; (g, h) is the witness point.
+    "undecided": none does, and the value is the origin's exact 0.
+    Nothing is random. The covariance is exact at the Fock cutoff, so
+    top-level population cannot fire the witness on a product state.
+    Components: the covariance blocks, the ``verdict`` and
+    ``objective_evals``, the polish's evaluations (0 when certified).
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     modes = _three_sites(state, modes, BOSON)
     cov = covariance_matrix(state, modes)
-    certified = _vlf_certified(cov)
-    if certified:
-        best, best_x, restarts, evals = 0.0, np.zeros(6), 0, 0
+    starts = _vlf_dual(cov)
+    if starts is None:
+        verdict, best, best_x, evals = "certified", 0.0, np.zeros(6), 0
     else:
-        best, best_x, evals = _search_vlf(cov, restarts, seed, _MAX_ITER)
+        best, best_x, evals = _vlf_polish(cov, starts)
+        verdict = "detected" if best > 0.0 else "undecided"
     params = VlfParams(g=tuple(best_x[:3]), h=tuple(best_x[3:]))
     return _report("vlf_s_opt", best,
                    {"cov_x": cov[:3, :3], "cov_p": cov[3:, 3:],
-                    "certified": certified, "restarts": restarts,
-                    "objective_evals": evals},
+                    "verdict": verdict, "objective_evals": evals},
                    parameters=params)
 
 
-def _vlf_certified(cov: np.ndarray) -> bool:
-    """The certificate of ``optimize_vlf``: M_D is positive semidefinite
-    for every sign matrix D."""
-    signs = np.array(list(product((1.0, -1.0), repeat=3)))
-    blocks = np.zeros((8, 6, 6))
-    blocks[:, :3, :3] = cov[:3, :3]
-    blocks[:, 3:, 3:] = cov[3:, 3:]
-    half_d = 0.5 * signs[:, :, None] * np.eye(3)
-    blocks[:, :3, 3:] = blocks[:, 3:, :3] = -half_d
-    return bool(np.linalg.eigvalsh(blocks)[:, 0].min() >= 0.0)
+# Coefficient of g_l h_l in x^T E_i x per sign pattern, (32, 3, 3): s_i
+# for l = i, else t_i; s_0 = +1 (see optimize_vlf)
+_PATTERNS = np.array([
+    [[s[i] if l == i else t[i] for l in range(3)] for i in range(3)]
+    for s in product((1.0, -1.0), repeat=3) if s[0] > 0
+    for t in product((1.0, -1.0), repeat=3)])
+
+
+def _vlf_dual(cov: np.ndarray) -> np.ndarray | None:
+    """Dual of ``optimize_vlf``: None when every sign pattern is
+    certified, else the polish's starting points, shape (_STARTS, 6)."""
+    blocks = np.stack([cov[:3, :3], cov[3:, 3:]])
+    m = np.zeros((len(_PATTERNS), 6, 6))
+    m[:, :3, :3], m[:, 3:, 3:] = -blocks
+    mu = np.full(_PATTERNS.shape[:2], 1.0 / 3.0)
+    uncertified = np.ones(len(_PATTERNS), dtype=bool)
+    tops, k = [], np.arange(3)
+    for _ in range(_DUAL_STEPS):
+        m[:, k, k + 3] = m[:, k + 3, k] = 0.5 * np.einsum(
+            "pi,pil->pl", mu, _PATTERNS).clip(-1.0, 1.0)
+        w, v = np.linalg.eigh(m)
+        uncertified &= w[:, -1] > 0.0
+        if not uncertified.any():
+            return None
+        x = v[:, :, -1]
+        tops.append(x[uncertified])
+        grad = np.einsum("pil,pl->pi", _PATTERNS, x[:, :3] * x[:, 3:])
+        mu *= np.exp(-_DUAL_RATE * (grad - grad.min(1, keepdims=True)))
+        mu /= mu.sum(axis=1, keepdims=True)
+    tops = np.concatenate(tops)
+    best = tops[np.argsort(-_vlf_s(blocks, tops), kind="stable")[:_STARTS]]
+    return 2.0 * best / np.abs(best).max(axis=1, keepdims=True)
 
 
 def _vlf_objective(cov: np.ndarray):
@@ -221,27 +234,25 @@ def _vlf_objective(cov: np.ndarray):
     return objective
 
 
-def _search_vlf(cov: np.ndarray, restarts: int, seed: int,
-                max_iter: int) -> tuple[float, np.ndarray, int]:
-    """Search of ``optimize_vlf``: the best S, its weights (g, h) as one
-    6-vector, and the objective evaluations over all restarts; g = h = 0
-    counts as a candidate.
-
-    A restart's value counts only where it beats the rounding error of
-    S at its clipped point, 16 eps times the magnitudes S is summed from,
-    sum |g_l h_l| + |g|^T |C_x| |g| + |h|^T |C_p| |h|; below that its
-    sign is roundoff, and the origin's exact 0 stands."""
-    x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(restarts, 6))
-    x, fun, nfev, _ = _nelder_mead(_vlf_objective(cov), x0, max_iter,
-                                   xatol=1e-10, fatol=1e-10)
+def _vlf_polish(cov: np.ndarray,
+                x0: np.ndarray) -> tuple[float, np.ndarray, int]:
+    """Polish of ``optimize_vlf`` from the rows of x0, shape (m, 6): the
+    best S, its weights (g, h) and the objective evaluations. Each end
+    point is clipped to the box and scored there, and counts only above
+    16 eps (sum |g_l h_l| + |g|^T |C_x| |g| + |h|^T |C_p| |h|), the
+    rounding error of S; else the origin's exact 0 stands."""
+    x, _, nfev, _ = _nelder_mead(_vlf_objective(cov), x0, _MAX_ITER,
+                                 xatol=1e-10, fatol=1e-10)
+    x = x.clip(-2.0, 2.0)
+    values = _vlf_s(np.stack([cov[:3, :3], cov[3:, 3:]]), x)
     abs_cov = np.abs(cov)
     best, best_x = 0.0, np.zeros(6)
-    for xr, fr in zip(x.clip(-2.0, 2.0), fun):
+    for xr, value in zip(x, values):
         g, h = np.abs(xr[:3]), np.abs(xr[3:])
         rounding = 16 * np.finfo(float).eps * (
             g @ h + g @ abs_cov[:3, :3] @ g + h @ abs_cov[3:, 3:] @ h)
-        if -fr > max(best, rounding):
-            best, best_x = float(-fr), xr
+        if value > max(best, rounding):
+            best, best_x = float(value), xr
     return best, best_x, int(nfev.sum())
 
 

@@ -13,6 +13,7 @@ import pytest
 from triphoton.cli import main
 from triphoton.config import build_scenario_config, parse_config
 from triphoton.errors import ConfigError
+from triphoton.scenarios import ScenarioConfig
 from triphoton.hilbert import RegisterLayout, fock_state, ghz_state
 from triphoton.serialize import load_state, save_state, state_from_json, state_to_json
 from triphoton.witnesses import triple_superposition
@@ -85,10 +86,12 @@ dce_periods = 10
         assert sc.dce.periods == 10
 
     def test_cli_overrides(self):
-        cfg = parse_config("[scenario]\nname = 3spdc\nseed = 1\n")
-        sc = build_scenario_config(cfg, name="22spdc", seed=9)
-        assert sc.name == "22spdc"
-        assert sc.seed == 9
+        # seed and vlf_restarts are accepted and not read: nothing random
+        # is left for them to set
+        cfg = parse_config("[scenario]\nname = 3spdc\nseed = 1\n"
+                           "vlf_restarts = 4\n")
+        sc = build_scenario_config(cfg, name="22spdc")
+        assert sc == ScenarioConfig(name="22spdc")
 
     def test_invalid_scenario_name(self):
         cfg = parse_config("[scenario]\nname = warp\n")
@@ -181,7 +184,6 @@ class TestRunCommand:
 [scenario]
 name = 22spdc
 n_steps = 9
-vlf_restarts = 3
 """)
         out = str(tmp_path / "out")
         assert main(["run", "--config", cfg, "--out", out]) == 0
@@ -193,19 +195,21 @@ vlf_restarts = 3
             assert column in header
 
     def test_seeded_reruns_identical(self, tmp_path):
+        # --seed is accepted and ignored: the covariance witness, the one
+        # optimizer in a run, is deterministic
         cfg = write(tmp_path, "fast.ini", """
 [scenario]
-name = 3spdc
-g0 = 1.0
+name = 22spdc
 n_steps = 7
-vlf_restarts = 2
 """)
         out_a = str(tmp_path / "a")
         out_b = str(tmp_path / "b")
         assert main(["run", "--config", cfg, "--out", out_a,
-                     "--seed", "5"]) == 0
+                     "--seed", "1"]) == 0
         assert main(["run", "--config", cfg, "--out", out_b,
                      "--seed", "5"]) == 0
+        summary = json.loads(Path(out_a, "summary.json").read_text())
+        assert summary["s_peak"] > 0 and summary["s_undecided_points"] == 0
         for name in ("trajectory.csv", "summary.json"):
             a = Path(out_a, name).read_bytes()
             b = Path(out_b, name).read_bytes()
@@ -224,7 +228,6 @@ g0 = 1.0
 horizon = 1.5
 cutoff = 4
 n_steps = 9
-vlf_restarts = 1
 """)
         out = str(tmp_path / "out")
         code = main(["run", "--config", cfg, "--out", out,
@@ -239,7 +242,7 @@ class TestWitnessCommand:
         state = triple_superposition(RegisterLayout.bosons(3, 3), 0.5)
         path = str(tmp_path / "state.json")
         save_state(state, path)
-        assert main(["witness", "--state", path, "--restarts", "3"]) == 0
+        assert main(["witness", "--state", path]) == 0
         out = capsys.readouterr().out
         lines = {line.split(",")[0]: line for line in out.splitlines()[1:]}
         assert lines["genuine_max"].split(",")[2] == "true"
@@ -271,6 +274,31 @@ class TestWitnessCommand:
         path = str(tmp_path / "pair.json")
         save_state(fock_state(lay, (0, 0)), path)
         assert main(["witness", "--state", path]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read state"),
+        ("{not json", "malformed state JSON"),
+        ('{"layout": [["boson", 2]], "data": [[1, 0], [0, 0]]}',
+         "no 'kind' key"),
+        ('{"layout": [["boson", 2]], "kind": "mixed", "data": []}',
+         "unknown state kind"),
+        ('{"layout": [["boson", 2]], "kind": "pure", "data": [[1, 0]]}',
+         "does not match register"),
+        ('{"layout": 3, "kind": "pure", "data": []}', "malformed state"),
+    ], ids=["missing", "not-json", "no-kind", "bad-kind", "bad-length",
+            "bad-layout"])
+    def test_bad_state_file_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "state.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["witness", "--state", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_restart_options_removed(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["witness", "--state", "s.json", "--restarts", "3"])
+        assert info.value.code == 2
 
 
 class TestSweepCommand:
@@ -364,7 +392,6 @@ class TestAuxiliaryOutputs:
 name = 3spdc
 g0 = 1.0
 n_steps = 5
-vlf_restarts = 1
 """)
         out = str(tmp_path / "out")
         assert main(["run", "--config", cfg, "--out", out,
@@ -386,7 +413,7 @@ vlf_restarts = 1
         state = triple_superposition(RegisterLayout.bosons(3, 3), 0.5)
         path = str(tmp_path / "state.json")
         save_state(state, path)
-        assert main(["witness", "--state", path, "--restarts", "2"]) == 0
+        assert main(["witness", "--state", path]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "witness,value,detects,argmax_bipartition"
         row = [l for l in out.splitlines() if l.startswith("genuine_max,")][0]
@@ -440,8 +467,9 @@ class TestColdStart:
             f"'--out', o]) for c, o in {runs!r}]}}")
 
     def test_static_runs_load_neither_scipy_nor_the_pool(self, tmp_path):
-        result = self.run(tmp_path, "reference.ini", "hybrid.ini")
-        assert result == {"codes": [0, 0], "loaded": []}
+        result = self.run(tmp_path, "reference.ini", "spdc22.ini",
+                          "hybrid.ini")
+        assert result == {"codes": [0, 0, 0], "loaded": []}
 
     def test_driven_run_loads_the_integrator(self, tmp_path):
         result = self.run(tmp_path, "dce.ini")

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +30,9 @@ from triphoton.rwa import CREATE, NUMBER, LadderMonomial
 from triphoton.witnesses import (
     VlfParams,
     _nelder_mead,
-    _search_vlf,
-    _vlf_certified,
+    _vlf_dual,
     _vlf_objective,
+    _vlf_polish,
     dv_genuine_witness,
     genuine_witness_max,
     genuine_witness_sum,
@@ -108,52 +109,72 @@ class TestVlf:
             vlf_witness(state, VlfParams(g=(1, 1, 1), h=(1, 1, 1)))
 
 
+def restart_oracle(cov, restarts, seed):
+    """The seeded restart search that ``optimize_vlf`` no longer runs:
+    the polish from ``restarts`` uniform random points of the box
+    [-2, 2]^6, i.e. the former ``_search_vlf(cov, restarts, seed, 300)``
+    with each end point scored at its clipped weights; (best S, weights,
+    objective evaluations)."""
+    x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(restarts, 6))
+    return _vlf_polish(cov, x0)
+
+
 class TestOptimizeVlf:
     def test_vacuum_soundness(self):
-        rep = optimize_vlf(vacuum3(), restarts=30, seed=5)
+        rep = optimize_vlf(vacuum3())
         assert rep.value <= 1e-9
+        assert rep.components["verdict"] == "certified"
 
     def test_pair_process_detected(self):
-        rep = optimize_vlf(evolved_pair(0.3), restarts=20, seed=1)
+        rep = optimize_vlf(evolved_pair(0.3))
         assert rep.value > 0.1
         assert rep.detects
+        assert rep.components["verdict"] == "detected"
         assert np.all(np.abs(rep.parameters.g) <= 2.0)
         assert np.all(np.abs(rep.parameters.h) <= 2.0)
 
     def test_triple_process_blind(self):
         for gt in (0.05, 0.15):
-            rep = optimize_vlf(evolved_triple(gt), restarts=25, seed=2)
+            rep = optimize_vlf(evolved_triple(gt))
             assert rep.value <= 1e-9
+            assert rep.components["verdict"] == "certified"
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic(self):
         state = evolved_pair(0.2)
-        a = optimize_vlf(state, restarts=8, seed=11)
-        b = optimize_vlf(state, restarts=8, seed=11)
+        a = optimize_vlf(state)
+        b = optimize_vlf(state)
         assert a.value == b.value
         assert a.parameters == b.parameters
 
-    def test_restart_validation(self):
-        with pytest.raises(ValueError):
-            optimize_vlf(vacuum3(), restarts=0)
-
     def test_vacuum_certified_at_exact_zero(self):
-        rep = optimize_vlf(vacuum3())
-        assert rep.value == 0.0
-        assert np.copysign(1.0, rep.value) == 1.0
-        assert not rep.detects
-        assert rep.components["certified"] is True
-        assert rep.components["restarts"] == 0
-        assert rep.parameters == VlfParams(g=(0, 0, 0), h=(0, 0, 0))
-        np.testing.assert_array_equal(rep.components["cov_x"],
-                                      0.5 * np.eye(3))
+        # lambda_max is exactly 0 for several sign patterns here, so a
+        # rounding error of the dual weights would leave them open
+        assert _vlf_dual(0.5 * np.eye(6)) is None
+        for cutoff in (1, 2, 4, 8):
+            rep = optimize_vlf(fock_state(RegisterLayout.bosons(3, cutoff),
+                                          (0, 0, 0)))
+            assert rep.value == 0.0
+            assert np.copysign(1.0, rep.value) == 1.0
+            assert not rep.detects
+            assert rep.components["verdict"] == "certified"
+            assert rep.components["objective_evals"] == 0
+            assert rep.parameters == VlfParams(g=(0, 0, 0), h=(0, 0, 0))
+            np.testing.assert_array_equal(rep.components["cov_x"],
+                                          0.5 * np.eye(3))
 
     def test_uncertified_path_is_the_search(self):
         state = evolved_pair(0.3)
-        rep = optimize_vlf(state, restarts=20, seed=1)
-        best, x, _ = _search_vlf(covariance_matrix(state), restarts=20,
-                                 seed=1, max_iter=300)
+        rep = optimize_vlf(state)
+        cov = covariance_matrix(state)
+        starts = _vlf_dual(cov)
+        assert starts.shape == (4, 6)
+        # every start lies on the boundary of the box
+        np.testing.assert_array_equal(np.abs(starts).max(axis=1), 2.0)
+        best, x, evals = _vlf_polish(cov, starts)
         assert rep.value == best
         assert rep.parameters == VlfParams(g=tuple(x[:3]), h=tuple(x[3:]))
+        assert rep.components["objective_evals"] == evals
+        assert rep.value == vlf_value(cov, x[:3], x[3:])
 
     @pytest.mark.parametrize("cutoff, local", [(2, (1, 0, 1)), (1, (1, 1))],
                              ids=["0+2", "0+1"])
@@ -164,8 +185,8 @@ class TestOptimizeVlf:
         local = np.array(local, dtype=complex) / np.linalg.norm(local)
         vec = np.kron(np.kron(local, local), local)
         state = QuantumState(RegisterLayout.bosons(3, cutoff), vec)
-        rep = optimize_vlf(state, restarts=20, seed=0)
-        assert rep.components["certified"]
+        rep = optimize_vlf(state)
+        assert rep.components["verdict"] == "certified"
         assert rep.value == 0.0
         assert not rep.detects
         assert max(negativity(state, [i]) for i in range(3)) < 1e-15
@@ -180,58 +201,60 @@ class TestOptimizeVlf:
         code = (
             "import json, sys\n"
             f"sys.path[:0] = [{str(here)!r}, {str(here.parent / 'src')!r}]\n"
-            "from test_witnesses import evolved_pair\n"
+            "from test_witnesses import evolved_pair, restart_oracle\n"
+            "from triphoton.hilbert import covariance_matrix\n"
             "from triphoton.witnesses import optimize_vlf\n"
-            "rep = optimize_vlf(evolved_pair(0.3), restarts=20, seed=1)\n"
-            "print(json.dumps([rep.value, rep.components['certified'],\n"
-            "                  rep.components['restarts'],\n"
+            "state = evolved_pair(0.3)\n"
+            "rep = optimize_vlf(state)\n"
+            "oracle = restart_oracle(covariance_matrix(state), 200, 1)[0]\n"
+            "print(json.dumps([rep.value, rep.components['verdict'],\n"
+            "                  rep.components['objective_evals'],\n"
             "                  [float(v) for v in rep.parameters.g],\n"
-            "                  [float(v) for v in rep.parameters.h]]))\n"
+            "                  [float(v) for v in rep.parameters.h],\n"
+            "                  oracle]))\n"
         )
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                    MKL_NUM_THREADS="1")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True,
                              timeout=300).stdout
-        value, certified, restarts, g, h = json.loads(out)
-        assert certified is False
-        assert restarts == 20
-        assert value == 0.8458822213170961
-        assert g == [-0.563370268554547, 2.0, -1.0793979859625957]
-        assert h == [-0.9095544303486915, -1.9921451121535956,
-                     -0.4746994760780541]
+        value, verdict, evals, g, h, oracle = json.loads(out)
+        assert verdict == "detected"
+        assert value == 1.1050574181421056
+        assert evals == 2010
+        assert g == [-0.9877389226481117, 2.0, -0.9493594181409755]
+        assert h == [-0.9596772310986907, -2.0, -0.998473850578351]
+        # the 20-restart search pinned here before gave 0.8458822213170961
+        assert value >= oracle >= 0.8458822213170961
 
 
 # A product of single-mode squeezed vacua: lambda_min(C_x) lambda_min(C_p)
-# = e^-1 / 4 < 1/4, so it is searched although it is separable.
+# = e^-1 / 4 < 1/4, and the block test holds with equality.
 SQUEEZED_PRODUCT = np.diag([np.exp(-1) / 2, 0.5, 0.5, np.exp(1) / 2, 0.5, 0.5])
 
 
 class TestBatchedSearchOracle:
-    """The batched simplex against scipy's Nelder-Mead, restart by
-    restart, on the same objective and starting points."""
+    """The batched simplex against scipy's Nelder-Mead, start by start,
+    on the same objective and starting points."""
 
     @staticmethod
-    def scipy_restarts(cov, restarts, seed, max_iter):
+    def scipy_starts(cov, x0, max_iter=300):
         objective = _vlf_objective(cov)
-        rng = np.random.default_rng(seed)
-        return [minimize(lambda x: objective(x[None])[0],
-                         rng.uniform(-2.0, 2.0, size=6),
+        return [minimize(lambda x: objective(x[None])[0], x,
                          method="Nelder-Mead",
                          options={"maxiter": max_iter, "xatol": 1e-10,
                                   "fatol": 1e-10})
-                for _ in range(restarts)]
+                for x in x0]
 
     @pytest.mark.parametrize("max_iter", [1, 5, 300])
     @pytest.mark.parametrize("which", ["evolved_pair", "squeezed_product"])
     def test_restarts_bit_identical(self, which, max_iter):
         cov = (covariance_matrix(evolved_pair(0.3)) if which == "evolved_pair"
                else SQUEEZED_PRODUCT)
-        restarts, seed = 8, 1
-        x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(restarts, 6))
+        x0 = np.random.default_rng(1).uniform(-2.0, 2.0, size=(8, 6))
         x, fun, nfev, nit = _nelder_mead(_vlf_objective(cov), x0, max_iter,
                                          xatol=1e-10, fatol=1e-10)
-        ref = self.scipy_restarts(cov, restarts, seed, max_iter)
+        ref = self.scipy_starts(cov, x0, max_iter)
         for r, res in enumerate(ref):
             assert np.array_equal(x[r], res.x)
             assert fun[r] == res.fun
@@ -244,17 +267,21 @@ class TestBatchedSearchOracle:
 
     def test_objective_evals_are_scipys_nfev(self):
         state = evolved_pair(0.3)
-        rep = optimize_vlf(state, restarts=6, seed=4)
-        ref = self.scipy_restarts(covariance_matrix(state), 6, 4, 300)
+        rep = optimize_vlf(state)
+        cov = covariance_matrix(state)
+        ref = self.scipy_starts(cov, _vlf_dual(cov))
         assert rep.components["objective_evals"] == sum(r.nfev for r in ref)
-        # the origin, S = 0, is a candidate too
-        assert rep.value == max(0.0, max(-r.fun for r in ref))
+        # each end point is scored at its clipped weights; the origin,
+        # S = 0, is a candidate too
+        ends = [r.x.clip(-2.0, 2.0) for r in ref]
+        assert rep.value == max([0.0] + [vlf_value(cov, x[:3], x[3:])
+                                         for x in ends])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_roundoff_is_not_a_detection(self, seed):
         # restarts end a few ulps above 0 on this separable covariance;
         # the rounding bound keeps the origin's exact +0.0
-        best, x, _ = _search_vlf(SQUEEZED_PRODUCT, 20, seed, 300)
+        best, x, _ = restart_oracle(SQUEEZED_PRODUCT, 20, seed)
         assert best == 0.0
         assert math.copysign(1.0, best) == 1.0
         assert not x.any()
@@ -263,11 +290,17 @@ class TestBatchedSearchOracle:
         rep = optimize_vlf(vacuum3())
         assert rep.components["objective_evals"] == 0
 
-    def test_origin_best_returns_positive_zero(self):
-        state = evolved_pair(0.01)
-        assert not _vlf_certified(covariance_matrix(state))
-        rep = optimize_vlf(state, restarts=20, seed=1)
-        assert rep.components["restarts"] == 20
+    def test_origin_best_returns_positive_zero(self, monkeypatch):
+        # Started on the squeezed product, which the dual certifies, the
+        # polish finds nothing above the rounding bound: "undecided",
+        # with the origin's +0.0 and no weights.
+        monkeypatch.setattr(witnesses, "covariance_matrix",
+                            lambda state, modes: SQUEEZED_PRODUCT)
+        starts = np.random.default_rng(0).uniform(-2.0, 2.0, size=(4, 6))
+        monkeypatch.setattr(witnesses, "_vlf_dual", lambda cov: starts)
+        rep = optimize_vlf(vacuum3())
+        assert rep.components["verdict"] == "undecided"
+        assert rep.components["objective_evals"] > 0
         assert rep.value == 0.0
         assert math.copysign(1.0, rep.value) == 1.0
         assert rep.parameters == VlfParams(g=(0, 0, 0), h=(0, 0, 0))
@@ -287,11 +320,11 @@ def _covariance(lam_x, lam_p, seed=0):
 
 
 class TestVlfCertificate:
-    """The certificate checked against the search it replaces and
+    """The dual's certificate checked against the restart search and
     against random weights."""
 
     def assert_never_positive(self, cov, rng):
-        assert _search_vlf(cov, restarts=5, seed=3, max_iter=300)[0] <= 1e-9
+        assert restart_oracle(cov, 5, 3)[0] <= 1e-9
         for x in rng.uniform(-2.0, 2.0, size=(10_000, 6)):
             assert vlf_value(cov, x[:3], x[3:]) <= 1e-12
 
@@ -300,44 +333,71 @@ class TestVlfCertificate:
         states = [vacuum3()] + [evolved_triple(gt) for gt in (0.05, 0.15, 0.3)]
         states += [random_separable_mixture(LAY3, rng) for _ in range(40)]
         for state in states:
-            rep = optimize_vlf(state, restarts=5, seed=0)
-            assert rep.components["certified"]
+            rep = optimize_vlf(state)
+            assert rep.components["verdict"] == "certified"
             assert rep.value == 0.0
             self.assert_never_positive(covariance_matrix(state), rng)
 
     def test_product_above_quarter_certifies_below_half(self):
         cov = _covariance((0.3, 0.5, 0.7), (0.9, 1.0, 1.2))
-        assert _vlf_certified(cov)
+        assert _vlf_dual(cov) is None
         self.assert_never_positive(cov, np.random.default_rng(5))
 
     def test_product_below_quarter_not_certified(self):
-        # x and p of mode 0 alone have 0.3 * 0.8 < 1/4, so M_D is
-        # indefinite for every D
-        assert not _vlf_certified(np.diag([0.3, 0.5, 0.7, 0.8, 1.0, 1.2]))
+        # x and p of mode 0 alone have 0.3 * 0.8 < 1/4: g_0 h_0 > 0
+        # alone gives S = |g_0 h_0| - 0.3 g_0^2 - 0.8 h_0^2, at most
+        # 1/20 on the box, which the polish reaches
+        cov = np.diag([0.3, 0.5, 0.7, 0.8, 1.0, 1.2])
+        starts = _vlf_dual(cov)
+        assert starts is not None
+        best, x, _ = _vlf_polish(cov, starts)
+        assert best == pytest.approx(0.05, abs=1e-8)
+        assert best >= restart_oracle(cov, 20, 0)[0]
+        assert best == vlf_value(cov, x[:3], x[3:])
 
     def test_rotated_blocks_below_quarter_certified(self):
         # the same spectra in unaligned bases: the product misses it,
-        # the sign-matrix blocks prove it
+        # the dual proves it
         cov = _covariance((0.3, 0.5, 0.7), (0.8, 1.0, 1.2))
-        assert _vlf_certified(cov)
+        assert _vlf_dual(cov) is None
         self.assert_never_positive(cov, np.random.default_rng(7))
 
     def test_squeezed_product_certified(self, monkeypatch):
         # lambda_min(C_x) lambda_min(C_p) = e^-1 / 4 misses this
-        # separable state; the sign-matrix blocks hold with equality
-        assert _vlf_certified(SQUEEZED_PRODUCT)
+        # separable state; the dual holds with lambda_max = 0
+        assert _vlf_dual(SQUEEZED_PRODUCT) is None
         self.assert_never_positive(SQUEEZED_PRODUCT,
                                    np.random.default_rng(6))
         monkeypatch.setattr(witnesses, "covariance_matrix",
                             lambda state, modes: SQUEEZED_PRODUCT)
-        rep = optimize_vlf(vacuum3(), restarts=20, seed=3)
-        assert rep.components["certified"]
+        rep = optimize_vlf(vacuum3())
+        assert rep.components["verdict"] == "certified"
         assert rep.value == 0.0
         assert math.copysign(1.0, rep.value) == 1.0
 
     def test_negative_spectra_not_certified(self):
-        assert not _vlf_certified(_covariance((-1.0, 0.5, 0.7),
-                                              (-1.0, 1.0, 1.2)))
+        cov = _covariance((-1.0, 0.5, 0.7), (-1.0, 1.0, 1.2))
+        starts = _vlf_dual(cov)
+        assert starts is not None
+        best, x, _ = _vlf_polish(cov, starts)
+        assert best > 0.0
+        assert best == vlf_value(cov, x[:3], x[3:])
+
+    def test_one_step_certifies_what_the_block_test_did(self, monkeypatch):
+        # Where [[C_x, -D/2], [-D/2, C_p]] >= 0 for all 8 sign matrices
+        # D, every dual weight certifies, the uniform first one included.
+        monkeypatch.setattr(witnesses, "_DUAL_STEPS", 1)
+        rng = np.random.default_rng(11)
+        covs = [0.5 * np.eye(6), SQUEEZED_PRODUCT]
+        covs += [covariance_matrix(random_separable_mixture(LAY3, rng))
+                 for _ in range(50)]
+        for cov in covs:
+            blocks = np.zeros((8, 6, 6))
+            blocks[:, :3, :3], blocks[:, 3:, 3:] = cov[:3, :3], cov[3:, 3:]
+            for b, signs in zip(blocks, product((1, -1), repeat=3)):
+                b[:3, 3:] = b[3:, :3] = -0.5 * np.diag(signs)
+            assert np.linalg.eigvalsh(blocks)[:, 0].min() >= -1e-15
+            assert _vlf_dual(cov) is None
 
 
 class TestHzWitness:
@@ -577,7 +637,7 @@ class TestSoundnessBattery:
         rng = np.random.default_rng(1234)
         for _ in range(40):
             state = random_separable_mixture(LAY3, rng)
-            assert optimize_vlf(state, restarts=5, seed=0).value <= 1e-9
+            assert optimize_vlf(state).value <= 1e-9
             for singled in range(3):
                 assert hz_witness(state, singled).value <= 1e-9
             assert genuine_witness_sum(state).value <= 1e-9
