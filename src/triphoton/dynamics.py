@@ -6,11 +6,12 @@ no pre-rotation into an interaction picture happens here.
 Every run evolves on its sector: the basis states the Hamiltonian's
 static and driven monomials can reach from psi0 span a subspace H(t)
 maps into itself at every t, so nothing outside it is ever populated.
-The closure and the matrices on the sector come from the monomials'
-action on basis states in ``hilbert``, the same action that builds
-full-register operators. A static run whose sector fits in
-``DENSE_LIMIT`` is exact: one eigendecomposition of H there propagates
-the state to every grid point with no tolerance and no norm drift.
+The trajectory stays there. The closure, the matrices on the sector and
+the moments read off it come from the monomials' action on basis states
+in ``hilbert``, the same action that builds full-register operators. A
+static run whose sector fits in ``DENSE_LIMIT`` is exact: one
+eigendecomposition of H there propagates the state to every grid point
+with no tolerance and no norm drift.
 Driven runs, and static runs with larger sectors, use one integrator at
 one setting: the 8th-order Dormand-Prince pair (DOP853) at
 rtol = 1e-10, atol = 1e-11. ``evolve_static_expm``, a dense
@@ -36,7 +37,9 @@ from .errors import IntegrationError
 from .hilbert import (
     DENSE_LIMIT,
     QuantumState,
+    RegisterLayout,
     _basis_matrix,
+    _expect_columns,
     _on_basis,
     terms_to_matrix,
 )
@@ -136,7 +139,9 @@ def split_drive_branches(terms: Sequence[LadderMonomial],
 
 @dataclass
 class Trajectory:
-    """Time grid, states and recorded observable series.
+    """Time grid, states and recorded observable series. The states stay
+    on the sector: column k of ``columns`` holds the amplitudes at time k
+    on its sorted flat indices ``basis`` in the register ``layout``.
 
     ``diagnostics`` says how the states were obtained: ``path``
     (``"sector-eigh"`` or ``"dop853"``), ``register_dim``, the size of
@@ -146,9 +151,21 @@ class Trajectory:
     """
 
     times: np.ndarray
-    states: list[QuantumState]
+    layout: RegisterLayout
+    basis: np.ndarray
+    columns: np.ndarray
     observables: dict[str, np.ndarray]
     diagnostics: dict = field(default_factory=dict)
+
+    def state(self, k: int) -> QuantumState:
+        """Column k embedded into the full register."""
+        data = np.zeros(self.layout.total_dim, dtype=complex)
+        data[self.basis] = self.columns[:, k]
+        return QuantumState(self.layout, data, validate=False)
+
+    @property
+    def states(self) -> list[QuantumState]:
+        return [self.state(k) for k in range(len(self.times))]
 
 
 SPARSE_EVOLVE_LIMIT = 512  # above this many states, integration goes sparse
@@ -181,16 +198,16 @@ def evolve(h: HamiltonianSpec,
     points.
 
     Every run evolves on its sector: the support of psi0 closed under
-    every static and driven monomial, which H(t) maps into itself. H,
-    each envelope group and every observable are built there, and the
-    states are embedded back into the full register. A static spec
-    whose sector fits in ``DENSE_LIMIT`` is propagated exactly by one
-    eigendecomposition; any other spec is integrated on the sector with
-    the adaptive 8th-order Dormand-Prince pair (DOP853), dense up to
-    ``SPARSE_EVOLVE_LIMIT`` states and CSR above. ``rtol``/``atol``
-    apply to that integrator only; the default pair holds every
-    scenario's norm-drift budget over many drive periods, so callers
-    pass none, and tighter pairs serve reference runs.
+    every static and driven monomial, which H(t) maps into itself. H
+    and each envelope group are built there, the states stay there as
+    columns, and each observable is read off all columns at once. A
+    static spec whose sector fits in ``DENSE_LIMIT`` is propagated
+    exactly by one eigendecomposition; any other spec is integrated on
+    the sector with the adaptive 8th-order Dormand-Prince pair (DOP853),
+    dense up to ``SPARSE_EVOLVE_LIMIT`` states and CSR above.
+    ``rtol``/``atol`` apply to that integrator only; the default pair
+    holds every scenario's norm-drift budget over many drive periods, so
+    callers pass none, and tighter pairs serve reference runs.
 
     The norm is never renormalized; its drift is recorded as the
     ``norm`` observable and serves as an accuracy diagnostic. A failed
@@ -244,16 +261,14 @@ def evolve(h: HamiltonianSpec,
                 f"integration stalled between t = {last:.6g} and "
                 f"t = {upcoming:.6g}: {sol.message}", time=float(last))
         columns, rhs_evals = sol.y, int(sol.nfev)
-    full = np.zeros((len(t_grid), layout.total_dim), dtype=complex)
-    full[:, basis] = columns.T
-    states = [QuantumState(layout, row, validate=False) for row in full]
     recorded = {}
     for name, op in observables.items():
-        mat = matrix([op] if isinstance(op, LadderMonomial) else op)
-        recorded[name] = np.array([np.vdot(col, mat @ col)
-                                   for col in columns.T])
+        terms = [op] if isinstance(op, LadderMonomial) else op
+        recorded[name] = np.sum([
+            _expect_columns(t.factors, layout, basis, columns, t.coefficient)
+            for t in terms], axis=0)
     recorded["norm"] = np.array([np.linalg.norm(col) for col in columns.T])
-    return Trajectory(t_grid, states, recorded, diagnostics={
+    return Trajectory(t_grid, layout, basis, columns, recorded, diagnostics={
         "path": "sector-eigh" if exact else "dop853",
         "register_dim": layout.total_dim, "evolved_dim": len(basis),
         "rhs_evals": rhs_evals})

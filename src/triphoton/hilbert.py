@@ -24,7 +24,7 @@ stay exact at the Fock cutoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -78,11 +78,11 @@ class RegisterLayout:
     def qubits(cls, n: int) -> "RegisterLayout":
         return cls(((QUBIT, 2),) * n)
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.subsystems)
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
         return int(np.prod(self.dims))
 
@@ -214,24 +214,45 @@ def _on_basis(factors, layout: RegisterLayout, basis: np.ndarray,
     the monomial does too; states the truncation (or a zero coefficient)
     sends to zero are dropped.
     """
-    levels = np.array(np.unravel_index(basis, layout.dims))
+    levels = list(np.unravel_index(basis, layout.dims))
     amp = np.full(len(basis), complex(coefficient))
     for index, kind in reversed(tuple(factors)):
         target, factor_amp = _level_map(layout, index, kind)
         amp = amp * factor_amp[levels[index]]
         levels[index] = target[levels[index]]
-    cols = np.flatnonzero(amp)
-    return (np.ravel_multi_index(levels[:, cols], layout.dims), amp[cols],
-            cols)
+    cols = amp.nonzero()[0]
+    return (np.ravel_multi_index([lv[cols] for lv in levels], layout.dims),
+            amp[cols], cols)
+
+
+def _expect_columns(factors, layout: RegisterLayout, basis: np.ndarray,
+                    columns: np.ndarray, coefficient: complex = 1.0) -> list:
+    """``expect_monomial`` of each state given as a column of amplitudes
+    on the basis states (sorted flat indices), from one ``_on_basis``
+    call. A column sums in its order over its nonzero amplitudes only;
+    summing its zeros too would move the bits."""
+    flat, amp, cols = _on_basis(factors, layout, basis)
+    rows = basis.searchsorted(flat)
+    outside = basis.searchsorted(flat, "right") == rows
+    values = []
+    for k in range(columns.shape[1]):
+        col = columns[:, k]
+        target, source, weight = col.take(rows, mode="clip"), col[cols], amp
+        target[outside] = 0.0  # a target outside the basis has amplitude 0
+        if np.count_nonzero(source) < len(source):
+            keep = source != 0.0
+            target, source, weight = target[keep], source[keep], amp[keep]
+        values.append(coefficient * complex(np.vdot(target, weight * source)))
+    return values
 
 
 def _basis_matrix(terms: Iterable[LadderMonomial], layout: RegisterLayout,
                   basis: np.ndarray, sparse: bool = False):
     """Matrix of the summed terms between the basis states (sorted flat
-    indices), dense or CSR. Amplitudes landing outside the basis are
-    dropped, which is exact for expectation values of states supported
-    on it. ``scipy.sparse`` is imported here, on the CSR branch only, so
-    dense builds never load it."""
+    indices), dense or CSR: H on a sector, or a full-register operator.
+    Amplitudes landing outside the basis are dropped, which is exact on
+    a sector H maps into itself. ``scipy.sparse`` is imported here, on
+    the CSR branch only, so dense builds never load it."""
     m = len(basis)
     if sparse:
         import scipy.sparse as sp
@@ -259,19 +280,16 @@ def expect_monomial(state: QuantumState, factors,
     The monomial moves each basis state s to one state t(s) with one
     amplitude a(s) (``_on_basis``), so the moment is a sum over the
     state's support: conj(psi[t(s)]) a(s) psi[s] over the nonzero
-    amplitudes of a pure state, Tr(O rho) = a(s) rho[s, t(s)] over every
-    basis state for a density.
+    amplitudes of a pure state (``_expect_columns`` on one column),
+    Tr(O rho) = a(s) rho[s, t(s)] over every basis state for a density.
     """
     data, layout = state.data, state.layout
     if state.is_pure:
         support = np.flatnonzero(data)
-        flat, amp, cols = _on_basis(factors, layout, support)
-        value = np.vdot(data[flat], amp * data[support[cols]])
-    else:
-        flat, amp, cols = _on_basis(factors, layout,
-                                    np.arange(layout.total_dim))
-        value = np.sum(amp * data[cols, flat])
-    return coefficient * complex(value)
+        return _expect_columns(factors, layout, support,
+                               data[support][:, None], coefficient)[0]
+    flat, amp, cols = _on_basis(factors, layout, np.arange(layout.total_dim))
+    return coefficient * complex(np.sum(amp * data[cols, flat]))
 
 
 def terms_to_matrix(terms: Iterable[LadderMonomial], layout: RegisterLayout,
@@ -342,15 +360,18 @@ def covariance_matrix(state: QuantumState,
         if layout.kind(i) != BOSON:
             raise LayoutMismatchError(
                 f"covariance requested on non-bosonic subsystem {i}")
+    return _covariance(partial(expect_monomial, state), modes)
+
+
+def _covariance(expect, modes: Sequence[int]) -> np.ndarray:
+    """``covariance_matrix`` from one state's moments ``expect(factors)``."""
     m = len(modes)
-    mean = np.array([expect_monomial(state, ((i, ANNIHILATE),))
-                     for i in modes])
+    mean = np.array([expect(((i, ANNIHILATE),)) for i in modes])
     pair, number = np.empty((m, m), complex), np.empty((m, m), complex)
     for r, s in zip(*np.triu_indices(m)):
         i, j = modes[r], modes[s]
-        pair[r, s] = pair[s, r] = expect_monomial(
-            state, ((i, ANNIHILATE), (j, ANNIHILATE)))
-        number[r, s] = expect_monomial(state, ((i, CREATE), (j, ANNIHILATE)))
+        pair[r, s] = pair[s, r] = expect(((i, ANNIHILATE), (j, ANNIHILATE)))
+        number[r, s] = expect(((i, CREATE), (j, ANNIHILATE)))
         number[s, r] = number[r, s].conjugate()
     half = 0.5 * np.eye(m)
     x, p = mean.real, mean.imag

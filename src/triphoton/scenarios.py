@@ -12,9 +12,11 @@ undecided), which the summary counts. Every evolution step runs
 exactly for the static scenarios, by DOP853 at its one setting for the
 driven ``dce-rabi``, whose even-parity sector is half its register. The
 summary's ``diagnostics`` records which path ran and on how many states.
-A cutoff sweep reruns only the evolution step, so it shares the run's
-Hamiltonian, pump check and evolution path, and records observables
-only.
+The down-conversion analyses read every moment off the trajectory's
+sector columns; the hybrid and dce analyses embed one grid state at a
+time into the register. A cutoff sweep reruns only the evolution step,
+so it shares the run's Hamiltonian, pump check and evolution path, and
+records observables only.
 
 Times in the down-conversion scenarios are quoted as the dimensionless
 g0 * t; interaction-picture Hamiltonians are static there, so the free
@@ -25,7 +27,7 @@ moment moduli are picture-invariant).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -50,8 +52,9 @@ from .dynamics import (
 )
 from .errors import PumpMismatchError
 from .hilbert import (
-    QuantumState,
     RegisterLayout,
+    _covariance,
+    _expect_columns,
     fock_state,
     partial_trace,
     von_neumann_entropy,
@@ -70,11 +73,11 @@ from .rwa import (
     rwa_reduce,
 )
 from .witnesses import (
+    _mode_reports,
+    _vlf_report,
     dv_genuine_witness,
     genuine_witness_max,
-    mode_moment_witnesses,
     negativity,
-    optimize_vlf,
 )
 
 SCENARIO_NAMES = ("3spdc", "22spdc", "hybrid-swap", "dce-rabi")
@@ -261,36 +264,6 @@ def _detection_windows(times: np.ndarray, values: np.ndarray) -> list:
     return windows
 
 
-def _mode_witness_series(states: list[QuantumState]
-                         ) -> tuple[dict[str, np.ndarray], dict, int]:
-    """Witness values per state, the number of states per covariance
-    witness verdict, and the objective evaluations of its polishes."""
-    n = len(states)
-    series = {
-        "i1": np.empty(n), "i2": np.empty(n), "i3": np.empty(n),
-        "g1": np.empty(n), "g2": np.empty(n), "s_opt": np.empty(n),
-        "cov_cross_max": np.empty(n),
-    }
-    verdicts = {"certified": 0, "detected": 0, "undecided": 0}
-    n_evals = 0
-    for k, state in enumerate(states):
-        reports = mode_moment_witnesses(state)
-        for singled in range(3):
-            series[f"i{singled + 1}"][k] = reports[f"hz_i{singled + 1}"].value
-        series["g1"][k] = reports["genuine_sum"].value
-        series["g2"][k] = reports["genuine_max"].value
-        rep = optimize_vlf(state)
-        series["s_opt"][k] = rep.value
-        verdicts[rep.components["verdict"]] += 1
-        n_evals += rep.components["objective_evals"]
-        cx = rep.components["cov_x"].copy()
-        cp = rep.components["cov_p"].copy()
-        np.fill_diagonal(cx, 0.0)
-        np.fill_diagonal(cp, 0.0)
-        series["cov_cross_max"][k] = max(np.abs(cx).max(), np.abs(cp).max())
-    return series, verdicts, n_evals
-
-
 def _mode_observables():
     return {
         "n1": mono([(0, NUMBER)]),
@@ -338,9 +311,32 @@ def _evolve_spdc(config: ScenarioConfig) -> tuple[Trajectory, dict]:
 
 def _analyze_spdc(config: ScenarioConfig, traj: Trajectory,
                   details: dict) -> ScenarioResult:
-    """Full witness suite per grid point; peaks and detection windows."""
-    times = traj.times
-    series, verdicts, n_evals = _mode_witness_series(traj.states)
+    """Full witness suite per grid point, each distinct moment (19 of 22)
+    evaluated once on every column; peaks and detection windows."""
+    times, n = traj.times, len(traj.times)
+    moment = cache(partial(_expect_columns, layout=traj.layout,
+                           basis=traj.basis, columns=traj.columns))
+
+    def expect(factors):  # the moments of the loop's grid point k
+        return moment(factors)[k]
+
+    modes = traj.layout.boson_indices()
+    series = {key: np.empty(n) for key in ("i1", "i2", "i3", "g1", "g2",
+                                           "s_opt", "cov_cross_max")}
+    verdicts, n_evals = [], 0
+    for k in range(n):
+        reports = _mode_reports(expect, modes)
+        for singled in range(3):
+            series[f"i{singled + 1}"][k] = reports[f"hz_i{singled + 1}"].value
+        series["g1"][k] = reports["genuine_sum"].value
+        series["g2"][k] = reports["genuine_max"].value
+        cov = _covariance(expect, modes)
+        rep = _vlf_report(cov)
+        series["s_opt"][k] = rep.value
+        verdicts.append(rep.components["verdict"])
+        n_evals += rep.components["objective_evals"]
+        off_diagonal = np.abs([cov[:3, :3], cov[3:, 3:]]) * (1.0 - np.eye(3))
+        series["cov_cross_max"][k] = off_diagonal.max()
     summary = {"scenario": config.name}
     for key, label in (("g2", "g2"), ("g1", "g1"), ("s_opt", "s"),
                        ("i1", "i1")):
@@ -351,8 +347,8 @@ def _analyze_spdc(config: ScenarioConfig, traj: Trajectory,
         "g2": _detection_windows(times, series["g2"]),
         "s_opt": _detection_windows(times, series["s_opt"]),
     }
-    summary["s_certified_points"] = verdicts["certified"]
-    summary["s_undecided_points"] = verdicts["undecided"]
+    summary["s_certified_points"] = verdicts.count("certified")
+    summary["s_undecided_points"] = verdicts.count("undecided")
     summary["s_objective_evals"] = n_evals
     summary["norm_drift"] = _norm_drift(traj)
     summary.update(details)
@@ -425,7 +421,7 @@ def _analyze_hybrid(config: ScenarioConfig, traj: Trajectory,
         "swap_fidelity": np.empty(n), "swap_eta": np.empty(n),
         "qubit_purity": np.empty(n),
     }
-    for k, state in enumerate(traj.states):
+    for k, state in enumerate(map(traj.state, range(n))):
         rho_q = partial_trace(state, {3, 4, 5})
         series["dv"][k] = dv_genuine_witness(rho_q).value
         for q in range(3):
@@ -507,7 +503,7 @@ def _analyze_dce(config: ScenarioConfig, traj: Trajectory,
     modulation periods) and their monotonicity flag."""
     p = config.dce
     entropy = np.array([von_neumann_entropy(partial_trace(s, {1}))
-                        for s in traj.states])
+                        for s in map(traj.state, range(len(traj.times)))])
     series = {"qubit_entropy": entropy}
 
     samples_per_window = p.window_periods * p.steps_per_period

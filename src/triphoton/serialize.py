@@ -139,6 +139,6 @@ def snapshot_states(trajectory, times, directory: str,
     for t in times:
         k = int(np.argmin(np.abs(grid - t)))
         path = os.path.join(directory, f"{prefix}_{grid[k]:g}.json")
-        save_state(trajectory.states[k], path)
+        save_state(trajectory.state(k), path)
         paths.append(path)
     return paths

@@ -16,6 +16,7 @@ fire on states with nonzero negativity across some bipartition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -173,7 +174,11 @@ def optimize_vlf(state: QuantumState, modes=None) -> WitnessReport:
     ``objective_evals``, the polish's evaluations (0 when certified).
     """
     modes = _three_sites(state, modes, BOSON)
-    cov = covariance_matrix(state, modes)
+    return _vlf_report(covariance_matrix(state, modes))
+
+
+def _vlf_report(cov: np.ndarray) -> WitnessReport:
+    """``optimize_vlf`` on the 6x6 covariance of its three modes."""
     starts = _vlf_dual(cov)
     if starts is None:
         verdict, best, best_x, evals = "certified", 0.0, np.zeros(6), 0
@@ -372,15 +377,15 @@ _RAISING = {ANNIHILATE: CREATE, PAULI_MINUS: PAULI_PLUS}
 _OTHERS = ((1, 2), (0, 2), (0, 1))
 
 
-def _normal_moments(state: QuantumState, sites, lower: str):
+def _normal_moments(expect, sites, lower: str):
     """<L1 L2 L3> and, per singled position, the real parts of the
-    normally ordered (<n_alpha>, <n_beta n_gamma>)."""
+    normally ordered (<n_alpha>, <n_beta n_gamma>) of ``expect``."""
     def n(p):
         return ((sites[p], _RAISING[lower]), (sites[p], lower))
 
-    triple = expect_monomial(state, tuple((s, lower) for s in sites))
-    single = [expect_monomial(state, n(p)).real for p in range(3)]
-    return triple, {p: (single[p], expect_monomial(state, n(b) + n(g)).real)
+    triple = expect(tuple((s, lower) for s in sites))
+    single = [expect(n(p)).real for p in range(3)]
+    return triple, {p: (single[p], expect(n(b) + n(g)).real)
                     for p, (b, g) in enumerate(_OTHERS)}
 
 
@@ -450,8 +455,13 @@ def mode_moment_witnesses(state: QuantumState,
                           modes=None) -> dict[str, WitnessReport]:
     """I_1..I_3, genuine_sum and genuine_max, keyed by report name, from
     one evaluation of the seven moments they share."""
-    modes = _three_sites(state, modes, BOSON)
-    triple, normal = _normal_moments(state, modes, ANNIHILATE)
+    return _mode_reports(partial(expect_monomial, state),
+                         _three_sites(state, modes, BOSON))
+
+
+def _mode_reports(expect, modes) -> dict[str, WitnessReport]:
+    """``mode_moment_witnesses`` from one state's ``expect(factors)``."""
+    triple, normal = _normal_moments(expect, modes, ANNIHILATE)
     out = {f"hz_i{p + 1}": _moment_witness(f"hz_i{p + 1}", triple, normal, p)
            for p in range(3)}
     out["genuine_sum"] = _moment_witness(
@@ -476,7 +486,8 @@ def dv_genuine_witness(state: QuantumState, ordering: str = "normal",
     if combine not in ("max", "sum"):
         raise ValueError("combine must be 'max' or 'sum'")
     qubits = _three_sites(state, qubits, QUBIT)
-    triple, moments = _normal_moments(state, qubits, PAULI_MINUS)
+    triple, moments = _normal_moments(partial(expect_monomial, state),
+                                      qubits, PAULI_MINUS)
     if ordering == "antinormal":
         moments = _antinormal(moments, -1.0)
     return _moment_witness("dv_genuine", triple, moments, combine)
@@ -485,7 +496,10 @@ def dv_genuine_witness(state: QuantumState, ordering: str = "normal",
 def negativity(state: QuantumState, bipartition) -> float:
     """Entanglement negativity (|rho^T_A|_1 - 1)/2 across the given
     subsystem subset; strictly positive negativity certifies
-    inseparability of that bipartition (PPT criterion)."""
+    inseparability of that bipartition (PPT criterion).
+
+    A pure state's rho^T_A has eigenvalues s_i^2 and +-s_i s_j (i < j)
+    over its Schmidt coefficients s, so no density is formed there."""
     layout = state.layout
     part = sorted(set(bipartition))
     n_sub = layout.n_subsystems
@@ -494,13 +508,17 @@ def negativity(state: QuantumState, bipartition) -> float:
                                   "subset of the register")
     for i in part:
         layout.check_index(i)
-    rho = state.to_density().data
     dims = layout.dims
-    tensor = rho.reshape(dims + dims)
+    if state.is_pure:
+        psi = np.moveaxis(state.data.reshape(dims), part, range(len(part)))
+        s = np.linalg.svd(psi.reshape(np.prod(psi.shape[:len(part)]), -1),
+                          compute_uv=False)
+        return float(s[1:] @ np.cumsum(s)[:-1])
+    tensor = state.data.reshape(dims + dims)
     perm = list(range(2 * n_sub))
     for i in part:
         perm[i], perm[n_sub + i] = perm[n_sub + i], perm[i]
-    transposed = tensor.transpose(perm).reshape(rho.shape)
+    transposed = tensor.transpose(perm).reshape(state.data.shape)
     eigs = np.linalg.eigvalsh(transposed)
     return float(-eigs[eigs < 0.0].sum())
 

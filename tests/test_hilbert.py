@@ -17,7 +17,9 @@ from triphoton.errors import LayoutMismatchError
 from triphoton.hilbert import (
     QuantumState,
     RegisterLayout,
+    _expect_columns,
     _level_map,
+    _on_basis,
     covariance_matrix,
     expect_monomial,
     fock_state,
@@ -227,6 +229,43 @@ class TestOperatorOracle:
             for state, want in ((pure, want_pure), (mixed, want_mixed)):
                 got = expect_monomial(state, term.factors, term.coefficient)
                 assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_expect_columns_match_expect_monomial(self, seed):
+        # Columns on a 12-state basis, with exact zeros inside it (column
+        # 0 holds one amplitude) and monomials that land outside it: each
+        # column's moment has the bits of expect_monomial on the state it
+        # embeds, and of the register scatter summed over that state's
+        # support, and matches the Kronecker reference.
+        rng = np.random.default_rng(200 + seed)
+        lay = self.LAYOUT
+        basis = np.sort(rng.choice(lay.total_dim, 12, replace=False))
+        columns = rng.normal(size=(12, 6)) + 1j * rng.normal(size=(12, 6))
+        columns[rng.random(columns.shape) < 0.3] = 0.0
+        columns[1:, 0] = 0.0
+        terms = self.random_terms(rng, 12)
+        terms.append(mono([(0, CREATE), (1, PAULI_PLUS)], 0.3 - 1.1j))
+        lands_outside = 0
+        for term in terms:
+            got = _expect_columns(term.factors, lay, basis, columns,
+                                  term.coefficient)
+            assert len(got) == columns.shape[1]
+            mat = reference_matrix([term], lay)
+            for k, value in enumerate(got):
+                data = np.zeros(lay.total_dim, dtype=complex)
+                data[basis] = columns[:, k]
+                state = QuantumState(lay, data, validate=False)
+                assert value == expect_monomial(state, term.factors,
+                                                term.coefficient)
+                support = np.flatnonzero(data)
+                flat, amp, cols = _on_basis(term.factors, lay, support)
+                scatter = np.vdot(data[flat], amp * data[support[cols]])
+                assert value == term.coefficient * complex(scatter)
+                want = np.vdot(data, mat @ data)
+                assert abs(value - want) <= 1e-13 * max(1.0, abs(want))
+            flat = _on_basis(term.factors, lay, basis)[0]
+            lands_outside += not np.isin(flat, basis).all()
+        assert lands_outside > 0
 
 
 class TestLargeCutoff:

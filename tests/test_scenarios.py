@@ -4,6 +4,7 @@ full driven model."""
 
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,28 @@ class TestReproducibility:
         for key in a.witness_series:
             assert np.array_equal(a.witness_series[key],
                                   b.witness_series[key])
+
+
+class TestSectorMemory:
+    """Cost follows the sector, not the cutoff: a run keeps no
+    register-sized copy of its trajectory."""
+
+    @pytest.mark.parametrize("name, cutoff", [("3spdc", 40),
+                                              ("hybrid-swap", 24)])
+    def test_run_memory_at_large_cutoff(self, name, cutoff):
+        # Registers of 68,921 and 125,000 states, sectors of 41 and 194:
+        # the 101 grid states embedded into the register would alone
+        # take 111 and 202 MB.
+        config = ScenarioConfig(name=name, cutoff=cutoff, g0=1.0)
+        tracemalloc.start()
+        try:
+            traj = run_scenario(config).trajectory
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert traj.columns.shape == (traj.diagnostics["evolved_dim"],
+                                      config.n_steps)
 
 
 class TestConvergenceGate:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -630,6 +631,38 @@ class TestNegativity:
             negativity(state, set())
         with pytest.raises(LayoutMismatchError):
             negativity(state, {0, 1, 2})
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pure_state_matches_density_path(self, seed):
+        # The Schmidt sum against the partial-transpose spectrum of the
+        # density, on random pure states of any norm and on a weakly
+        # entangled evolved state.
+        rng = np.random.default_rng(40 + seed)
+        lay = RegisterLayout((("boson", 3), ("qubit", 2), ("boson", 4)))
+        n = lay.total_dim
+        vec = rng.normal(size=n) + 1j * rng.normal(size=n)
+        vec *= rng.uniform(0.3, 2.0) / np.linalg.norm(vec)
+        states = [QuantumState(lay, vec, validate=False),
+                  evolved_triple(0.01 + 0.1 * seed, cutoff=4)]
+        for state in states:
+            for part in ({0}, {1}, {2}, {0, 2}, {1, 2}):
+                want = negativity(state.to_density(), part)
+                assert negativity(state, part) == pytest.approx(
+                    want, rel=1e-10, abs=1e-15)
+
+    def test_pure_state_memory_at_cutoff_12(self):
+        # The density of this 2,197-state register alone would take
+        # 2197^2 * 16 B = 77 MB.
+        state = triple_superposition(RegisterLayout.bosons(3, 12), 0.5)
+        tracemalloc.start()
+        try:
+            values = [negativity(state, {i}) for i in range(3)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # Schmidt coefficients 1 and 0.5 over sqrt(1.25)
+        assert values == pytest.approx([0.4] * 3, rel=1e-14)
 
 
 class TestSoundnessBattery:
