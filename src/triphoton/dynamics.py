@@ -14,14 +14,21 @@ eigendecomposition of H there propagates the state to every grid point
 with no tolerance and no norm drift.
 Driven runs, and static runs with larger sectors, use one integrator at
 one setting: the 8th-order Dormand-Prince pair (DOP853) at
-rtol = 1e-10, atol = 1e-11. ``evolve_static_expm``, a dense
-eigendecomposition of the full-register Hamiltonian, is the independent
-oracle for static runs.
+rtol = 1e-10, atol = 1e-11. Its right-hand side costs one
+matrix-vector product: -i H_static and -i H_g, one block per envelope
+group, are stacked into one sector matrix, and each group's block of
+the product is added with its envelope's value at t. Multiplying by -i
+only swaps real and imaginary parts with one sign, so the states have
+the bits of a per-group product summed and then multiplied by -i.
+Envelopes evaluate a scalar t as a float, without a 0-d array.
+``evolve_static_expm``, a dense eigendecomposition of the full-register
+Hamiltonian, is the independent oracle for static runs.
 
 scipy is imported where it is called, never at module load:
 ``scipy.integrate`` inside ``evolve``'s integrator branch, and
-``scipy.sparse`` inside ``hilbert._basis_matrix`` when a sector above
-``SPARSE_EVOLVE_LIMIT`` states is integrated. The exact path needs numpy
+``scipy.sparse`` inside ``hilbert._basis_matrix`` and the stacking of
+the generator when a sector above ``SPARSE_EVOLVE_LIMIT`` states is
+integrated. The exact path needs numpy
 alone, so a process that never integrates never pays for importing scipy.
 """
 
@@ -46,12 +53,23 @@ from .hilbert import (
 from .rwa import LadderMonomial, hermitian_closure_holds
 
 
+def _time(t):
+    """A scalar time as a Python float, anything else as an array. The
+    integrator asks for one scalar per step, and a 0-d array (or a numpy
+    scalar) costs a numpy round trip on each arithmetic operation; both
+    forms run the same float64 operations, so a scalar gives the bits of
+    an array entry."""
+    return float(t) if isinstance(t, float) else np.asarray(t, dtype=float)
+
+
 @dataclass(frozen=True)
 class Constant:
     value: float = 1.0
 
     def __call__(self, t):
-        return self.value * np.ones_like(np.asarray(t, dtype=float))
+        t = _time(t)
+        return float(self.value) if isinstance(t, float) \
+            else self.value * np.ones_like(t)
 
 
 @dataclass(frozen=True)
@@ -61,7 +79,7 @@ class Cosine:
     phase: float = 0.0
 
     def __call__(self, t):
-        return self.amplitude * np.cos(self.frequency * np.asarray(t) + self.phase)
+        return self.amplitude * np.cos(self.frequency * _time(t) + self.phase)
 
 
 @dataclass(frozen=True)
@@ -74,7 +92,7 @@ class TwoTone:
     phase2: float = 0.0
 
     def __call__(self, t):
-        t = np.asarray(t)
+        t = _time(t)
         return self.amp1 * np.cos(self.freq1 * t + self.phase1) \
             + self.amp2 * np.cos(self.freq2 * t + self.phase2)
 
@@ -89,7 +107,7 @@ class Motional:
     x0: float = 0.0
 
     def __call__(self, t):
-        return np.cos(self.k * (self.x0 + self.v * np.asarray(t)))
+        return np.cos(self.k * (self.x0 + self.v * _time(t)))
 
 
 Envelope = Constant | Cosine | TwoTone | Motional
@@ -204,7 +222,10 @@ def evolve(h: HamiltonianSpec,
     static spec whose sector fits in ``DENSE_LIMIT`` is propagated
     exactly by one eigendecomposition; any other spec is integrated on
     the sector with the adaptive 8th-order Dormand-Prince pair (DOP853),
-    dense up to ``SPARSE_EVOLVE_LIMIT`` states and CSR above.
+    dense up to ``SPARSE_EVOLVE_LIMIT`` states and CSR above. Its
+    generator is one stacked matrix, -i H_static over -i H_g per
+    envelope group, so each right-hand-side call is one product plus
+    one envelope-weighted block per group.
     ``rtol``/``atol`` apply to that integrator only; the default pair
     holds every scenario's norm-drift budget over many drive periods, so
     callers pass none, and tighter pairs serve reference runs.
@@ -229,8 +250,8 @@ def evolve(h: HamiltonianSpec,
                        psi0)
     exact = not groups and len(basis) <= DENSE_LIMIT
     # eigh takes a dense matrix, so only the integrator goes sparse
-    matrix = partial(_basis_matrix, layout=layout, basis=basis,
-                     sparse=not exact and len(basis) > SPARSE_EVOLVE_LIMIT)
+    sparse = not exact and len(basis) > SPARSE_EVOLVE_LIMIT
+    matrix = partial(_basis_matrix, layout=layout, basis=basis, sparse=sparse)
     h_static = matrix(h.static_terms)
     psi = psi0.data[basis]
     if exact:
@@ -243,13 +264,26 @@ def evolve(h: HamiltonianSpec,
         rhs_evals = 0
     else:
         from scipy.integrate import solve_ivp
-        h_driven = [(env, matrix(terms)) for env, terms in groups.items()]
+        # -i H_static stacked over -i H_g, one block per envelope group:
+        # one product per call yields every block, and -i only swaps the
+        # real and imaginary parts (one sign), so the factor is exact
+        blocks = [-1j * h_static, *(-1j * matrix(terms)
+                                    for terms in groups.values())]
+        if sparse:
+            import scipy.sparse as sp
+            stacked = sp.vstack(blocks, format="csr")
+        else:
+            stacked = np.concatenate(blocks)
+        n = len(basis)
+        envelopes = [(env, slice(k * n, (k + 1) * n))
+                     for k, env in enumerate(groups, 1)]
 
         def rhs(t, y):
-            hy = h_static @ y
-            for env, mat in h_driven:
-                hy = hy + float(env(t)) * (mat @ y)
-            return -1j * hy
+            z = stacked @ y
+            dy = z[:n]
+            for env, block in envelopes:
+                dy = dy + float(env(t)) * z[block]
+            return dy
 
         sol = solve_ivp(rhs, (float(t_grid[0]), float(t_grid[-1])), psi,
                         method="DOP853", t_eval=t_grid, rtol=rtol, atol=atol)

@@ -12,9 +12,9 @@ undecided), which the summary counts. Every evolution step runs
 exactly for the static scenarios, by DOP853 at its one setting for the
 driven ``dce-rabi``, whose even-parity sector is half its register. The
 summary's ``diagnostics`` records which path ran and on how many states.
-The down-conversion analyses read every moment off the trajectory's
-sector columns; the hybrid and dce analyses embed one grid state at a
-time into the register. A cutoff sweep reruns only the evolution step,
+Every analysis reads its moments off the trajectory's sector columns;
+the partial traces of the hybrid and dce analyses embed one grid state
+at a time into the register. A cutoff sweep reruns only the evolution step,
 so it shares the run's Hamiltonian, pump check and evolution path, and
 records observables only.
 
@@ -76,7 +76,6 @@ from .witnesses import (
     _mode_reports,
     _vlf_report,
     dv_genuine_witness,
-    genuine_witness_max,
     negativity,
 )
 
@@ -309,28 +308,32 @@ def _evolve_spdc(config: ScenarioConfig) -> tuple[Trajectory, dict]:
     return traj, {"g0": float(g0), **details}
 
 
+def _column_moments(traj: Trajectory):
+    """``expect(factors, k)``: a monomial's moment at grid point k. Each
+    monomial is applied once, to every column of the trajectory."""
+    moment = cache(partial(_expect_columns, layout=traj.layout,
+                           basis=traj.basis, columns=traj.columns))
+    return lambda factors, k: moment(factors)[k]
+
+
 def _analyze_spdc(config: ScenarioConfig, traj: Trajectory,
                   details: dict) -> ScenarioResult:
     """Full witness suite per grid point, each distinct moment (19 of 22)
     evaluated once on every column; peaks and detection windows."""
     times, n = traj.times, len(traj.times)
-    moment = cache(partial(_expect_columns, layout=traj.layout,
-                           basis=traj.basis, columns=traj.columns))
-
-    def expect(factors):  # the moments of the loop's grid point k
-        return moment(factors)[k]
-
+    expect = _column_moments(traj)
     modes = traj.layout.boson_indices()
     series = {key: np.empty(n) for key in ("i1", "i2", "i3", "g1", "g2",
                                            "s_opt", "cov_cross_max")}
     verdicts, n_evals = [], 0
     for k in range(n):
-        reports = _mode_reports(expect, modes)
+        at_k = partial(expect, k=k)
+        reports = _mode_reports(at_k, modes)
         for singled in range(3):
             series[f"i{singled + 1}"][k] = reports[f"hz_i{singled + 1}"].value
         series["g1"][k] = reports["genuine_sum"].value
         series["g2"][k] = reports["genuine_max"].value
-        cov = _covariance(expect, modes)
+        cov = _covariance(at_k, modes)
         rep = _vlf_report(cov)
         series["s_opt"][k] = rep.value
         verdicts.append(rep.components["verdict"])
@@ -412,9 +415,12 @@ def _evolve_hybrid(config: ScenarioConfig) -> tuple[Trajectory, dict]:
 def _analyze_hybrid(config: ScenarioConfig, traj: Trajectory,
                     details: dict) -> ScenarioResult:
     """Tracks how the genuinely tripartite moment structure transfers
-    from the field register to the qubit register."""
+    from the field register to the qubit register. The field moments
+    are read off the sector columns; the qubit partial trace embeds one
+    grid state at a time."""
     tau = traj.times
     n = len(tau)
+    expect = _column_moments(traj)
     series = {
         "dv": np.empty(n), "neg_q1": np.empty(n), "neg_q2": np.empty(n),
         "neg_q3": np.empty(n), "g2_field": np.empty(n),
@@ -426,8 +432,8 @@ def _analyze_hybrid(config: ScenarioConfig, traj: Trajectory,
         series["dv"][k] = dv_genuine_witness(rho_q).value
         for q in range(3):
             series[f"neg_q{q + 1}"][k] = negativity(rho_q, {q})
-        series["g2_field"][k] = genuine_witness_max(
-            state, modes=[0, 1, 2]).value
+        series["g2_field"][k] = _mode_reports(
+            partial(expect, k=k), [0, 1, 2])["genuine_max"].value
         fid, eta = _eta_family_fidelity(rho_q.data)
         series["swap_fidelity"][k] = fid
         series["swap_eta"][k] = eta

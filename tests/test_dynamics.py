@@ -2,6 +2,7 @@
 
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.integrate import solve_ivp
 from triphoton import scenarios
 from triphoton.config import build_scenario_config, load_config
 from triphoton.dynamics import (
+    SPARSE_EVOLVE_LIMIT,
     Constant,
     Cosine,
     HamiltonianSpec,
@@ -25,6 +27,7 @@ from triphoton.errors import IntegrationError
 from triphoton.hilbert import (
     QuantumState,
     RegisterLayout,
+    _basis_matrix,
     _level_map,
     fock_state,
     terms_to_matrix,
@@ -392,7 +395,73 @@ class TestDrivenOracle:
         assert traj.diagnostics["evolved_dim"] == 9
 
 
+class TestStackedGenerator:
+    """evolve's right-hand side, one product with -i H_static stacked over
+    -i H_g per envelope group, against the per-group form it replaced:
+    one product per block, their envelope-weighted sum, then -i. On the
+    same sector matrices and integrator settings both give the same
+    bits, since -i only swaps real and imaginary parts with one sign."""
+
+    @staticmethod
+    def spec():
+        # static number terms plus two distinct envelope groups: a
+        # displacement of mode 0 and a two-mode squeezer, together
+        # reaching every state of the register
+        kick = mono([(0, CREATE)], 0.3)
+        squeeze = mono([(0, CREATE), (1, CREATE)], 0.2)
+        cosine, motional = Cosine(1.0, 3.0), Motional(v=1.0, k=2.0)
+        return HamiltonianSpec(
+            [mono([(0, NUMBER)], 1.0), mono([(1, NUMBER)], 1.3)],
+            [(kick, cosine), (kick.conjugate(), cosine),
+             (squeeze, motional), (squeeze.conjugate(), motional)])
+
+    @pytest.mark.parametrize("cutoff, sparse", [(5, False), (24, True)])
+    def test_matches_per_group_rhs(self, cutoff, sparse):
+        h = self.spec()
+        psi0 = fock_state(RegisterLayout.bosons(2, cutoff), (0, 0))
+        grid = np.linspace(0.0, 2.0, 5)
+        traj = evolve(h, psi0, grid)
+        basis = _reachable(
+            [*h.static_terms, *(t for t, _ in h.driven_terms)], psi0)
+        assert len(basis) == (cutoff + 1) ** 2
+        assert (len(basis) > SPARSE_EVOLVE_LIMIT) == sparse
+        matrix = partial(_basis_matrix, layout=psi0.layout, basis=basis,
+                         sparse=sparse)
+        groups = {}
+        for term, env in h.driven_terms:
+            groups.setdefault(env, []).append(term)
+        h_static = matrix(h.static_terms)
+        h_driven = [(env, matrix(terms)) for env, terms in groups.items()]
+        assert len(h_driven) == 2
+
+        def rhs(t, y):
+            hy = h_static @ y
+            for env, mat in h_driven:
+                hy = hy + float(env(t)) * (mat @ y)
+            return -1j * hy
+
+        ref = solve_ivp(rhs, (grid[0], grid[-1]), psi0.data[basis],
+                        method="DOP853", t_eval=grid, rtol=1e-10,
+                        atol=1e-11)
+        assert ref.success
+        np.testing.assert_array_equal(traj.columns, ref.y)
+        assert traj.diagnostics["rhs_evals"] == ref.nfev
+
+
 class TestEnvelopes:
+    @pytest.mark.parametrize("env", [
+        Constant(0.7), Cosine(0.3, 1.7, 0.2),
+        TwoTone(0.1, 1.35, 0.1, 0.65, phase1=0.4, phase2=-1.1),
+        Motional(v=1.3, k=2.1, x0=0.4)])
+    def test_scalar_gives_the_bits_of_an_array(self, env):
+        # the integrator evaluates one scalar time per step
+        ts = np.random.default_rng(11).uniform(-50.0, 200.0, 1000)
+        scalar = [float(env(float(t))) for t in ts]
+        numpy_scalar = [float(env(t)) for t in ts]
+        array = [env(np.array([t]))[0] for t in ts]
+        np.testing.assert_array_equal(scalar, array)
+        np.testing.assert_array_equal(numpy_scalar, array)
+
     def test_motional_is_sampled_mode_function(self):
         env = Motional(v=2.0, k=1.5, x0=0.3)
         ts = np.linspace(0, 4, 9)
