@@ -24,12 +24,12 @@ Envelopes evaluate a scalar t as a float, without a 0-d array.
 ``evolve_static_expm``, a dense eigendecomposition of the full-register
 Hamiltonian, is the independent oracle for static runs.
 
-scipy is imported where it is called, never at module load:
-``scipy.integrate`` inside ``evolve``'s integrator branch, and
-``scipy.sparse`` inside ``hilbert._basis_matrix`` and the stacking of
-the generator when a sector above ``SPARSE_EVOLVE_LIMIT`` states is
-integrated. The exact path needs numpy
-alone, so a process that never integrates never pays for importing scipy.
+The integrator is ``_dop853``, a numpy port of scipy's DOP853 that takes
+its steps and returns its bits. scipy is imported only where it is
+called, never at module load: ``scipy.sparse`` inside
+``hilbert._basis_matrix`` and the stacking of the generator when a
+sector above ``SPARSE_EVOLVE_LIMIT`` states is integrated. Every other
+run, driven ones included, needs numpy alone.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import IntegrationError
+from ._dop853 import dop853
 from .hilbert import (
     DENSE_LIMIT,
     QuantumState,
@@ -230,6 +230,10 @@ def evolve(h: HamiltonianSpec,
     holds every scenario's norm-drift budget over many drive periods, so
     callers pass none, and tighter pairs serve reference runs.
 
+    ``rtol`` must be at least 100 machine epsilons and ``atol`` at least
+    0, else ``ValueError``. A one-point grid returns psi0's sector
+    amplitudes on either path, with no right-hand-side evaluation.
+
     The norm is never renormalized; its drift is recorded as the
     ``norm`` observable and serves as an accuracy diagnostic. A failed
     integration raises ``IntegrationError`` naming the grid interval
@@ -240,6 +244,12 @@ def evolve(h: HamiltonianSpec,
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
+    # the negated tests also refuse NaN tolerances
+    if not rtol >= 100 * np.finfo(float).eps:
+        raise ValueError(f"rtol = {rtol!r} is below 100 machine epsilons "
+                         f"({100 * np.finfo(float).eps:.3g})")
+    if not atol >= 0:
+        raise ValueError(f"atol = {atol!r} must be non-negative")
     h.validate()
     observables = observables or {}
     layout = psi0.layout
@@ -263,7 +273,6 @@ def evolve(h: HamiltonianSpec,
         columns[:, 0] = psi
         rhs_evals = 0
     else:
-        from scipy.integrate import solve_ivp
         # -i H_static stacked over -i H_g, one block per envelope group:
         # one product per call yields every block, and -i only swaps the
         # real and imaginary parts (one sign), so the factor is exact
@@ -285,16 +294,7 @@ def evolve(h: HamiltonianSpec,
                 dy = dy + float(env(t)) * z[block]
             return dy
 
-        sol = solve_ivp(rhs, (float(t_grid[0]), float(t_grid[-1])), psi,
-                        method="DOP853", t_eval=t_grid, rtol=rtol, atol=atol)
-        if not sol.success:
-            # sol.t holds the grid points passed; the first is t_grid[0]
-            reached = max(len(sol.t), 1)
-            last, upcoming = t_grid[reached - 1], t_grid[reached]
-            raise IntegrationError(
-                f"integration stalled between t = {last:.6g} and "
-                f"t = {upcoming:.6g}: {sol.message}", time=float(last))
-        columns, rhs_evals = sol.y, int(sol.nfev)
+        columns, rhs_evals = dop853(rhs, t_grid, psi, rtol, atol)
     recorded = {}
     for name, op in observables.items():
         terms = [op] if isinstance(op, LadderMonomial) else op

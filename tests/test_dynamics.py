@@ -76,6 +76,14 @@ class Pole:
         return 1.0 / (1.0 - np.asarray(t))
 
 
+@dataclass(frozen=True)
+class NotANumber:
+    """An envelope that is NaN everywhere."""
+
+    def __call__(self, t):
+        return float("nan")
+
+
 def hybrid_layout(cutoff):
     return RegisterLayout((("boson", cutoff + 1),) * 3 + (("qubit", 2),) * 3)
 
@@ -341,6 +349,39 @@ class TestDrivenEvolution:
             evolve(h, fock_state(lay, (1,)), [0.0, 0.5, 2.0])
         assert exc.value.time == 0.5
 
+    def test_nan_drive_stalls_at_once(self):
+        # a NaN step size fails scipy's `h_abs < min_step` test for ever;
+        # the port stops on it before the first step
+        lay = RegisterLayout.bosons(1, 1)
+        h = HamiltonianSpec([], [(mono([(0, NUMBER)]), NotANumber())])
+        with pytest.raises(IntegrationError,
+                           match="stalled between t = 0 and t = 0.5: "
+                                 "step size nan") as exc:
+            evolve(h, fock_state(lay, (1,)), [0.0, 0.5, 2.0])
+        assert exc.value.time == 0.0
+
+    @pytest.mark.parametrize("spec, path", [
+        (spec_of(triple_spdc_terms()), "sector-eigh"),
+        (driven_displacement(), "dop853")])
+    def test_one_point_grid_returns_psi0(self, spec, path):
+        psi0 = fock_state(RegisterLayout.bosons(3, 3), (0, 0, 0))
+        traj = evolve(spec, psi0, [0.5])
+        assert traj.diagnostics["path"] == path
+        assert traj.diagnostics["rhs_evals"] == 0
+        assert traj.columns.shape == (len(traj.basis), 1)
+        np.testing.assert_array_equal(traj.state(0).data, psi0.data)
+        assert traj.observables["norm"].tolist() == [1.0]
+
+    @pytest.mark.parametrize("tolerances", [
+        {"rtol": 99 * np.finfo(float).eps}, {"rtol": float("nan")},
+        {"atol": -1e-12}])
+    def test_tolerances_validated(self, tolerances):
+        # scipy raised rtol to 100 eps with a warning; evolve refuses it
+        psi0 = fock_state(RegisterLayout.bosons(1, 3), (0,))
+        name = next(iter(tolerances))
+        with pytest.raises(ValueError, match=name):
+            evolve(driven_displacement(), psi0, [0.0, 1.0], **tolerances)
+
     def test_hermiticity_validation(self):
         h = HamiltonianSpec(static_terms=[mono([(0, CREATE)], 1.0)])
         lay = RegisterLayout.bosons(1, 3)
@@ -443,6 +484,50 @@ class TestStackedGenerator:
         ref = solve_ivp(rhs, (grid[0], grid[-1]), psi0.data[basis],
                         method="DOP853", t_eval=grid, rtol=1e-10,
                         atol=1e-11)
+        assert ref.success
+        np.testing.assert_array_equal(traj.columns, ref.y)
+        assert traj.diagnostics["rhs_evals"] == ref.nfev
+
+
+class TestStepRejectionOracle:
+    """The integrator against scipy's solve_ivp on what no shipped run
+    reaches: a sharp Motional drive that makes the controller reject
+    steps, several grid times inside one step, and an interior grid time
+    exactly on a step end. scipy is the oracle here only."""
+
+    def test_matches_solve_ivp(self):
+        kick = mono([(0, CREATE)], 1.0)
+        motional = Motional(v=1.0, k=40.0)
+        h = HamiltonianSpec([mono([(0, NUMBER)], 1.0)],
+                            [(kick, motional), (kick.conjugate(), motional)])
+        psi0 = fock_state(RegisterLayout.bosons(1, 6), (0,))
+        basis = _reachable([*h.static_terms, kick, kick.conjugate()], psi0)
+        matrix = partial(_basis_matrix, layout=psi0.layout, basis=basis,
+                         sparse=False)
+        h_static, h_drive = matrix(h.static_terms), matrix(
+            [kick, kick.conjugate()])
+
+        def rhs(t, y):
+            hy = h_static @ y
+            hy = hy + float(motional(t)) * (h_drive @ y)
+            return -1j * hy
+
+        span, tol = (0.0, 1.0), {"rtol": 1e-10, "atol": 1e-11}
+        # without t_eval scipy reports every step end and evaluates the
+        # right-hand side 2 times plus 12 per attempted step
+        free = solve_ivp(rhs, span, psi0.data[basis], method="DOP853", **tol)
+        steps, (attempts, rest) = len(free.t) - 1, divmod(free.nfev - 2, 12)
+        assert rest == 0 and attempts > steps
+        wide = np.argmax(np.diff(free.t))
+        inside = free.t[wide] + np.array([0.2, 0.4, 0.6, 0.8]) * (
+            free.t[wide + 1] - free.t[wide])
+        on_end = free.t[steps // 2]
+        grid = np.unique(np.concatenate([span, inside, [on_end]]))
+        assert len(grid) == 7
+
+        traj = evolve(h, psi0, grid)
+        ref = solve_ivp(rhs, span, psi0.data[basis], method="DOP853",
+                        t_eval=grid, **tol)
         assert ref.success
         np.testing.assert_array_equal(traj.columns, ref.y)
         assert traj.diagnostics["rhs_evals"] == ref.nfev
