@@ -1,10 +1,14 @@
 """The 8th-order Dormand-Prince pair DOP853 on a time grid, in numpy.
 
-``dop853`` takes the steps of scipy's ``solve_ivp(fun, (times[0],
-times[-1]), y0, method="DOP853", t_eval=times, rtol=rtol, atol=atol)``
-one for one and returns the same bits and the same count of
-right-hand-side evaluations (Hairer, Norsett & Wanner, *Solving Ordinary
-Differential Equations I*, Sec. II.10):
+``dop853`` integrates the linear system dy/dt = G(t) y whose generator
+is a stacked matrix, a static block over one block per real envelope,
+with G(t) y the static block's product plus each envelope's value times
+its block's product. On that generator it takes the steps of scipy's
+``solve_ivp(fun, (times[0], times[-1]), y0, method="DOP853",
+t_eval=times, rtol=rtol, atol=atol)``, with ``fun`` the same sum, one
+for one, and returns the same bits and the same count of right-hand-side
+evaluations (Hairer, Norsett & Wanner, *Solving Ordinary Differential
+Equations I*, Sec. II.10):
 
 - the 12-stage step with its 5th- and 3rd-order error estimates
   combined into one norm;
@@ -15,11 +19,19 @@ Differential Equations I*, Sec. II.10):
   contains grid times and evaluated there, as ``solve_ivp``'s ``t_eval``
   loop does.
 
-The numpy expressions are scipy's, in its order and on arrays of the
-same shapes and layouts, so every float comes out the same; the oracle
-tests in ``tests/test_dynamics.py`` hold it to that. Only what the
-package uses is ported: a strictly increasing grid, scalar tolerances,
-no maximum step and no events.
+Knowing the generator is what makes a stage cheap. Each attempted step
+evaluates every envelope once, on the array of its 16 stage times (the
+3 dense-output ones included), and each of the 16 stages, like the two
+probes of the initial step, is the tableau dot, one product with the
+stacked matrix and one envelope-weighted add per block. The step
+bookkeeping runs on Python floats. None of this changes a float
+operation: the numpy expressions are scipy's, in its order and on arrays
+of the same shapes and layouts, an envelope gives the same bits on an
+array as on each of its entries, and Python floats round as numpy's
+float64 scalars do, so every float comes out the same; the oracle tests
+in ``tests/test_dynamics.py`` hold it to that. Only what the package
+uses is ported: a strictly increasing grid, scalar tolerances, no
+maximum step and no events.
 
 The tableau below is copied digit for digit from scipy's
 ``scipy/integrate/_ivp/dop853_coefficients.py``, which carries this
@@ -59,7 +71,8 @@ notice:
 
 from __future__ import annotations
 
-from typing import Callable
+import math
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -262,6 +275,12 @@ D[3, 14] = -0.39177261675615439165231486172e+2
 D[3, 15] = -0.14972683625798562581422125276e+3
 
 
+# The same rows as complex, cast once: numpy casts a real operand to
+# complex in every dot with the complex stages, to the same values.
+A_ROWS = [A[s, :s].astype(complex) for s in range(N_STAGES_EXTENDED)]
+E3_COMPLEX, E5_COMPLEX = E3.astype(complex), E5.astype(complex)
+D_COMPLEX = D.astype(complex)
+
 # scipy's RungeKutta step controller, with DOP853's error-estimator order 7
 SAFETY = 0.9
 MIN_FACTOR = 0.2
@@ -292,37 +311,50 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** -ERROR_EXPONENT
-    return min(100 * h0, h1, interval_length)
+    return float(min(100 * h0, h1, interval_length))
 
 
-def _error_norm(K, h, scale):
+def _error_norm(KT, h, scale):
     """The RMS norm of the step's error: the 5th-order estimate, damped
-    where the 3rd-order one is larger (Hairer's ``err``)."""
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
-    err5_norm_2 = np.linalg.norm(err5)**2
-    err3_norm_2 = np.linalg.norm(err3)**2
+    where the 3rd-order one is larger (Hairer's ``err``). ``KT`` holds
+    the step's 13 stages as columns."""
+    err5 = KT.dot(E5_COMPLEX) / scale
+    err3 = KT.dot(E3_COMPLEX) / scale
+    # np.linalg.norm(err) ** 2, in the operations numpy's norm runs on a
+    # complex vector
+    err5_norm_2 = np.sqrt(err5.real.dot(err5.real)
+                          + err5.imag.dot(err5.imag)) ** 2
+    err3_norm_2 = np.sqrt(err3.real.dot(err3.real)
+                          + err3.imag.dot(err3.imag)) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    return float(abs(h) * err5_norm_2 / np.sqrt(denom * len(scale)))
 
 
-def _dense_output(fun, K, t_old, h, y_old, y, f, t):
+def _envelope_values(envelopes, times):
+    """Each envelope evaluated once on the array ``times``, as a list of
+    floats per envelope. An envelope may return one value for all times;
+    it is broadcast."""
+    values = []
+    for env in envelopes:
+        column = np.empty_like(times)
+        column[...] = env(times)
+        values.append(column.tolist())
+    return values
+
+
+def _interpolate(K, t_old, h, y_old, y, t):
     """The states at the times ``t`` inside the step from ``t_old`` to
-    ``t_old + h``, as columns, from its 7th-degree interpolant. ``K``
-    holds the step's 13 stages; the 3 extra ones go into its last rows,
-    one ``fun`` call each."""
-    for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
-        dy = np.dot(K[:s].T, A[s, :s]) * h
-        K[s] = fun(t_old + C[s] * h, y_old + dy)
+    ``t_old + h``, as columns, from its 7th-degree interpolant on the
+    step's 16 stages ``K``."""
     F = np.empty((INTERPOLATOR_POWER, len(y_old)), dtype=y_old.dtype)
-    f_old = K[0]
+    f_old, f = K[0], K[N_STAGES]
     delta_y = y - y_old
     F[0] = delta_y
     F[1] = h * f_old - delta_y
     F[2] = 2 * delta_y - h * (f + f_old)
-    F[3:] = h * np.dot(D, K)
+    F[3:] = h * np.dot(D_COMPLEX, K)
     x = ((t - t_old) / h)[:, None]
     out = np.zeros((len(x), len(y_old)), dtype=y_old.dtype)
     for i, row in enumerate(reversed(F)):
@@ -335,56 +367,93 @@ def _dense_output(fun, K, t_old, h, y_old, y, f, t):
     return out.T
 
 
-def dop853(fun: Callable[[float, np.ndarray], np.ndarray], times: np.ndarray,
-           y0: np.ndarray, rtol: float, atol: float) -> tuple[np.ndarray, int]:
-    """Integrate dy/dt = fun(t, y) from y(times[0]) = y0 over the strictly
+def dop853(generator, envelopes: Sequence[Callable[[np.ndarray], np.ndarray]],
+           times: np.ndarray, y0: np.ndarray, rtol: float,
+           atol: float) -> tuple[np.ndarray, int]:
+    """Integrate dy/dt = G(t) y from y(times[0]) = y0 over the strictly
     increasing grid ``times``.
 
+    ``generator`` stacks G's parts as blocks of n rows, n = len(y0): a
+    dense array or a scipy sparse matrix with (1 + len(envelopes)) n
+    rows and n columns. Its first block is the static part, and block k
+    the part that ``envelopes[k - 1]`` scales. G(t) y is the first block
+    of ``generator @ y`` plus each later block times its envelope's value
+    at t, added in envelope order. An envelope takes an array of times
+    and returns the real values there.
+
     Returns the states at the grid times as columns and the number of
-    ``fun`` calls; a one-point grid gives ``y0`` as its one column after
-    no call. A step that would fall below 10 float spacings of its start
-    (or a NaN step) raises ``IntegrationError`` naming the grid interval
-    it stalled in; its ``time`` is the last grid time passed.
+    evaluations of G(t) y; a one-point grid gives ``y0`` as its one
+    column after none. A step that would fall below 10 float spacings of
+    its start (or a NaN step) raises ``IntegrationError`` naming the grid
+    interval it stalled in; its ``time`` is the last grid time passed.
     """
     if len(times) == 1:
         return y0[:, None].copy(), 0
-    t, t_bound = float(times[0]), float(times[-1])
-    y, f = y0, fun(t, y0)
-    h_abs = _initial_step(fun, t, y, t_bound, f, rtol, atol)
+    n = len(y0)
+    blocks = [slice(k * n, (k + 1) * n) for k in range(1, len(envelopes) + 1)]
+    K_extended = np.empty((N_STAGES_EXTENDED, n), dtype=y0.dtype)
+    rows = list(K_extended)
+    # K[:s].T for each stage s, views that follow K_extended's contents
+    prefixes = [K_extended[:s].T for s in range(N_STAGES_EXTENDED)]
+
+    def derivative(y, values, s, out):
+        """Write G(t) y into ``out``, each envelope taking its value
+        ``values[k][s]``."""
+        z = generator.dot(y)
+        out[:] = z[:n]
+        for column, block in zip(values, blocks):
+            out += column[s] * z[block]
+
+    def stages(first, stop, y, h, values):
+        """Stages ``first`` to ``stop - 1`` of the step of size h from y,
+        written into their rows; returns the last one's state."""
+        for s in range(first, stop):
+            dy = prefixes[s].dot(A_ROWS[s])
+            dy *= h
+            dy += y
+            derivative(dy, values, s, rows[s])
+        return dy
+
+    def probe(t, y):
+        """G(t) y as a new array, for the initial step."""
+        f = np.empty_like(y)
+        derivative(y, _envelope_values(envelopes, np.array([t])), 0, f)
+        return f
+
+    grid = times.tolist()
+    t, t_bound = grid[0], grid[-1]
+    y = y0
+    rows[0][:] = probe(t, y)
+    h_abs = _initial_step(probe, t, y, t_bound, rows[0], rtol, atol)
     nfev = 2
-    K_extended = np.empty((N_STAGES_EXTENDED, len(y)), dtype=y.dtype)
-    K = K_extended[:N_STAGES + 1]
-    columns = np.empty((len(y), len(times)), dtype=y.dtype)
+    KT = prefixes[N_STAGES + 1]
+    columns = np.empty((n, len(grid)), dtype=y.dtype)
     passed = 0  # grid times written
     while t < t_bound:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             # scipy tests h_abs < min_step, which never stops a NaN step
             if not h_abs >= min_step:
                 reached = max(passed, 1)
-                last, upcoming = times[reached - 1], times[reached]
+                last, upcoming = grid[reached - 1], grid[reached]
                 raise IntegrationError(
                     f"integration stalled between t = {last:.6g} and "
                     f"t = {upcoming:.6g}: step size {h_abs:.3g} at "
                     f"t = {t:.6g}, where 10 float spacings are "
-                    f"{min_step:.3g}", time=float(last))
+                    f"{min_step:.3g}", time=last)
             t_new = t + h_abs
             if t_new - t_bound > 0:
                 t_new = t_bound
             h = t_new - t
-            h_abs = np.abs(h)
-            K[0] = f
-            for s in range(1, N_STAGES):
-                dy = np.dot(K[:s].T, A[s, :s]) * h
-                K[s] = fun(t + C[s] * h, y + dy)
-            y_new = y + h * np.dot(K[:-1].T, B)
-            f_new = fun(t + h, y_new)
-            K[-1] = f_new
+            h_abs = abs(h)
+            # every stage time of the step, the 3 dense-output ones too
+            values = _envelope_values(envelopes, t + C * h)
+            y_new = stages(1, N_STAGES + 1, y, h, values)
             nfev += N_STAGES
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(K, h, scale)
+            error_norm = _error_norm(KT, h, scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -397,13 +466,16 @@ def dop853(fun: Callable[[float, np.ndarray], np.ndarray], times: np.ndarray,
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
-        t_old, y_old = t, y
-        t, y, f = t_new, y_new, f_new
-        # grid times in (t_old, t], and times[0] on the first step
-        end = np.searchsorted(times, t, side="right")
+        # grid times in (t, t_new], and times[0] on the first step
+        end = passed
+        while end < len(grid) and grid[end] <= t_new:
+            end += 1
         if end > passed:
-            columns[:, passed:end] = _dense_output(
-                fun, K_extended, t_old, h, y_old, y, f, times[passed:end])
+            stages(N_STAGES + 1, N_STAGES_EXTENDED, y, h, values)
             nfev += N_STAGES_EXTENDED - N_STAGES - 1
+            columns[:, passed:end] = _interpolate(
+                K_extended, t, h, y, y_new, times[passed:end])
             passed = end
+        t, y = t_new, y_new
+        rows[0][:] = rows[N_STAGES]
     return columns, nfev

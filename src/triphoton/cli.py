@@ -88,12 +88,21 @@ def cmd_modes(args) -> int:
     return EXIT_OK
 
 
-def _term_label(term) -> str:
-    symbols = {"create": "a+", "annihilate": "a", "number": "n",
-               "pauli_plus": "s+", "pauli_minus": "s-", "pauli_z": "sz"}
-    ops = " ".join(f"{symbols[kind]}_{idx + 1}" for idx, kind in term.factors)
-    drive = {1: " e^{+iwd t}", -1: " e^{-iwd t}", 0: ""}[term.drive_sign]
-    return f"{ops or '1'}{drive}"
+_SYMBOLS = {"create": "a+", "annihilate": "a", "number": "n",
+            "pauli_plus": "s+", "pauli_minus": "s-", "pauli_z": "sz"}
+_DRIVE_LABELS = {1: " e^{+iwd t}", -1: " e^{-iwd t}", 0: ""}
+
+
+def _term_label(term, operator_labels: dict) -> str:
+    """The term's operators and drive branch, as ``rwa`` lists them.
+    ``operator_labels`` keeps each operator label by its factors, so the
+    two drive branches of one operator build it once."""
+    ops = operator_labels.get(term.factors)
+    if ops is None:
+        ops = " ".join(f"{_SYMBOLS[kind]}_{idx + 1}"
+                       for idx, kind in term.factors) or "1"
+        operator_labels[term.factors] = ops
+    return ops + _DRIVE_LABELS[term.drive_sign]
 
 
 def cmd_rwa(args) -> int:
@@ -106,15 +115,18 @@ def cmd_rwa(args) -> int:
     freqs = list(spectrum.frequencies)
     drive = circuit.squid.pump_frequency or float(np.sum(freqs))
     cls = classify_terms(terms, freqs, drive, tolerance=args.tolerance)
-    print(f"# pump = {FLOAT_FMT % drive}, tolerance = "
-          f"{FLOAT_FMT % cls.tolerance}")
-    print(f"# resonant terms: {len(cls.resonant)}")
-    for term in cls.resonant:
-        print(f"resonant,{_term_label(term)},{FLOAT_FMT % abs(term.coefficient)}")
-    print(f"# counter-rotating terms: {len(cls.counter_rotating)}")
-    for term, detuning in cls.counter_rotating:
-        print(f"counter,{_term_label(term)},"
-              f"{FLOAT_FMT % abs(term.coefficient)},{FLOAT_FMT % detuning}")
+    labels: dict = {}
+    lines = [f"# pump = {FLOAT_FMT % drive}, tolerance = "
+             f"{FLOAT_FMT % cls.tolerance}",
+             f"# resonant terms: {len(cls.resonant)}"]
+    lines += [f"resonant,{_term_label(term, labels)},"
+              f"{FLOAT_FMT % abs(term.coefficient)}"
+              for term in cls.resonant]
+    lines.append(f"# counter-rotating terms: {len(cls.counter_rotating)}")
+    lines += [f"counter,{_term_label(term, labels)},"
+              f"{FLOAT_FMT % abs(term.coefficient)},{FLOAT_FMT % detuning}"
+              for term, detuning in cls.counter_rotating]
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ detuning.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
@@ -77,7 +78,7 @@ class LadderMonomial:
                 raise ValueError("subsystem indices must be non-negative")
         if self.drive_sign not in (-1, 0, 1):
             raise ValueError("drive_sign must be -1, 0 or +1")
-        if not np.isfinite(self.coefficient):
+        if not cmath.isfinite(self.coefficient):
             raise ValueError("coefficient must be finite")
 
     def conjugate(self) -> "LadderMonomial":

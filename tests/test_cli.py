@@ -11,11 +11,28 @@ import numpy as np
 import pytest
 
 from triphoton.cli import main
-from triphoton.config import build_scenario_config, parse_config
+from triphoton.circuit import coupling_table
+from triphoton.config import build_scenario_config, load_config, parse_config
 from triphoton.errors import ConfigError
-from triphoton.scenarios import ScenarioConfig
+from triphoton.rwa import (
+    ANNIHILATE,
+    CREATE,
+    NUMBER,
+    PAULI_MINUS,
+    PAULI_PLUS,
+    PAULI_Z,
+    classify_terms,
+    driven_cavity_terms,
+)
+from triphoton.scenarios import ScenarioConfig, resolve_circuit
 from triphoton.hilbert import RegisterLayout, fock_state, ghz_state
-from triphoton.serialize import load_state, save_state, state_from_json, state_to_json
+from triphoton.serialize import (
+    FLOAT_FMT,
+    load_state,
+    save_state,
+    state_from_json,
+    state_to_json,
+)
 from triphoton.witnesses import triple_superposition
 
 REFERENCE = os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -167,6 +184,35 @@ class TestRwaCommand:
         for line in driven:
             ops = sorted(line.split(",")[1].split(" e^{")[0].split())
             assert ops in (["a+_1", "a+_2", "a+_3"], ["a_1", "a_2", "a_3"])
+
+    def test_rows_follow_classify_terms(self, capsys):
+        # every listed row, in order, against the classification the
+        # command prints: operator label, drive branch, |coefficient| and
+        # the counter-rotating detuning
+        circuit = load_config(REFERENCE).circuit
+        eff, spectrum = resolve_circuit(circuit)
+        terms = driven_cavity_terms(coupling_table(spectrum, eff),
+                                    circuit.squid.pump_amplitude,
+                                    spectrum.n_modes)
+        freqs = list(spectrum.frequencies)
+        cls = classify_terms(terms, freqs, circuit.squid.pump_frequency
+                             or float(np.sum(freqs)))
+        expected = ([("resonant", term, ()) for term in cls.resonant]
+                    + [("counter", term, (FLOAT_FMT % detuning,))
+                       for term, detuning in cls.counter_rotating])
+        assert main(["rwa", "--config", REFERENCE]) == 0
+        rows = [line.split(",") for line in
+                capsys.readouterr().out.splitlines()
+                if not line.startswith("#")]
+        assert len(rows) == len(expected) > 0
+        symbols = {CREATE: "a+", ANNIHILATE: "a", NUMBER: "n",
+                   PAULI_PLUS: "s+", PAULI_MINUS: "s-", PAULI_Z: "sz"}
+        branches = {1: " e^{+iwd t}", -1: " e^{-iwd t}", 0: ""}
+        for row, (kind, term, detuning) in zip(rows, expected):
+            ops = " ".join(f"{symbols[k]}_{i + 1}" for i, k in term.factors)
+            label = (ops or "1") + branches[term.drive_sign]
+            assert row == [kind, label, FLOAT_FMT % abs(term.coefficient),
+                           *detuning]
 
     def test_degenerate_config_exits_3(self, capsys):
         assert main(["rwa", "--config", FREE]) == 3

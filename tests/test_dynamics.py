@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from triphoton import scenarios
+from triphoton._dop853 import C
 from triphoton.config import build_scenario_config, load_config
 from triphoton.dynamics import (
     SPARSE_EVOLVE_LIMIT,
@@ -395,20 +396,28 @@ class TestDrivenEvolution:
             evolve(h, fock_state(lay, (0,)), [0.0, 0.0, 1.0])
 
 
+def run_shipped_dce(monkeypatch):
+    """The shipped dce.ini run's trajectory and the arguments it passed
+    to ``evolve``."""
+    captured = {}
+
+    def spy(h, psi0, grid, **kwargs):
+        captured.update(h=h, psi0=psi0, grid=grid, **kwargs)
+        return evolve(h, psi0, grid, **kwargs)
+
+    monkeypatch.setattr(scenarios, "evolve", spy)
+    traj = scenarios.run_scenario(build_scenario_config(
+        load_config(os.path.join(CONFIGS, "dce.ini")))).trajectory
+    return traj, captured
+
+
 class TestDrivenOracle:
     """The shipped dce-rabi run against the full-register integrator at
-    rtol = 1e-13: same states and photon number, parity kept exactly."""
+    rtol = 1e-13: same states and photon number, parity kept exactly;
+    and against scipy's integrator at the shipped setting, bit for bit."""
 
     def test_dce_matches_full_register_reference(self, monkeypatch):
-        captured = {}
-
-        def spy(h, psi0, grid, **kwargs):
-            captured.update(h=h, psi0=psi0, grid=grid, **kwargs)
-            return evolve(h, psi0, grid, **kwargs)
-
-        monkeypatch.setattr(scenarios, "evolve", spy)
-        traj = scenarios.run_scenario(build_scenario_config(
-            load_config(os.path.join(CONFIGS, "dce.ini")))).trajectory
+        traj, captured = run_shipped_dce(monkeypatch)
         h, psi0, grid = captured["h"], captured["psi0"], captured["grid"]
         lay = psi0.layout
         h_static = terms_to_matrix(h.static_terms, lay, sparse=False)
@@ -434,6 +443,36 @@ class TestDrivenOracle:
         assert not states[:, odd].any()
         assert traj.diagnostics["register_dim"] == 18
         assert traj.diagnostics["evolved_dim"] == 9
+
+    def test_dce_matches_solve_ivp_bit_for_bit(self, monkeypatch):
+        # the only shipped run through the integrator: a TwoTone envelope
+        # on a 193-point grid, against the per-group right-hand side on
+        # the same sector matrices
+        traj, captured = run_shipped_dce(monkeypatch)
+        h, psi0, grid = captured["h"], captured["psi0"], captured["grid"]
+        assert {type(env) for _, env in h.driven_terms} == {TwoTone}
+        basis = traj.basis
+        matrix = partial(_basis_matrix, layout=psi0.layout, basis=basis,
+                         sparse=False)
+        groups = {}
+        for term, env in h.driven_terms:
+            groups.setdefault(env, []).append(term)
+        h_static = matrix(h.static_terms)
+        h_driven = [(env, matrix(terms)) for env, terms in groups.items()]
+
+        def rhs(t, y):
+            hy = h_static @ y
+            for env, mat in h_driven:
+                hy = hy + float(env(t)) * (mat @ y)
+            return -1j * hy
+
+        ref = solve_ivp(rhs, (grid[0], grid[-1]), psi0.data[basis],
+                        method="DOP853", t_eval=grid, rtol=1e-10,
+                        atol=1e-11)
+        assert ref.success
+        np.testing.assert_array_equal(traj.columns, ref.y)
+        assert ref.nfev == 31_541
+        assert traj.diagnostics["rhs_evals"] == 31_541
 
 
 class TestStackedGenerator:
@@ -546,6 +585,20 @@ class TestEnvelopes:
         array = [env(np.array([t]))[0] for t in ts]
         np.testing.assert_array_equal(scalar, array)
         np.testing.assert_array_equal(numpy_scalar, array)
+
+    @pytest.mark.parametrize("env", [
+        Constant(0.7), Cosine(0.3, 1.7, 0.2),
+        TwoTone(0.1, 1.35, 0.1, 0.65, phase1=0.4, phase2=-1.1),
+        Motional(v=1.3, k=2.1, x0=0.4)])
+    def test_stage_times_give_the_bits_of_each_stage(self, env):
+        # the integrator evaluates each envelope once per attempted step,
+        # on the array of its 16 stage times
+        rng = np.random.default_rng(12)
+        for t, h in zip(rng.uniform(-50.0, 200.0, 300),
+                        10.0 ** rng.uniform(-8.0, 0.5, 300)):
+            stage_times = t + C[:16] * h
+            each = [float(env(t + C[s] * h)) for s in range(16)]
+            np.testing.assert_array_equal(env(stage_times), each)
 
     def test_motional_is_sampled_mode_function(self):
         env = Motional(v=2.0, k=1.5, x0=0.3)
