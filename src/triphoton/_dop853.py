@@ -334,11 +334,13 @@ def _error_norm(KT, h, scale):
 
 def _envelope_values(envelopes, times):
     """Each envelope evaluated once on the array ``times``, as a list of
-    floats per envelope. An envelope may return one value for all times;
-    it is broadcast."""
+    values per envelope. An envelope may return one value for all times;
+    it is broadcast. The values come as complex numbers with zero
+    imaginary part: numpy casts a real factor of a complex array to
+    exactly that in each product, and a complex one skips the cast."""
     values = []
     for env in envelopes:
-        column = np.empty_like(times)
+        column = np.empty(times.shape, dtype=complex)
         column[...] = env(times)
         values.append(column.tolist())
     return values
@@ -407,6 +409,7 @@ def dop853(generator, envelopes: Sequence[Callable[[np.ndarray], np.ndarray]],
     def stages(first, stop, y, h, values):
         """Stages ``first`` to ``stop - 1`` of the step of size h from y,
         written into their rows; returns the last one's state."""
+        h = complex(h)  # what numpy casts h to in each product
         for s in range(first, stop):
             dy = prefixes[s].dot(A_ROWS[s])
             dy *= h
