@@ -27,11 +27,12 @@ stacked matrix and one envelope-weighted add per block. The step
 bookkeeping runs on Python floats. None of this changes a float
 operation: the numpy expressions are scipy's, in its order and on arrays
 of the same shapes and layouts, an envelope gives the same bits on an
-array as on each of its entries, and Python floats round as numpy's
-float64 scalars do, so every float comes out the same; the oracle tests
-in ``tests/test_dynamics.py`` hold it to that. Only what the package
-uses is ported: a strictly increasing grid, scalar tolerances, no
-maximum step and no events.
+array as on each of its entries, a real factor of the complex states is
+handed over as the complex number numpy would cast it to, and Python
+floats round as numpy's float64 scalars do, so every float comes out the
+same; the oracle tests in ``tests/test_dynamics.py`` hold it to that.
+Only what the package uses is ported: a strictly increasing grid, scalar
+tolerances, no maximum step and no events.
 
 The tableau below is copied digit for digit from scipy's
 ``scipy/integrate/_ivp/dop853_coefficients.py``, which carries this
@@ -372,8 +373,8 @@ def _interpolate(K, t_old, h, y_old, y, t):
 def dop853(generator, envelopes: Sequence[Callable[[np.ndarray], np.ndarray]],
            times: np.ndarray, y0: np.ndarray, rtol: float,
            atol: float) -> tuple[np.ndarray, int]:
-    """Integrate dy/dt = G(t) y from y(times[0]) = y0 over the strictly
-    increasing grid ``times``.
+    """Integrate dy/dt = G(t) y from y(times[0]) = y0, a complex vector,
+    over the strictly increasing grid ``times``.
 
     ``generator`` stacks G's parts as blocks of n rows, n = len(y0): a
     dense array or a scipy sparse matrix with (1 + len(envelopes)) n
