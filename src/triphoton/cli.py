@@ -93,15 +93,18 @@ _SYMBOLS = {"create": "a+", "annihilate": "a", "number": "n",
 _DRIVE_LABELS = {1: " e^{+iwd t}", -1: " e^{-iwd t}", 0: ""}
 
 
-def _term_label(term, operator_labels: dict) -> str:
+def _term_label(term, pending: dict) -> str:
     """The term's operators and drive branch, as ``rwa`` lists them.
-    ``operator_labels`` keeps each operator label by its factors, so the
-    two drive branches of one operator build it once."""
-    ops = operator_labels.get(term.factors)
+    ``pending`` holds, by factors, the operator label of each driven term
+    whose other drive branch is still to come: the two branches build it
+    once, and the label is dropped at its second use, so the listing
+    never holds every label at once."""
+    ops = pending.pop(term.factors, None)
     if ops is None:
         ops = " ".join(f"{_SYMBOLS[kind]}_{idx + 1}"
                        for idx, kind in term.factors) or "1"
-        operator_labels[term.factors] = ops
+        if term.drive_sign:
+            pending[term.factors] = ops
     return ops + _DRIVE_LABELS[term.drive_sign]
 
 
@@ -116,17 +119,22 @@ def cmd_rwa(args) -> int:
     drive = circuit.squid.pump_frequency or float(np.sum(freqs))
     cls = classify_terms(terms, freqs, drive, tolerance=args.tolerance)
     labels: dict = {}
-    lines = [f"# pump = {FLOAT_FMT % drive}, tolerance = "
-             f"{FLOAT_FMT % cls.tolerance}",
-             f"# resonant terms: {len(cls.resonant)}"]
-    lines += [f"resonant,{_term_label(term, labels)},"
-              f"{FLOAT_FMT % abs(term.coefficient)}"
-              for term in cls.resonant]
-    lines.append(f"# counter-rotating terms: {len(cls.counter_rotating)}")
-    lines += [f"counter,{_term_label(term, labels)},"
-              f"{FLOAT_FMT % abs(term.coefficient)},{FLOAT_FMT % detuning}"
-              for term, detuning in cls.counter_rotating]
-    sys.stdout.write("\n".join(lines) + "\n")
+
+    def listing():
+        yield (f"# pump = {FLOAT_FMT % drive}, tolerance = "
+               f"{FLOAT_FMT % cls.tolerance}\n")
+        yield f"# resonant terms: {len(cls.resonant)}\n"
+        for term in cls.resonant:
+            yield (f"resonant,{_term_label(term, labels)},"
+                   f"{FLOAT_FMT % abs(term.coefficient)}\n")
+        yield f"# counter-rotating terms: {len(cls.counter_rotating)}\n"
+        for term, detuning in cls.counter_rotating:
+            yield (f"counter,{_term_label(term, labels)},"
+                   f"{FLOAT_FMT % abs(term.coefficient)},"
+                   f"{FLOAT_FMT % detuning}\n")
+
+    # one write call, line by line: no joined copy of the whole listing
+    sys.stdout.writelines(listing())
     return EXIT_OK
 
 
