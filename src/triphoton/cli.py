@@ -118,18 +118,18 @@ def cmd_rwa(args) -> int:
     freqs = list(spectrum.frequencies)
     drive = circuit.squid.pump_frequency or float(np.sum(freqs))
     cls = classify_terms(terms, freqs, drive, tolerance=args.tolerance)
-    labels: dict = {}
+    pending: dict = {}
 
     def listing():
         yield (f"# pump = {FLOAT_FMT % drive}, tolerance = "
                f"{FLOAT_FMT % cls.tolerance}\n")
         yield f"# resonant terms: {len(cls.resonant)}\n"
         for term in cls.resonant:
-            yield (f"resonant,{_term_label(term, labels)},"
+            yield (f"resonant,{_term_label(term, pending)},"
                    f"{FLOAT_FMT % abs(term.coefficient)}\n")
         yield f"# counter-rotating terms: {len(cls.counter_rotating)}\n"
         for term, detuning in cls.counter_rotating:
-            yield (f"counter,{_term_label(term, labels)},"
+            yield (f"counter,{_term_label(term, pending)},"
                    f"{FLOAT_FMT % abs(term.coefficient)},"
                    f"{FLOAT_FMT % detuning}\n")
 
