@@ -232,8 +232,8 @@ def evolve(h: HamiltonianSpec,
     The norm is never renormalized; its drift is recorded as the
     ``norm`` observable. It is a unitarity check, not an error measure:
     the integrator's error can lie along the state and keep the norm
-    (on ``configs/dce.ini`` the drift is 2.4e-9 against a 1.76e-8
-    deviation from a tighter reference run). A failed
+    (on ``configs/dce.ini`` the drift is 2.4e-9, while the final state
+    lies 1.76e-8 from an rtol = 1e-13 run). A failed
     integration raises ``IntegrationError`` naming the grid interval
     where it stalled.
     """
