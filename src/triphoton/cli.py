@@ -12,24 +12,20 @@ partial output file behind.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import json
 import os
 import sys
-from functools import partial
 
 import numpy as np
 
 from .circuit import coupling_table
 from .config import build_scenario_config, load_config
-from .dynamics import cutoff_sweep
 from .errors import ConfigError, TriphotonError
 from .rwa import classify_terms, driven_cavity_terms
 from .scenarios import (
     SCENARIO_NAMES,
+    convergence_gate,
     resolve_circuit,
     run_scenario,
-    sweep_observables,
 )
 from .serialize import (
     FLOAT_FMT,
@@ -194,25 +190,13 @@ def cmd_witness(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_config(args.config)
     config = build_scenario_config(cfg, name=args.scenario)
     cutoffs = sorted(int(c) for c in args.cutoffs.split(","))
-    if len(cutoffs) < 2:
-        raise ConfigError("sweep needs at least two cutoffs")
-    pool = contextlib.nullcontext()
-    if args.jobs > 1:
-        # the process pool's imports are paid only by parallel sweeps
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=args.jobs)
-    with pool as executor:
-        report = cutoff_sweep(partial(sweep_observables, config), cutoffs,
-                              threshold=args.threshold,
-                              map=executor.map if executor else map)
+    report = convergence_gate(config, cutoffs, threshold=args.threshold)
     doc = {"cutoffs": cutoffs, "deltas": report.deltas,
            "converged": report.converged, "threshold": args.threshold}
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = summary_json(doc)
     if args.out:
         atomic_write_text(args.out, text)
     else:
@@ -268,8 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoffs", required=True,
                    help="comma-separated cutoff list, e.g. 6,8,10")
     p.add_argument("--threshold", type=float, default=1e-6)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers across cutoffs (at least 1)")
+    p.add_argument("--jobs", type=int, help="accepted and ignored (serial)")
     p.add_argument("--out", help="report JSON path (default: stdout)")
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -171,13 +171,14 @@ class Trajectory:
     diagnostics: dict = field(default_factory=dict)
 
     def state(self, k: int) -> QuantumState:
-        """Column k embedded into the full register."""
+        """Column k embedded into the register, for snapshots and tests."""
         data = np.zeros(self.layout.total_dim, dtype=complex)
         data[self.basis] = self.columns[:, k]
         return QuantumState(self.layout, data, validate=False)
 
     @property
     def states(self) -> list[QuantumState]:
+        """Every state, embedded anew; only perfbench/tracing.py reads it."""
         return [self.state(k) for k in range(len(self.times))]
 
 
@@ -343,24 +344,21 @@ class ConvergenceReport:
 
 def cutoff_sweep(run: Callable[[int], Mapping[str, np.ndarray]],
                  cutoffs: Sequence[int],
-                 threshold: float = 1e-6,
-                 map: Callable = map) -> ConvergenceReport:
+                 threshold: float = 1e-6) -> ConvergenceReport:
     """Run a scenario at each cutoff and report observable drift.
 
     ``run(cutoff)`` must return named observable arrays on a common time
     grid. The cutoffs must be strictly increasing: a repeated cutoff
     would report a zero change and fake convergence. The report flags
     non-convergence when the change between the two largest cutoffs
-    still exceeds the threshold. ``map`` applies ``run`` over the
-    cutoffs in order; pass an executor's ``map`` to run the cutoffs in
-    parallel.
+    still exceeds the threshold.
     """
     cutoffs = list(cutoffs)
     if len(cutoffs) < 2:
         raise ValueError("need at least two cutoffs")
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError(f"cutoffs must be strictly increasing, got {cutoffs}")
-    results = list(map(run, cutoffs))
+    results = [run(cutoff) for cutoff in cutoffs]
     names = list(results[0].keys())
     deltas: dict[str, list[float]] = {n: [] for n in names}
     for prev, curr in zip(results, results[1:]):

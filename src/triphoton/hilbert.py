@@ -246,6 +246,28 @@ def _expect_columns(factors, layout: RegisterLayout, basis: np.ndarray,
     return values
 
 
+def _reduce_columns(layout: RegisterLayout, basis: np.ndarray,
+                    columns: np.ndarray, keep: list[int]) -> np.ndarray:
+    """Reduced densities over the subsystems ``keep`` (a sorted list) of
+    the pure states given as columns on the basis states (sorted flat
+    indices), stacked (column, kept, kept): each column is a kept x traced
+    matrix M over the traced digits the basis holds, and rho = M M^dag."""
+    dims = layout.dims
+    order = keep + [i for i in range(len(dims)) if i not in keep]
+    digits = np.array(np.unravel_index(basis, dims))
+    moved = np.ravel_multi_index(digits[order], np.take(dims, order))
+    keep_dim = int(np.prod([dims[i] for i in keep]))
+    kept, traced = np.divmod(moved, layout.total_dim // keep_dim)
+    held, traced_at = np.unique(traced, return_inverse=True)
+    # one M at a time: a stack of them would hold every column's zeros
+    m = np.zeros((keep_dim, len(held)), dtype=complex)
+    rhos = np.empty((columns.shape[1], keep_dim, keep_dim), dtype=complex)
+    for k in range(columns.shape[1]):
+        m[kept, traced_at] = columns[:, k]
+        rhos[k] = m @ m.conj().T
+    return rhos
+
+
 def _basis_matrix(terms: Iterable[LadderMonomial], layout: RegisterLayout,
                   basis: np.ndarray, sparse: bool = False):
     """Matrix of the summed terms between the basis states (sorted flat
@@ -317,9 +339,9 @@ def partial_trace(state: QuantumState, keep: Iterable[int]) -> QuantumState:
     new_layout = RegisterLayout(
         tuple(state.layout.subsystems[i] for i in keep))
     if state.is_pure:
-        block = state.data.reshape(dims).transpose(keep + traced)
-        m = block.reshape(keep_dim, traced_dim)
-        rho = m @ m.conj().T
+        support = np.flatnonzero(state.data)
+        rho = _reduce_columns(state.layout, support,
+                              state.data[support][:, None], keep)[0]
     else:
         tensor = state.data.reshape(dims + dims)
         perm = keep + traced + [n_sub + i for i in keep] + \

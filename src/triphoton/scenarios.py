@@ -12,11 +12,10 @@ undecided), which the summary counts. Every evolution step runs
 exactly for the static scenarios, by DOP853 at its one setting for the
 driven ``dce-rabi``, whose even-parity sector is half its register. The
 summary's ``diagnostics`` records which path ran and on how many states.
-Every analysis reads its moments off the trajectory's sector columns;
-the partial traces of the hybrid and dce analyses embed one grid state
-at a time into the register. A cutoff sweep reruns only the evolution step,
-so it shares the run's Hamiltonian, pump check and evolution path, and
-records observables only.
+Every analysis reads its moments and reduced states off the
+trajectory's sector columns. A cutoff sweep reruns only the evolution
+step, so it shares the run's Hamiltonian, pump check and evolution
+path, and records observables only.
 
 Times in the down-conversion scenarios are quoted as the dimensionless
 g0 * t; interaction-picture Hamiltonians are static there, so the free
@@ -52,11 +51,12 @@ from .dynamics import (
 )
 from .errors import PumpMismatchError
 from .hilbert import (
+    QuantumState,
     RegisterLayout,
     _covariance,
     _expect_columns,
+    _reduce_columns,
     fock_state,
-    partial_trace,
     von_neumann_entropy,
 )
 from .rwa import (
@@ -416,27 +416,24 @@ def _analyze_hybrid(config: ScenarioConfig, traj: Trajectory,
                     details: dict) -> ScenarioResult:
     """Tracks how the genuinely tripartite moment structure transfers
     from the field register to the qubit register. The field moments
-    are read off the sector columns; the qubit partial trace embeds one
-    grid state at a time."""
+    and the qubits' reduced states are read off the sector columns."""
     tau = traj.times
     n = len(tau)
     expect = _column_moments(traj)
-    series = {
-        "dv": np.empty(n), "neg_q1": np.empty(n), "neg_q2": np.empty(n),
-        "neg_q3": np.empty(n), "g2_field": np.empty(n),
-        "swap_fidelity": np.empty(n), "swap_eta": np.empty(n),
-        "qubit_purity": np.empty(n),
-    }
-    for k, state in enumerate(map(traj.state, range(n))):
-        rho_q = partial_trace(state, {3, 4, 5})
+    series = {key: np.empty(n) for key in (
+        "dv", "neg_q1", "neg_q2", "neg_q3", "g2_field", "swap_fidelity",
+        "swap_eta", "qubit_purity")}
+    qubits = RegisterLayout.qubits(3)
+    rhos = _reduce_columns(traj.layout, traj.basis, traj.columns, [3, 4, 5])
+    for k in range(n):
+        rho_q = QuantumState(qubits, rhos[k], validate=False)
         series["dv"][k] = dv_genuine_witness(rho_q).value
         for q in range(3):
             series[f"neg_q{q + 1}"][k] = negativity(rho_q, {q})
         series["g2_field"][k] = _mode_reports(
             partial(expect, k=k), [0, 1, 2])["genuine_max"].value
-        fid, eta = _eta_family_fidelity(rho_q.data)
-        series["swap_fidelity"][k] = fid
-        series["swap_eta"][k] = eta
+        series["swap_fidelity"][k], series["swap_eta"][k] = \
+            _eta_family_fidelity(rho_q.data)
         series["qubit_purity"][k] = rho_q.purity()
 
     dv_idx = int(np.argmax(series["dv"]))
@@ -508,8 +505,10 @@ def _analyze_dce(config: ScenarioConfig, traj: Trajectory,
     windowed photon-number averages (window = ``window_periods``
     modulation periods) and their monotonicity flag."""
     p = config.dce
-    entropy = np.array([von_neumann_entropy(partial_trace(s, {1}))
-                        for s in map(traj.state, range(len(traj.times)))])
+    qubit = RegisterLayout.qubits(1)
+    rhos = _reduce_columns(traj.layout, traj.basis, traj.columns, [1])
+    entropy = np.array([von_neumann_entropy(
+        QuantumState(qubit, rho, validate=False)) for rho in rhos])
     series = {"qubit_entropy": entropy}
 
     samples_per_window = p.window_periods * p.steps_per_period
@@ -563,8 +562,7 @@ def sweep_observables(config: ScenarioConfig, cutoff: int) -> dict:
 def convergence_gate(config: ScenarioConfig, cutoffs=None, threshold=1e-6):
     """Cutoff sweep for a scenario config; defaults to (cutoff, cutoff+2)."""
     if cutoffs is None:
-        base = config.effective_cutoff
-        cutoffs = [base, base + 2]
+        cutoffs = [config.effective_cutoff, config.effective_cutoff + 2]
     return cutoff_sweep(partial(sweep_observables, config), cutoffs,
                         threshold=threshold)
 

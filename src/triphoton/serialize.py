@@ -124,8 +124,7 @@ def circuit_tables_json(spectrum, table) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def snapshot_states(trajectory, times, directory: str,
-                    prefix: str = "state"):
+def snapshot_states(trajectory, times, directory: str):
     """Dump the trajectory states nearest to the requested times as JSON
     files; returns the written paths. A time outside the run's span
     raises ``ConfigError`` before any file is written."""
@@ -138,7 +137,7 @@ def snapshot_states(trajectory, times, directory: str,
     paths = []
     for t in times:
         k = int(np.argmin(np.abs(grid - t)))
-        path = os.path.join(directory, f"{prefix}_{grid[k]:g}.json")
+        path = os.path.join(directory, f"state_{grid[k]:g}.json")
         save_state(trajectory.state(k), path)
         paths.append(path)
     return paths

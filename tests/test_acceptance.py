@@ -164,10 +164,10 @@ def test_22spdc_covariance_verdicts(default_22spdc):
     assert s["s_undecided_points"] == 0
     assert s["windows"]["s_opt"] == [[0.003, 0.3]]
     for k in range(1, len(res.trajectory.times)):
-        rep = optimize_vlf(res.trajectory.states[k])
+        rep = optimize_vlf(res.trajectory.state(k))
         assert rep.components["verdict"] == "detected"
         assert rep.value == res.witness_series["s_opt"][k]
-        cov = covariance_matrix(res.trajectory.states[k])
+        cov = covariance_matrix(res.trajectory.state(k))
         assert vlf_value(cov, rep.parameters.g, rep.parameters.h) == rep.value
         if k % 5 == 0:
             assert rep.value >= restart_oracle(cov, 200, 7 + k)[0]
@@ -188,12 +188,12 @@ def _dominance_bank():
     h3 = HamiltonianSpec(terms)
     grid = np.linspace(0.0, 0.2, 6)
     traj = evolve(h3, fock_state(lay, (0, 0, 0)), grid)
-    bank.extend(QuantumState(lay, s.data, validate=False)
-                for s in traj.states[1:])
+    bank.extend(QuantumState(lay, traj.state(k).data, validate=False)
+                for k in range(1, len(grid)))
     h22 = HamiltonianSpec(pair_interaction(1.0))
     traj = evolve(h22, fock_state(lay, (0, 0, 0)), grid)
-    bank.extend(QuantumState(lay, s.data, validate=False)
-                for s in traj.states[1:])
+    bank.extend(QuantumState(lay, traj.state(k).data, validate=False)
+                for k in range(1, len(grid)))
     for _ in range(200 - len(bank)):
         # random pure states on the sub-cutoff support, mixed across all
         # three modes (generally entangled)
@@ -308,8 +308,9 @@ def test_criterion_06_rwa_classification():
     assert elapsed < 1.0
 
 
-def _energy_drift(states, terms):
-    layout = states[0].layout
+def _energy_drift(traj, terms):
+    states = [traj.state(k) for k in range(len(traj.times))]
+    layout = traj.layout
     h = terms_to_matrix(terms, layout, sparse=layout.total_dim > 512)
     vals = np.array([np.vdot(s.data, h @ s.data).real for s in states])
     scale = max(1.0, np.abs(vals).max())
@@ -324,12 +325,12 @@ def test_criterion_07_numerical_hygiene(default_3spdc, default_22spdc,
     drifts["22spdc"] = default_22spdc[0].summary["norm_drift"]
     drifts["hybrid"] = default_hybrid[0].summary["norm_drift"]
     drifts["dce"] = default_dce[0].summary["norm_drift"]
-    energy["3spdc"] = _energy_drift(default_3spdc[0].trajectory.states,
+    energy["3spdc"] = _energy_drift(default_3spdc[0].trajectory,
                                     triple_interaction(1.0))
-    energy["22spdc"] = _energy_drift(default_22spdc[0].trajectory.states,
+    energy["22spdc"] = _energy_drift(default_22spdc[0].trajectory,
                                      pair_interaction(1.0))
     energy["hybrid"] = _energy_drift(
-        default_hybrid[0].trajectory.states,
+        default_hybrid[0].trajectory,
         hybrid_interaction(1.0, default_hybrid[0].config.jc_ratio))
 
     sweeps = {}
@@ -375,7 +376,7 @@ def test_criterion_08_soundness(default_3spdc):
     for k in range(0, len(res.trajectory.times), 10):
         if res.witness_series["g2"][k] > 0:
             checked += 1
-            state = res.trajectory.states[k]
+            state = res.trajectory.state(k)
             if any(negativity(state, {i}) > 1e-9 for i in range(3)):
                 confirmed += 1
     ok = worst <= 1e-9 and checked > 0 and confirmed == checked

@@ -373,20 +373,20 @@ n_steps = 9
 """)
         assert main(["sweep", "--config", cfg, "--cutoffs", "4,6"]) == 4
 
-    def test_parallel_sweep_writes_the_serial_report(self, tmp_path):
+    def test_jobs_accepted_and_ignored(self, tmp_path):
         cfg = write(tmp_path, "s.ini", """
 [scenario]
 name = 3spdc
 g0 = 1.0
 n_steps = 9
 """)
-        reports = []
-        for jobs in ("1", "2"):
-            out = str(tmp_path / f"report-{jobs}.json")
-            main(["sweep", "--config", cfg, "--cutoffs", "4,6",
-                  "--jobs", jobs, "--out", out])
-            reports.append(Path(out).read_bytes())
-        assert reports[0] == reports[1]
+        runs = []
+        for jobs in ([], ["--jobs", "0"], ["--jobs", "1"], ["--jobs", "2"]):
+            out = str(tmp_path / f"report{len(runs)}.json")
+            code = main(["sweep", "--config", cfg, "--cutoffs", "4,6", *jobs,
+                         "--out", out])
+            runs.append((code, Path(out).read_bytes()))
+        assert runs[1:] == runs[:1] * 3
 
     def test_repeated_cutoffs_rejected(self, tmp_path, capsys):
         out = str(tmp_path / "report.json")
@@ -395,12 +395,11 @@ n_steps = 9
         assert "strictly increasing" in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+    def test_single_cutoff_rejected(self, tmp_path, capsys):
         out = str(tmp_path / "report.json")
         assert main(["sweep", "--config", os.path.join(CONFIGS, "hybrid.ini"),
-                     "--cutoffs", "2,3", "--jobs", jobs, "--out", out]) == 2
-        assert "--jobs must be at least 1" in capsys.readouterr().err
+                     "--cutoffs", "4", "--out", out]) == 2
+        assert "need at least two cutoffs" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_pump_mismatch_exits_3_like_run(self, tmp_path, capsys):
@@ -483,9 +482,10 @@ class TestStateSerialization:
 
 
 class TestColdStart:
-    """scipy and the process pool load only on the paths that call them:
-    ``scipy.sparse`` for sectors above ``SPARSE_EVOLVE_LIMIT`` states and
-    the pool for ``sweep --jobs`` > 1. ``scipy.integrate`` never loads.
+    """scipy loads only on the path that calls it: ``scipy.sparse`` for
+    sectors above ``SPARSE_EVOLVE_LIMIT`` states. ``scipy.integrate``
+    never loads, and no process pool does: a sweep runs its cutoffs one
+    after another, whatever ``--jobs`` says.
 
     The suite itself imports scipy, so each check runs in a fresh
     interpreter and reads back what it had loaded.
@@ -526,6 +526,15 @@ class TestColdStart:
         summary = json.loads((tmp_path / "dce.ini" / "summary.json")
                              .read_text())
         assert summary["diagnostics"]["rhs_evals"] == 31_541
+
+    def test_sweep_jobs_loads_no_pool(self, tmp_path):
+        out = str(tmp_path / "report.json")
+        result = self.fresh(
+            "result = {'code': triphoton.cli.main(['sweep', '--config', "
+            f"{os.path.join(CONFIGS, 'hybrid.ini')!r}, '--cutoffs', '4,6', "
+            f"'--jobs', '2', '--out', {out!r}])}}")
+        assert result == {"code": 4, "loaded": []}
+        assert json.loads(Path(out).read_text())["cutoffs"] == [4, 6]
 
     def test_large_sector_loads_sparse(self):
         result = self.fresh("""

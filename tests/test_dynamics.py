@@ -100,7 +100,7 @@ class TestEigenstatePhase:
                       observables={"n": mono([(0, NUMBER)])})
         for i, t in enumerate(grid):
             expected = np.exp(-1j * omega * t) * psi0.data
-            assert np.abs(traj.states[i].data - expected).max() < 1e-8
+            assert np.abs(traj.state(i).data - expected).max() < 1e-8
         assert np.abs(traj.observables["n"] - 1.0).max() < 2e-8
 
 
@@ -113,7 +113,7 @@ class TestTripleDownconversion:
         traj = evolve(h, psi0, grid)
         idx_111 = np.flatnonzero(fock_state(lay, (1, 1, 1)).data.real)[0]
         for i, gt in enumerate(grid[1:], start=1):
-            pop = abs(traj.states[i].data[idx_111]) ** 2
+            pop = abs(traj.state(i).data[idx_111]) ** 2
             assert pop == pytest.approx(gt**2, abs=3 * gt**4)
 
     def test_agreement_with_expm_oracle(self):
@@ -125,7 +125,7 @@ class TestTripleDownconversion:
         assert traj.diagnostics["evolved_dim"] == 9
         for i, t in enumerate(grid):
             oracle = evolve_static_expm(terms, psi0, t)
-            assert np.linalg.norm(traj.states[i].data - oracle.data) < 1e-10
+            assert np.linalg.norm(traj.state(i).data - oracle.data) < 1e-10
         assert np.abs(traj.observables["norm"] - 1.0).max() <= 1e-14
 
 
@@ -142,7 +142,7 @@ class TestSectorPath:
     def assert_matches_oracle(terms, psi0, grid, traj):
         for i, t in enumerate(grid):
             oracle = evolve_static_expm(terms, psi0, t)
-            assert np.abs(traj.states[i].data - oracle.data).max() <= 1e-10
+            assert np.abs(traj.state(i).data - oracle.data).max() <= 1e-10
         assert np.abs(traj.observables["norm"] - 1.0).max() <= 1e-14
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -192,8 +192,8 @@ class TestSectorPath:
         lay, terms, _ = self.CASES["22spdc"]
         psi0 = fock_state(lay, (0, 0, 0))
         traj = evolve(spec_of(terms), psi0, [0.0, 0.3])
-        assert np.array_equal(traj.states[0].data, psi0.data)
-        vacuum = traj.states[0]
+        assert np.array_equal(traj.state(0).data, psi0.data)
+        vacuum = traj.state(0)
         assert genuine_witness_max(vacuum).value == 0.0
         assert optimize_vlf(vacuum).value == 0.0
 
@@ -212,7 +212,8 @@ class TestSectorPath:
         assert traj.diagnostics["path"] == "dop853"
         assert traj.diagnostics["evolved_dim"] == 10_000
         assert traj.diagnostics["rhs_evals"] > 0
-        for with_qubit, without in zip(traj.states, alone.states):
+        for with_qubit, without in zip(map(traj.state, range(2)),
+                                       map(alone.state, range(2))):
             assert np.array_equal(with_qubit.data[0::2], without.data)
             assert not with_qubit.data[1::2].any()
 
@@ -323,8 +324,8 @@ class TestHygiene:
         grid = np.linspace(0.0, 0.25, 6)
         forward = evolve(spec_of(terms), psi0, grid)
         reversed_terms = [t.scaled(-1.0) for t in terms]
-        back = evolve(spec_of(reversed_terms), forward.states[-1], grid)
-        overlap = abs(np.vdot(psi0.data, back.states[-1].data))
+        back = evolve(spec_of(reversed_terms), forward.state(-1), grid)
+        overlap = abs(np.vdot(psi0.data, back.state(-1).data))
         assert 1.0 - overlap < 1e-6
 
 
@@ -431,7 +432,7 @@ class TestDrivenOracle:
         ref = solve_ivp(rhs, (grid[0], grid[-1]), psi0.data,
                         method="DOP853", t_eval=grid, rtol=1e-13, atol=1e-14)
         assert ref.success
-        states = np.array([s.data for s in traj.states])
+        states = np.array([traj.state(k).data for k in range(len(grid))])
         assert np.abs(states - ref.y.T).max() <= 5e-8
         n_mat = terms_to_matrix([captured["observables"]["n"]], lay,
                                 sparse=False)

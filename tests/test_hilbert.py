@@ -4,6 +4,7 @@ Direct-computation oracles (explicit Kronecker products, scipy expm)
 live inside the tests and never call the code paths they check.
 """
 
+import os
 import tracemalloc
 from functools import reduce
 
@@ -12,6 +13,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from triphoton.config import build_scenario_config, load_config
 from triphoton.dynamics import HamiltonianSpec, evolve
 from triphoton.errors import LayoutMismatchError
 from triphoton.hilbert import (
@@ -20,6 +22,7 @@ from triphoton.hilbert import (
     _expect_columns,
     _level_map,
     _on_basis,
+    _reduce_columns,
     covariance_matrix,
     expect_monomial,
     fock_state,
@@ -38,6 +41,7 @@ from triphoton.rwa import (
     PAULI_Z,
     LadderMonomial,
 )
+from triphoton.scenarios import _STEPS
 
 
 def mono(factors, coeff=1.0, drive=0):
@@ -45,6 +49,7 @@ def mono(factors, coeff=1.0, drive=0):
 
 
 THREE_QUBITS = RegisterLayout.qubits(3)
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 SM = np.array([[0, 1], [0, 0]], dtype=complex)  # direct sigma_minus
 
 
@@ -411,6 +416,92 @@ class TestPartialTrace:
     def test_empty_keep_rejected(self):
         with pytest.raises(LayoutMismatchError):
             partial_trace(ghz_state(THREE_QUBITS), set())
+
+
+# the subsystems each shipped analysis keeps: the three qubits of
+# hybrid-swap, the qubit of dce-rabi
+SHIPPED_KEEP = {"hybrid.ini": [3, 4, 5], "dce.ini": [1]}
+
+
+@pytest.fixture(scope="module", params=sorted(SHIPPED_KEEP))
+def shipped(request):
+    """A shipped config's evolved trajectory and its analysis's keep."""
+    config = build_scenario_config(
+        load_config(os.path.join(CONFIGS, request.param)))
+    evolve_step, _ = _STEPS[config.name]
+    return evolve_step(config)[0], SHIPPED_KEEP[request.param]
+
+
+class TestReduceColumns:
+    """Reduced densities read off sector columns, against the density
+    branch of ``partial_trace``: an einsum over the embedded state's
+    density matrix, which shares no code with ``_reduce_columns``."""
+
+    BQB = RegisterLayout((("boson", 3), ("qubit", 2), ("boson", 4)))
+
+    @staticmethod
+    def oracle(layout, basis, column, keep):
+        data = np.zeros(layout.total_dim, dtype=complex)
+        data[basis] = column
+        density = QuantumState(layout, data, validate=False).to_density()
+        return partial_trace(density, keep).data
+
+    def check(self, layout, basis, columns, keep):
+        rhos = _reduce_columns(layout, basis, columns, keep)
+        kept = int(np.prod([layout.dims[i] for i in keep]))
+        assert rhos.shape == (columns.shape[1], kept, kept)
+        for rho, column in zip(rhos, columns.T):
+            oracle = self.oracle(layout, basis, column, keep)
+            assert np.abs(rho - oracle).max() <= 1e-15
+
+    @staticmethod
+    def random_columns(rng, rows, n_columns):
+        columns = rng.normal(size=(rows, n_columns)) \
+            + 1j * rng.normal(size=(rows, n_columns))
+        columns[rng.random(size=columns.shape) < 0.2] = 0.0
+        return columns / np.linalg.norm(columns, axis=0)
+
+    def test_shipped_grids_match_the_density_oracle(self, shipped):
+        traj, keep = shipped
+        self.check(traj.layout, traj.basis, traj.columns, keep)
+
+    def test_shipped_grids_keep_the_embedded_bits(self, shipped):
+        # bit for bit the pure branch of the embedded state, and the
+        # register-sized reshape product the analyses once formed
+        traj, keep = shipped
+        dims = traj.layout.dims
+        order = keep + [i for i in range(len(dims)) if i not in keep]
+        rhos = _reduce_columns(traj.layout, traj.basis, traj.columns, keep)
+        for k, rho in enumerate(rhos):
+            state = traj.state(k)
+            np.testing.assert_array_equal(rho, partial_trace(state, keep).data)
+            m = state.data.reshape(dims).transpose(order) \
+                .reshape(len(rho), -1)
+            np.testing.assert_array_equal(rho, m @ m.conj().T)
+
+    def test_keep_all(self):
+        rng = np.random.default_rng(5)
+        basis = np.arange(self.BQB.total_dim)
+        self.check(self.BQB, basis, self.random_columns(rng, 24, 3),
+                   [0, 1, 2])
+
+    def test_non_contiguous_keep(self):
+        rng = np.random.default_rng(6)
+        basis = np.sort(rng.choice(self.BQB.total_dim, 15, replace=False))
+        self.check(self.BQB, basis, self.random_columns(rng, 15, 4), [0, 2])
+
+    def test_support_missing_traced_digits(self):
+        # keep mode 0: the basis holds the qubit's ground level and levels
+        # 1 and 3 of mode 2 only, 2 of the 8 traced digit pairs
+        rng = np.random.default_rng(7)
+        basis = np.array([n0 * 8 + n2 for n0 in range(3) for n2 in (1, 3)])
+        columns = self.random_columns(rng, len(basis), 3)
+        self.check(self.BQB, basis, columns, [0])
+        data = np.zeros(self.BQB.total_dim, dtype=complex)
+        data[basis] = columns[:, 0]
+        reduced = partial_trace(QuantumState(self.BQB, data), {0}).data
+        assert np.abs(reduced - self.oracle(self.BQB, basis, columns[:, 0],
+                                            [0])).max() <= 1e-15
 
 
 class TestCovariance:

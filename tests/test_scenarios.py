@@ -217,12 +217,12 @@ class TestShippedConfigs:
         assert s["s_undecided_points"] == 0
         # the witness point holds on the full-register eigendecomposition
         # state, whose covariance agrees to roundoff
-        rep = optimize_vlf(res.trajectory.states[-1])
+        rep = optimize_vlf(res.trajectory.state(-1))
         assert rep.value == s["s_peak"]
         vacuum = fock_state(RegisterLayout.bosons(3, 8), (0, 0, 0))
         oracle = covariance_matrix(
             evolve_static_expm(pair_interaction(1.0), vacuum, 0.3))
-        cov = covariance_matrix(res.trajectory.states[-1])
+        cov = covariance_matrix(res.trajectory.state(-1))
         assert np.abs(cov - oracle).max() <= 1e-14
         g, h = rep.parameters.g, rep.parameters.h
         assert abs(vlf_value(oracle, g, h) - s["s_peak"]) <= 1e-13
@@ -244,8 +244,9 @@ class TestShippedConfigs:
 
     def test_objective_evals_summed_over_points(self):
         res = self.run("spdc22.ini", n_steps=2)
-        expected = sum(optimize_vlf(state).components["objective_evals"]
-                       for state in res.trajectory.states)
+        traj = res.trajectory
+        expected = sum(optimize_vlf(traj.state(k)).components[
+            "objective_evals"] for k in range(len(traj.times)))
         assert res.summary["s_objective_evals"] == expected > 0
         s3 = self.run("reference.ini", n_steps=3).summary
         assert s3["s_objective_evals"] == 0
