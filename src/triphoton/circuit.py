@@ -293,24 +293,16 @@ def coupling_table(spectrum: ModeSpectrum, eff: EffectiveJunction) -> CouplingTa
 
     e = eff.e_bar
     da = eff.delta_alpha
-    de = eff.delta_e
-    m1 = (e * da / PHI0) * cos
-    m2 = (e / (2.0 * PHI0**2)) * outer(cos, 2)
-    m3 = (e * da / (6.0 * PHI0**3)) * outer(cos, 3)
-    n4 = (e / (24.0 * PHI0**4)) * outer(cos, 4)
-    m4 = (de / (24.0 * PHI0**4)) * outer(cos, 4)
-    return CouplingTable(
-        m1=m1,
-        m2=m2,
-        m3=m3,
-        n4=n4,
-        m4=m4,
-        m1_tilde=(e * da / PHI0) * czp,
-        m2_tilde=(e / (2.0 * PHI0**2)) * outer(czp, 2),
-        m3_tilde=(e * da / (6.0 * PHI0**3)) * outer(czp, 3),
-        n4_tilde=(e / (24.0 * PHI0**4)) * outer(czp, 4),
-        m4_tilde=(de / (24.0 * PHI0**4)) * outer(czp, 4),
-    )
+    tensors = {}
+    for name, prefactor, rank in (
+            ("m1", e * da / PHI0, 1),
+            ("m2", e / (2.0 * PHI0**2), 2),
+            ("m3", e * da / (6.0 * PHI0**3), 3),
+            ("n4", e / (24.0 * PHI0**4), 4),
+            ("m4", eff.delta_e / (24.0 * PHI0**4), 4)):
+        tensors[name] = prefactor * outer(cos, rank)
+        tensors[f"{name}_tilde"] = prefactor * outer(czp, rank)
+    return CouplingTable(**tensors)
 
 
 def three_spdc_coupling(table: CouplingTable, pump_amplitude: float) -> float:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .circuit import coupling_table
 from .config import build_scenario_config, load_config
+from .dynamics import CONVERGENCE_THRESHOLD
 from .errors import ConfigError, TriphotonError
 from .rwa import classify_terms, driven_cavity_terms
 from .scenarios import (
@@ -113,7 +114,7 @@ def cmd_rwa(args) -> int:
                                 spectrum.n_modes)
     freqs = list(spectrum.frequencies)
     drive = circuit.squid.pump_frequency or float(np.sum(freqs))
-    cls = classify_terms(terms, freqs, drive, tolerance=args.tolerance)
+    cls = classify_terms(terms, freqs, drive)
     pending: dict = {}
 
     def listing():
@@ -193,9 +194,10 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     config = build_scenario_config(cfg, name=args.scenario)
     cutoffs = sorted(int(c) for c in args.cutoffs.split(","))
-    report = convergence_gate(config, cutoffs, threshold=args.threshold)
+    report = convergence_gate(config, cutoffs)
     doc = {"cutoffs": cutoffs, "deltas": report.deltas,
-           "converged": report.converged, "threshold": args.threshold}
+           "converged": report.converged,
+           "threshold": CONVERGENCE_THRESHOLD}
     text = summary_json(doc)
     if args.out:
         atomic_write_text(args.out, text)
@@ -223,9 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rwa", help="classify driven-cavity terms")
     p.add_argument("--config", required=True)
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="resonance tolerance in rad/s "
-                        "(default: 1e-6 x smallest mode frequency)")
     p.set_defaults(func=cmd_rwa)
 
     p = sub.add_parser("run", help="run a scenario end to end")
@@ -251,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help=_IGNORED_SEED)
     p.add_argument("--cutoffs", required=True,
                    help="comma-separated cutoff list, e.g. 6,8,10")
-    p.add_argument("--threshold", type=float, default=1e-6)
     p.add_argument("--jobs", type=int, help="accepted and ignored (serial)")
     p.add_argument("--out", help="report JSON path (default: stdout)")
     p.set_defaults(func=cmd_sweep)

@@ -199,8 +199,10 @@ class QuantumState:
         return self
 
     def purity(self) -> float:
-        rho = self.to_density().data
-        return float(np.trace(rho @ rho).real)
+        """tr(rho^2), or (psi^dag psi)^2 without forming rho if pure."""
+        if self.is_pure:
+            return float(np.vdot(self.data, self.data).real) ** 2
+        return float(np.trace(self.data @ self.data).real)
 
 
 def _on_basis(factors, layout: RegisterLayout, basis: np.ndarray,

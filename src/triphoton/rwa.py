@@ -132,10 +132,10 @@ class TermClassification:
     tolerance: float = 0.0
 
 
-def combine_like_terms(terms: Iterable[LadderMonomial],
-                       drop_tol: float = 0.0) -> list[LadderMonomial]:
+def combine_like_terms(terms: Iterable[LadderMonomial]
+                       ) -> list[LadderMonomial]:
     """Merge monomials with identical operator content and drive branch,
-    summing coefficients. Entries with |coefficient| <= drop_tol are
+    summing coefficients. Entries whose coefficients cancel to zero are
     discarded."""
     acc: dict[tuple, LadderMonomial] = {}
     for term in terms:
@@ -147,7 +147,7 @@ def combine_like_terms(terms: Iterable[LadderMonomial],
                                       prev.drive_sign)
         else:
             acc[key] = term
-    return [t for t in acc.values() if abs(t.coefficient) > drop_tol]
+    return [t for t in acc.values() if t.coefficient != 0]
 
 
 def interaction_frequency(term: LadderMonomial,
@@ -174,11 +174,11 @@ def _boson_subsystems(terms: Iterable[LadderMonomial]) -> set[int]:
 
 
 def ensure_anharmonic(frequencies: Sequence[float],
-                      indices: Iterable[int] | None = None,
-                      rel_tol: float = 1e-9) -> None:
+                      indices: Iterable[int] | None = None) -> None:
     """Reject frequency sets where one mode is an integer multiple of
     another; the zero-exponent bookkeeping silently misclassifies terms
-    in that case.
+    in that case. A frequency ratio within 1e-9 of an integer counts as
+    one.
 
     Only the listed indices are checked (default: all). Deliberate
     resonances with non-bosonic subsystems, e.g. a qubit tuned to a mode,
@@ -194,7 +194,7 @@ def ensure_anharmonic(frequencies: Sequence[float],
                 raise DegenerateFrequencyError(
                     f"subsystem {idx[a]} or {idx[b]} has zero frequency")
             ratio = hi / lo
-            if abs(ratio - round(ratio)) < rel_tol:
+            if abs(ratio - round(ratio)) < 1e-9:
                 raise DegenerateFrequencyError(
                     f"frequencies of subsystems {idx[a]} and {idx[b]} are "
                     f"integer multiples (ratio {ratio:.9g}); the "
@@ -202,27 +202,24 @@ def ensure_anharmonic(frequencies: Sequence[float],
 
 
 def default_tolerance(frequencies: Sequence[float]) -> float:
+    """The resonance tolerance: 1e-6 x the smallest nonzero frequency."""
     nonzero = [abs(w) for w in frequencies if w != 0.0]
     return 1e-6 * min(nonzero) if nonzero else 0.0
 
 
 def classify_terms(terms: Sequence[LadderMonomial],
                    frequencies: Sequence[float],
-                   drive: float = 0.0,
-                   tolerance: float | None = None,
-                   check_degeneracy: bool = True) -> TermClassification:
+                   drive: float = 0.0) -> TermClassification:
     """Split terms into resonant (|rotation frequency| <= tolerance) and
-    counter-rotating sets.
+    counter-rotating sets, at the roundoff-scale tolerance
+    ``default_tolerance(frequencies)`` that the result records.
 
     Frequencies of subsystems appearing with bosonic ladder factors must
-    be mutually anharmonic (no integer ratios); pass
-    ``check_degeneracy=False`` to skip that guard.
+    be mutually anharmonic (no integer ratios), else
+    ``DegenerateFrequencyError``.
     """
-    if tolerance is None:
-        tolerance = default_tolerance(frequencies)
-    if tolerance < 0:
-        raise ValueError("tolerance must be non-negative")
-    if check_degeneracy and terms:
+    tolerance = default_tolerance(frequencies)
+    if terms:
         ensure_anharmonic(frequencies, _boson_subsystems(terms))
     resonant: list[LadderMonomial] = []
     counter: list[tuple[LadderMonomial, float]] = []
@@ -277,10 +274,9 @@ def _vacuum_expectation(factors: tuple[tuple[int, str], ...]) -> float:
 def rwa_reduce(terms: Sequence[LadderMonomial],
                frequencies: Sequence[float],
                drive: float = 0.0,
-               tolerance: float | None = None,
-               kerr: str = "drop",
-               check_degeneracy: bool = True) -> list[LadderMonomial]:
-    """Keep only the resonant terms; driven survivors keep one
+               kerr: str = "drop") -> list[LadderMonomial]:
+    """Keep only the resonant terms, as ``classify_terms`` finds them
+    (same tolerance and anharmonicity guard); driven survivors keep one
     exponential branch of their cos(w_d t) factor, i.e. half the
     coefficient, and become static.
 
@@ -292,8 +288,7 @@ def rwa_reduce(terms: Sequence[LadderMonomial],
     """
     if kerr not in ("drop", "keep", "constant_shift"):
         raise ValueError(f"unknown kerr mode {kerr!r}")
-    cls = classify_terms(terms, frequencies, drive, tolerance,
-                         check_degeneracy)
+    cls = classify_terms(terms, frequencies, drive)
     out: list[LadderMonomial] = []
     shift = 0.0 + 0.0j
     for term in cls.resonant:
@@ -312,13 +307,10 @@ def rwa_reduce(terms: Sequence[LadderMonomial],
     return out
 
 
-def free_mode_terms(frequencies: Sequence[float],
-                    indices: Sequence[int] | None = None
-                    ) -> list[LadderMonomial]:
+def free_mode_terms(frequencies: Sequence[float]) -> list[LadderMonomial]:
     """w_n a_n^dagger a_n for each mode."""
-    idx = list(indices) if indices is not None else range(len(frequencies))
-    return [LadderMonomial(((i, CREATE), (i, ANNIHILATE)),
-                           complex(frequencies[i])) for i in idx]
+    return [LadderMonomial(((i, CREATE), (i, ANNIHILATE)), complex(w))
+            for i, w in enumerate(frequencies)]
 
 
 def driven_cavity_terms(table: CouplingTable,
@@ -366,9 +358,9 @@ def driven_cavity_terms(table: CouplingTable,
     return terms
 
 
-def hermitian_closure_holds(terms: Sequence[LadderMonomial],
-                            tol: float = 1e-12) -> bool:
-    """True when the term list is its own Hermitian conjugate as a sum."""
+def hermitian_closure_holds(terms: Sequence[LadderMonomial]) -> bool:
+    """True when the term list is its own Hermitian conjugate as a sum,
+    each coefficient to 1e-12 relative (absolute below magnitude 1)."""
     merged = combine_like_terms(terms)
     conjugated = combine_like_terms(t.conjugate() for t in merged)
     lookup = {t.operator_key(): t.coefficient for t in conjugated}
@@ -376,7 +368,7 @@ def hermitian_closure_holds(terms: Sequence[LadderMonomial],
         return False
     for t in merged:
         other = lookup.get(t.operator_key())
-        if other is None or abs(other - t.coefficient) > tol * max(
+        if other is None or abs(other - t.coefficient) > 1e-12 * max(
                 1.0, abs(t.coefficient)):
             return False
     return True

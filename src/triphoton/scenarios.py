@@ -238,15 +238,13 @@ def cavity_hamiltonian(table, spectrum, pump_amplitude: float,
 
 
 def reduced_cavity_hamiltonian(table, spectrum, pump_amplitude: float,
-                               pump_frequency: float | None = None,
                                kerr: str = "drop") -> list[LadderMonomial]:
     """Interaction-picture Hamiltonian after the rotating-wave
-    reduction of the full pumped-cavity expansion."""
+    reduction of the full pumped-cavity expansion, pumped at the
+    three-mode resonance w1 + w2 + w3."""
     freqs = list(spectrum.frequencies)
-    drive = pump_frequency if pump_frequency is not None \
-        else float(np.sum(freqs))
     terms = driven_cavity_terms(table, pump_amplitude, spectrum.n_modes)
-    return rwa_reduce(terms, freqs, drive, kerr=kerr)
+    return rwa_reduce(terms, freqs, float(np.sum(freqs)), kerr=kerr)
 
 
 def _detection_windows(times: np.ndarray, values: np.ndarray) -> list:
@@ -559,12 +557,11 @@ def sweep_observables(config: ScenarioConfig, cutoff: int) -> dict:
     return {k: v for k, v in traj.observables.items() if k != "norm"}
 
 
-def convergence_gate(config: ScenarioConfig, cutoffs=None, threshold=1e-6):
+def convergence_gate(config: ScenarioConfig, cutoffs=None):
     """Cutoff sweep for a scenario config; defaults to (cutoff, cutoff+2)."""
     if cutoffs is None:
         cutoffs = [config.effective_cutoff, config.effective_cutoff + 2]
-    return cutoff_sweep(partial(sweep_observables, config), cutoffs,
-                        threshold=threshold)
+    return cutoff_sweep(partial(sweep_observables, config), cutoffs)
 
 
 def run_scenario(config: ScenarioConfig,

@@ -363,6 +363,42 @@ n_steps = 9
         assert doc["converged"] is True
         assert doc["cutoffs"] == [8, 10]
 
+    @pytest.mark.parametrize("horizon, cutoffs, code", [
+        ("0.2", "8,10", 0), ("1.5", "4,6", 4)])
+    def test_report_threshold_and_verdict(self, tmp_path, horizon, cutoffs,
+                                          code):
+        # the threshold is fixed; the verdict is "every final change is
+        # below it"
+        cfg = write(tmp_path, "s.ini", f"""
+[scenario]
+name = 3spdc
+g0 = 1.0
+horizon = {horizon}
+n_steps = 9
+""")
+        out = str(tmp_path / "report.json")
+        assert main(["sweep", "--config", cfg, "--cutoffs", cutoffs,
+                     "--out", out]) == code
+        doc = json.loads(Path(out).read_text())
+        assert doc["threshold"] == 1e-6
+        assert '"threshold": 1e-06' in Path(out).read_text()
+        assert doc["converged"] is all(
+            d[-1] < doc["threshold"] for d in doc["deltas"].values())
+        assert doc["converged"] is (code == 0)
+
+    @pytest.mark.parametrize("argv", [
+        ["rwa", "--config", REFERENCE, "--tolerance", "1e-3"],
+        ["sweep", "--config", REFERENCE, "--cutoffs", "4,6",
+         "--threshold", "1e-3"]], ids=["rwa-tolerance", "sweep-threshold"])
+    def test_fixed_settings_have_no_flag(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "report.json")
+        extra = ["--out", out] if argv[0] == "sweep" else []
+        with pytest.raises(SystemExit) as info:
+            main(argv + extra)
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not os.path.exists(out)
+
     def test_nonconverged_sweep_exit_code(self, tmp_path):
         cfg = write(tmp_path, "s.ini", """
 [scenario]

@@ -306,17 +306,6 @@ class TestHygiene:
         scale = np.abs(energy).max()
         assert np.abs(energy - energy[0]).max() < 1e-8 * max(1.0, scale)
 
-    def test_tighter_control_reduces_drift(self):
-        # rtol/atol govern the integrator, which only driven runs use
-        h = driven_displacement()
-        psi0 = fock_state(RegisterLayout.bosons(1, 10), (0,))
-        grid = np.linspace(0.0, 15.0, 4)
-        loose = evolve(h, psi0, grid, rtol=1e-6, atol=1e-8)
-        tight = evolve(h, psi0, grid, rtol=1e-11, atol=1e-13)
-        drift_loose = np.abs(loose.observables["norm"] - 1.0).max()
-        drift_tight = np.abs(tight.observables["norm"] - 1.0).max()
-        assert drift_tight < drift_loose
-
     def test_time_reversal(self):
         lay = RegisterLayout.bosons(3, 6)
         terms = triple_spdc_terms()
@@ -331,15 +320,28 @@ class TestHygiene:
 
 class TestDrivenEvolution:
     def test_driven_matches_tight_reference(self):
-        # checked against the same integrator at much tighter tolerance
+        # checked against scipy's DOP853 at much tighter tolerance on the
+        # same matrices
         lay = RegisterLayout.bosons(1, 10)
         h = driven_displacement()
         psi0 = fock_state(lay, (0,))
         grid = np.linspace(0.0, 15.0, 11)
-        obs = {"n": mono([(0, NUMBER)])}
-        a = evolve(h, psi0, grid, observables=obs)
-        b = evolve(h, psi0, grid, rtol=1e-12, atol=1e-13, observables=obs)
-        assert np.abs(a.observables["n"] - b.observables["n"]).max() < 1e-6
+        n_op = mono([(0, NUMBER)])
+        a = evolve(h, psi0, grid, observables={"n": n_op})
+        h_static = terms_to_matrix(h.static_terms, lay, sparse=False)
+        h_driven = [(env, terms_to_matrix([term], lay, sparse=False))
+                    for term, env in h.driven_terms]
+
+        def rhs(t, y):
+            return -1j * (h_static @ y + sum(float(env(t)) * (mat @ y)
+                                             for env, mat in h_driven))
+
+        ref = solve_ivp(rhs, (grid[0], grid[-1]), psi0.data,
+                        method="DOP853", t_eval=grid, rtol=1e-12, atol=1e-13)
+        assert ref.success
+        n_mat = terms_to_matrix([n_op], lay, sparse=False)
+        n_ref = [np.vdot(col, n_mat @ col).real for col in ref.y.T]
+        assert np.abs(a.observables["n"] - n_ref).max() < 1e-6
 
     def test_stall_names_grid_interval(self):
         # 1 / (1 - t) on n: the phase of |1> winds without bound at t = 1,
@@ -373,16 +375,6 @@ class TestDrivenEvolution:
         assert traj.columns.shape == (len(traj.basis), 1)
         np.testing.assert_array_equal(traj.state(0).data, psi0.data)
         assert traj.observables["norm"].tolist() == [1.0]
-
-    @pytest.mark.parametrize("tolerances", [
-        {"rtol": 99 * np.finfo(float).eps}, {"rtol": float("nan")},
-        {"atol": -1e-12}])
-    def test_tolerances_validated(self, tolerances):
-        # scipy raised rtol to 100 eps with a warning; evolve refuses it
-        psi0 = fock_state(RegisterLayout.bosons(1, 3), (0,))
-        name = next(iter(tolerances))
-        with pytest.raises(ValueError, match=name):
-            evolve(driven_displacement(), psi0, [0.0, 1.0], **tolerances)
 
     def test_hermiticity_validation(self):
         h = HamiltonianSpec(static_terms=[mono([(0, CREATE)], 1.0)])
@@ -661,14 +653,13 @@ class TestCutoffSweep:
                           observables={"n": mono([(0, NUMBER)])})
             return {"n": traj.observables["n"]}
 
-        report = cutoff_sweep(run, [2, 4, 6], threshold=1e-6)
+        report = cutoff_sweep(run, [2, 4, 6])
         assert report.converged
         assert max(report.final_change.values()) < 1e-10
 
     def test_overdriven_scenario_flagged(self):
         report = cutoff_sweep(
-            lambda c: self.run_triple(c, horizon=1.5), [4, 6],
-            threshold=1e-6)
+            lambda c: self.run_triple(c, horizon=1.5), [4, 6])
         assert not report.converged
 
     def test_requires_two_cutoffs(self):

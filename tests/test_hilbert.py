@@ -300,6 +300,27 @@ class TestLargeCutoff:
         assert traj.observables["kerr"] == pytest.approx([10.0, 10.0],
                                                          rel=1e-15)
 
+    def test_pure_state_purity_forms_no_density(self):
+        # the outer product of a 2,197-state register alone is 74 MiB
+        psi = fock_state(RegisterLayout.bosons(3, 12), (1, 2, 3))
+        tracemalloc.start()
+        try:
+            purity = psi.purity()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert purity == 1.0
+
+    def test_pure_purity_matches_density_branch(self):
+        rng = np.random.default_rng(5)
+        vec = rng.normal(size=12) + 1j * rng.normal(size=12)
+        # unnormalized, so the square of the norm is exercised
+        state = QuantumState(RegisterLayout((("boson", 3), ("boson", 4))),
+                             vec, validate=False)
+        assert state.purity() == pytest.approx(
+            state.to_density().purity(), rel=1e-14)
+
 
 class TestExpectation:
     def test_vacuum_antinormal_pair(self):

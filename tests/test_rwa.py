@@ -157,9 +157,6 @@ class TestClassifyTerms:
             classify_terms([term], [1.0, 2.0])
         with pytest.raises(DegenerateFrequencyError):
             classify_terms([term], [1.0, 1.0])
-        # guard can be disabled explicitly
-        cls = classify_terms([term], [1.0, 2.0], check_degeneracy=False)
-        assert len(cls.counter_rotating) == 1
 
     def test_qubit_resonance_not_rejected(self):
         # a qubit tuned to its mode is deliberate, not a degeneracy
@@ -267,8 +264,7 @@ _term = st.builds(
 def test_closure_preserved_on_random_lists(terms):
     closed = terms + [t.conjugate() for t in terms]
     assert hermitian_closure_holds(closed)
-    cls = classify_terms(closed, [0.73, 1.91, 4.39], drive=1.13,
-                         check_degeneracy=False)
+    cls = classify_terms(closed, [0.73, 1.91, 4.39], drive=1.13)
     assert hermitian_closure_holds(cls.resonant)
     assert hermitian_closure_holds([t for t, _ in cls.counter_rotating])
 
