@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import product
 
 import numpy as np
 
@@ -21,9 +22,10 @@ from .circuit import coupling_table
 from .config import build_scenario_config, load_config
 from .dynamics import CONVERGENCE_THRESHOLD
 from .errors import ConfigError, TriphotonError
-from .rwa import classify_terms, driven_cavity_terms
+from .rwa import _classify_cavity, default_tolerance
 from .scenarios import (
     SCENARIO_NAMES,
+    _pump_tone,
     convergence_gate,
     resolve_circuit,
     run_scenario,
@@ -85,50 +87,54 @@ def cmd_modes(args) -> int:
     return EXIT_OK
 
 
-_SYMBOLS = {"create": "a+", "annihilate": "a", "number": "n",
-            "pauli_plus": "s+", "pauli_minus": "s-", "pauli_z": "sz"}
 _DRIVE_LABELS = {1: " e^{+iwd t}", -1: " e^{-iwd t}", 0: ""}
 
 
-def _term_label(term, pending: dict) -> str:
-    """The term's operators and drive branch, as ``rwa`` lists them.
-    ``pending`` holds, by factors, the operator label of each driven term
-    whose other drive branch is still to come: the two branches build it
-    once, and the label is dropped at its second use, so the listing
-    never holds every label at once."""
-    ops = pending.pop(term.factors, None)
-    if ops is None:
-        ops = " ".join(f"{_SYMBOLS[kind]}_{idx + 1}"
-                       for idx, kind in term.factors) or "1"
-        if term.drive_sign:
-            pending[term.factors] = ops
-    return ops + _DRIVE_LABELS[term.drive_sign]
+def _term_labels(modes) -> list[str]:
+    """The operator labels ``rwa`` lists for one index tuple of the
+    cavity expansion, one per sign tuple in the expansion's order
+    (``product((+1, -1))``): a+_n for a creation (+1), a_n for an
+    annihilation (-1) on mode n, counted from 1, in factor order. The
+    listing appends the drive branch."""
+    return [" ".join(ops) for ops in
+            product(*((f"a+_{i + 1}", f"a_{i + 1}") for i in modes))]
 
 
 def cmd_rwa(args) -> int:
     cfg = load_config(args.config)
     circuit = _require_circuit(cfg)
     eff, spectrum = resolve_circuit(circuit)
-    lam = circuit.squid.pump_amplitude
-    terms = driven_cavity_terms(coupling_table(spectrum, eff), lam,
-                                spectrum.n_modes)
     freqs = list(spectrum.frequencies)
-    drive = circuit.squid.pump_frequency or float(np.sum(freqs))
-    cls = classify_terms(terms, freqs, drive)
-    pending: dict = {}
+    drive = _pump_tone(circuit, freqs, cfg.scenario.get("pump_frequency"))
+    # every mask first, so the headers can count the rows
+    groups = _classify_cavity(coupling_table(spectrum, eff),
+                              circuit.squid.pump_amplitude, freqs, drive)
+    n_resonant = sum(int(resonant.sum()) for _, _, resonant in groups)
+    n_rows = sum(len(resonant) for _, _, resonant in groups)
+    magnitudes = [[FLOAT_FMT % c for c in np.abs(group.coefficients).tolist()]
+                  for group, _, _ in groups]
+
+    def rows(kind: str, take_resonant: bool):
+        for (group, w, resonant), coeffs in zip(groups, magnitudes):
+            branches = [_DRIVE_LABELS[b] for b in group.branches]
+            # one line of hits per index tuple: sign tuple, then branch
+            hits = (resonant == take_resonant).reshape(len(coeffs), -1)
+            detunings = w.reshape(hits.shape)
+            for k in np.flatnonzero(hits.any(axis=1)).tolist():
+                labels = _term_labels(group.indices[k].tolist())
+                for j in np.flatnonzero(hits[k]).tolist():
+                    s, b = divmod(j, len(branches))
+                    row = f"{kind},{labels[s]}{branches[b]},{coeffs[k]}"
+                    yield (f"{row}\n" if take_resonant else
+                           f"{row},{FLOAT_FMT % detunings[k, j]}\n")
 
     def listing():
         yield (f"# pump = {FLOAT_FMT % drive}, tolerance = "
-               f"{FLOAT_FMT % cls.tolerance}\n")
-        yield f"# resonant terms: {len(cls.resonant)}\n"
-        for term in cls.resonant:
-            yield (f"resonant,{_term_label(term, pending)},"
-                   f"{FLOAT_FMT % abs(term.coefficient)}\n")
-        yield f"# counter-rotating terms: {len(cls.counter_rotating)}\n"
-        for term, detuning in cls.counter_rotating:
-            yield (f"counter,{_term_label(term, pending)},"
-                   f"{FLOAT_FMT % abs(term.coefficient)},"
-                   f"{FLOAT_FMT % detuning}\n")
+               f"{FLOAT_FMT % default_tolerance(freqs)}\n")
+        yield f"# resonant terms: {n_resonant}\n"
+        yield from rows("resonant", True)
+        yield f"# counter-rotating terms: {n_rows - n_resonant}\n"
+        yield from rows("counter", False)
 
     # one write call, line by line: no joined copy of the whole listing
     sys.stdout.writelines(listing())

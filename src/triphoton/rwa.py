@@ -12,6 +12,16 @@ with s = +1 for create / pauli_plus, -1 for annihilate / pauli_minus and
 0 for number / pauli_z. Terms whose rotation frequency vanishes survive
 the reduction; the rest are counter-rotating and are returned with their
 detuning.
+
+One classification core, ``_classify_rows``, applies that rule to rows
+of (subsystem, sign) factors held as arrays. ``classify_terms`` feeds it
+the rows of any monomial list. The pumped-cavity expansion is also held
+as arrays (``_cavity_expansion``: per tensor group, the kept index
+tuples and their coefficients), so the ``rwa`` listing classifies its
+4,404 reference rows without one ``LadderMonomial`` per term, while
+``driven_cavity_terms`` builds the monomials from the same arrays.
+``interaction_frequency`` stays the scalar definition of one term's
+rotation frequency.
 """
 
 from __future__ import annotations
@@ -207,12 +217,40 @@ def default_tolerance(frequencies: Sequence[float]) -> float:
     return 1e-6 * min(nonzero) if nonzero else 0.0
 
 
+def _classify_rows(subsystems: np.ndarray, signs: np.ndarray,
+                   drive_signs: np.ndarray, frequencies: Sequence[float],
+                   drive: float) -> tuple[np.ndarray, np.ndarray]:
+    """The classification rule on rows of factors: rotation frequency
+    and resonance (|w| <= ``default_tolerance(frequencies)``) per row.
+
+    Row r holds the factors (subsystems[r, j], signs[r, j]), sign +1 for
+    create / pauli_plus, -1 for annihilate / pauli_minus, 0 for number /
+    pauli_z; subsystem -1 pads a row shorter than the others. Its
+    frequency is drive_signs[r] * drive plus sign * w(subsystem) added
+    left to right, the float operations of ``interaction_frequency`` in
+    its order, so each value has the same bits. A pad adds -0.0, which
+    leaves every sum as it is (+0.0 would turn a -0.0 into +0.0).
+    """
+    w = np.asarray(frequencies, dtype=float)
+    if subsystems.size and subsystems.max() >= len(w):
+        raise IndexError(
+            f"factor on subsystem {int(subsystems.max())} but only "
+            f"{len(w)} frequencies given")
+    total = drive_signs * float(drive)
+    for idx, sign in zip(subsystems.T, signs.T):
+        total = total + np.where(idx >= 0, sign * w[idx], -0.0)
+    return total, np.abs(total) <= default_tolerance(frequencies)
+
+
 def classify_terms(terms: Sequence[LadderMonomial],
                    frequencies: Sequence[float],
                    drive: float = 0.0) -> TermClassification:
     """Split terms into resonant (|rotation frequency| <= tolerance) and
     counter-rotating sets, at the roundoff-scale tolerance
-    ``default_tolerance(frequencies)`` that the result records.
+    ``default_tolerance(frequencies)`` that the result records. Both
+    sets keep the input order. The terms' factors go to
+    ``_classify_rows`` as rows, so each detuning has the bits of
+    ``interaction_frequency(term, frequencies, drive)``.
 
     Frequencies of subsystems appearing with bosonic ladder factors must
     be mutually anharmonic (no integer ratios), else
@@ -221,15 +259,22 @@ def classify_terms(terms: Sequence[LadderMonomial],
     tolerance = default_tolerance(frequencies)
     if terms:
         ensure_anharmonic(frequencies, _boson_subsystems(terms))
-    resonant: list[LadderMonomial] = []
-    counter: list[tuple[LadderMonomial, float]] = []
-    for term in terms:
-        w = interaction_frequency(term, frequencies, drive)
-        if abs(w) <= tolerance:
-            resonant.append(term)
-        else:
-            counter.append((term, w))
-    return TermClassification(resonant, counter, tolerance)
+    width = max((len(term.factors) for term in terms), default=0)
+    pad = ((-1, NUMBER),) * width
+    rows = np.array([v for term in terms
+                     for idx, kind in (term.factors + pad)[:width]
+                     for v in (idx, _FREQ_SIGN[kind])], dtype=np.intp)
+    rows = rows.reshape(len(terms), width, 2)
+    w, resonant = _classify_rows(
+        rows[..., 0], rows[..., 1],
+        np.array([term.drive_sign for term in terms], dtype=np.intp),
+        frequencies, drive)
+    flags = resonant.tolist()
+    return TermClassification(
+        [term for term, hit in zip(terms, flags) if hit],
+        [(term, detuning) for term, detuning, hit
+         in zip(terms, w.tolist(), flags) if not hit],
+        tolerance)
 
 
 def is_kerr_quartic(term: LadderMonomial) -> bool:
@@ -313,6 +358,74 @@ def free_mode_terms(frequencies: Sequence[float]) -> list[LadderMonomial]:
             for i, w in enumerate(frequencies)]
 
 
+@dataclass(frozen=True)
+class _CavityGroup:
+    """One tensor group of the pumped-cavity expansion. Its rows are
+    every kept index tuple, then every sign tuple of ``product((+1, -1),
+    repeat=rank)`` (+1 create, -1 annihilate), then every drive branch."""
+
+    indices: np.ndarray  # (kept, rank) mode-index tuples, product order
+    coefficients: np.ndarray  # (kept,) prefactor * tensor[idx], nonzero
+    branches: tuple[int, ...]  # (+1, -1) under cos(w_d t), (0,) static
+
+    @property
+    def signs(self) -> np.ndarray:
+        rank = self.indices.shape[1]
+        return np.array(list(product((+1, -1), repeat=rank)), dtype=np.intp)
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(subsystems, signs, drive_signs) of every row, in order."""
+        signs, n_branches = self.signs, len(self.branches)
+        per_tuple = len(signs) * n_branches
+        return (np.repeat(self.indices, per_tuple, axis=0),
+                np.tile(np.repeat(signs, n_branches, axis=0),
+                        (len(self.indices), 1)),
+                np.tile(np.array(self.branches, dtype=np.intp),
+                        len(self.indices) * len(signs)))
+
+
+def _cavity_expansion(table: CouplingTable, pump_amplitude: float,
+                      n_modes: int) -> list[_CavityGroup]:
+    """The groups of ``driven_cavity_terms`` in its order, each with the
+    index tuples whose coefficient ``prefactor * tensor[idx]`` (the same
+    float64 product) is nonzero; a group whose prefactor is zero, or
+    that keeps no tuple, is left out. A non-finite coefficient raises
+    ``ValueError``."""
+    lam = pump_amplitude
+    out = []
+    for rank, tensor, prefactor, driven in (
+            (1, table.m1_tilde, +lam, True),
+            (2, table.m2_tilde, +lam, True),
+            (3, table.m3_tilde, -lam, True),
+            (4, table.n4_tilde, -1.0, False),
+            (4, table.m4_tilde, +lam, True)):
+        if prefactor == 0.0:
+            continue
+        indices = np.indices((n_modes,) * rank).reshape(rank, -1)
+        coefficients = prefactor * tensor[tuple(indices)]
+        kept = coefficients != 0.0
+        if not np.isfinite(coefficients[kept]).all():
+            raise ValueError("coefficient must be finite")
+        if kept.any():
+            out.append(_CavityGroup(indices.T[kept], coefficients[kept],
+                                    (+1, -1) if driven else (0,)))
+    return out
+
+
+def _classify_cavity(table: CouplingTable, pump_amplitude: float,
+                     frequencies: Sequence[float], drive: float
+                     ) -> list[tuple[_CavityGroup, np.ndarray, np.ndarray]]:
+    """``classify_terms`` on the pumped-cavity expansion of
+    ``len(frequencies)`` modes, with its anharmonicity guard, without
+    building the terms: (group, rotation frequencies, resonant mask) per
+    group of ``_cavity_expansion``, over the group's rows in order."""
+    groups = _cavity_expansion(table, pump_amplitude, len(frequencies))
+    ensure_anharmonic(frequencies, {
+        int(i) for group in groups for i in np.unique(group.indices)})
+    return [(group, *_classify_rows(*group.rows(), frequencies, drive))
+            for group in groups]
+
+
 def driven_cavity_terms(table: CouplingTable,
                         pump_amplitude: float,
                         n_modes: int = 3) -> list[LadderMonomial]:
@@ -328,33 +441,24 @@ def driven_cavity_terms(table: CouplingTable,
         -          n4~_nmop (...)^4      (static)
         + lam cos m4~_nmop (...)^4
 
+    in the row order of ``_cavity_expansion``, whose arrays these
+    monomials are built from: index tuple, then sign tuple, then drive
+    branch (+1 before -1). Index tuples with a zero coefficient, and the
+    driven groups when lam is zero, give no terms.
+
     The free-mode part w_n a_n^dag a_n is not included; it defines the
     interaction picture (see ``free_mode_terms``).
     """
-    lam = pump_amplitude
+    kinds = {+1: CREATE, -1: ANNIHILATE}
     terms: list[LadderMonomial] = []
-    groups = [
-        (1, table.m1_tilde, +lam, True),
-        (2, table.m2_tilde, +lam, True),
-        (3, table.m3_tilde, -lam, True),
-        (4, table.n4_tilde, -1.0, False),
-        (4, table.m4_tilde, +lam, True),
-    ]
-    signs = {+1: CREATE, -1: ANNIHILATE}
-    for rank, tensor, prefactor, driven in groups:
-        if prefactor == 0.0:
-            continue
-        for idx in product(range(n_modes), repeat=rank):
-            coeff = prefactor * tensor[idx]
-            if coeff == 0.0:
-                continue
-            for stuple in product((+1, -1), repeat=rank):
-                factors = tuple((i, signs[s]) for i, s in zip(idx, stuple))
-                if driven:
-                    terms.append(LadderMonomial(factors, coeff, +1))
-                    terms.append(LadderMonomial(factors, coeff, -1))
-                else:
-                    terms.append(LadderMonomial(factors, coeff, 0))
+    for group in _cavity_expansion(table, pump_amplitude, n_modes):
+        signs = group.signs.tolist()
+        for idx, coeff in zip(group.indices.tolist(),
+                              group.coefficients.tolist()):
+            for stuple in signs:
+                factors = tuple((i, kinds[s]) for i, s in zip(idx, stuple))
+                terms.extend(LadderMonomial(factors, coeff, branch)
+                             for branch in group.branches)
     return terms
 
 

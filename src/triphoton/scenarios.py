@@ -57,7 +57,6 @@ from .hilbert import (
     _expect_columns,
     _reduce_columns,
     fock_state,
-    von_neumann_entropy,
 )
 from .rwa import (
     ANNIHILATE,
@@ -178,6 +177,17 @@ def resolve_circuit(circuit: CircuitConfig, n_modes: int = 3):
     return eff, mode_spectrum(circuit.cavity, e_bar, n_modes)
 
 
+def _pump_tone(circuit: CircuitConfig, frequencies,
+               pump_frequency: float | None = None) -> float:
+    """The pump tone of a circuit: ``pump_frequency`` (the [scenario]
+    key) when given, else the circuit's own; 0 stands for the
+    three-mode resonance w1 + w2 + w3. ``run`` checks this tone and
+    ``rwa`` lists at it."""
+    pump = circuit.squid.pump_frequency if pump_frequency is None \
+        else pump_frequency
+    return pump or float(np.sum(frequencies))
+
+
 def _resolve_g0(config: ScenarioConfig) -> tuple[float, dict]:
     if config.g0 is not None:
         return float(config.g0), {"g0_source": "direct"}
@@ -186,14 +196,12 @@ def _resolve_g0(config: ScenarioConfig) -> tuple[float, dict]:
     eff, spectrum = resolve_circuit(config.circuit)
     ensure_anharmonic(spectrum.frequencies)
     w_sum = float(np.sum(spectrum.frequencies))
-    pump = config.pump_frequency
-    if pump is None:
-        pump = config.circuit.squid.pump_frequency or None
-    if pump is not None and pump != 0.0:
-        if abs(pump - w_sum) > _PUMP_TOL * w_sum:
-            raise PumpMismatchError(
-                f"pump tone {pump:.9g} does not match the three-mode "
-                f"resonance {w_sum:.9g}")
+    pump = _pump_tone(config.circuit, spectrum.frequencies,
+                      config.pump_frequency)
+    if abs(pump - w_sum) > _PUMP_TOL * w_sum:
+        raise PumpMismatchError(
+            f"pump tone {pump:.9g} does not match the three-mode "
+            f"resonance {w_sum:.9g}")
     g0 = three_spdc_coupling(coupling_table(spectrum, eff),
                              config.circuit.squid.pump_amplitude)
     if g0 == 0.0:
@@ -503,10 +511,13 @@ def _analyze_dce(config: ScenarioConfig, traj: Trajectory,
     windowed photon-number averages (window = ``window_periods``
     modulation periods) and their monotonicity flag."""
     p = config.dce
-    qubit = RegisterLayout.qubits(1)
-    rhos = _reduce_columns(traj.layout, traj.basis, traj.columns, [1])
-    entropy = np.array([von_neumann_entropy(
-        QuantumState(qubit, rho, validate=False)) for rho in rhos])
+    # one eigvalsh on the stack of 2x2 qubit densities; -sum(e ln e) over
+    # e > 1e-15, as ``von_neumann_entropy`` takes it: a dropped e adds a
+    # zero, which leaves each sum as it is
+    eigs = np.linalg.eigvalsh(
+        _reduce_columns(traj.layout, traj.basis, traj.columns, [1]))
+    logs = np.log(eigs, out=np.zeros_like(eigs), where=eigs > 1e-15)
+    entropy = -np.sum(eigs * logs, axis=1)
     series = {"qubit_entropy": entropy}
 
     samples_per_window = p.window_periods * p.steps_per_period

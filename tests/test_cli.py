@@ -185,11 +185,27 @@ class TestRwaCommand:
             ops = sorted(line.split(",")[1].split(" e^{")[0].split())
             assert ops in (["a+_1", "a+_2", "a+_3"], ["a_1", "a_2", "a_3"])
 
-    def test_rows_follow_classify_terms(self, capsys):
+    @pytest.fixture(params=["reference", "unpumped", "pair-pump"])
+    def rwa_config(self, request, tmp_path):
+        """reference.ini; with no pump amplitude, so the driven groups
+        drop out; and pumped at w1 + w2, off the three-mode resonance."""
+        text = Path(REFERENCE).read_text()
+        if request.param == "unpumped":
+            edit = ("pump_amplitude = 0.05", "pump_amplitude = 0.0")
+        elif request.param == "pair-pump":
+            _, spectrum = resolve_circuit(load_config(REFERENCE).circuit)
+            pair = float(spectrum.frequencies[0] + spectrum.frequencies[1])
+            edit = ("pump_frequency = 0.0", f"pump_frequency = {pair!r}")
+        else:
+            return REFERENCE
+        assert edit[0] in text
+        return write(tmp_path, "rwa.ini", text.replace(*edit))
+
+    def test_rows_follow_classify_terms(self, capsys, rwa_config):
         # every listed row, in order, against the classification the
         # command prints: operator label, drive branch, |coefficient| and
         # the counter-rotating detuning
-        circuit = load_config(REFERENCE).circuit
+        circuit = load_config(rwa_config).circuit
         eff, spectrum = resolve_circuit(circuit)
         terms = driven_cavity_terms(coupling_table(spectrum, eff),
                                     circuit.squid.pump_amplitude,
@@ -200,7 +216,7 @@ class TestRwaCommand:
         expected = ([("resonant", term, ()) for term in cls.resonant]
                     + [("counter", term, (FLOAT_FMT % detuning,))
                        for term, detuning in cls.counter_rotating])
-        assert main(["rwa", "--config", REFERENCE]) == 0
+        assert main(["rwa", "--config", rwa_config]) == 0
         rows = [line.split(",") for line in
                 capsys.readouterr().out.splitlines()
                 if not line.startswith("#")]
@@ -213,6 +229,18 @@ class TestRwaCommand:
             label = (ops or "1") + branches[term.drive_sign]
             assert row == [kind, label, FLOAT_FMT % abs(term.coefficient),
                            *detuning]
+
+    def test_scenario_pump_tone_is_listed(self, tmp_path, capsys):
+        # the [scenario] tone overrides the circuit's, as in ``run``
+        text = Path(REFERENCE).read_text()
+        assert "[scenario]\n" in text
+        cfg = write(tmp_path, "pumped.ini", text.replace(
+            "[scenario]\n", "[scenario]\npump_frequency = 123\n"))
+        assert main(["rwa", "--config", cfg]) == 0
+        assert capsys.readouterr().out.startswith("# pump = 123, ")
+        assert main(["run", "--config", cfg, "--out",
+                     str(tmp_path / "out")]) == 3
+        assert "pump tone 123 does not match" in capsys.readouterr().err
 
     def test_degenerate_config_exits_3(self, capsys):
         assert main(["rwa", "--config", FREE]) == 3
@@ -521,7 +549,8 @@ class TestColdStart:
     """scipy loads only on the path that calls it: ``scipy.sparse`` for
     sectors above ``SPARSE_EVOLVE_LIMIT`` states. ``scipy.integrate``
     never loads, and no process pool does: a sweep runs its cutoffs one
-    after another, whatever ``--jobs`` says.
+    after another, whatever ``--jobs`` says. ``modes`` and ``rwa`` load
+    none of them.
 
     The suite itself imports scipy, so each check runs in a fresh
     interpreter and reads back what it had loaded.
@@ -562,6 +591,14 @@ class TestColdStart:
         summary = json.loads((tmp_path / "dce.ini" / "summary.json")
                              .read_text())
         assert summary["diagnostics"]["rhs_evals"] == 31_541
+
+    def test_modes_and_rwa_load_no_scipy(self, tmp_path):
+        out = str(tmp_path / "modes.csv")
+        result = self.fresh(
+            "result = {'codes': [triphoton.cli.main(['modes', '--config', "
+            f"{REFERENCE!r}, '--n-modes', '4', '--out', {out!r}]), "
+            f"triphoton.cli.main(['rwa', '--config', {REFERENCE!r}])]}}")
+        assert result == {"codes": [0, 0], "loaded": []}
 
     def test_sweep_jobs_loads_no_pool(self, tmp_path):
         out = str(tmp_path / "report.json")

@@ -20,9 +20,12 @@ from triphoton.errors import DegenerateFrequencyError
 from triphoton.rwa import (
     ANNIHILATE,
     CREATE,
+    NUMBER,
     PAULI_MINUS,
     PAULI_PLUS,
+    PAULI_Z,
     LadderMonomial,
+    _classify_rows,
     classify_terms,
     combine_like_terms,
     driven_cavity_terms,
@@ -163,6 +166,62 @@ class TestClassifyTerms:
         term = mono([(1, PAULI_PLUS), (0, ANNIHILATE)])
         cls = classify_terms([term], [1.3, 1.3])
         assert cls.resonant == [term]
+
+
+# lengths 0-4, Pauli and number factors, every drive branch
+MIXED = [
+    mono([], 0.5),
+    mono([], 0.5, drive=+1),
+    mono([(0, CREATE)], 1.0, drive=-1),
+    mono([(1, PAULI_PLUS), (0, ANNIHILATE)], 0.1),
+    mono([(2, PAULI_Z), (1, NUMBER)], 0.3, drive=+1),
+    triple_create(),
+    triple_annihilate(),
+    mono([(0, ANNIHILATE), (1, PAULI_MINUS), (2, CREATE), (0, NUMBER)],
+         2.0, drive=-1),
+    mono([(2, ANNIHILATE), (2, ANNIHILATE)], 1.0),
+]
+# the three-mode resonance from both sides, an off-resonant and no drive
+DRIVES = [sum(FREQS), -sum(FREQS), 1.13, 0.0]
+_SIGN = {CREATE: 1, PAULI_PLUS: 1, ANNIHILATE: -1, PAULI_MINUS: -1,
+         NUMBER: 0, PAULI_Z: 0}
+
+
+class TestClassificationCore:
+    """``classify_terms`` and its array core against the scalar
+    ``interaction_frequency``, term by term."""
+
+    @pytest.mark.parametrize("drive", DRIVES)
+    def test_classify_terms_matches_interaction_frequency(self, drive):
+        cls = classify_terms(MIXED, FREQS, drive)
+        freqs = [interaction_frequency(t, FREQS, drive) for t in MIXED]
+        hit = [abs(w) <= cls.tolerance for w in freqs]
+        assert cls.resonant == [t for t, h in zip(MIXED, hit) if h]
+        assert cls.counter_rotating == [
+            (t, w) for t, w, h in zip(MIXED, freqs, hit) if not h]
+        assert 0 < len(cls.resonant) < len(MIXED)
+
+    @pytest.mark.parametrize("drive", DRIVES)
+    def test_padded_rows_keep_every_bit(self, drive):
+        # rows shorter than the widest are padded; the pad must leave
+        # each sum as it is, the sign of a zero included (0 * -drive is
+        # -0.0 for a term with no factors)
+        width = max(len(t.factors) for t in MIXED)
+        pad = [[(-1, 0)] * (width - len(t.factors)) for t in MIXED]
+        rows = np.array([[(i, _SIGN[k]) for i, k in t.factors] + extra
+                         for t, extra in zip(MIXED, pad)])
+        w, resonant = _classify_rows(
+            rows[..., 0], rows[..., 1],
+            np.array([t.drive_sign for t in MIXED]), FREQS, drive)
+        expected = np.array([interaction_frequency(t, FREQS, drive)
+                             for t in MIXED])
+        assert w.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        assert resonant.tolist() == [
+            t in classify_terms(MIXED, FREQS, drive).resonant for t in MIXED]
+
+    def test_missing_frequency_rejected(self):
+        with pytest.raises(IndexError):
+            classify_terms([mono([(5, PAULI_PLUS)])], FREQS)
 
 
 class TestRwaReduce:

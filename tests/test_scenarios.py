@@ -21,10 +21,13 @@ from triphoton.config import build_scenario_config, load_config
 from triphoton.dynamics import HamiltonianSpec, evolve, evolve_static_expm
 from triphoton.errors import PumpMismatchError
 from triphoton.hilbert import (
+    QuantumState,
     RegisterLayout,
+    _reduce_columns,
     covariance_matrix,
     expect_monomial,
     fock_state,
+    von_neumann_entropy,
 )
 from triphoton.rwa import (
     ANNIHILATE,
@@ -193,6 +196,21 @@ class TestDce:
         assert s["qubit_excitation_max"] < 0.1
         assert s["qubit_entropy_max"] < 0.1
         assert s["pair_final"] > 0.0
+
+    def test_entropy_series_is_the_per_point_entropy(self):
+        # one eigvalsh on the stacked qubit densities gives every point
+        # the bits of von_neumann_entropy on its own reduced state
+        res = run_scenario(fast_config("dce-rabi", dce=DceParams(periods=4)))
+        traj = res.trajectory
+        qubit = RegisterLayout.qubits(1)
+        expected = np.array([
+            von_neumann_entropy(QuantumState(qubit, rho, validate=False))
+            for rho in _reduce_columns(traj.layout, traj.basis,
+                                       traj.columns, [1])])
+        entropy = res.witness_series["qubit_entropy"]
+        assert entropy.max() > 0.0
+        assert entropy.view(np.int64).tolist() == \
+            expected.view(np.int64).tolist()
 
 
 class TestShippedConfigs:
