@@ -1,6 +1,6 @@
 """Time evolution under static and driven ladder-operator Hamiltonians.
 
-Driven terms carry named real envelopes evaluated exactly at each step;
+Driven terms carry named real envelopes evaluated exactly at each node;
 no pre-rotation into an interaction picture happens here.
 
 Every run evolves on its sector: the basis states the Hamiltonian's
@@ -12,28 +12,39 @@ in ``hilbert``, the same action that builds full-register operators. A
 static run whose sector fits in ``DENSE_LIMIT`` is exact: one
 eigendecomposition of H there propagates the state to every grid point
 with no tolerance and no norm drift.
-Driven runs, and static runs with larger sectors, use one integrator at
-one setting: the 8th-order Dormand-Prince pair (DOP853) at
-``RTOL`` = 1e-10, ``ATOL`` = 1e-11. It is handed the linear generator
-itself, not a right-hand-side callable: -i H_static and -i H_g, one
-block per envelope group, stacked into one sector matrix, plus the group
-envelopes. Each stage then costs one matrix-vector product and one
-envelope-weighted add per group, and each attempted step evaluates
-every envelope once, on the array of its stage times. Multiplying by
--i only swaps real and imaginary parts with one sign, so the states
-have the bits of a per-group product summed and then multiplied by -i.
-An envelope maps an array of times to its real values there, and a
-scalar time as a 0-d array, with the same bits entry by entry.
+
+Every other run takes the fourth-order commutator-free Magnus propagator
+CF4 (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006); Alvermann &
+Fehske, J. Comput. Phys. 230, 5930 (2011)) at a fixed number of
+substeps per grid interval. A substep of length h from t applies
+exp(-i h A2) exp(-i h A1), with A1 and A2 each H_static / 2 plus every
+envelope group's matrix weighted by its envelope at the Gauss nodes
+t + (1/2 -+ sqrt(3)/6) h: weights (1/4 + sqrt(3)/6, 1/4 - sqrt(3)/6) in
+A1, the exponential applied first, and the reverse in A2. Each
+exponential is of a Hermitian matrix, so the propagator is unitary by
+construction. The substep count is derived from the input alone: each
+grid interval gets the fewest even number of substeps with
+h ||H|| <= ``THETA``, ||H|| the largest column sum of |H_static| plus
+each group's |H_g| times its envelope's supremum. A companion run at
+half the substeps gives ``error_estimate``, the largest distance between
+the two runs' states over the grid divided by 15 (the Richardson factor
+2^4 - 1 of a fourth-order method): an asymptotic estimate of the
+error of the reported states, not a bound. A static generator, which
+CF4 propagates exactly, runs no companion and reports 0.
+
+The exponentials come by one of two routes. On a sector of at most
+``SPARSE_EVOLVE_LIMIT`` states they come from a stacked
+``np.linalg.eigh`` over a chunk of substeps, and each chunk's unitaries
+are multiplied together in a batched pairwise tree, so a grid interval
+costs one matrix-vector product. A larger sector keeps its matrices in
+CSR form, and each exponential acts on the state by its Taylor series,
+cut where the remainder bound falls below double-precision roundoff:
+an eigendecomposition costs d^3, and past about 16 states that loses to
+a dozen sparse products. scipy is imported only there, for
+``scipy.sparse``, as it is in ``hilbert._basis_matrix``; every other
+run, the driven ``dce-rabi`` included, needs numpy alone.
 ``evolve_static_expm``, a dense eigendecomposition of the full-register
 Hamiltonian, is the independent oracle for static runs.
-
-The integrator is ``_dop853``, a numpy port of scipy's DOP853 that
-still takes scipy's steps and returns its bits: ``solve_ivp`` on the
-per-group right-hand side is its oracle in the tests. scipy is imported
-only where it is called, never at module load: ``scipy.sparse`` inside
-``hilbert._basis_matrix`` and the stacking of the generator when a
-sector above ``SPARSE_EVOLVE_LIMIT`` states is integrated. Every other
-run, driven ones included, needs numpy alone.
 """
 
 from __future__ import annotations
@@ -44,7 +55,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._dop853 import dop853
+from .errors import IntegrationError
 from .hilbert import (
     DENSE_LIMIT,
     QuantumState,
@@ -64,6 +75,10 @@ class Constant:
     def __call__(self, t):
         return self.value * np.ones_like(np.asarray(t, dtype=float))
 
+    @property
+    def supremum(self) -> float:
+        return abs(self.value)
+
 
 @dataclass(frozen=True)
 class Cosine:
@@ -74,6 +89,10 @@ class Cosine:
     def __call__(self, t):
         return self.amplitude * np.cos(
             self.frequency * np.asarray(t, dtype=float) + self.phase)
+
+    @property
+    def supremum(self) -> float:
+        return abs(self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -90,6 +109,10 @@ class TwoTone:
         return self.amp1 * np.cos(self.freq1 * t + self.phase1) \
             + self.amp2 * np.cos(self.freq2 * t + self.phase2)
 
+    @property
+    def supremum(self) -> float:
+        return abs(self.amp1) + abs(self.amp2)
+
 
 @dataclass(frozen=True)
 class Motional:
@@ -104,7 +127,13 @@ class Motional:
         t = np.asarray(t, dtype=float)
         return np.cos(self.k * (self.x0 + self.v * t))
 
+    @property
+    def supremum(self) -> float:
+        return 1.0
 
+
+# An envelope maps an array of times to its real values there, and says
+# the largest |value| it takes (``supremum``), which sets the step count.
 Envelope = Constant | Cosine | TwoTone | Motional
 
 
@@ -156,10 +185,13 @@ class Trajectory:
     on its sorted flat indices ``basis`` in the register ``layout``.
 
     ``diagnostics`` says how the states were obtained: ``path``
-    (``"sector-eigh"`` or ``"dop853"``), ``register_dim``, the size of
-    the sector both paths evolve on (``evolved_dim``) and the
-    integrator's right-hand-side evaluations (``rhs_evals``, 0 on the
-    eigendecomposition path).
+    (``"sector-eigh"``, ``"magnus-eigh"`` or ``"magnus-taylor"``),
+    ``register_dim`` and the size of the sector every path evolves on
+    (``evolved_dim``). The Magnus paths add the count of matrix
+    exponentials of the run and its companion (``exponentials``) and
+    their ``error_estimate``; the exact eigendecomposition path keeps
+    the ``rhs_evals`` = 0 it has always reported, so static summaries
+    keep their bytes.
     """
 
     times: np.ndarray
@@ -181,10 +213,13 @@ class Trajectory:
         return [self.state(k) for k in range(len(self.times))]
 
 
-SPARSE_EVOLVE_LIMIT = 512  # above this many states, integration goes sparse
-# the one integrator setting; it holds every scenario's norm-drift budget
-# over many drive periods
-RTOL, ATOL = 1e-10, 1e-11
+# above this many states, exponentials act by Taylor series on CSR matrices
+SPARSE_EVOLVE_LIMIT = 16
+# the largest h ||H|| of a Magnus substep: halved from 0.72, where the
+# error_estimate of configs/dce.ini is 9.4e-8, until it falls below 2.5e-8
+# (half the 5e-8 state gate on that run) there and on every driven spec
+# of the tests
+THETA = 0.36
 CONVERGENCE_THRESHOLD = 1e-6  # a converged sweep's final changes stay below
 
 
@@ -205,6 +240,143 @@ def _reachable(terms: Sequence[LadderMonomial],
     return np.flatnonzero(seen)
 
 
+def _stall(times: np.ndarray, k: int, reason: str) -> IntegrationError:
+    return IntegrationError(
+        f"integration stalled between t = {times[k]:.6g} and "
+        f"t = {times[k + 1]:.6g}: {reason}", time=float(times[k]))
+
+
+def _half_steps(parts, envelopes, times: np.ndarray) -> np.ndarray:
+    """Per grid interval, half the substeps the Magnus run takes there:
+    the fewest with h ||H|| <= 2 ``THETA``. ||H|| is the largest column
+    sum of |H_static| plus each |H_g| times its envelope's supremum."""
+    scales = [1.0, *(env.supremum for env in envelopes)]
+    bound = np.max(sum(s * np.asarray(abs(p).sum(axis=0)).ravel()
+                       for s, p in zip(scales, parts)))
+    spans = np.diff(times) * bound
+    if not np.isfinite(spans).all():
+        k = int(np.argmin(np.isfinite(spans)))
+        raise _stall(times, k, f"step size {THETA / bound:.3g} from the "
+                               f"generator bound {bound:.3g}")
+    return np.maximum(1, np.ceil(spans / (2 * THETA))).astype(int)
+
+
+def _cf4_weights(envelopes, times: np.ndarray, ks: np.ndarray,
+                 starts: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The weights of H_static and of each group matrix in the two
+    exponentials of the substeps from ``starts`` (n, c) with lengths
+    ``h`` (n, 1), n pieces of grid intervals ``ks``: shape
+    (n, c, 2, 1 + groups), the exponential applied first at index 0."""
+    root = np.sqrt(3.0) / 6.0
+    nodes = starts[..., None] + h[..., None] * (0.5 + np.array([-root, root]))
+    values = np.empty(nodes.shape + (1 + len(envelopes),))
+    values[..., 0] = 1.0
+    for g, env in enumerate(envelopes, start=1):
+        values[..., g] = env(nodes)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        piece, step, node, group = np.argwhere(bad)[0]
+        raise _stall(times, ks[piece], f"envelope value "
+                     f"{values[piece, step, node, group]:.3g} at t = "
+                     f"{nodes[piece, step, node]:.6g}")
+    mix = np.array([[0.25 + root, 0.25 - root], [0.25 - root, 0.25 + root]])
+    return mix @ values
+
+
+def _chain(u: np.ndarray) -> np.ndarray:
+    """u[:, L-1] @ ... @ u[:, 0] for a stack (n, L, d, d), by pairwise
+    products: one batched matmul per level of the tree."""
+    while u.shape[1] > 1:
+        even = u.shape[1] // 2 * 2
+        paired = u[:, 1:even:2] @ u[:, 0:even:2]
+        u = paired if even == u.shape[1] else np.concatenate(
+            [paired, u[:, even:]], axis=1)
+    return u[:, 0]
+
+
+def _eigh_route(parts: np.ndarray, psi: np.ndarray, weights: np.ndarray,
+                h: np.ndarray):
+    """Each piece's exponentials from one stacked eigh, multiplied into
+    one unitary per piece; yields the state after each piece."""
+    gen = (weights @ parts.reshape(len(parts), -1)).reshape(
+        weights.shape[:-1] + parts.shape[1:])
+    w, v = np.linalg.eigh(gen)
+    angles = h[:, :, None, None] * w
+    vh = v.conj().swapaxes(-1, -2)
+    # V (cos - i sin) V^dag as two products, which stay real for a real V
+    u = (v * np.sin(angles)[..., None, :]) @ vh * -1j
+    u += (v * np.cos(angles)[..., None, :]) @ vh
+    for product in _chain(u.reshape(len(h), -1, *u.shape[-2:])):
+        psi = product @ psi
+        yield psi
+
+
+def _taylor_route(parts, psi: np.ndarray, weights: np.ndarray,
+                  h: np.ndarray):
+    """Each exponential applied to the state by its Taylor series, on one
+    CSR matrix on the union of the parts' patterns, whose entries are
+    rewritten per exponential; yields the state after each piece. The
+    series stops once the bound x^(j+1)/(j+1)! on the first term left
+    out falls below a quarter of the machine epsilon, x being a
+    column-sum bound of h ||A||, at most 0.42 on a substep of either
+    run, so the whole remainder stays below half of it."""
+    import scipy.sparse as sp
+    d = len(psi)
+    coo = [p.tocoo() for p in parts]
+    keys = [c.row.astype(np.int64) * d + c.col for c in coo]
+    union = np.unique(np.concatenate(keys))
+    data = np.zeros((len(parts), len(union)), dtype=complex)
+    for row, c, key in zip(data, coo, keys):
+        np.add.at(row, np.searchsorted(union, key), c.data)
+    gen = sp.csr_matrix((data[0].copy(), union % d,
+                         np.searchsorted(union, np.arange(d + 1) * d)),
+                        shape=(d, d))
+    colsums = np.array([np.bincount(union % d, np.abs(row), d)
+                        for row in data])
+    cut = np.finfo(float).eps / 4
+    for piece, step in zip(weights, h[:, 0]):
+        for coefficients in piece.reshape(-1, len(parts)):
+            np.dot(coefficients, data, out=gen.data)
+            tail = step * np.max(np.abs(coefficients) @ colsums)
+            x, term, j = tail, psi, 0
+            while tail > cut:
+                j += 1
+                term = gen @ term * (-1j * step / j)
+                psi = psi + term
+                tail *= x / (j + 1)
+        yield psi
+
+
+def _magnus(route, parts, envelopes, times: np.ndarray, psi: np.ndarray,
+            steps: np.ndarray, most: int) -> np.ndarray:
+    """States at the grid times, as columns, from CF4 with ``steps[k]``
+    substeps in grid interval k. The substeps go in pieces of at most
+    ``most``; consecutive pieces of one length form a batch of at most
+    ``most`` substeps, which ``route`` turns into the state after each
+    piece."""
+    columns = np.empty((len(psi), len(times)), dtype=complex)
+    columns[:, 0] = psi
+    pieces = [(k, first, min(most, m - first)) for k, m in enumerate(steps)
+              for first in range(0, m, most)]
+    i = 0
+    while i < len(pieces):
+        count = pieces[i][2]
+        j = i + 1
+        while (j < len(pieces) and pieces[j][2] == count
+               and (j - i + 1) * count <= most):
+            j += 1
+        ks, firsts, _ = np.array(pieces[i:j]).T
+        h = ((times[ks + 1] - times[ks]) / steps[ks])[:, None]
+        starts = times[ks, None] + h * (firsts[:, None] + np.arange(count))
+        weights = _cf4_weights(envelopes, times, ks, starts, h)
+        for (k, first, _), psi in zip(pieces[i:j],
+                                      route(parts, psi, weights, h)):
+            if first + count == steps[k]:
+                columns[:, k + 1] = psi
+        i = j
+    return columns
+
+
 def evolve(h: HamiltonianSpec,
            psi0: QuantumState,
            t_grid: Sequence[float],
@@ -217,31 +389,35 @@ def evolve(h: HamiltonianSpec,
     and each envelope group are built there, the states stay there as
     columns, and each observable is read off all columns at once. A
     static spec whose sector fits in ``DENSE_LIMIT`` is propagated
-    exactly by one eigendecomposition; any other spec is integrated on
-    the sector with the adaptive 8th-order Dormand-Prince pair (DOP853),
-    dense up to ``SPARSE_EVOLVE_LIMIT`` states and CSR above. It is
-    handed the generator: one stacked matrix, -i H_static over -i H_g
-    per envelope group, and the group envelopes, so each stage is one
-    product plus one envelope-weighted block per group. The integrator
-    runs at one setting, ``RTOL`` and ``ATOL``; a reference run at
-    another calls ``dop853`` directly.
+    exactly by one eigendecomposition (path ``"sector-eigh"``). Any other
+    spec runs the CF4 Magnus propagator at the fewest even number of
+    substeps per grid interval with h ||H|| <= ``THETA``: its
+    exponentials come from stacked ``eigh`` calls on a sector of at most
+    ``SPARSE_EVOLVE_LIMIT`` states (``"magnus-eigh"``) and act by Taylor
+    series on a larger, CSR one (``"magnus-taylor"``). Its diagnostics
+    count the ``exponentials`` of both runs and give ``error_estimate``,
+    the largest distance over the grid between the run and its companion
+    at half the substeps, divided by 15: an asymptotic estimate of the
+    state error, not a bound (on ``configs/dce.ini`` it reads 5.6e-9
+    against a true 5.5e-9 from an rtol = 1e-13 reference). A static
+    spec, which CF4 propagates exactly, runs no companion and reports 0.
 
-    A one-point grid returns psi0's sector amplitudes on either path,
-    with no right-hand-side evaluation.
+    A one-point grid returns psi0's sector amplitudes on every path,
+    with no exponential.
 
     The norm is never renormalized; its drift is recorded as the
     ``norm`` observable. It is a unitarity check, not an error measure:
-    the integrator's error can lie along the state and keep the norm
-    (on ``configs/dce.ini`` the drift is 2.4e-9, while the final state
-    lies 1.76e-8 from an rtol = 1e-13 run). A failed
-    integration raises ``IntegrationError`` naming the grid interval
-    where it stalled.
+    every CF4 substep is unitary, so the propagator's error keeps the
+    norm (on ``configs/dce.ini`` the drift is 8e-13). A non-finite
+    envelope value at a node, or a non-finite generator bound, raises
+    ``IntegrationError`` naming the grid interval where it arose.
     """
     if not psi0.is_pure:
         raise ValueError("evolve propagates pure states")
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing")
+    if (t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0)
+            or not np.isfinite(t_grid).all()):
+        raise ValueError("t_grid must be finite and strictly increasing")
     h.validate()
     observables = observables or {}
     layout = psi0.layout
@@ -251,7 +427,7 @@ def evolve(h: HamiltonianSpec,
     basis = _reachable([*h.static_terms, *(t for t, _ in h.driven_terms)],
                        psi0)
     exact = not groups and len(basis) <= DENSE_LIMIT
-    # eigh takes a dense matrix, so only the integrator goes sparse
+    # eigh takes dense matrices, so only the Taylor route goes sparse
     sparse = not exact and len(basis) > SPARSE_EVOLVE_LIMIT
     matrix = partial(_basis_matrix, layout=layout, basis=basis, sparse=sparse)
     h_static = matrix(h.static_terms)
@@ -263,20 +439,33 @@ def evolve(h: HamiltonianSpec,
         # V V^dag psi0 is psi0 only to roundoff, and a roundoff amplitude
         # would read as a detection on the vacuum
         columns[:, 0] = psi
-        rhs_evals = 0
+        diagnostics = {"path": "sector-eigh", "rhs_evals": 0}
     else:
-        # -i H_static stacked over -i H_g, one block per envelope group:
-        # one product per call yields every block, and -i only swaps the
-        # real and imaginary parts (one sign), so the factor is exact
-        blocks = [-1j * h_static, *(-1j * matrix(terms)
-                                    for terms in groups.values())]
+        parts = [h_static, *(matrix(terms) for terms in groups.values())]
+        envelopes = list(groups)
+        half = _half_steps(parts, envelopes, t_grid)
         if sparse:
-            import scipy.sparse as sp
-            stacked = sp.vstack(blocks, format="csr")
+            # whole grid intervals: the Taylor route stacks no matrices
+            path, route = "magnus-taylor", _taylor_route
+            most = int(2 * half.max(initial=1))
         else:
-            stacked = np.concatenate(blocks)
-        columns, rhs_evals = dop853(stacked, list(groups), t_grid, psi,
-                                    RTOL, ATOL)
+            parts = np.array(parts)
+            # real symmetric parts take the faster real eigh
+            if not parts.imag.any():
+                parts = parts.real
+            # a chunk's stack of exponentials stays near 128 kB: at 1 MB
+            # the benchmark's peak RSS on dce-rabi rose by 3 MB
+            path, route = "magnus-eigh", _eigh_route
+            most = max(1, 2**12 // len(basis) ** 2)
+        # CF4 is exact for a static generator, which needs no companion
+        counts = (2 * half, half) if groups else (2 * half,)
+        runs = [_magnus(route, parts, envelopes, t_grid, psi, m, most)
+                for m in counts]
+        columns = runs[0]
+        distance = np.linalg.norm(runs[0] - runs[-1], axis=0)
+        diagnostics = {"path": path,
+                       "exponentials": 2 * int(sum(m.sum() for m in counts)),
+                       "error_estimate": float(distance.max()) / 15}
     recorded = {}
     for name, op in observables.items():
         terms = [op] if isinstance(op, LadderMonomial) else op
@@ -285,9 +474,9 @@ def evolve(h: HamiltonianSpec,
             for t in terms], axis=0)
     recorded["norm"] = np.array([np.linalg.norm(col) for col in columns.T])
     return Trajectory(t_grid, layout, basis, columns, recorded, diagnostics={
-        "path": "sector-eigh" if exact else "dop853",
+        "path": diagnostics.pop("path"),
         "register_dim": layout.total_dim, "evolved_dim": len(basis),
-        "rhs_evals": rhs_evals})
+        **diagnostics})
 
 
 def evolve_static_expm(h_static: Sequence[LadderMonomial] | HamiltonianSpec,
@@ -295,8 +484,8 @@ def evolve_static_expm(h_static: Sequence[LadderMonomial] | HamiltonianSpec,
                        t: float) -> QuantumState:
     """psi(t) = exp(-i H t) psi0 by dense eigendecomposition.
 
-    Static Hamiltonians only; this is the oracle the adaptive integrator
-    is checked against.
+    Static Hamiltonians only; this is the full-register oracle the
+    sector paths are checked against.
     """
     if isinstance(h_static, HamiltonianSpec):
         if h_static.driven_terms:

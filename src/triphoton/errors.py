@@ -25,10 +25,11 @@ class PumpMismatchError(TriphotonError, ValueError):
 
 
 class IntegrationError(TriphotonError, RuntimeError):
-    """Time integration failed (step-size underflow / stiffness).
+    """Time integration failed: the generator has no finite bound, or
+    an envelope no finite value, in some grid interval.
 
-    ``time`` is the last grid time the integrator reached; it stalled
-    before the next grid point.
+    ``time`` is the grid time that interval starts at; the propagation
+    stopped before the next grid point.
     """
 
     def __init__(self, message: str, time: float | None = None):

@@ -9,9 +9,10 @@ series and builds the summary. Nothing is random: the covariance witness
 gives each grid point one deterministic verdict (certified, detected or
 undecided), which the summary counts. Every evolution step runs
 ``evolve`` on the basis states the Hamiltonian reaches from the vacuum:
-exactly for the static scenarios, by DOP853 at its one setting for the
-driven ``dce-rabi``, whose even-parity sector is half its register. The
-summary's ``diagnostics`` records which path ran and on how many states.
+exactly for the static scenarios, by the fixed-step Magnus propagator
+for the driven ``dce-rabi``, whose even-parity sector is half its
+register. The summary's ``diagnostics`` records which path ran, on how
+many states and, for the propagator, its error estimate.
 Every analysis reads its moments and reduced states off the
 trajectory's sector columns. A cutoff sweep reruns only the evolution
 step, so it shares the run's Hamiltonian, pump check and evolution
@@ -283,15 +284,16 @@ def _norm_drift(traj: Trajectory) -> float:
 
 
 def _resolve_pair_coupling(config: ScenarioConfig) -> tuple[float, dict]:
-    """Direct pair coupling; a configured pump tone must sit on one of
-    the two pair resonances w1+w2, w2+w3."""
-    if config.circuit is not None and config.pump_frequency is not None:
+    """Direct pair coupling; a circuit's pump tone, as ``_pump_tone``
+    gives it, must sit on one of the two pair resonances w1+w2, w2+w3."""
+    if config.circuit is not None:
         _, spectrum = resolve_circuit(config.circuit)
         w = spectrum.frequencies
+        pump = _pump_tone(config.circuit, w, config.pump_frequency)
         pairs = (w[0] + w[1], w[1] + w[2])
-        if all(abs(config.pump_frequency - p) > _PUMP_TOL * p for p in pairs):
+        if all(abs(pump - p) > _PUMP_TOL * p for p in pairs):
             raise PumpMismatchError(
-                f"pump tone {config.pump_frequency:.9g} matches neither "
+                f"pump tone {pump:.9g} matches neither "
                 f"pair resonance {pairs[0]:.9g} / {pairs[1]:.9g}")
     return config.pair_coupling, {}
 
@@ -558,7 +560,7 @@ def sweep_observables(config: ScenarioConfig, cutoff: int) -> dict:
     """Scenario observables at one cutoff, for convergence gating.
 
     Reruns only the scenario's own evolution step (same Hamiltonian,
-    pump check and integrator setting) on the run's grid capped at 41
+    pump check and evolution path) on the run's grid capped at 41
     points, and returns every recorded observable except ``norm``.
     Witness series are not evaluated.
     """

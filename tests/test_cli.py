@@ -482,6 +482,21 @@ n_steps = 5
         assert "pump tone" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_22spdc_checks_the_circuit_pump_tone(self, tmp_path, capsys):
+        # the [circuit] tone is the one rwa lists at; off both pair
+        # resonances it stops 22spdc as it stops 3spdc
+        cfg = write(tmp_path, "s.ini", MINIMAL_CIRCUIT + """
+pump_frequency = 123.0
+
+[scenario]
+name = 22spdc
+n_steps = 3
+""")
+        assert main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "run")]) == 3
+        assert "pump tone 123 matches neither pair resonance" in \
+            capsys.readouterr().err
+
 
 class TestAuxiliaryOutputs:
     def test_tables_json(self, tmp_path):
@@ -585,12 +600,13 @@ class TestColdStart:
         assert result == {"codes": [0, 0, 0], "loaded": []}
 
     def test_driven_run_loads_no_scipy(self, tmp_path):
-        # the integrator is numpy alone; the 9-state sector stays dense
+        # the propagator is numpy alone; the 9-state sector stays dense
         result = self.run(tmp_path, "dce.ini")
         assert result == {"codes": [0], "loaded": []}
         summary = json.loads((tmp_path / "dce.ini" / "summary.json")
                              .read_text())
-        assert summary["diagnostics"]["rhs_evals"] == 31_541
+        assert summary["diagnostics"]["path"] == "magnus-eigh"
+        assert summary["diagnostics"]["exponentials"] == 18_432
 
     def test_modes_and_rwa_load_no_scipy(self, tmp_path):
         out = str(tmp_path / "modes.csv")
@@ -621,15 +637,28 @@ terms_to_matrix([number], layout, sparse=False)
 result = {'sparse_after_dense_build': 'scipy.sparse' in sys.modules}
 drive = [(LadderMonomial(((0, kind),), 0.01), Cosine(1.0, 1.0))
          for kind in (CREATE, ANNIHILATE)]
+grid = [0.0, 0.05, 0.1]
 traj = evolve(HamiltonianSpec([number], drive), fock_state(layout, (0,)),
-              [0.0, 0.1])
+              grid)
 result['diagnostics'] = traj.diagnostics
 result['limit'] = SPARSE_EVOLVE_LIMIT
+# the same drive on a register small enough for the eigh route; the
+# displacement stays far below its top level, so the low levels agree
+small = RegisterLayout.bosons(1, SPARSE_EVOLVE_LIMIT - 1)
+low = evolve(HamiltonianSpec([number], drive), fock_state(small, (0,)),
+             grid)
+result['small_path'] = low.diagnostics['path']
+result['low_levels'] = float(abs(
+    traj.columns[:SPARSE_EVOLVE_LIMIT] - low.columns).max())
+result['high_levels'] = float(abs(traj.columns[SPARSE_EVOLVE_LIMIT:]).max())
 """)
         assert result["sparse_after_dense_build"] is False
         assert result["loaded"] == ["scipy.sparse"]
-        assert result["diagnostics"]["path"] == "dop853"
+        assert result["diagnostics"]["path"] == "magnus-taylor"
         assert result["diagnostics"]["evolved_dim"] > result["limit"]
+        assert result["small_path"] == "magnus-eigh"
+        assert result["low_levels"] <= 1e-13
+        assert result["high_levels"] <= 1e-30
 
 
 def test_top_level_help(capsys):

@@ -1,4 +1,5 @@
-"""Integrator tests against closed-form and eigendecomposition oracles."""
+"""Evolution tests against closed-form, eigendecomposition and
+reference-integrator oracles."""
 
 import os
 from dataclasses import dataclass
@@ -8,8 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from triphoton import scenarios
-from triphoton._dop853 import C
+from triphoton import dynamics, scenarios
 from triphoton.config import build_scenario_config, load_config
 from triphoton.dynamics import (
     SPARSE_EVOLVE_LIMIT,
@@ -70,16 +70,10 @@ def driven_displacement(omega=1.0, amp=0.2, wd=3.0):
 
 
 @dataclass(frozen=True)
-class Pole:
-    """1 / (1 - t), which no integrator passes."""
-
-    def __call__(self, t):
-        return 1.0 / (1.0 - np.asarray(t))
-
-
-@dataclass(frozen=True)
 class NotANumber:
-    """An envelope that is NaN everywhere."""
+    """An envelope that is NaN everywhere, its supremum too."""
+
+    supremum = float("nan")
 
     def __call__(self, t):
         return float("nan")
@@ -209,13 +203,24 @@ class TestSectorPath:
         lay = RegisterLayout(modes.subsystems + (("qubit", 2),))
         traj = evolve(spec_of(terms), fock_state(lay, (0,) * 5), [0.0, 0.1])
         assert traj.diagnostics["register_dim"] == 20_000
-        assert traj.diagnostics["path"] == "dop853"
+        assert traj.diagnostics["path"] == "magnus-taylor"
         assert traj.diagnostics["evolved_dim"] == 10_000
-        assert traj.diagnostics["rhs_evals"] > 0
+        assert traj.diagnostics["exponentials"] > 0
+        assert traj.diagnostics["error_estimate"] == 0.0
         for with_qubit, without in zip(map(traj.state, range(2)),
                                        map(alone.state, range(2))):
             assert np.array_equal(with_qubit.data[0::2], without.data)
             assert not with_qubit.data[1::2].any()
+        # the modes evolve independently: the state is the product of
+        # four one-mode runs on the exact small-sector path
+        one = RegisterLayout.bosons(1, 9)
+        single = evolve(spec_of(terms[:2]), fock_state(one, (0,)),
+                        [0.0, 0.1])
+        assert single.diagnostics["path"] == "sector-eigh"
+        product = single.state(1).data
+        for _ in range(3):
+            product = np.kron(product, single.state(1).data)
+        assert np.abs(alone.state(1).data - product).max() <= 1e-13
 
     def test_chain_closure_builds_each_level_map_once(self):
         # a displacement walks one level per pass: 4,096 passes of two
@@ -233,7 +238,7 @@ class TestSectorPath:
         traj = evolve(driven_displacement(),
                       fock_state(RegisterLayout.bosons(1, 10), (0,)),
                       [0.0, 1.0])
-        assert traj.diagnostics["path"] == "dop853"
+        assert traj.diagnostics["path"] == "magnus-eigh"
         assert traj.diagnostics["evolved_dim"] == 11
 
 
@@ -343,19 +348,9 @@ class TestDrivenEvolution:
         n_ref = [np.vdot(col, n_mat @ col).real for col in ref.y.T]
         assert np.abs(a.observables["n"] - n_ref).max() < 1e-6
 
-    def test_stall_names_grid_interval(self):
-        # 1 / (1 - t) on n: the phase of |1> winds without bound at t = 1,
-        # so the integrator passes t = 0.5 and stalls before t = 2
-        lay = RegisterLayout.bosons(1, 1)
-        h = HamiltonianSpec([], [(mono([(0, NUMBER)]), Pole())])
-        with pytest.raises(IntegrationError,
-                           match="stalled between t = 0.5 and t = 2:") as exc:
-            evolve(h, fock_state(lay, (1,)), [0.0, 0.5, 2.0])
-        assert exc.value.time == 0.5
-
     def test_nan_drive_stalls_at_once(self):
-        # a NaN step size fails scipy's `h_abs < min_step` test for ever;
-        # the port stops on it before the first step
+        # a NaN supremum gives a NaN generator bound and so no step size;
+        # the run stops on it before the first substep
         lay = RegisterLayout.bosons(1, 1)
         h = HamiltonianSpec([], [(mono([(0, NUMBER)]), NotANumber())])
         with pytest.raises(IntegrationError,
@@ -364,14 +359,35 @@ class TestDrivenEvolution:
             evolve(h, fock_state(lay, (1,)), [0.0, 0.5, 2.0])
         assert exc.value.time == 0.0
 
+    def test_non_finite_node_value_names_grid_interval(self):
+        # an envelope whose values turn non-finite where its supremum says
+        # they cannot stops the run at the first interval holding such a
+        # node: the drive on n is finite up to t = 1
+        @dataclass(frozen=True)
+        class Overflow:
+            supremum = 1.0
+
+            def __call__(self, t):
+                t = np.asarray(t, dtype=float)
+                return np.where(t < 1.0, 0.5, np.inf)
+
+        lay = RegisterLayout.bosons(1, 1)
+        h = HamiltonianSpec([], [(mono([(0, NUMBER)]), Overflow())])
+        with pytest.raises(IntegrationError,
+                           match="stalled between t = 0.5 and t = 2: "
+                                 "envelope value inf") as exc:
+            evolve(h, fock_state(lay, (1,)), [0.0, 0.5, 2.0])
+        assert exc.value.time == 0.5
+
     @pytest.mark.parametrize("spec, path", [
         (spec_of(triple_spdc_terms()), "sector-eigh"),
-        (driven_displacement(), "dop853")])
+        (driven_displacement(), "magnus-eigh")])
     def test_one_point_grid_returns_psi0(self, spec, path):
         psi0 = fock_state(RegisterLayout.bosons(3, 3), (0, 0, 0))
         traj = evolve(spec, psi0, [0.5])
         assert traj.diagnostics["path"] == path
-        assert traj.diagnostics["rhs_evals"] == 0
+        counter = "rhs_evals" if path == "sector-eigh" else "exponentials"
+        assert traj.diagnostics[counter] == 0
         assert traj.columns.shape == (len(traj.basis), 1)
         np.testing.assert_array_equal(traj.state(0).data, psi0.data)
         assert traj.observables["norm"].tolist() == [1.0]
@@ -404,10 +420,43 @@ def run_shipped_dce(monkeypatch):
     return traj, captured
 
 
+def sector_reference(h, psi0, grid, basis):
+    """The states of scipy's DOP853 at rtol = 1e-13, atol = 1e-14 on the
+    per-group right-hand side over the sector ``basis``, as columns."""
+    matrix = partial(_basis_matrix, layout=psi0.layout, basis=basis,
+                     sparse=True)
+    groups = {}
+    for term, env in h.driven_terms:
+        groups.setdefault(env, []).append(term)
+    h_static = matrix(h.static_terms)
+    h_driven = [(env, matrix(terms)) for env, terms in groups.items()]
+
+    def rhs(t, y):
+        hy = h_static @ y
+        for env, mat in h_driven:
+            hy = hy + float(env(t)) * (mat @ y)
+        return -1j * hy
+
+    ref = solve_ivp(rhs, (grid[0], grid[-1]), psi0.data[basis],
+                    method="DOP853", t_eval=grid, rtol=1e-13, atol=1e-14)
+    assert ref.success
+    return ref.y
+
+
+def assert_estimate_covers(traj, reference):
+    """error_estimate is finite, below the 2.5e-8 target ``THETA`` was
+    chosen for, and at least half the largest distance from the
+    reference over the grid."""
+    error = np.linalg.norm(traj.columns - reference, axis=0).max()
+    estimate = traj.diagnostics["error_estimate"]
+    assert np.isfinite(estimate)
+    assert error / 2 <= estimate < 2.5e-8
+
+
 class TestDrivenOracle:
     """The shipped dce-rabi run against the full-register integrator at
     rtol = 1e-13: same states and photon number, parity kept exactly;
-    and against scipy's integrator at the shipped setting, bit for bit."""
+    and its error estimate against its distance from that reference."""
 
     def test_dce_matches_full_register_reference(self, monkeypatch):
         traj, captured = run_shipped_dce(monkeypatch)
@@ -437,43 +486,28 @@ class TestDrivenOracle:
         assert traj.diagnostics["register_dim"] == 18
         assert traj.diagnostics["evolved_dim"] == 9
 
-    def test_dce_matches_solve_ivp_bit_for_bit(self, monkeypatch):
-        # the only shipped run through the integrator: a TwoTone envelope
-        # on a 193-point grid, against the per-group right-hand side on
-        # the same sector matrices
+    def test_dce_error_estimate_covers_the_error(self, monkeypatch):
+        # 192 grid intervals of 32 substeps, and 16 in the companion run,
+        # two exponentials per substep
         traj, captured = run_shipped_dce(monkeypatch)
-        h, psi0, grid = captured["h"], captured["psi0"], captured["grid"]
-        assert {type(env) for _, env in h.driven_terms} == {TwoTone}
-        basis = traj.basis
-        matrix = partial(_basis_matrix, layout=psi0.layout, basis=basis,
-                         sparse=False)
-        groups = {}
-        for term, env in h.driven_terms:
-            groups.setdefault(env, []).append(term)
-        h_static = matrix(h.static_terms)
-        h_driven = [(env, matrix(terms)) for env, terms in groups.items()]
+        assert traj.diagnostics["path"] == "magnus-eigh"
+        assert traj.diagnostics["exponentials"] == 18_432
+        assert_estimate_covers(traj, sector_reference(
+            captured["h"], captured["psi0"], captured["grid"], traj.basis))
 
-        def rhs(t, y):
-            hy = h_static @ y
-            for env, mat in h_driven:
-                hy = hy + float(env(t)) * (mat @ y)
-            return -1j * hy
-
-        ref = solve_ivp(rhs, (grid[0], grid[-1]), psi0.data[basis],
-                        method="DOP853", t_eval=grid, rtol=1e-10,
-                        atol=1e-11)
-        assert ref.success
-        np.testing.assert_array_equal(traj.columns, ref.y)
-        assert ref.nfev == 31_541
-        assert traj.diagnostics["rhs_evals"] == 31_541
+    def test_displacement_error_estimate_covers_the_error(self):
+        psi0 = fock_state(RegisterLayout.bosons(1, 10), (0,))
+        grid = np.linspace(0.0, 15.0, 11)
+        traj = evolve(driven_displacement(), psi0, grid)
+        assert_estimate_covers(traj, sector_reference(
+            driven_displacement(), psi0, grid, traj.basis))
 
 
-class TestStackedGenerator:
-    """evolve's right-hand side, one product with -i H_static stacked over
-    -i H_g per envelope group, against the per-group form it replaced:
-    one product per block, their envelope-weighted sum, then -i. On the
-    same sector matrices and integrator settings both give the same
-    bits, since -i only swaps real and imaginary parts with one sign."""
+class TestMagnusRoutes:
+    """Both exponential routes against the reference integrator on a
+    spec with two envelope groups, and the Taylor route against the eigh
+    route on one sector, where both form the same product of
+    exponentials."""
 
     @staticmethod
     def spec():
@@ -488,90 +522,44 @@ class TestStackedGenerator:
             [(kick, cosine), (kick.conjugate(), cosine),
              (squeeze, motional), (squeeze.conjugate(), motional)])
 
-    @pytest.mark.parametrize("cutoff, sparse", [(5, False), (24, True)])
-    def test_matches_per_group_rhs(self, cutoff, sparse):
+    @pytest.mark.parametrize("cutoff, path", [(3, "magnus-eigh"),
+                                              (24, "magnus-taylor")])
+    def test_matches_reference(self, cutoff, path):
         h = self.spec()
         psi0 = fock_state(RegisterLayout.bosons(2, cutoff), (0, 0))
         grid = np.linspace(0.0, 2.0, 5)
         traj = evolve(h, psi0, grid)
-        basis = _reachable(
-            [*h.static_terms, *(t for t, _ in h.driven_terms)], psi0)
-        assert len(basis) == (cutoff + 1) ** 2
-        assert (len(basis) > SPARSE_EVOLVE_LIMIT) == sparse
-        matrix = partial(_basis_matrix, layout=psi0.layout, basis=basis,
-                         sparse=sparse)
-        groups = {}
-        for term, env in h.driven_terms:
-            groups.setdefault(env, []).append(term)
-        h_static = matrix(h.static_terms)
-        h_driven = [(env, matrix(terms)) for env, terms in groups.items()]
-        assert len(h_driven) == 2
+        assert traj.diagnostics["path"] == path
+        assert traj.diagnostics["evolved_dim"] == (cutoff + 1) ** 2
+        assert_estimate_covers(traj, sector_reference(h, psi0, grid,
+                                                      traj.basis))
+        assert np.abs(traj.observables["norm"] - 1.0).max() < 1e-12
 
-        def rhs(t, y):
-            hy = h_static @ y
-            for env, mat in h_driven:
-                hy = hy + float(env(t)) * (mat @ y)
-            return -1j * hy
-
-        ref = solve_ivp(rhs, (grid[0], grid[-1]), psi0.data[basis],
-                        method="DOP853", t_eval=grid, rtol=1e-10,
-                        atol=1e-11)
-        assert ref.success
-        np.testing.assert_array_equal(traj.columns, ref.y)
-        assert traj.diagnostics["rhs_evals"] == ref.nfev
+    def test_taylor_route_matches_eigh_route(self, monkeypatch):
+        h = self.spec()
+        psi0 = fock_state(RegisterLayout.bosons(2, 3), (0, 0))
+        grid = np.linspace(0.0, 2.0, 5)
+        by_eigh = evolve(h, psi0, grid)
+        assert len(by_eigh.basis) == SPARSE_EVOLVE_LIMIT
+        monkeypatch.setattr(dynamics, "SPARSE_EVOLVE_LIMIT", 0)
+        by_taylor = evolve(h, psi0, grid)
+        assert by_eigh.diagnostics["path"] == "magnus-eigh"
+        assert by_taylor.diagnostics["path"] == "magnus-taylor"
+        assert (by_eigh.diagnostics["exponentials"]
+                == by_taylor.diagnostics["exponentials"])
+        assert np.abs(by_eigh.columns - by_taylor.columns).max() <= 1e-13
 
 
-class TestStepRejectionOracle:
-    """The integrator against scipy's solve_ivp on what no shipped run
-    reaches: a sharp Motional drive that makes the controller reject
-    steps, several grid times inside one step, and an interior grid time
-    exactly on a step end. scipy is the oracle here only."""
-
-    def test_matches_solve_ivp(self):
-        kick = mono([(0, CREATE)], 1.0)
-        motional = Motional(v=1.0, k=40.0)
-        h = HamiltonianSpec([mono([(0, NUMBER)], 1.0)],
-                            [(kick, motional), (kick.conjugate(), motional)])
-        psi0 = fock_state(RegisterLayout.bosons(1, 6), (0,))
-        basis = _reachable([*h.static_terms, kick, kick.conjugate()], psi0)
-        matrix = partial(_basis_matrix, layout=psi0.layout, basis=basis,
-                         sparse=False)
-        h_static, h_drive = matrix(h.static_terms), matrix(
-            [kick, kick.conjugate()])
-
-        def rhs(t, y):
-            hy = h_static @ y
-            hy = hy + float(motional(t)) * (h_drive @ y)
-            return -1j * hy
-
-        span, tol = (0.0, 1.0), {"rtol": 1e-10, "atol": 1e-11}
-        # without t_eval scipy reports every step end and evaluates the
-        # right-hand side 2 times plus 12 per attempted step
-        free = solve_ivp(rhs, span, psi0.data[basis], method="DOP853", **tol)
-        steps, (attempts, rest) = len(free.t) - 1, divmod(free.nfev - 2, 12)
-        assert rest == 0 and attempts > steps
-        wide = np.argmax(np.diff(free.t))
-        inside = free.t[wide] + np.array([0.2, 0.4, 0.6, 0.8]) * (
-            free.t[wide + 1] - free.t[wide])
-        on_end = free.t[steps // 2]
-        grid = np.unique(np.concatenate([span, inside, [on_end]]))
-        assert len(grid) == 7
-
-        traj = evolve(h, psi0, grid)
-        ref = solve_ivp(rhs, span, psi0.data[basis], method="DOP853",
-                        t_eval=grid, **tol)
-        assert ref.success
-        np.testing.assert_array_equal(traj.columns, ref.y)
-        assert traj.diagnostics["rhs_evals"] == ref.nfev
+# every envelope type, at parameters no shipped config uses
+ENVELOPES = [Constant(0.7), Cosine(0.3, 1.7, 0.2),
+             TwoTone(0.1, 1.35, 0.1, 0.65, phase1=0.4, phase2=-1.1),
+             Motional(v=1.3, k=2.1, x0=0.4)]
 
 
 class TestEnvelopes:
-    @pytest.mark.parametrize("env", [
-        Constant(0.7), Cosine(0.3, 1.7, 0.2),
-        TwoTone(0.1, 1.35, 0.1, 0.65, phase1=0.4, phase2=-1.1),
-        Motional(v=1.3, k=2.1, x0=0.4)])
+    @pytest.mark.parametrize("env", ENVELOPES)
     def test_scalar_gives_the_bits_of_an_array(self, env):
-        # the integrator evaluates one scalar time per step
+        # a scalar time gives the bits of a one-entry array
         ts = np.random.default_rng(11).uniform(-50.0, 200.0, 1000)
         scalar = [float(env(float(t))) for t in ts]
         numpy_scalar = [float(env(t)) for t in ts]
@@ -579,19 +567,25 @@ class TestEnvelopes:
         np.testing.assert_array_equal(scalar, array)
         np.testing.assert_array_equal(numpy_scalar, array)
 
-    @pytest.mark.parametrize("env", [
-        Constant(0.7), Cosine(0.3, 1.7, 0.2),
-        TwoTone(0.1, 1.35, 0.1, 0.65, phase1=0.4, phase2=-1.1),
-        Motional(v=1.3, k=2.1, x0=0.4)])
+    @pytest.mark.parametrize("env", ENVELOPES)
     def test_stage_times_give_the_bits_of_each_stage(self, env):
-        # the integrator evaluates each envelope once per attempted step,
-        # on the array of its 16 stage times
+        # the propagator evaluates each envelope once per chunk, on the
+        # (pieces, substeps, 2) array of its stage times, the Gauss nodes
         rng = np.random.default_rng(12)
-        for t, h in zip(rng.uniform(-50.0, 200.0, 300),
-                        10.0 ** rng.uniform(-8.0, 0.5, 300)):
-            stage_times = t + C[:16] * h
-            each = [float(env(t + C[s] * h)) for s in range(16)]
-            np.testing.assert_array_equal(env(stage_times), each)
+        starts = rng.uniform(-50.0, 200.0, (30, 10))
+        h = 10.0 ** rng.uniform(-8.0, 0.5, (30, 1))
+        root = np.sqrt(3.0) / 6.0
+        nodes = starts[..., None] + h[..., None] * (
+            0.5 + np.array([-root, root]))
+        each = [float(env(t)) for t in nodes.ravel()]
+        np.testing.assert_array_equal(env(nodes).ravel(), each)
+
+    @pytest.mark.parametrize("env", ENVELOPES)
+    def test_supremum_bounds_every_value(self, env):
+        # the step count takes each envelope at its supremum
+        values = np.abs(env(np.linspace(-50.0, 200.0, 100_001)))
+        assert values.max() <= env.supremum
+        assert values.max() >= 0.95 * env.supremum
 
     def test_motional_is_sampled_mode_function(self):
         env = Motional(v=2.0, k=1.5, x0=0.3)

@@ -136,6 +136,22 @@ class TestRun22spdc:
                           pump_frequency=tone)
         run_scenario(cfg)  # should not raise
 
+    def test_circuit_pump_tone_checked(self):
+        # with no [scenario] tone the circuit's own is checked: 0 stands
+        # for the three-mode resonance, which is no pair resonance
+        eff = effective_junction(REF_SQUID)
+        spec = mode_spectrum(REF_CAVITY, eff.e_bar, 3)
+        tone = float(spec.frequencies[1] + spec.frequencies[2])
+        for pump, fits in ((123.0, False), (0.0, False), (tone, True)):
+            squid = dataclasses.replace(REF_SQUID, pump_frequency=pump)
+            cfg = fast_config("22spdc",
+                              circuit=CircuitConfig(squid, REF_CAVITY))
+            if fits:
+                run_scenario(cfg)
+            else:
+                with pytest.raises(PumpMismatchError):
+                    run_scenario(cfg)
+
 
 class TestHybridSwap:
     def test_decoupled_qubits_stay_ground(self):
@@ -250,15 +266,21 @@ class TestShippedConfigs:
         assert s["s_peak"] >= 1.10 > 0.980581336817619
 
     @pytest.mark.parametrize("name, changes, diagnostics", [
-        ("reference.ini", {"n_steps": 3}, ("sector-eigh", 729, 9, 0)),
-        ("hybrid.ini", {"n_steps": 3}, ("sector-eigh", 1000, 34, 0)),
-        ("dce.ini", {}, ("dop853", 18, 9, 31_541)),
+        ("reference.ini", {"n_steps": 3}, {
+            "path": "sector-eigh", "register_dim": 729, "evolved_dim": 9,
+            "rhs_evals": 0}),
+        ("hybrid.ini", {"n_steps": 3}, {
+            "path": "sector-eigh", "register_dim": 1000, "evolved_dim": 34,
+            "rhs_evals": 0}),
+        ("dce.ini", {}, {
+            "path": "magnus-eigh", "register_dim": 18, "evolved_dim": 9,
+            "exponentials": 18_432}),
     ])
     def test_evolution_diagnostics(self, name, changes, diagnostics):
         s = self.run(name, **changes).summary
-        assert s["diagnostics"] == dict(zip(
-            ("path", "register_dim", "evolved_dim", "rhs_evals"),
-            diagnostics))
+        estimate = s["diagnostics"].pop("error_estimate", 0.0)
+        assert s["diagnostics"] == diagnostics
+        assert 0.0 <= estimate < 1e-8
 
     def test_objective_evals_summed_over_points(self):
         res = self.run("spdc22.ini", n_steps=2)
