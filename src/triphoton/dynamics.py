@@ -32,15 +32,17 @@ the two runs' states over the grid divided by 15 (the Richardson factor
 error of the reported states, not a bound. A static generator, which
 CF4 propagates exactly, runs no companion and reports 0.
 
-The exponentials come by one of two routes. On a sector of at most
-``SPARSE_EVOLVE_LIMIT`` states they come from a stacked
-``np.linalg.eigh`` over a chunk of substeps, and each chunk's unitaries
-are multiplied together in a batched pairwise tree, so a grid interval
-costs one matrix-vector product. A larger sector keeps its matrices in
-CSR form, and each exponential acts on the state by its Taylor series,
-cut where the remainder bound falls below double-precision roundoff:
-an eigendecomposition costs d^3, and past about 16 states that loses to
-a dozen sparse products. scipy is imported only there, for
+The exponentials come by one of two routes, both Taylor series cut
+where the bound on the first term left out falls below a quarter of
+the machine epsilon (``SERIES_CUT``). On a sector of at most
+``SPARSE_EVOLVE_LIMIT`` states, a chunk of substeps stacks its
+generators X = h A densely, and exp(-iX) = cos X - i sin X comes from
+the series of cos and sin in the powers of X^2: a handful of batched
+products, real when the parts are real, as on every shipped config.
+Each chunk's unitaries are multiplied together in a batched pairwise
+tree, so a grid interval costs one matrix-vector product. A larger
+sector keeps its matrices in CSR form, and each exponential acts on the
+state by its Taylor series. scipy is imported only there, for
 ``scipy.sparse``, as it is in ``hilbert._basis_matrix``; every other
 run, the driven ``dce-rabi`` included, needs numpy alone.
 ``evolve_static_expm``, a dense eigendecomposition of the full-register
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from math import factorial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -185,7 +188,7 @@ class Trajectory:
     on its sorted flat indices ``basis`` in the register ``layout``.
 
     ``diagnostics`` says how the states were obtained: ``path``
-    (``"sector-eigh"``, ``"magnus-eigh"`` or ``"magnus-taylor"``),
+    (``"sector-eigh"``, ``"magnus-dense"`` or ``"magnus-taylor"``),
     ``register_dim`` and the size of the sector every path evolves on
     (``evolved_dim``). The Magnus paths add the count of matrix
     exponentials of the run and its companion (``exponentials``) and
@@ -213,13 +216,21 @@ class Trajectory:
         return [self.state(k) for k in range(len(self.times))]
 
 
-# above this many states, exponentials act by Taylor series on CSR matrices
+# above this many states, exponentials act by Taylor series on CSR
+# matrices. A whole evolve of the two-group spec of TestMagnusRoutes
+# over five grid points, per exponential (one BLAS thread, 2 vCPU),
+# takes 17 us by the dense series at 16 states against 83 us on CSR,
+# and 49 us against 78 us at 32 states; at 64 states it takes 189 us
+# against 81. The crossover lies between 32 and 64 states.
 SPARSE_EVOLVE_LIMIT = 16
 # the largest h ||H|| of a Magnus substep: halved from 0.72, where the
 # error_estimate of configs/dce.ini is 9.4e-8, until it falls below 2.5e-8
 # (half the 5e-8 state gate on that run) there and on every driven spec
 # of the tests
 THETA = 0.36
+# both series routes stop once the bound on the first term left out falls
+# below this, so the whole remainder stays below half the machine epsilon
+SERIES_CUT = np.finfo(float).eps / 4
 CONVERGENCE_THRESHOLD = 1e-6  # a converged sweep's final changes stay below
 
 
@@ -294,19 +305,42 @@ def _chain(u: np.ndarray) -> np.ndarray:
     return u[:, 0]
 
 
-def _eigh_route(parts: np.ndarray, psi: np.ndarray, weights: np.ndarray,
-                h: np.ndarray):
-    """Each piece's exponentials from one stacked eigh, multiplied into
-    one unitary per piece; yields the state after each piece."""
-    gen = (weights @ parts.reshape(len(parts), -1)).reshape(
-        weights.shape[:-1] + parts.shape[1:])
-    w, v = np.linalg.eigh(gen)
-    angles = h[:, :, None, None] * w
-    vh = v.conj().swapaxes(-1, -2)
-    # V (cos - i sin) V^dag as two products, which stay real for a real V
-    u = (v * np.sin(angles)[..., None, :]) @ vh * -1j
-    u += (v * np.cos(angles)[..., None, :]) @ vh
-    for product in _chain(u.reshape(len(h), -1, *u.shape[-2:])):
+def _series_exponentials(x: np.ndarray) -> np.ndarray:
+    """exp(-iX) = cos X - i sin X for a stack of Hermitian X from the
+    Taylor series of cos and sin in Y = X^2: cos X = sum_i (-1)^i Y^i /
+    (2i)! and sin X = X sum_i (-1)^i Y^i / (2i + 1)!, i = 0..k. Each
+    power of Y is one batched product, added into both sums as it is
+    formed, so no stack of powers is held; all of it is real for a real
+    X. k is the fewest with x^(2k+2)/(2k+2)! <= ``SERIES_CUT``, x the
+    stack's largest column sum of |X|, so the remainder stays below half
+    the machine epsilon, as on the Taylor route."""
+    d = x.shape[-1]
+    bound = (np.ones(d) @ np.abs(x)).max()
+    k, tail = 0, bound**2 / 2
+    while tail > SERIES_CUT:
+        k += 1
+        tail *= bound**2 / ((2 * k + 1) * (2 * k + 2))
+    y = power = x @ x
+    cos = np.broadcast_to(np.eye(d, dtype=x.dtype), x.shape).copy()
+    sin = cos.copy()
+    for i in range(1, k + 1):
+        if i > 1:
+            power = power @ y
+        cos += (-1)**i / factorial(2 * i) * power
+        sin += (-1)**i / factorial(2 * i + 1) * power
+    return cos - 1j * (x @ sin)
+
+
+def _dense_route(parts: np.ndarray, psi: np.ndarray, weights: np.ndarray,
+                 h: np.ndarray):
+    """Each piece's exponentials from one series over the chunk's stack
+    of generators h A, multiplied into one unitary per piece; yields the
+    state after each piece."""
+    d = parts.shape[-1]
+    x = ((h[..., None, None] * weights) @ parts.reshape(len(parts), -1)
+         ).reshape(*weights.shape[:-1], d, d)
+    u = _series_exponentials(x)
+    for product in _chain(u.reshape(len(h), -1, d, d)):
         psi = product @ psi
         yield psi
 
@@ -317,9 +351,8 @@ def _taylor_route(parts, psi: np.ndarray, weights: np.ndarray,
     CSR matrix on the union of the parts' patterns, whose entries are
     rewritten per exponential; yields the state after each piece. The
     series stops once the bound x^(j+1)/(j+1)! on the first term left
-    out falls below a quarter of the machine epsilon, x being a
-    column-sum bound of h ||A||, at most 0.42 on a substep of either
-    run, so the whole remainder stays below half of it."""
+    out falls below ``SERIES_CUT``, x being a column-sum bound of
+    h ||A||, at most 0.42 on a substep of either run."""
     import scipy.sparse as sp
     d = len(psi)
     coo = [p.tocoo() for p in parts]
@@ -333,13 +366,12 @@ def _taylor_route(parts, psi: np.ndarray, weights: np.ndarray,
                         shape=(d, d))
     colsums = np.array([np.bincount(union % d, np.abs(row), d)
                         for row in data])
-    cut = np.finfo(float).eps / 4
     for piece, step in zip(weights, h[:, 0]):
         for coefficients in piece.reshape(-1, len(parts)):
             np.dot(coefficients, data, out=gen.data)
             tail = step * np.max(np.abs(coefficients) @ colsums)
             x, term, j = tail, psi, 0
-            while tail > cut:
+            while tail > SERIES_CUT:
                 j += 1
                 term = gen @ term * (-1j * step / j)
                 psi = psi + term
@@ -392,9 +424,10 @@ def evolve(h: HamiltonianSpec,
     exactly by one eigendecomposition (path ``"sector-eigh"``). Any other
     spec runs the CF4 Magnus propagator at the fewest even number of
     substeps per grid interval with h ||H|| <= ``THETA``: its
-    exponentials come from stacked ``eigh`` calls on a sector of at most
-    ``SPARSE_EVOLVE_LIMIT`` states (``"magnus-eigh"``) and act by Taylor
-    series on a larger, CSR one (``"magnus-taylor"``). Its diagnostics
+    exponentials come from the cos and sin series over stacks of dense
+    generators on a sector of at most ``SPARSE_EVOLVE_LIMIT`` states
+    (``"magnus-dense"``) and act by Taylor series on a larger, CSR one
+    (``"magnus-taylor"``). Its diagnostics
     count the ``exponentials`` of both runs and give ``error_estimate``,
     the largest distance over the grid between the run and its companion
     at half the substeps, divided by 15: an asymptotic estimate of the
@@ -427,7 +460,7 @@ def evolve(h: HamiltonianSpec,
     basis = _reachable([*h.static_terms, *(t for t, _ in h.driven_terms)],
                        psi0)
     exact = not groups and len(basis) <= DENSE_LIMIT
-    # eigh takes dense matrices, so only the Taylor route goes sparse
+    # only the Taylor route takes CSR matrices
     sparse = not exact and len(basis) > SPARSE_EVOLVE_LIMIT
     matrix = partial(_basis_matrix, layout=layout, basis=basis, sparse=sparse)
     h_static = matrix(h.static_terms)
@@ -450,12 +483,13 @@ def evolve(h: HamiltonianSpec,
             most = int(2 * half.max(initial=1))
         else:
             parts = np.array(parts)
-            # real symmetric parts take the faster real eigh
+            # real symmetric parts keep the whole series real
             if not parts.imag.any():
                 parts = parts.real
-            # a chunk's stack of exponentials stays near 128 kB: at 1 MB
-            # the benchmark's peak RSS on dce-rabi rose by 3 MB
-            path, route = "magnus-eigh", _eigh_route
+            # a chunk's stack of exponentials stays near 128 kB, and
+            # its series holds a few stacks of that size: at 1 MB the
+            # benchmark's peak RSS on dce-rabi rose by 3 MB
+            path, route = "magnus-dense", _dense_route
             most = max(1, 2**12 // len(basis) ** 2)
         # CF4 is exact for a static generator, which needs no companion
         counts = (2 * half, half) if groups else (2 * half,)

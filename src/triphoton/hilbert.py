@@ -278,22 +278,29 @@ def _basis_matrix(terms: Iterable[LadderMonomial], layout: RegisterLayout,
     a sector H maps into itself. ``scipy.sparse`` is imported here, on
     the CSR branch only, so dense builds never load it."""
     m = len(basis)
+
+    def entries():
+        # one landing state per column, so no index pair repeats in a term
+        for term in terms:
+            flat, amp, cols = _on_basis(term.factors, layout, basis,
+                                        term.coefficient)
+            rows = np.searchsorted(basis, flat).clip(max=m - 1)
+            inside = basis[rows] == flat
+            yield rows[inside], cols[inside], amp[inside]
+
     if sparse:
         import scipy.sparse as sp
-        total = sp.csr_matrix((m, m), dtype=complex)
-    else:
-        total = np.zeros((m, m), dtype=complex)
-    for term in terms:
-        flat, amp, cols = _on_basis(term.factors, layout, basis,
-                                    term.coefficient)
-        rows = np.searchsorted(basis, flat).clip(max=m - 1)
-        inside = basis[rows] == flat
-        rows, cols, amp = rows[inside], cols[inside], amp[inside]
-        # one landing state per column, so no index pair repeats
-        if sparse:
-            total = total + sp.csr_matrix((amp, (rows, cols)), shape=(m, m))
-        else:
-            total[rows, cols] += amp
+        # one build sums every term's entries; where they cancel, no
+        # explicit zero is kept
+        none = np.zeros(0, dtype=np.intp)
+        rows, cols, amp = map(np.concatenate, zip(
+            (none, none, np.zeros(0, dtype=complex)), *entries()))
+        total = sp.csr_matrix((amp, (rows, cols)), shape=(m, m))
+        total.eliminate_zeros()
+        return total
+    total = np.zeros((m, m), dtype=complex)
+    for rows, cols, amp in entries():
+        total[rows, cols] += amp
     return total
 
 

@@ -605,7 +605,7 @@ class TestColdStart:
         assert result == {"codes": [0], "loaded": []}
         summary = json.loads((tmp_path / "dce.ini" / "summary.json")
                              .read_text())
-        assert summary["diagnostics"]["path"] == "magnus-eigh"
+        assert summary["diagnostics"]["path"] == "magnus-dense"
         assert summary["diagnostics"]["exponentials"] == 18_432
 
     def test_modes_and_rwa_load_no_scipy(self, tmp_path):
@@ -656,7 +656,7 @@ result['high_levels'] = float(abs(traj.columns[SPARSE_EVOLVE_LIMIT:]).max())
         assert result["loaded"] == ["scipy.sparse"]
         assert result["diagnostics"]["path"] == "magnus-taylor"
         assert result["diagnostics"]["evolved_dim"] > result["limit"]
-        assert result["small_path"] == "magnus-eigh"
+        assert result["small_path"] == "magnus-dense"
         assert result["low_levels"] <= 1e-13
         assert result["high_levels"] <= 1e-30
 

@@ -13,12 +13,14 @@ from triphoton import dynamics, scenarios
 from triphoton.config import build_scenario_config, load_config
 from triphoton.dynamics import (
     SPARSE_EVOLVE_LIMIT,
+    THETA,
     Constant,
     Cosine,
     HamiltonianSpec,
     Motional,
     TwoTone,
     _reachable,
+    _series_exponentials,
     cutoff_sweep,
     evolve,
     evolve_static_expm,
@@ -238,7 +240,7 @@ class TestSectorPath:
         traj = evolve(driven_displacement(),
                       fock_state(RegisterLayout.bosons(1, 10), (0,)),
                       [0.0, 1.0])
-        assert traj.diagnostics["path"] == "magnus-eigh"
+        assert traj.diagnostics["path"] == "magnus-dense"
         assert traj.diagnostics["evolved_dim"] == 11
 
 
@@ -381,7 +383,7 @@ class TestDrivenEvolution:
 
     @pytest.mark.parametrize("spec, path", [
         (spec_of(triple_spdc_terms()), "sector-eigh"),
-        (driven_displacement(), "magnus-eigh")])
+        (driven_displacement(), "magnus-dense")])
     def test_one_point_grid_returns_psi0(self, spec, path):
         psi0 = fock_state(RegisterLayout.bosons(3, 3), (0, 0, 0))
         traj = evolve(spec, psi0, [0.5])
@@ -490,7 +492,7 @@ class TestDrivenOracle:
         # 192 grid intervals of 32 substeps, and 16 in the companion run,
         # two exponentials per substep
         traj, captured = run_shipped_dce(monkeypatch)
-        assert traj.diagnostics["path"] == "magnus-eigh"
+        assert traj.diagnostics["path"] == "magnus-dense"
         assert traj.diagnostics["exponentials"] == 18_432
         assert_estimate_covers(traj, sector_reference(
             captured["h"], captured["psi0"], captured["grid"], traj.basis))
@@ -505,16 +507,17 @@ class TestDrivenOracle:
 
 class TestMagnusRoutes:
     """Both exponential routes against the reference integrator on a
-    spec with two envelope groups, and the Taylor route against the eigh
-    route on one sector, where both form the same product of
-    exponentials."""
+    spec with two envelope groups and on one with a complex group, the
+    Taylor route against the dense route on one sector, where both form
+    the same product of exponentials, and the dense route's series
+    against eigendecompositions."""
 
     @staticmethod
-    def spec():
+    def spec(kick_amplitude=0.3):
         # static number terms plus two distinct envelope groups: a
         # displacement of mode 0 and a two-mode squeezer, together
         # reaching every state of the register
-        kick = mono([(0, CREATE)], 0.3)
+        kick = mono([(0, CREATE)], kick_amplitude)
         squeeze = mono([(0, CREATE), (1, CREATE)], 0.2)
         cosine, motional = Cosine(1.0, 3.0), Motional(v=1.0, k=2.0)
         return HamiltonianSpec(
@@ -522,7 +525,7 @@ class TestMagnusRoutes:
             [(kick, cosine), (kick.conjugate(), cosine),
              (squeeze, motional), (squeeze.conjugate(), motional)])
 
-    @pytest.mark.parametrize("cutoff, path", [(3, "magnus-eigh"),
+    @pytest.mark.parametrize("cutoff, path", [(3, "magnus-dense"),
                                               (24, "magnus-taylor")])
     def test_matches_reference(self, cutoff, path):
         h = self.spec()
@@ -535,19 +538,59 @@ class TestMagnusRoutes:
                                                       traj.basis))
         assert np.abs(traj.observables["norm"] - 1.0).max() < 1e-12
 
-    def test_taylor_route_matches_eigh_route(self, monkeypatch):
+    def test_taylor_route_matches_dense_route(self, monkeypatch):
         h = self.spec()
         psi0 = fock_state(RegisterLayout.bosons(2, 3), (0, 0))
         grid = np.linspace(0.0, 2.0, 5)
-        by_eigh = evolve(h, psi0, grid)
-        assert len(by_eigh.basis) == SPARSE_EVOLVE_LIMIT
+        by_dense = evolve(h, psi0, grid)
+        assert len(by_dense.basis) == SPARSE_EVOLVE_LIMIT
         monkeypatch.setattr(dynamics, "SPARSE_EVOLVE_LIMIT", 0)
         by_taylor = evolve(h, psi0, grid)
-        assert by_eigh.diagnostics["path"] == "magnus-eigh"
+        assert by_dense.diagnostics["path"] == "magnus-dense"
         assert by_taylor.diagnostics["path"] == "magnus-taylor"
-        assert (by_eigh.diagnostics["exponentials"]
+        assert (by_dense.diagnostics["exponentials"]
                 == by_taylor.diagnostics["exponentials"])
-        assert np.abs(by_eigh.columns - by_taylor.columns).max() <= 1e-13
+        assert np.abs(by_dense.columns - by_taylor.columns).max() <= 1e-13
+
+    @pytest.mark.parametrize("sparse_limit, path", [
+        (SPARSE_EVOLVE_LIMIT, "magnus-dense"), (0, "magnus-taylor")])
+    def test_complex_group_matches_reference(self, monkeypatch,
+                                             sparse_limit, path):
+        # the kick group holds i 0.3 a^dag and -i 0.3 a: Hermitian with
+        # imaginary entries, so both routes run in complex arithmetic
+        h = self.spec(0.3j)
+        assert [t.coefficient for t, _ in h.driven_terms[:2]] == [0.3j,
+                                                                  -0.3j]
+        psi0 = fock_state(RegisterLayout.bosons(2, 3), (0, 0))
+        grid = np.linspace(0.0, 2.0, 5)
+        monkeypatch.setattr(dynamics, "SPARSE_EVOLVE_LIMIT", sparse_limit)
+        traj = evolve(h, psi0, grid)
+        assert traj.diagnostics["path"] == path
+        assert traj.diagnostics["evolved_dim"] == 16
+        assert_estimate_covers(traj, sector_reference(h, psi0, grid,
+                                                      traj.basis))
+
+    @pytest.mark.parametrize("d", [2, 9, 16])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_series_exponentials_match_eigh(self, d, dtype):
+        # Hermitian stacks whose largest column sum of |X| is the most a
+        # substep of either run reaches: the companion's 2 THETA times
+        # sqrt(3)/3, the largest sum of |CF4 weights| in one exponential
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((12, d, d)).astype(dtype)
+        if dtype is complex:
+            x += 1j * rng.standard_normal((12, d, d))
+        x = (x + x.conj().swapaxes(-1, -2)) * rng.uniform(0.1, 1.0,
+                                                           (12, 1, 1))
+        x *= 2 * THETA * np.sqrt(3) / 3 / np.abs(x).sum(axis=-2).max()
+        u = _series_exponentials(x)
+        w, v = np.linalg.eigh(x)
+        oracle = (v * np.exp(-1j * w)[..., None, :]) @ v.conj().swapaxes(
+            -1, -2)
+        spectral = partial(np.linalg.norm, ord=2, axis=(-2, -1))
+        assert spectral(u - oracle).max() <= 1e-14
+        assert spectral(u.conj().swapaxes(-1, -2) @ u - np.eye(d)).max() \
+            <= 1e-14
 
 
 # every envelope type, at parameters no shipped config uses

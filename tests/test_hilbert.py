@@ -216,6 +216,9 @@ class TestOperatorOracle:
             got = terms_to_matrix([term], self.LAYOUT)
             assert np.abs(got - expected).max() <= \
                 1e-15 * np.abs(expected).max()
+        # a term and its negative leave no stored entry in the CSR pattern
+        cancelled = [terms[0], mono(terms[0].factors, -terms[0].coefficient)]
+        assert terms_to_matrix(cancelled, self.LAYOUT, sparse=True).nnz == 0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_expect_monomial_pure_and_mixed(self, seed):

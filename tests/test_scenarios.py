@@ -273,7 +273,7 @@ class TestShippedConfigs:
             "path": "sector-eigh", "register_dim": 1000, "evolved_dim": 34,
             "rhs_evals": 0}),
         ("dce.ini", {}, {
-            "path": "magnus-eigh", "register_dim": 18, "evolved_dim": 9,
+            "path": "magnus-dense", "register_dim": 18, "evolved_dim": 9,
             "exponentials": 18_432}),
     ])
     def test_evolution_diagnostics(self, name, changes, diagnostics):
