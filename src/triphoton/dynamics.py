@@ -32,17 +32,23 @@ the two runs' states over the grid divided by 15 (the Richardson factor
 error of the reported states, not a bound. A static generator, which
 CF4 propagates exactly, runs no companion and reports 0.
 
-The exponentials come by one of two routes, both Taylor series cut
+The exponentials come by one of three routes, all Taylor series cut
 where the bound on the first term left out falls below a quarter of
 the machine epsilon (``SERIES_CUT``). On a sector of at most
-``SPARSE_EVOLVE_LIMIT`` states, a chunk of substeps stacks its
-generators X = h A densely, and exp(-iX) = cos X - i sin X comes from
-the series of cos and sin in the powers of X^2: a handful of batched
-products, real when the parts are real, as on every shipped config.
-Each chunk's unitaries are multiplied together in a batched pairwise
-tree, so a grid interval costs one matrix-vector product. A larger
-sector keeps its matrices in CSR form, and each exponential acts on the
-state by its Taylor series. scipy is imported only there, for
+``SPARSE_EVOLVE_LIMIT`` states they are dense, and each chunk's
+unitaries are multiplied together in a batched pairwise tree, so a grid
+interval costs one matrix-vector product. With one envelope group, as
+on every shipped driven config, every exponential is exp(-iX) with X =
+a H_static + b H_g and a fixed by the substep length: its Taylor
+polynomial, regrouped by powers of b, is one table per substep length,
+built once per run, and a chunk's exponentials are one product of its
+powers of b with that table. With two or more groups, a chunk of
+substeps stacks its generators X = h A densely, and exp(-iX) = cos X -
+i sin X comes from the series of cos and sin in the powers of X^2: a
+handful of batched products, real up to the last when the parts are
+real. The one-group route's product per chunk is real for any parts. A
+larger sector keeps its matrices in CSR form, and each exponential acts
+on the state by its Taylor series. scipy is imported only there, for
 ``scipy.sparse``, as it is in ``hilbert._basis_matrix``; every other
 run, the driven ``dce-rabi`` included, needs numpy alone.
 ``evolve_static_expm``, a dense eigendecomposition of the full-register
@@ -224,9 +230,11 @@ class Trajectory:
 # against 81. The crossover lies between 32 and 64 states.
 SPARSE_EVOLVE_LIMIT = 16
 # the largest h ||H|| of a Magnus substep: halved from 0.72, where the
-# error_estimate of configs/dce.ini is 9.4e-8, until it falls below 2.5e-8
-# (half the 5e-8 state gate on that run) there and on every driven spec
-# of the tests
+# error_estimate of configs/dce.ini is 9.4e-8, until it fell below 2.5e-8
+# (half the 5e-8 state gate on that run) there and on the driven specs
+# whose error the tests check against a reference. The step rule does not
+# guarantee that target: n + cos 3t (0.3i a^dag - 0.3i a) at cutoff 3 on
+# [0, 2] reaches a true error of 1.8e-7, which its error_estimate covers
 THETA = 0.36
 # both series routes stop once the bound on the first term left out falls
 # below this, so the whole remainder stays below half the machine epsilon
@@ -238,15 +246,18 @@ def _reachable(terms: Sequence[LadderMonomial],
                psi0: QuantumState) -> np.ndarray:
     """Sorted flat indices of the support of psi0 closed under every
     monomial: a set of basis states H(t) maps into itself at every t."""
-    # a register-sized mask keeps each pass proportional to its frontier;
+    # monomials that share a factor tuple reach the same states, so each
+    # tuple acts once per pass; a zero coefficient reaches none. A
+    # register-sized mask keeps each pass proportional to its frontier;
     # frontier[:0] keeps the concatenation defined for an empty term list
+    actions = {t.factors: t.coefficient for t in terms if t.coefficient != 0}
     seen = np.zeros(psi0.layout.total_dim, dtype=bool)
     frontier = np.flatnonzero(psi0.data)
     while frontier.size:
         seen[frontier] = True
         reached = np.concatenate([frontier[:0], *(
-            _on_basis(t.factors, psi0.layout, frontier, t.coefficient)[0]
-            for t in terms)])
+            _on_basis(factors, psi0.layout, frontier, coefficient)[0]
+            for factors, coefficient in actions.items())])
         frontier = np.unique(reached[~seen[reached]])
     return np.flatnonzero(seen)
 
@@ -275,21 +286,22 @@ def _half_steps(parts, envelopes, times: np.ndarray) -> np.ndarray:
 def _cf4_weights(envelopes, times: np.ndarray, ks: np.ndarray,
                  starts: np.ndarray, h: np.ndarray) -> np.ndarray:
     """The weights of H_static and of each group matrix in the two
-    exponentials of the substeps from ``starts`` (n, c) with lengths
-    ``h`` (n, 1), n pieces of grid intervals ``ks``: shape
-    (n, c, 2, 1 + groups), the exponential applied first at index 0."""
+    exponentials of the substeps from ``starts`` with lengths ``h`` in
+    grid intervals ``ks``, one entry each per substep: shape
+    (substeps, 2, 1 + groups), the exponential applied first at index 0.
+    Each envelope is evaluated once, on every Gauss node at once."""
     root = np.sqrt(3.0) / 6.0
-    nodes = starts[..., None] + h[..., None] * (0.5 + np.array([-root, root]))
+    nodes = starts[:, None] + h[:, None] * (0.5 + np.array([-root, root]))
     values = np.empty(nodes.shape + (1 + len(envelopes),))
     values[..., 0] = 1.0
     for g, env in enumerate(envelopes, start=1):
         values[..., g] = env(nodes)
     bad = ~np.isfinite(values)
     if bad.any():
-        piece, step, node, group = np.argwhere(bad)[0]
-        raise _stall(times, ks[piece], f"envelope value "
-                     f"{values[piece, step, node, group]:.3g} at t = "
-                     f"{nodes[piece, step, node]:.6g}")
+        step, node, group = np.argwhere(bad)[0]
+        raise _stall(times, ks[step], f"envelope value "
+                     f"{values[step, node, group]:.3g} at t = "
+                     f"{nodes[step, node]:.6g}")
     mix = np.array([[0.25 + root, 0.25 - root], [0.25 - root, 0.25 + root]])
     return mix @ values
 
@@ -379,33 +391,119 @@ def _taylor_route(parts, psi: np.ndarray, weights: np.ndarray,
         yield psi
 
 
-def _magnus(route, parts, envelopes, times: np.ndarray, psi: np.ndarray,
+def _drive_polynomial(parts: np.ndarray):
+    """exp(-iX), X = a H_static + b H_g, for a run with one envelope
+    group, as a function of (a, b): a is h times the static weight, so
+    it is fixed by the substep length, and only b varies. The Taylor
+    polynomial sum_{n<=N} (-iX)^n / n! is regrouped by powers of b as
+    sum_j b^j D_j(a), D_j(a) = sum_{n>=j} (-i)^n / n! a^(n-j) Q_n^(j),
+    where Q_n^(j), the sum of the words of n letters with j of them H_g,
+    follows from Q_n^(j) = H_static Q_{n-1}^(j) + H_g Q_{n-1}^(j-1). N
+    is the fewest with x^(N+1)/(N+1)! <= ``SERIES_CUT`` at the largest
+    column sum of |X| a substep of either run reaches, x = 2 ``THETA``
+    sqrt(3)/3: the companion's h ||H|| times the largest sum of |CF4
+    weights| in one exponential. The Q are built here, once, and each
+    a's D table on its first use.
+
+    The returned function takes one a per piece (n,) and the pieces' b
+    (n, m), and gives their exponentials (n, m, d, d): one product of the
+    powers of b with the pieces' D tables."""
+    x = 2 * THETA * np.sqrt(3) / 3
+    degree, tail = 0, x
+    while tail > SERIES_CUT:
+        degree += 1
+        tail *= x / (degree + 1)
+    h_static, h_group = parts
+    d = len(h_static)
+    # Q_n^(j) at [j, n], so D_j(a) is row j of the coefficients times
+    # stack j
+    words = np.zeros((degree + 1, degree + 1, d, d), dtype=parts.dtype)
+    words[0, 0] = np.eye(d)
+    for n in range(1, degree + 1):
+        words[:n, n] = h_static @ words[:n, n - 1]
+        words[1:n + 1, n] += h_group @ words[:n, n - 1]
+    words = words.reshape(degree + 1, degree + 1, d * d)
+    # D_j(a)'s coefficient of Q_n^(j) at [j, n]: (-i)^n / n! times
+    # a^shift, shift = n - j, for n >= j, and 0 below
+    order = np.arange(degree + 1)
+    series = np.triu(np.tile(np.array([1, -1j, -1, 1j])[order % 4] / [
+        factorial(n) for n in order], (degree + 1, 1)))
+    shift = np.triu(order - order[:, None])
+    # a linspace grid has a handful of substep lengths, but a grid whose
+    # intervals all differ would keep a table per interval: past 1 MB of
+    # tables the cache starts again
+    tables, held = {}, max(1, 2**20 // (16 * (degree + 1) * d * d))
+
+    def exponentials(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        powers = np.empty(b.shape + (degree + 1,))
+        powers[..., 0] = 1.0
+        powers[..., 1:] = b[..., None]
+        powers = np.cumprod(powers, axis=-1)
+        chosen = []
+        for key in a.tolist():
+            if key not in tables:
+                if len(tables) == held:
+                    tables.clear()
+                # row j holds D_j(a)'s d^2 complex entries as 2 d^2
+                # floats, so the real powers of b multiply both parts in
+                # one real product
+                coefficients = series * (key ** order)[shift]
+                table = coefficients.real[:, None] @ words + 1j * (
+                    coefficients.imag[:, None] @ words)
+                tables[key] = table.reshape(degree + 1, -1).view(float)
+            chosen.append(tables[key])
+        u = (powers @ np.stack(chosen)).view(complex)
+        return u.reshape(*b.shape, d, d)
+
+    return exponentials
+
+
+def _polynomial_route(exponentials, psi: np.ndarray, weights: np.ndarray,
+                      h: np.ndarray):
+    """Each piece's exponentials from ``exponentials``, a
+    ``_drive_polynomial`` of the run's parts, at a = h times the static
+    weight, which every exponential of a piece shares, and each
+    exponential's b = h times the group weight; multiplied into one
+    unitary per piece as on the dense route, it yields the state after
+    each piece."""
+    u = exponentials(h[:, 0] * weights[:, 0, 0, 0],
+                     (h[..., None] * weights[..., 1]).reshape(len(h), -1))
+    for product in _chain(u):
+        psi = product @ psi
+        yield psi
+
+
+def _magnus(route, envelopes, times: np.ndarray, psi: np.ndarray,
             steps: np.ndarray, most: int) -> np.ndarray:
     """States at the grid times, as columns, from CF4 with ``steps[k]``
-    substeps in grid interval k. The substeps go in pieces of at most
-    ``most``; consecutive pieces of one length form a batch of at most
-    ``most`` substeps, which ``route`` turns into the state after each
+    substeps in grid interval k. Every substep's weights come from one
+    call; the substeps go in pieces of at most ``most``, and consecutive
+    pieces of one length form a batch of at most ``most`` substeps,
+    which ``route(psi, weights, h)`` turns into the state after each
     piece."""
     columns = np.empty((len(psi), len(times)), dtype=complex)
     columns[:, 0] = psi
+    # each substep's grid interval, length and start, in run order
+    ks = np.repeat(np.arange(len(steps)), steps)
+    h = (times[ks + 1] - times[ks]) / steps[ks]
+    index = np.arange(len(ks)) - np.repeat(np.cumsum(steps) - steps, steps)
+    weights = _cf4_weights(envelopes, times, ks, times[ks] + h * index, h)
     pieces = [(k, first, min(most, m - first)) for k, m in enumerate(steps)
               for first in range(0, m, most)]
-    i = 0
+    i = done = 0
     while i < len(pieces):
         count = pieces[i][2]
         j = i + 1
         while (j < len(pieces) and pieces[j][2] == count
                and (j - i + 1) * count <= most):
             j += 1
-        ks, firsts, _ = np.array(pieces[i:j]).T
-        h = ((times[ks + 1] - times[ks]) / steps[ks])[:, None]
-        starts = times[ks, None] + h * (firsts[:, None] + np.arange(count))
-        weights = _cf4_weights(envelopes, times, ks, starts, h)
-        for (k, first, _), psi in zip(pieces[i:j],
-                                      route(parts, psi, weights, h)):
+        end = done + (j - i) * count
+        batch = weights[done:end].reshape(j - i, count, *weights.shape[1:])
+        for (k, first, _), psi in zip(pieces[i:j], route(
+                psi, batch, h[done:end:count, None])):
             if first + count == steps[k]:
                 columns[:, k + 1] = psi
-        i = j
+        i, done = j, end
     return columns
 
 
@@ -423,11 +521,12 @@ def evolve(h: HamiltonianSpec,
     static spec whose sector fits in ``DENSE_LIMIT`` is propagated
     exactly by one eigendecomposition (path ``"sector-eigh"``). Any other
     spec runs the CF4 Magnus propagator at the fewest even number of
-    substeps per grid interval with h ||H|| <= ``THETA``: its
-    exponentials come from the cos and sin series over stacks of dense
-    generators on a sector of at most ``SPARSE_EVOLVE_LIMIT`` states
-    (``"magnus-dense"``) and act by Taylor series on a larger, CSR one
-    (``"magnus-taylor"``). Its diagnostics
+    substeps per grid interval with h ||H|| <= ``THETA``. On a sector
+    of at most ``SPARSE_EVOLVE_LIMIT`` states its exponentials are dense
+    (``"magnus-dense"``): with one envelope group, from the run's Taylor
+    polynomial in the group's weight, and with two or more, from the cos
+    and sin series over stacks of generators. On a larger, CSR sector
+    they act by Taylor series (``"magnus-taylor"``). Its diagnostics
     count the ``exponentials`` of both runs and give ``error_estimate``,
     the largest distance over the grid between the run and its companion
     at half the substeps, divided by 15: an asymptotic estimate of the
@@ -441,7 +540,7 @@ def evolve(h: HamiltonianSpec,
     The norm is never renormalized; its drift is recorded as the
     ``norm`` observable. It is a unitarity check, not an error measure:
     every CF4 substep is unitary, so the propagator's error keeps the
-    norm (on ``configs/dce.ini`` the drift is 8e-13). A non-finite
+    norm (on ``configs/dce.ini`` the drift is 3.5e-13). A non-finite
     envelope value at a node, or a non-finite generator bound, raises
     ``IntegrationError`` naming the grid interval where it arose.
     """
@@ -479,21 +578,25 @@ def evolve(h: HamiltonianSpec,
         half = _half_steps(parts, envelopes, t_grid)
         if sparse:
             # whole grid intervals: the Taylor route stacks no matrices
-            path, route = "magnus-taylor", _taylor_route
+            path, route = "magnus-taylor", partial(_taylor_route, parts)
             most = int(2 * half.max(initial=1))
         else:
             parts = np.array(parts)
             # real symmetric parts keep the whole series real
             if not parts.imag.any():
                 parts = parts.real
-            # a chunk's stack of exponentials stays near 128 kB, and
-            # its series holds a few stacks of that size: at 1 MB the
-            # benchmark's peak RSS on dce-rabi rose by 3 MB
-            path, route = "magnus-dense", _dense_route
+            # a chunk's stack of exponentials stays near 128 kB. The
+            # series holds a few stacks of that size: at 1 MB the
+            # benchmark's peak RSS on dce-rabi rose by 3 MB. The one-group
+            # route holds one stack and its tree's levels; twice the
+            # size gave no clear gain in the benchmark's dce-rabi run_s
+            path = "magnus-dense"
+            route = (partial(_polynomial_route, _drive_polynomial(parts))
+                     if len(groups) == 1 else partial(_dense_route, parts))
             most = max(1, 2**12 // len(basis) ** 2)
         # CF4 is exact for a static generator, which needs no companion
         counts = (2 * half, half) if groups else (2 * half,)
-        runs = [_magnus(route, parts, envelopes, t_grid, psi, m, most)
+        runs = [_magnus(route, envelopes, t_grid, psi, m, most)
                 for m in counts]
         columns = runs[0]
         distance = np.linalg.norm(runs[0] - runs[-1], axis=0)

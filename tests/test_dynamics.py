@@ -1,6 +1,7 @@
 """Evolution tests against closed-form, eigendecomposition and
 reference-integrator oracles."""
 
+import dataclasses
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -19,6 +20,11 @@ from triphoton.dynamics import (
     HamiltonianSpec,
     Motional,
     TwoTone,
+    _cf4_weights,
+    _dense_route,
+    _drive_polynomial,
+    _half_steps,
+    _polynomial_route,
     _reachable,
     _series_exponentials,
     cutoff_sweep,
@@ -235,6 +241,18 @@ class TestSectorPath:
         np.testing.assert_array_equal(basis, np.arange(4096))
         assert info.misses == 2
         assert info.hits + info.misses == 2 * 4096
+
+    @pytest.mark.parametrize("zero_first", [True, False])
+    def test_zero_coefficient_reaches_nothing(self, zero_first):
+        # a^dag on mode 0 comes with coefficient 0 and with 0.5, a^dag on
+        # mode 1 with 0 only: mode 0 climbs, mode 1 stays empty
+        lay = RegisterLayout.bosons(2, 3)
+        create = [mono([(0, CREATE)], 0.0), mono([(0, CREATE)], 0.5)]
+        terms = [*(create if zero_first else create[::-1]),
+                 mono([(0, ANNIHILATE)], 0.5), mono([(1, CREATE)], 0.0)]
+        basis = _reachable(terms, fock_state(lay, (0, 0)))
+        np.testing.assert_array_equal(basis, np.ravel_multi_index(
+            (np.arange(4), np.zeros(4, dtype=int)), lay.dims))
 
     def test_driven_spec_integrates(self):
         traj = evolve(driven_displacement(),
@@ -591,6 +609,111 @@ class TestMagnusRoutes:
         assert spectral(u - oracle).max() <= 1e-14
         assert spectral(u.conj().swapaxes(-1, -2) @ u - np.eye(d)).max() \
             <= 1e-14
+
+
+def kicked_mode(coefficient):
+    """n plus cos(3t) (c a^dag + c* a) on mode 0: one envelope group,
+    complex Hermitian for an imaginary c."""
+    kick = mono([(0, CREATE)], coefficient)
+    env = Cosine(1.0, 3.0)
+    return HamiltonianSpec([mono([(0, NUMBER)], 1.0)],
+                           [(kick, env), (kick.conjugate(), env)])
+
+
+class TestDrivePolynomial:
+    """The one-group route: its exponentials against eigendecompositions,
+    its states against the series route's on the same substeps, the
+    shipped scenario's run on it, and the series kept for two groups."""
+
+    @pytest.mark.parametrize("d", [2, 9, 16])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_exponentials_match_eigh(self, d, dtype):
+        # parts of unit column-sum norm and (a, b) pairs whose bound
+        # |a| + |b| runs up to the most a substep of either run reaches:
+        # the companion's 2 THETA times sqrt(3)/3
+        rng = np.random.default_rng(d)
+        parts = rng.standard_normal((2, d, d)).astype(dtype)
+        if dtype is complex:
+            parts += 1j * rng.standard_normal((2, d, d))
+        parts = parts + parts.conj().swapaxes(-1, -2)
+        parts /= np.abs(parts).sum(axis=-2).max(axis=-1)[:, None, None]
+        x = 2 * THETA * np.sqrt(3) / 3
+        a = x * np.array([-0.5, 0.0, 0.1, 0.5, 0.9, 1.0])
+        b = (x - np.abs(a))[:, None] * np.array(
+            [-1.0, -0.6, -0.1, 0.0, 0.3, 0.8, 1.0])
+        u = _drive_polynomial(parts)(a, b)
+        w, v = np.linalg.eigh(a[:, None, None, None] * parts[0]
+                              + b[..., None, None] * parts[1])
+        oracle = (v * np.exp(-1j * w)[..., None, :]) @ v.conj().swapaxes(
+            -1, -2)
+        spectral = partial(np.linalg.norm, ord=2, axis=(-2, -1))
+        assert spectral(u - oracle).max() <= 1e-14
+        assert spectral(u.conj().swapaxes(-1, -2) @ u - np.eye(d)).max() \
+            <= 1e-14
+
+    @pytest.mark.parametrize("spec, cutoff, grid", [
+        (driven_displacement(), 10, [0.0, 0.31, 0.5, 0.94, 1.2, 1.77, 2.0]),
+        (kicked_mode(0.3j), 10, [0.0, 0.31, 0.5, 0.94, 1.2, 1.77, 2.0]),
+        (kicked_mode(0.3j), 15,
+         np.cumsum([0.0, *0.04 * 1.01**np.arange(40)]))])
+    def test_route_matches_series_route(self, spec, cutoff, grid):
+        # one batch over a grid whose intervals all take the same
+        # substep count, so each has its own substep length and D table;
+        # 40 tables of 16 states are more than the cache holds at once
+        psi0 = fock_state(RegisterLayout.bosons(1, cutoff), (0,))
+        grid = np.asarray(grid)
+        basis = _reachable([*spec.static_terms,
+                            *(t for t, _ in spec.driven_terms)], psi0)
+        matrix = partial(_basis_matrix, layout=psi0.layout, basis=basis,
+                         sparse=False)
+        parts = np.array([matrix(spec.static_terms),
+                          matrix([t for t, _ in spec.driven_terms])])
+        if not parts.imag.any():
+            parts = parts.real
+        assert parts.dtype == type(spec.driven_terms[0][0].coefficient)
+        envelopes = [spec.driven_terms[0][1]]
+        count = 2 * int(_half_steps(parts, envelopes, grid).max())
+        ks = np.repeat(np.arange(len(grid) - 1), count)
+        h = (grid[ks + 1] - grid[ks]) / count
+        starts = grid[ks] + h * np.tile(np.arange(count), len(grid) - 1)
+        weights = _cf4_weights(envelopes, grid, ks, starts, h).reshape(
+            len(grid) - 1, count, 2, 2)
+        h = h[::count, None]
+        assert len(set(h[:, 0].tolist())) == len(grid) - 1
+        psi = psi0.data[basis]
+        by_series = np.array(list(_dense_route(parts, psi, weights, h)))
+        by_polynomial = np.array(list(_polynomial_route(
+            _drive_polynomial(parts), psi, weights, h)))
+        assert np.abs(by_polynomial - by_series).max() <= 1e-13
+        assert np.abs(np.linalg.norm(by_polynomial, axis=1) - 1).max() \
+            < 1e-12
+
+    def test_one_group_run_takes_no_series(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError("series exponentials on one group")
+
+        monkeypatch.setattr(dynamics, "_series_exponentials", refuse)
+        config = build_scenario_config(load_config(
+            os.path.join(CONFIGS, "dce.ini")))
+        config = dataclasses.replace(config, cutoff=2, dce=dataclasses.replace(
+            config.dce, periods=1, window_periods=1))
+        traj = scenarios.run_scenario(config).trajectory
+        assert traj.diagnostics["path"] == "magnus-dense"
+        assert traj.diagnostics["exponentials"] > 0
+
+    def test_two_groups_take_the_series(self, monkeypatch):
+        calls = []
+
+        def spy(x):
+            calls.append(x[..., 0, 0].size)
+            return _series_exponentials(x)
+
+        monkeypatch.setattr(dynamics, "_series_exponentials", spy)
+        traj = evolve(TestMagnusRoutes.spec(),
+                      fock_state(RegisterLayout.bosons(2, 3), (0, 0)),
+                      np.linspace(0.0, 2.0, 5))
+        assert traj.diagnostics["path"] == "magnus-dense"
+        assert sum(calls) == traj.diagnostics["exponentials"]
 
 
 # every envelope type, at parameters no shipped config uses
