@@ -32,25 +32,21 @@ the two runs' states over the grid divided by 15 (the Richardson factor
 error of the reported states, not a bound. A static generator, which
 CF4 propagates exactly, runs no companion and reports 0.
 
-The exponentials come by one of three routes, all Taylor series cut
+The exponentials come by one of two routes, both Taylor series cut
 where the bound on the first term left out falls below a quarter of
-the machine epsilon (``SERIES_CUT``). On a sector of at most
-``SPARSE_EVOLVE_LIMIT`` states they are dense, and each chunk's
-unitaries are multiplied together in a batched pairwise tree, so a grid
-interval costs one matrix-vector product. With one envelope group, as
-on every shipped driven config, every exponential is exp(-iX) with X =
-a H_static + b H_g and a fixed by the substep length: its Taylor
-polynomial, regrouped by powers of b, is one table per substep length,
-built once per run, and a chunk's exponentials are one product of its
-powers of b with that table. With two or more groups, a chunk of
-substeps stacks its generators X = h A densely, and exp(-iX) = cos X -
-i sin X comes from the series of cos and sin in the powers of X^2: a
-handful of batched products, real up to the last when the parts are
-real. The one-group route's product per chunk is real for any parts. A
-larger sector keeps its matrices in CSR form, and each exponential acts
-on the state by its Taylor series. scipy is imported only there, for
-``scipy.sparse``, as it is in ``hilbert._basis_matrix``; every other
-run, the driven ``dce-rabi`` included, needs numpy alone.
+the machine epsilon (``SERIES_CUT``). A run with exactly one envelope
+group on at most ``SPARSE_EVOLVE_LIMIT`` states, as every shipped
+driven config is, takes them densely: every exponential is exp(-iX)
+with X = a H_static + b H_g and a fixed by the substep length, its
+Taylor polynomial, regrouped by powers of b, is one table per substep
+length, built once per run, and a chunk's exponentials are one real
+product of its powers of b with that table. Each chunk's unitaries are
+then multiplied together in a batched pairwise tree, so a grid interval
+costs one matrix-vector product. Every other run keeps its matrices in
+CSR form, and each exponential acts on the state by its Taylor series.
+scipy is imported only there, for ``scipy.sparse``, as it is in
+``hilbert._basis_matrix``; every other run, the driven ``dce-rabi``
+included, needs numpy alone.
 ``evolve_static_expm``, a dense eigendecomposition of the full-register
 Hamiltonian, is the independent oracle for static runs.
 """
@@ -194,13 +190,14 @@ class Trajectory:
     on its sorted flat indices ``basis`` in the register ``layout``.
 
     ``diagnostics`` says how the states were obtained: ``path``
-    (``"sector-eigh"``, ``"magnus-dense"`` or ``"magnus-taylor"``),
-    ``register_dim`` and the size of the sector every path evolves on
-    (``evolved_dim``). The Magnus paths add the count of matrix
-    exponentials of the run and its companion (``exponentials``) and
-    their ``error_estimate``; the exact eigendecomposition path keeps
-    the ``rhs_evals`` = 0 it has always reported, so static summaries
-    keep their bytes.
+    (``"sector-eigh"``; ``"magnus-dense"`` for one envelope group on at
+    most ``SPARSE_EVOLVE_LIMIT`` states; ``"magnus-taylor"`` for every
+    other Magnus run), ``register_dim`` and the size of the sector every
+    path evolves on (``evolved_dim``). The Magnus paths add the count of
+    matrix exponentials of the run and its companion (``exponentials``)
+    and their ``error_estimate``; the exact eigendecomposition path
+    keeps the ``rhs_evals`` = 0 it has always reported, so static
+    summaries keep their bytes.
     """
 
     times: np.ndarray
@@ -222,12 +219,14 @@ class Trajectory:
         return [self.state(k) for k in range(len(self.times))]
 
 
-# above this many states, exponentials act by Taylor series on CSR
-# matrices. A whole evolve of the two-group spec of TestMagnusRoutes
-# over five grid points, per exponential (one BLAS thread, 2 vCPU),
-# takes 17 us by the dense series at 16 states against 83 us on CSR,
-# and 49 us against 78 us at 32 states; at 64 states it takes 189 us
-# against 81. The crossover lies between 32 and 64 states.
+# above this many states, as with two or more envelope groups,
+# exponentials act by Taylor series on CSR matrices. A whole evolve of a
+# cos-driven displacement over 11 grid points, per exponential (one
+# group, one BLAS thread, 2 vCPU), takes 5-6 us on the polynomial route
+# at 16 states against 72-136 us on CSR, 14-19 us against 73-98 us at
+# 32, 71 us against 93 us at 56 and 81 us against 73-82 us at 64. The
+# crossover lies near 64 states, but no workload runs a sector of 17 to
+# 64 states, so no measurement of a run picks a higher limit
 SPARSE_EVOLVE_LIMIT = 16
 # the largest h ||H|| of a Magnus substep: halved from 0.72, where the
 # error_estimate of configs/dce.ini is 9.4e-8, until it fell below 2.5e-8
@@ -315,46 +314,6 @@ def _chain(u: np.ndarray) -> np.ndarray:
         u = paired if even == u.shape[1] else np.concatenate(
             [paired, u[:, even:]], axis=1)
     return u[:, 0]
-
-
-def _series_exponentials(x: np.ndarray) -> np.ndarray:
-    """exp(-iX) = cos X - i sin X for a stack of Hermitian X from the
-    Taylor series of cos and sin in Y = X^2: cos X = sum_i (-1)^i Y^i /
-    (2i)! and sin X = X sum_i (-1)^i Y^i / (2i + 1)!, i = 0..k. Each
-    power of Y is one batched product, added into both sums as it is
-    formed, so no stack of powers is held; all of it is real for a real
-    X. k is the fewest with x^(2k+2)/(2k+2)! <= ``SERIES_CUT``, x the
-    stack's largest column sum of |X|, so the remainder stays below half
-    the machine epsilon, as on the Taylor route."""
-    d = x.shape[-1]
-    bound = (np.ones(d) @ np.abs(x)).max()
-    k, tail = 0, bound**2 / 2
-    while tail > SERIES_CUT:
-        k += 1
-        tail *= bound**2 / ((2 * k + 1) * (2 * k + 2))
-    y = power = x @ x
-    cos = np.broadcast_to(np.eye(d, dtype=x.dtype), x.shape).copy()
-    sin = cos.copy()
-    for i in range(1, k + 1):
-        if i > 1:
-            power = power @ y
-        cos += (-1)**i / factorial(2 * i) * power
-        sin += (-1)**i / factorial(2 * i + 1) * power
-    return cos - 1j * (x @ sin)
-
-
-def _dense_route(parts: np.ndarray, psi: np.ndarray, weights: np.ndarray,
-                 h: np.ndarray):
-    """Each piece's exponentials from one series over the chunk's stack
-    of generators h A, multiplied into one unitary per piece; yields the
-    state after each piece."""
-    d = parts.shape[-1]
-    x = ((h[..., None, None] * weights) @ parts.reshape(len(parts), -1)
-         ).reshape(*weights.shape[:-1], d, d)
-    u = _series_exponentials(x)
-    for product in _chain(u.reshape(len(h), -1, d, d)):
-        psi = product @ psi
-        yield psi
 
 
 def _taylor_route(parts, psi: np.ndarray, weights: np.ndarray,
@@ -464,8 +423,8 @@ def _polynomial_route(exponentials, psi: np.ndarray, weights: np.ndarray,
     ``_drive_polynomial`` of the run's parts, at a = h times the static
     weight, which every exponential of a piece shares, and each
     exponential's b = h times the group weight; multiplied into one
-    unitary per piece as on the dense route, it yields the state after
-    each piece."""
+    unitary per piece by ``_chain``, it yields the state after each
+    piece."""
     u = exponentials(h[:, 0] * weights[:, 0, 0, 0],
                      (h[..., None] * weights[..., 1]).reshape(len(h), -1))
     for product in _chain(u):
@@ -521,12 +480,12 @@ def evolve(h: HamiltonianSpec,
     static spec whose sector fits in ``DENSE_LIMIT`` is propagated
     exactly by one eigendecomposition (path ``"sector-eigh"``). Any other
     spec runs the CF4 Magnus propagator at the fewest even number of
-    substeps per grid interval with h ||H|| <= ``THETA``. On a sector
-    of at most ``SPARSE_EVOLVE_LIMIT`` states its exponentials are dense
-    (``"magnus-dense"``): with one envelope group, from the run's Taylor
-    polynomial in the group's weight, and with two or more, from the cos
-    and sin series over stacks of generators. On a larger, CSR sector
-    they act by Taylor series (``"magnus-taylor"``). Its diagnostics
+    substeps per grid interval with h ||H|| <= ``THETA``. A run with
+    exactly one envelope group on at most ``SPARSE_EVOLVE_LIMIT`` states
+    takes its exponentials densely, from the run's Taylor polynomial in
+    the group's weight (``"magnus-dense"``); every other run keeps CSR
+    matrices, and each exponential acts on the state by its Taylor
+    series (``"magnus-taylor"``). Its diagnostics
     count the ``exponentials`` of both runs and give ``error_estimate``,
     the largest distance over the grid between the run and its companion
     at half the substeps, divided by 15: an asymptotic estimate of the
@@ -560,7 +519,8 @@ def evolve(h: HamiltonianSpec,
                        psi0)
     exact = not groups and len(basis) <= DENSE_LIMIT
     # only the Taylor route takes CSR matrices
-    sparse = not exact and len(basis) > SPARSE_EVOLVE_LIMIT
+    sparse = not exact and (len(groups) > 1
+                            or len(basis) > SPARSE_EVOLVE_LIMIT)
     matrix = partial(_basis_matrix, layout=layout, basis=basis, sparse=sparse)
     h_static = matrix(h.static_terms)
     psi = psi0.data[basis]
@@ -582,17 +542,14 @@ def evolve(h: HamiltonianSpec,
             most = int(2 * half.max(initial=1))
         else:
             parts = np.array(parts)
-            # real symmetric parts keep the whole series real
+            # real symmetric parts keep the polynomial's words real
             if not parts.imag.any():
                 parts = parts.real
-            # a chunk's stack of exponentials stays near 128 kB. The
-            # series holds a few stacks of that size: at 1 MB the
-            # benchmark's peak RSS on dce-rabi rose by 3 MB. The one-group
-            # route holds one stack and its tree's levels; twice the
-            # size gave no clear gain in the benchmark's dce-rabi run_s
+            # a chunk's stack of exponentials holds 2^12 complex entries,
+            # and the route holds that stack and its tree's levels; twice
+            # the size gave no clear gain in the benchmark's dce-rabi run_s
             path = "magnus-dense"
-            route = (partial(_polynomial_route, _drive_polynomial(parts))
-                     if len(groups) == 1 else partial(_dense_route, parts))
+            route = partial(_polynomial_route, _drive_polynomial(parts))
             most = max(1, 2**12 // len(basis) ** 2)
         # CF4 is exact for a static generator, which needs no companion
         counts = (2 * half, half) if groups else (2 * half,)

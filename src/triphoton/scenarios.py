@@ -73,9 +73,9 @@ from .rwa import (
     rwa_reduce,
 )
 from .witnesses import (
+    _dv_report,
     _mode_reports,
     _vlf_report,
-    dv_genuine_witness,
     negativity,
 )
 
@@ -423,19 +423,20 @@ def _evolve_hybrid(config: ScenarioConfig) -> tuple[Trajectory, dict]:
 def _analyze_hybrid(config: ScenarioConfig, traj: Trajectory,
                     details: dict) -> ScenarioResult:
     """Tracks how the genuinely tripartite moment structure transfers
-    from the field register to the qubit register. The field moments
-    and the qubits' reduced states are read off the sector columns."""
+    from the field register to the qubit register. The field and qubit
+    moments and the qubits' reduced states are read off the sector
+    columns."""
     tau = traj.times
     n = len(tau)
     expect = _column_moments(traj)
     series = {key: np.empty(n) for key in (
         "dv", "neg_q1", "neg_q2", "neg_q3", "g2_field", "swap_fidelity",
         "swap_eta", "qubit_purity")}
-    qubits = RegisterLayout.qubits(3)
-    rhos = _reduce_columns(traj.layout, traj.basis, traj.columns, [3, 4, 5])
+    qubits, sites = RegisterLayout.qubits(3), [3, 4, 5]
+    rhos = _reduce_columns(traj.layout, traj.basis, traj.columns, sites)
     for k in range(n):
         rho_q = QuantumState(qubits, rhos[k], validate=False)
-        series["dv"][k] = dv_genuine_witness(rho_q).value
+        series["dv"][k] = _dv_report(partial(expect, k=k), sites).value
         for q in range(3):
             series[f"neg_q{q + 1}"][k] = negativity(rho_q, {q})
         series["g2_field"][k] = _mode_reports(

@@ -485,9 +485,14 @@ def dv_genuine_witness(state: QuantumState, ordering: str = "normal",
         raise ValueError("ordering must be 'normal' or 'antinormal'")
     if combine not in ("max", "sum"):
         raise ValueError("combine must be 'max' or 'sum'")
-    qubits = _three_sites(state, qubits, QUBIT)
-    triple, moments = _normal_moments(partial(expect_monomial, state),
-                                      qubits, PAULI_MINUS)
+    return _dv_report(partial(expect_monomial, state),
+                      _three_sites(state, qubits, QUBIT), ordering, combine)
+
+
+def _dv_report(expect, qubits, ordering: str = "normal",
+               combine: str = "max") -> WitnessReport:
+    """``dv_genuine_witness`` from one state's ``expect(factors)``."""
+    triple, moments = _normal_moments(expect, qubits, PAULI_MINUS)
     if ordering == "antinormal":
         moments = _antinormal(moments, -1.0)
     return _moment_witness("dv_genuine", triple, moments, combine)

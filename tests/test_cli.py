@@ -562,7 +562,8 @@ class TestStateSerialization:
 
 class TestColdStart:
     """scipy loads only on the path that calls it: ``scipy.sparse`` for
-    sectors above ``SPARSE_EVOLVE_LIMIT`` states. ``scipy.integrate``
+    Magnus runs on sectors above ``SPARSE_EVOLVE_LIMIT`` states or with
+    two or more envelope groups. ``scipy.integrate``
     never loads, and no process pool does: a sweep runs its cutoffs one
     after another, whatever ``--jobs`` says. ``modes`` and ``rwa`` load
     none of them.
@@ -642,7 +643,7 @@ traj = evolve(HamiltonianSpec([number], drive), fock_state(layout, (0,)),
               grid)
 result['diagnostics'] = traj.diagnostics
 result['limit'] = SPARSE_EVOLVE_LIMIT
-# the same drive on a register small enough for the eigh route; the
+# the same drive on a register small enough for the dense route; the
 # displacement stays far below its top level, so the low levels agree
 small = RegisterLayout.bosons(1, SPARSE_EVOLVE_LIMIT - 1)
 low = evolve(HamiltonianSpec([number], drive), fock_state(small, (0,)),

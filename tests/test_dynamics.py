@@ -21,12 +21,11 @@ from triphoton.dynamics import (
     Motional,
     TwoTone,
     _cf4_weights,
-    _dense_route,
     _drive_polynomial,
     _half_steps,
     _polynomial_route,
     _reachable,
-    _series_exponentials,
+    _taylor_route,
     cutoff_sweep,
     evolve,
     evolve_static_expm,
@@ -524,11 +523,10 @@ class TestDrivenOracle:
 
 
 class TestMagnusRoutes:
-    """Both exponential routes against the reference integrator on a
-    spec with two envelope groups and on one with a complex group, the
-    Taylor route against the dense route on one sector, where both form
-    the same product of exponentials, and the dense route's series
-    against eigendecompositions."""
+    """The Taylor route against the reference integrator on a spec with
+    two envelope groups and on one with a complex group, and against the
+    dense route on a one-group sector, where both form the same product
+    of exponentials."""
 
     @staticmethod
     def spec(kick_amplitude=0.3):
@@ -543,7 +541,7 @@ class TestMagnusRoutes:
             [(kick, cosine), (kick.conjugate(), cosine),
              (squeeze, motional), (squeeze.conjugate(), motional)])
 
-    @pytest.mark.parametrize("cutoff, path", [(3, "magnus-dense"),
+    @pytest.mark.parametrize("cutoff, path", [(3, "magnus-taylor"),
                                               (24, "magnus-taylor")])
     def test_matches_reference(self, cutoff, path):
         h = self.spec()
@@ -557,8 +555,8 @@ class TestMagnusRoutes:
         assert np.abs(traj.observables["norm"] - 1.0).max() < 1e-12
 
     def test_taylor_route_matches_dense_route(self, monkeypatch):
-        h = self.spec()
-        psi0 = fock_state(RegisterLayout.bosons(2, 3), (0, 0))
+        h = kicked_mode(0.3j)
+        psi0 = fock_state(RegisterLayout.bosons(1, 15), (0,))
         grid = np.linspace(0.0, 2.0, 5)
         by_dense = evolve(h, psi0, grid)
         assert len(by_dense.basis) == SPARSE_EVOLVE_LIMIT
@@ -570,45 +568,19 @@ class TestMagnusRoutes:
                 == by_taylor.diagnostics["exponentials"])
         assert np.abs(by_dense.columns - by_taylor.columns).max() <= 1e-13
 
-    @pytest.mark.parametrize("sparse_limit, path", [
-        (SPARSE_EVOLVE_LIMIT, "magnus-dense"), (0, "magnus-taylor")])
-    def test_complex_group_matches_reference(self, monkeypatch,
-                                             sparse_limit, path):
+    def test_complex_group_matches_reference(self):
         # the kick group holds i 0.3 a^dag and -i 0.3 a: Hermitian with
-        # imaginary entries, so both routes run in complex arithmetic
+        # imaginary entries, so the route runs in complex arithmetic
         h = self.spec(0.3j)
         assert [t.coefficient for t, _ in h.driven_terms[:2]] == [0.3j,
                                                                   -0.3j]
         psi0 = fock_state(RegisterLayout.bosons(2, 3), (0, 0))
         grid = np.linspace(0.0, 2.0, 5)
-        monkeypatch.setattr(dynamics, "SPARSE_EVOLVE_LIMIT", sparse_limit)
         traj = evolve(h, psi0, grid)
-        assert traj.diagnostics["path"] == path
+        assert traj.diagnostics["path"] == "magnus-taylor"
         assert traj.diagnostics["evolved_dim"] == 16
         assert_estimate_covers(traj, sector_reference(h, psi0, grid,
                                                       traj.basis))
-
-    @pytest.mark.parametrize("d", [2, 9, 16])
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_series_exponentials_match_eigh(self, d, dtype):
-        # Hermitian stacks whose largest column sum of |X| is the most a
-        # substep of either run reaches: the companion's 2 THETA times
-        # sqrt(3)/3, the largest sum of |CF4 weights| in one exponential
-        rng = np.random.default_rng(d)
-        x = rng.standard_normal((12, d, d)).astype(dtype)
-        if dtype is complex:
-            x += 1j * rng.standard_normal((12, d, d))
-        x = (x + x.conj().swapaxes(-1, -2)) * rng.uniform(0.1, 1.0,
-                                                           (12, 1, 1))
-        x *= 2 * THETA * np.sqrt(3) / 3 / np.abs(x).sum(axis=-2).max()
-        u = _series_exponentials(x)
-        w, v = np.linalg.eigh(x)
-        oracle = (v * np.exp(-1j * w)[..., None, :]) @ v.conj().swapaxes(
-            -1, -2)
-        spectral = partial(np.linalg.norm, ord=2, axis=(-2, -1))
-        assert spectral(u - oracle).max() <= 1e-14
-        assert spectral(u.conj().swapaxes(-1, -2) @ u - np.eye(d)).max() \
-            <= 1e-14
 
 
 def kicked_mode(coefficient):
@@ -622,8 +594,9 @@ def kicked_mode(coefficient):
 
 class TestDrivePolynomial:
     """The one-group route: its exponentials against eigendecompositions,
-    its states against the series route's on the same substeps, the
-    shipped scenario's run on it, and the series kept for two groups."""
+    its states against the Taylor route's on the same substeps, the
+    shipped scenario's run on it, and the Taylor route taking two
+    groups."""
 
     @pytest.mark.parametrize("d", [2, 9, 16])
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -656,7 +629,7 @@ class TestDrivePolynomial:
         (kicked_mode(0.3j), 10, [0.0, 0.31, 0.5, 0.94, 1.2, 1.77, 2.0]),
         (kicked_mode(0.3j), 15,
          np.cumsum([0.0, *0.04 * 1.01**np.arange(40)]))])
-    def test_route_matches_series_route(self, spec, cutoff, grid):
+    def test_route_matches_taylor_route(self, spec, cutoff, grid):
         # one batch over a grid whose intervals all take the same
         # substep count, so each has its own substep length and D table;
         # 40 tables of 16 states are more than the cache holds at once
@@ -664,10 +637,9 @@ class TestDrivePolynomial:
         grid = np.asarray(grid)
         basis = _reachable([*spec.static_terms,
                             *(t for t, _ in spec.driven_terms)], psi0)
-        matrix = partial(_basis_matrix, layout=psi0.layout, basis=basis,
-                         sparse=False)
-        parts = np.array([matrix(spec.static_terms),
-                          matrix([t for t, _ in spec.driven_terms])])
+        terms = [spec.static_terms, [t for t, _ in spec.driven_terms]]
+        matrix = partial(_basis_matrix, layout=psi0.layout, basis=basis)
+        parts = np.array([matrix(t, sparse=False) for t in terms])
         if not parts.imag.any():
             parts = parts.real
         assert parts.dtype == type(spec.driven_terms[0][0].coefficient)
@@ -681,18 +653,19 @@ class TestDrivePolynomial:
         h = h[::count, None]
         assert len(set(h[:, 0].tolist())) == len(grid) - 1
         psi = psi0.data[basis]
-        by_series = np.array(list(_dense_route(parts, psi, weights, h)))
+        by_taylor = np.array(list(_taylor_route(
+            [matrix(t, sparse=True) for t in terms], psi, weights, h)))
         by_polynomial = np.array(list(_polynomial_route(
             _drive_polynomial(parts), psi, weights, h)))
-        assert np.abs(by_polynomial - by_series).max() <= 1e-13
+        assert np.abs(by_polynomial - by_taylor).max() <= 1e-13
         assert np.abs(np.linalg.norm(by_polynomial, axis=1) - 1).max() \
             < 1e-12
 
     def test_one_group_run_takes_no_series(self, monkeypatch):
-        def refuse(x):
-            raise AssertionError("series exponentials on one group")
+        def refuse(*args):
+            raise AssertionError("Taylor route on one group")
 
-        monkeypatch.setattr(dynamics, "_series_exponentials", refuse)
+        monkeypatch.setattr(dynamics, "_taylor_route", refuse)
         config = build_scenario_config(load_config(
             os.path.join(CONFIGS, "dce.ini")))
         config = dataclasses.replace(config, cutoff=2, dce=dataclasses.replace(
@@ -701,18 +674,18 @@ class TestDrivePolynomial:
         assert traj.diagnostics["path"] == "magnus-dense"
         assert traj.diagnostics["exponentials"] > 0
 
-    def test_two_groups_take_the_series(self, monkeypatch):
+    def test_two_groups_take_the_taylor_route(self, monkeypatch):
         calls = []
 
-        def spy(x):
-            calls.append(x[..., 0, 0].size)
-            return _series_exponentials(x)
+        def spy(parts, psi, weights, h):
+            calls.append(weights[..., 0].size)
+            return _taylor_route(parts, psi, weights, h)
 
-        monkeypatch.setattr(dynamics, "_series_exponentials", spy)
+        monkeypatch.setattr(dynamics, "_taylor_route", spy)
         traj = evolve(TestMagnusRoutes.spec(),
                       fock_state(RegisterLayout.bosons(2, 3), (0, 0)),
                       np.linspace(0.0, 2.0, 5))
-        assert traj.diagnostics["path"] == "magnus-dense"
+        assert traj.diagnostics["path"] == "magnus-taylor"
         assert sum(calls) == traj.diagnostics["exponentials"]
 
 

@@ -48,7 +48,7 @@ from triphoton.scenarios import (
     run_scenario,
     sweep_observables,
 )
-from triphoton.witnesses import optimize_vlf, vlf_value
+from triphoton.witnesses import dv_genuine_witness, optimize_vlf, vlf_value
 
 from test_witnesses import restart_oracle
 
@@ -168,6 +168,15 @@ class TestHybridSwap:
         for q in range(1, 4):
             assert res.witness_series[f"neg_q{q}"][best] > 0.01
         assert res.summary["neg_min_at_dv_peak"] > 0.01
+
+    def test_dv_series_is_the_witness_on_each_state(self):
+        # the analysis reads the qubit moments off the sector columns;
+        # the public witness reads them off each embedded state
+        res = run_scenario(fast_config("hybrid-swap", g0=1.0))
+        traj = res.trajectory
+        oracle = [dv_genuine_witness(traj.state(k)).value
+                  for k in range(len(traj.times))]
+        assert np.abs(res.witness_series["dv"] - oracle).max() <= 1e-15
 
     def test_swap_fidelity_series(self):
         res = run_scenario(fast_config("hybrid-swap", g0=1.0, n_steps=16))
