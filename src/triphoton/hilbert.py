@@ -202,7 +202,12 @@ class QuantumState:
         """tr(rho^2), or (psi^dag psi)^2 without forming rho if pure."""
         if self.is_pure:
             return float(np.vdot(self.data, self.data).real) ** 2
-        return float(np.trace(self.data @ self.data).real)
+        return float(_purities(self.data))
+
+
+def _purities(rhos: np.ndarray) -> np.ndarray:
+    """tr(rho^2) of each density in a stack of shape (..., d, d)."""
+    return np.trace(rhos @ rhos, axis1=-2, axis2=-1).real
 
 
 def _on_basis(factors, layout: RegisterLayout, basis: np.ndarray,
@@ -228,15 +233,16 @@ def _on_basis(factors, layout: RegisterLayout, basis: np.ndarray,
 
 
 def _expect_columns(factors, layout: RegisterLayout, basis: np.ndarray,
-                    columns: np.ndarray, coefficient: complex = 1.0) -> list:
+                    columns: np.ndarray,
+                    coefficient: complex = 1.0) -> np.ndarray:
     """``expect_monomial`` of each state given as a column of amplitudes
     on the basis states (sorted flat indices), from one ``_on_basis``
-    call. A column sums in its order over its nonzero amplitudes only;
-    summing its zeros too would move the bits."""
+    call: an array over the columns. A column sums in its order over its
+    nonzero amplitudes only; summing its zeros too would move the bits."""
     flat, amp, cols = _on_basis(factors, layout, basis)
     rows = basis.searchsorted(flat)
     outside = basis.searchsorted(flat, "right") == rows
-    values = []
+    values = np.empty(columns.shape[1], dtype=complex)
     for k in range(columns.shape[1]):
         col = columns[:, k]
         target, source, weight = col.take(rows, mode="clip"), col[cols], amp
@@ -244,7 +250,7 @@ def _expect_columns(factors, layout: RegisterLayout, basis: np.ndarray,
         if np.count_nonzero(source) < len(source):
             keep = source != 0.0
             target, source, weight = target[keep], source[keep], amp[keep]
-        values.append(coefficient * complex(np.vdot(target, weight * source)))
+        values[k] = coefficient * complex(np.vdot(target, weight * source))
     return values
 
 
@@ -395,21 +401,28 @@ def covariance_matrix(state: QuantumState,
 
 
 def _covariance(expect, modes: Sequence[int]) -> np.ndarray:
-    """``covariance_matrix`` from one state's moments ``expect(factors)``."""
+    """``covariance_matrix`` from the moments ``expect(factors)``: of one
+    state, or arrays over a grid of states, which give a stack of shape
+    (grid, 2m, 2m)."""
     m = len(modes)
-    mean = np.array([expect(((i, ANNIHILATE),)) for i in modes])
-    pair, number = np.empty((m, m), complex), np.empty((m, m), complex)
+    mean = np.stack([expect(((i, ANNIHILATE),)) for i in modes], axis=-1)
+    pair = np.empty(mean.shape + (m,), complex)
+    number = np.empty_like(pair)
     for r, s in zip(*np.triu_indices(m)):
         i, j = modes[r], modes[s]
-        pair[r, s] = pair[s, r] = expect(((i, ANNIHILATE), (j, ANNIHILATE)))
-        number[r, s] = expect(((i, CREATE), (j, ANNIHILATE)))
-        number[s, r] = number[r, s].conjugate()
+        pair[..., r, s] = pair[..., s, r] = expect(
+            ((i, ANNIHILATE), (j, ANNIHILATE)))
+        number[..., r, s] = expect(((i, CREATE), (j, ANNIHILATE)))
+        number[..., s, r] = number[..., r, s].conjugate()
     half = 0.5 * np.eye(m)
-    x, p = mean.real, mean.imag
-    c_xp = pair.imag + number.imag - 2.0 * np.outer(x, p)
-    return np.block([
-        [pair.real + number.real + half - 2.0 * np.outer(x, x), c_xp],
-        [c_xp.T, -pair.real + number.real + half - 2.0 * np.outer(p, p)]])
+    x, p = mean.real[..., :, None], mean.imag[..., :, None]
+    xt, pt = np.swapaxes(x, -1, -2), np.swapaxes(p, -1, -2)
+    cov = np.empty(mean.shape[:-1] + (2 * m, 2 * m))
+    cov[..., :m, :m] = pair.real + number.real + half - 2.0 * (x * xt)
+    cov[..., :m, m:] = pair.imag + number.imag - 2.0 * (x * pt)
+    cov[..., m:, :m] = np.swapaxes(cov[..., :m, m:], -1, -2)
+    cov[..., m:, m:] = -pair.real + number.real + half - 2.0 * (p * pt)
+    return cov
 
 
 def fock_state(layout: RegisterLayout,
@@ -452,8 +465,13 @@ def w_state(layout: RegisterLayout) -> QuantumState:
 
 def von_neumann_entropy(state: QuantumState) -> float:
     """Entropy in nats of the state (0 for any pure state)."""
-    if state.is_pure:
-        return 0.0
-    eigs = np.linalg.eigvalsh(state.data)
-    eigs = eigs[eigs > 1e-15]
-    return float(-np.sum(eigs * np.log(eigs)))
+    return 0.0 if state.is_pure else float(_entropies(state.data))
+
+
+def _entropies(rhos: np.ndarray) -> np.ndarray:
+    """-sum(e ln e) over the eigenvalues e > 1e-15 of each density in a
+    stack of shape (..., d, d); a dropped e adds a zero, which leaves
+    each sum as it is."""
+    eigs = np.linalg.eigvalsh(rhos)
+    logs = np.log(eigs, out=np.zeros_like(eigs), where=eigs > 1e-15)
+    return -np.sum(eigs * logs, axis=-1)

@@ -101,10 +101,6 @@ class LadderMonomial:
             drive_sign=-self.drive_sign,
         )
 
-    def scaled(self, factor: complex) -> "LadderMonomial":
-        return LadderMonomial(self.factors, self.coefficient * factor,
-                              self.drive_sign)
-
     def operator_key(self) -> tuple:
         """Canonical identity of the operator content.
 
@@ -114,22 +110,6 @@ class LadderMonomial:
         order = sorted(range(len(self.factors)),
                        key=lambda j: (self.factors[j][0], j))
         return tuple(self.factors[j] for j in order), self.drive_sign
-
-    def to_dict(self) -> dict:
-        return {
-            "factors": [[i, k] for i, k in self.factors],
-            "coeff": [float(np.real(self.coefficient)),
-                      float(np.imag(self.coefficient))],
-            "drive_sign": self.drive_sign,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LadderMonomial":
-        return cls(
-            factors=tuple((int(i), str(k)) for i, k in data["factors"]),
-            coefficient=complex(data["coeff"][0], data["coeff"][1]),
-            drive_sign=int(data["drive_sign"]),
-        )
 
 
 @dataclass

@@ -14,9 +14,10 @@ for the driven ``dce-rabi``, whose even-parity sector is half its
 register. The summary's ``diagnostics`` records which path ran, on how
 many states and, for the propagator, its error estimate.
 Every analysis reads its moments and reduced states off the
-trajectory's sector columns. A cutoff sweep reruns only the evolution
-step, so it shares the run's Hamiltonian, pump check and evolution
-path, and records observables only.
+trajectory's sector columns, as series and density stacks over the
+grid, into the cores the one-state functions use. A cutoff sweep
+reruns only the evolution step, so it shares the run's Hamiltonian,
+pump check and evolution path, and records observables only.
 
 Times in the down-conversion scenarios are quoted as the dimensionless
 g0 * t; interaction-picture Hamiltonians are static there, so the free
@@ -52,10 +53,11 @@ from .dynamics import (
 )
 from .errors import PumpMismatchError
 from .hilbert import (
-    QuantumState,
     RegisterLayout,
     _covariance,
+    _entropies,
     _expect_columns,
+    _purities,
     _reduce_columns,
     fock_state,
 )
@@ -75,8 +77,8 @@ from .rwa import (
 from .witnesses import (
     _dv_report,
     _mode_reports,
+    _negativities,
     _vlf_report,
-    negativity,
 )
 
 SCENARIO_NAMES = ("3spdc", "22spdc", "hybrid-swap", "dce-rabi")
@@ -317,37 +319,32 @@ def _evolve_spdc(config: ScenarioConfig) -> tuple[Trajectory, dict]:
 
 
 def _column_moments(traj: Trajectory):
-    """``expect(factors, k)``: a monomial's moment at grid point k. Each
-    monomial is applied once, to every column of the trajectory."""
-    moment = cache(partial(_expect_columns, layout=traj.layout,
-                           basis=traj.basis, columns=traj.columns))
-    return lambda factors, k: moment(factors)[k]
+    """``expect(factors)``: a monomial's moments over the grid, an array
+    with one entry per grid point. Each monomial is applied once, to
+    every column of the trajectory."""
+    return cache(partial(_expect_columns, layout=traj.layout,
+                         basis=traj.basis, columns=traj.columns))
 
 
 def _analyze_spdc(config: ScenarioConfig, traj: Trajectory,
                   details: dict) -> ScenarioResult:
-    """Full witness suite per grid point, each distinct moment (19 of 22)
-    evaluated once on every column; peaks and detection windows."""
-    times, n = traj.times, len(traj.times)
+    """Full witness suite over the grid, each series in one call, with
+    each distinct moment (19 of 22) evaluated once on every column; one
+    covariance-witness search per grid point; peaks and detection
+    windows."""
+    times = traj.times
     expect = _column_moments(traj)
     modes = traj.layout.boson_indices()
-    series = {key: np.empty(n) for key in ("i1", "i2", "i3", "g1", "g2",
-                                           "s_opt", "cov_cross_max")}
-    verdicts, n_evals = [], 0
-    for k in range(n):
-        at_k = partial(expect, k=k)
-        reports = _mode_reports(at_k, modes)
-        for singled in range(3):
-            series[f"i{singled + 1}"][k] = reports[f"hz_i{singled + 1}"].value
-        series["g1"][k] = reports["genuine_sum"].value
-        series["g2"][k] = reports["genuine_max"].value
-        cov = _covariance(at_k, modes)
-        rep = _vlf_report(cov)
-        series["s_opt"][k] = rep.value
-        verdicts.append(rep.components["verdict"])
-        n_evals += rep.components["objective_evals"]
-        off_diagonal = np.abs([cov[:3, :3], cov[3:, 3:]]) * (1.0 - np.eye(3))
-        series["cov_cross_max"][k] = off_diagonal.max()
+    reports = _mode_reports(expect, modes)
+    covs = _covariance(expect, modes)
+    vlf = [_vlf_report(cov) for cov in covs]
+    verdicts = [rep.components["verdict"] for rep in vlf]
+    blocks = np.abs(np.stack([covs[:, :3, :3], covs[:, 3:, 3:]], axis=1))
+    series = {f"i{p}": reports[f"hz_i{p}"].value for p in (1, 2, 3)}
+    series["g1"] = reports["genuine_sum"].value
+    series["g2"] = reports["genuine_max"].value
+    series["s_opt"] = np.array([rep.value for rep in vlf])
+    series["cov_cross_max"] = (blocks * (1.0 - np.eye(3))).max(axis=(1, 2, 3))
     summary = {"scenario": config.name}
     for key, label in (("g2", "g2"), ("g1", "g1"), ("s_opt", "s"),
                        ("i1", "i1")):
@@ -360,7 +357,8 @@ def _analyze_spdc(config: ScenarioConfig, traj: Trajectory,
     }
     summary["s_certified_points"] = verdicts.count("certified")
     summary["s_undecided_points"] = verdicts.count("undecided")
-    summary["s_objective_evals"] = n_evals
+    summary["s_objective_evals"] = sum(
+        rep.components["objective_evals"] for rep in vlf)
     summary["norm_drift"] = _norm_drift(traj)
     summary.update(details)
     if config.name == "3spdc":
@@ -379,24 +377,22 @@ def hybrid_interaction(g0: float, jc: float) -> list[LadderMonomial]:
     return terms
 
 
-def _eta_family_fidelity(rho_q: np.ndarray) -> tuple[float, float]:
-    """Best overlap of a 3-qubit density matrix with the
-    (|ggg> + eta |eee>)/sqrt(1+eta^2) family; returns (fidelity, eta)."""
-    p0 = rho_q[0, 0].real
-    p7 = rho_q[7, 7].real
-    a = abs(rho_q[0, 7])
-
-    def fid(eta):
-        return (p0 + 2 * a * eta + p7 * eta**2) / (1 + eta**2)
-
-    if a < 1e-15:
-        candidates = [0.0]
-    else:
-        disc = np.sqrt((p7 - p0) ** 2 + 4 * a**2)
-        candidates = [((p7 - p0) + s * disc) / (2 * a) for s in (+1, -1)]
-        candidates.append(0.0)
-    best = max(candidates, key=fid)
-    return float(fid(best)), float(best)
+def _eta_family_fidelity(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best overlap of each 3-qubit density matrix in a stack (n, 8, 8)
+    with the (|ggg> + eta |eee>)/sqrt(1+eta^2) family; returns the
+    fidelities and etas. The candidates are the two stationary etas and
+    0, in that order, the first best one wins; below |rho_07| = 1e-15
+    only 0 is a candidate."""
+    p0, p7 = rhos[:, 0, 0].real, rhos[:, 7, 7].real
+    a = np.abs(rhos[:, 0, 7])
+    coherent = a >= 1e-15
+    disc = np.sqrt((p7 - p0) ** 2 + 4 * a**2)
+    two_a = np.where(coherent, 2 * a, 1.0)
+    etas = np.stack([((p7 - p0) + disc) / two_a, ((p7 - p0) - disc) / two_a,
+                     np.zeros_like(a)])
+    fids = (p0 + 2 * a * etas + p7 * etas**2) / (1 + etas**2)
+    fids[:2, ~coherent] = -np.inf
+    return fids.max(axis=0), etas[fids.argmax(axis=0), np.arange(len(rhos))]
 
 
 def _evolve_hybrid(config: ScenarioConfig) -> tuple[Trajectory, dict]:
@@ -427,23 +423,15 @@ def _analyze_hybrid(config: ScenarioConfig, traj: Trajectory,
     moments and the qubits' reduced states are read off the sector
     columns."""
     tau = traj.times
-    n = len(tau)
     expect = _column_moments(traj)
-    series = {key: np.empty(n) for key in (
-        "dv", "neg_q1", "neg_q2", "neg_q3", "g2_field", "swap_fidelity",
-        "swap_eta", "qubit_purity")}
-    qubits, sites = RegisterLayout.qubits(3), [3, 4, 5]
+    sites = [3, 4, 5]
     rhos = _reduce_columns(traj.layout, traj.basis, traj.columns, sites)
-    for k in range(n):
-        rho_q = QuantumState(qubits, rhos[k], validate=False)
-        series["dv"][k] = _dv_report(partial(expect, k=k), sites).value
-        for q in range(3):
-            series[f"neg_q{q + 1}"][k] = negativity(rho_q, {q})
-        series["g2_field"][k] = _mode_reports(
-            partial(expect, k=k), [0, 1, 2])["genuine_max"].value
-        series["swap_fidelity"][k], series["swap_eta"][k] = \
-            _eta_family_fidelity(rho_q.data)
-        series["qubit_purity"][k] = rho_q.purity()
+    series = {"dv": _dv_report(expect, sites).value}
+    for q in range(3):
+        series[f"neg_q{q + 1}"] = _negativities(rhos, (2, 2, 2), [q])
+    series["g2_field"] = _mode_reports(expect, [0, 1, 2])["genuine_max"].value
+    series["swap_fidelity"], series["swap_eta"] = _eta_family_fidelity(rhos)
+    series["qubit_purity"] = _purities(rhos)
 
     dv_idx = int(np.argmax(series["dv"]))
     all_neg = np.minimum(np.minimum(series["neg_q1"], series["neg_q2"]),
@@ -514,13 +502,8 @@ def _analyze_dce(config: ScenarioConfig, traj: Trajectory,
     windowed photon-number averages (window = ``window_periods``
     modulation periods) and their monotonicity flag."""
     p = config.dce
-    # one eigvalsh on the stack of 2x2 qubit densities; -sum(e ln e) over
-    # e > 1e-15, as ``von_neumann_entropy`` takes it: a dropped e adds a
-    # zero, which leaves each sum as it is
-    eigs = np.linalg.eigvalsh(
+    entropy = _entropies(
         _reduce_columns(traj.layout, traj.basis, traj.columns, [1]))
-    logs = np.log(eigs, out=np.zeros_like(eigs), where=eigs > 1e-15)
-    entropy = -np.sum(eigs * logs, axis=1)
     series = {"qubit_entropy": entropy}
 
     samples_per_window = p.window_periods * p.steps_per_period

@@ -56,6 +56,9 @@ class VlfParams:
 
 @dataclass
 class WitnessReport:
+    """A witness's value and verdict: floats for one state; arrays over
+    the grid when the analyses evaluate a whole trajectory at once."""
+
     name: str
     value: float
     detects: bool
@@ -74,7 +77,9 @@ class WitnessReport:
 
 
 def _report(name, value, components, parameters=None) -> WitnessReport:
-    value = float(value)
+    """Report with a float value and bool verdict, or arrays for a grid."""
+    value = np.asarray(value, float)
+    value = value if value.ndim else value.item()
     return WitnessReport(name=name, value=value, detects=value > 0.0,
                          components=components, parameters=parameters)
 
@@ -401,8 +406,9 @@ def _antinormal(moments, s: float):
 def _moment_witness(name: str, triple: complex, moments,
                     combine) -> WitnessReport:
     """Report for the shared inequality; ``combine`` is "max", "sum" or
-    the position of a single singled subsystem."""
-    terms = {p: np.sqrt(max(single, 0.0) * max(pair, 0.0))
+    the position of a single singled subsystem. Moments of one state give
+    a float value, moments over a grid an array."""
+    terms = {p: np.sqrt(np.maximum(single, 0.0) * np.maximum(pair, 0.0))
              for p, (single, pair) in moments.items()}
     if isinstance(combine, int):
         single, pair = moments[combine]
@@ -410,7 +416,8 @@ def _moment_witness(name: str, triple: complex, moments,
             "triple": triple, "n_singled": single, "n_pair": pair})
     comps = {"triple": triple}
     comps.update({f"term_{p + 1}": t for p, t in terms.items()})
-    bound = max(terms.values()) if combine == "max" else sum(terms.values())
+    bound = np.max(list(terms.values()), axis=0) if combine == "max" \
+        else sum(terms.values())
     return _report(name, abs(triple) - bound, comps)
 
 
@@ -460,7 +467,8 @@ def mode_moment_witnesses(state: QuantumState,
 
 
 def _mode_reports(expect, modes) -> dict[str, WitnessReport]:
-    """``mode_moment_witnesses`` from one state's ``expect(factors)``."""
+    """``mode_moment_witnesses`` from the moments ``expect(factors)`` of
+    one state, or arrays of them over a grid."""
     triple, normal = _normal_moments(expect, modes, ANNIHILATE)
     out = {f"hz_i{p + 1}": _moment_witness(f"hz_i{p + 1}", triple, normal, p)
            for p in range(3)}
@@ -491,7 +499,8 @@ def dv_genuine_witness(state: QuantumState, ordering: str = "normal",
 
 def _dv_report(expect, qubits, ordering: str = "normal",
                combine: str = "max") -> WitnessReport:
-    """``dv_genuine_witness`` from one state's ``expect(factors)``."""
+    """``dv_genuine_witness`` from the moments ``expect(factors)`` of one
+    state, or arrays of them over a grid."""
     triple, moments = _normal_moments(expect, qubits, PAULI_MINUS)
     if ordering == "antinormal":
         moments = _antinormal(moments, -1.0)
@@ -519,13 +528,20 @@ def negativity(state: QuantumState, bipartition) -> float:
         s = np.linalg.svd(psi.reshape(np.prod(psi.shape[:len(part)]), -1),
                           compute_uv=False)
         return float(s[1:] @ np.cumsum(s)[:-1])
-    tensor = state.data.reshape(dims + dims)
-    perm = list(range(2 * n_sub))
+    return float(_negativities(state.data, dims, part))
+
+
+def _negativities(rhos: np.ndarray, dims, part) -> np.ndarray:
+    """``negativity`` across the subsystems ``part`` of each density in a
+    stack of shape (..., d, d) over subsystems of the dimensions in the
+    tuple ``dims``: minus the sum of the negative eigenvalues of the
+    partial transpose."""
+    n_sub = len(dims)
+    tensor = rhos.reshape(rhos.shape[:-2] + dims * 2)
     for i in part:
-        perm[i], perm[n_sub + i] = perm[n_sub + i], perm[i]
-    transposed = tensor.transpose(perm).reshape(state.data.shape)
-    eigs = np.linalg.eigvalsh(transposed)
-    return float(-eigs[eigs < 0.0].sum())
+        tensor = tensor.swapaxes(i - 2 * n_sub, i - n_sub)
+    eigs = np.linalg.eigvalsh(tensor.reshape(rhos.shape))
+    return -np.sum(eigs, axis=-1, where=eigs < 0.0)
 
 
 def triple_superposition(layout: RegisterLayout, eps: float,

@@ -336,7 +336,8 @@ class TestHygiene:
         psi0 = fock_state(lay, (0, 0, 0))
         grid = np.linspace(0.0, 0.25, 6)
         forward = evolve(spec_of(terms), psi0, grid)
-        reversed_terms = [t.scaled(-1.0) for t in terms]
+        reversed_terms = [LadderMonomial(t.factors, -t.coefficient)
+                          for t in terms]
         back = evolve(spec_of(reversed_terms), forward.state(-1), grid)
         overlap = abs(np.vdot(psi0.data, back.state(-1).data))
         assert 1.0 - overlap < 1e-6

@@ -337,15 +337,6 @@ def test_conjugation_is_involutive(term):
     assert twice.coefficient == term.coefficient
 
 
-@settings(max_examples=40, deadline=None)
-@given(_term)
-def test_json_round_trip(term):
-    again = LadderMonomial.from_dict(term.to_dict())
-    assert again.factors == term.factors
-    assert again.drive_sign == term.drive_sign
-    assert again.coefficient == pytest.approx(term.coefficient)
-
-
 def test_combine_merges_orderings():
     terms = [
         mono([(0, CREATE), (1, CREATE)], 1.0),

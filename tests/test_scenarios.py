@@ -48,7 +48,13 @@ from triphoton.scenarios import (
     run_scenario,
     sweep_observables,
 )
-from triphoton.witnesses import dv_genuine_witness, optimize_vlf, vlf_value
+from triphoton.witnesses import (
+    dv_genuine_witness,
+    mode_moment_witnesses,
+    negativity,
+    optimize_vlf,
+    vlf_value,
+)
 
 from test_witnesses import restart_oracle
 
@@ -153,6 +159,25 @@ class TestRun22spdc:
                     run_scenario(cfg)
 
 
+@pytest.mark.parametrize("name, changes", [
+    ("3spdc", {"g0": 1.0}), ("22spdc", {})])
+def test_spdc_series_are_the_witnesses_on_each_state(name, changes):
+    # the analysis takes each series over the whole grid in one call;
+    # every point holds the bits of the public one-state witnesses on the
+    # state its sector column embeds
+    res = run_scenario(fast_config(name, **changes))
+    traj, series = res.trajectory, res.witness_series
+    names = {"i1": "hz_i1", "i2": "hz_i2", "i3": "hz_i3",
+             "g1": "genuine_sum", "g2": "genuine_max"}
+    assert np.abs(series["g2" if name == "3spdc" else "s_opt"]).max() > 0.0
+    for k in range(len(traj.times)):
+        state = traj.state(k)
+        reports = mode_moment_witnesses(state)
+        for key, report in names.items():
+            assert series[key][k] == reports[report].value
+        assert series["s_opt"][k] == optimize_vlf(state).value
+
+
 class TestHybridSwap:
     def test_decoupled_qubits_stay_ground(self):
         res = run_scenario(fast_config("hybrid-swap", g0=1.0, jc_ratio=0.0))
@@ -177,6 +202,21 @@ class TestHybridSwap:
         oracle = [dv_genuine_witness(traj.state(k)).value
                   for k in range(len(traj.times))]
         assert np.abs(res.witness_series["dv"] - oracle).max() <= 1e-15
+
+    def test_qubit_series_are_the_one_state_functions(self):
+        # negativities and purities are taken on the whole stack of
+        # reduced qubit densities; each point holds the bits of the public
+        # functions on its own density
+        res = run_scenario(fast_config("hybrid-swap", g0=1.0))
+        traj, series = res.trajectory, res.witness_series
+        rhos = _reduce_columns(traj.layout, traj.basis, traj.columns,
+                               [3, 4, 5])
+        assert series["neg_q1"].max() > 0.0
+        for k, rho in enumerate(rhos):
+            state = QuantumState(RegisterLayout.qubits(3), rho)
+            for q in range(3):
+                assert series[f"neg_q{q + 1}"][k] == negativity(state, {q})
+            assert series["qubit_purity"][k] == state.purity()
 
     def test_swap_fidelity_series(self):
         res = run_scenario(fast_config("hybrid-swap", g0=1.0, n_steps=16))
