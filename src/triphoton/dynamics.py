@@ -6,12 +6,13 @@ no pre-rotation into an interaction picture happens here.
 Every run evolves on its sector: the basis states the Hamiltonian's
 static and driven monomials can reach from psi0 span a subspace H(t)
 maps into itself at every t, so nothing outside it is ever populated.
-The trajectory stays there. The closure, the matrices on the sector and
-the moments read off it come from the monomials' action on basis states
-in ``hilbert``, the same action that builds full-register operators. A
-static run whose sector fits in ``DENSE_LIMIT`` is exact: one
-eigendecomposition of H there propagates the state to every grid point
-with no tolerance and no norm drift.
+The trajectory stays there. The closure composes the factors' level maps
+in ``hilbert``, and the matrices on the sector and the moments read off
+it come from the monomials' action on basis states there, the same
+action that builds full-register operators. A static run whose sector
+fits in ``DENSE_LIMIT`` is exact: one eigendecomposition of H there
+propagates the state to every grid point with no tolerance and no norm
+drift.
 
 Every other run takes the fourth-order commutator-free Magnus propagator
 CF4 (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006); Alvermann &
@@ -67,7 +68,7 @@ from .hilbert import (
     RegisterLayout,
     _basis_matrix,
     _expect_columns,
-    _on_basis,
+    _level_map,
     terms_to_matrix,
 )
 from .rwa import LadderMonomial, hermitian_closure_holds
@@ -245,18 +246,37 @@ def _reachable(terms: Sequence[LadderMonomial],
                psi0: QuantumState) -> np.ndarray:
     """Sorted flat indices of the support of psi0 closed under every
     monomial: a set of basis states H(t) maps into itself at every t."""
-    # monomials that share a factor tuple reach the same states, so each
-    # tuple acts once per pass; a zero coefficient reaches none. A
-    # register-sized mask keeps each pass proportional to its frontier;
-    # frontier[:0] keeps the concatenation defined for an empty term list
-    actions = {t.factors: t.coefficient for t in terms if t.coefficient != 0}
-    seen = np.zeros(psi0.layout.total_dim, dtype=bool)
+    # monomials that share a factor tuple reach the same states, and a
+    # zero coefficient reaches none. A tuple acts on each subsystem by its
+    # factors' level maps composed, kept as a target table and an alive
+    # mask over (tuple, subsystem, level), so every tuple acts on a
+    # pass's frontier in a few array calls. A state survives where every
+    # subsystem's level does, by the mask and not by an amplitude
+    # product. A register-sized mask keeps each pass proportional to its
+    # frontier
+    layout = psi0.layout
+    dims = np.array(layout.dims)
+    tuples = list(dict.fromkeys(
+        t.factors for t in terms if t.coefficient != 0))
+    levels = np.arange(dims.max())
+    target = np.tile(levels, (len(tuples), len(dims), 1))
+    alive = np.tile(levels < dims[:, None], (len(tuples), 1, 1))
+    for row, factors in enumerate(tuples):
+        for index, kind in reversed(factors):
+            to, amp = _level_map(layout, index, kind)
+            at = target[row, index, :len(to)]
+            alive[row, index, :len(to)] &= amp[at] != 0
+            target[row, index, :len(to)] = to[at]
+    # each subsystem's share of the flat index (big-endian strides)
+    target *= (layout.total_dim // np.cumprod(dims))[:, None]
+    subsystems = np.arange(len(dims))[:, None]
+    seen = np.zeros(layout.total_dim, dtype=bool)
     frontier = np.flatnonzero(psi0.data)
     while frontier.size:
         seen[frontier] = True
-        reached = np.concatenate([frontier[:0], *(
-            _on_basis(factors, psi0.layout, frontier, coefficient)[0]
-            for factors, coefficient in actions.items())])
+        digits = np.array(np.unravel_index(frontier, layout.dims))
+        live = alive[:, subsystems, digits].all(axis=1)
+        reached = target[:, subsystems, digits].sum(axis=1)[live]
         frontier = np.unique(reached[~seen[reached]])
     return np.flatnonzero(seen)
 
@@ -566,7 +586,12 @@ def evolve(h: HamiltonianSpec,
         recorded[name] = np.sum([
             _expect_columns(t.factors, layout, basis, columns, t.coefficient)
             for t in terms], axis=0)
-    recorded["norm"] = np.array([np.linalg.norm(col) for col in columns.T])
+    # np.linalg.norm's sum of squares, Re.Re + Im.Im, for every column in
+    # one stacked product on C-contiguous rows, which keeps its bits
+    states = np.ascontiguousarray(columns.T)
+    squares = [(part[:, None, :] @ part[:, :, None])[:, 0, 0]
+               for part in (states.real, states.imag)]
+    recorded["norm"] = np.sqrt(squares[0] + squares[1])
     return Trajectory(t_grid, layout, basis, columns, recorded, diagnostics={
         "path": diagnostics.pop("path"),
         "register_dim": layout.total_dim, "evolved_dim": len(basis),

@@ -238,20 +238,26 @@ def _expect_columns(factors, layout: RegisterLayout, basis: np.ndarray,
     """``expect_monomial`` of each state given as a column of amplitudes
     on the basis states (sorted flat indices), from one ``_on_basis``
     call: an array over the columns. A column sums in its order over its
-    nonzero amplitudes only; summing its zeros too would move the bits."""
+    nonzero amplitudes only; summing its zeros too would move the bits.
+    The columns are taken as C-contiguous rows, and every column sums in
+    one stacked product, which has vdot's bits on such rows (on strided
+    ones it does not); a column with a zero among the amplitudes the
+    monomial reads sums again by its own vdot over its nonzero ones. The
+    coefficient multiplies each column's sum as a Python complex, whose
+    product keeps the bits an array product would not."""
     flat, amp, cols = _on_basis(factors, layout, basis)
     rows = basis.searchsorted(flat)
-    outside = basis.searchsorted(flat, "right") == rows
-    values = np.empty(columns.shape[1], dtype=complex)
-    for k in range(columns.shape[1]):
-        col = columns[:, k]
-        target, source, weight = col.take(rows, mode="clip"), col[cols], amp
-        target[outside] = 0.0  # a target outside the basis has amplitude 0
-        if np.count_nonzero(source) < len(source):
-            keep = source != 0.0
-            target, source, weight = target[keep], source[keep], amp[keep]
-        values[k] = coefficient * complex(np.vdot(target, weight * source))
-    return values
+    # a target outside the basis reads the zero amplitude past its end
+    rows[basis.searchsorted(flat, "right") == rows] = len(basis)
+    states = np.zeros((columns.shape[1], len(basis) + 1), dtype=complex)
+    states[:, :-1] = columns.T
+    target, source = states.take(rows, axis=1), states.take(cols, axis=1)
+    sums = (target.conj()[:, None, :] @ (amp * source)[:, :, None])[:, 0, 0]
+    for k in np.flatnonzero(~source.all(axis=1)):
+        keep = source[k] != 0.0
+        sums[k] = np.vdot(target[k, keep], amp[keep] * source[k, keep])
+    return np.array([coefficient * value for value in sums.tolist()],
+                    dtype=complex)
 
 
 def _reduce_columns(layout: RegisterLayout, basis: np.ndarray,

@@ -8,6 +8,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from triphoton import dynamics, scenarios
@@ -46,10 +48,13 @@ from triphoton.rwa import (
     NUMBER,
     PAULI_MINUS,
     PAULI_PLUS,
+    PAULI_Z,
     LadderMonomial,
 )
 from triphoton.scenarios import hybrid_interaction, pair_interaction
 from triphoton.witnesses import genuine_witness_max, optimize_vlf
+
+from test_hilbert import reference_matrix
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -88,6 +93,29 @@ class NotANumber:
 
 def hybrid_layout(cutoff):
     return RegisterLayout((("boson", cutoff + 1),) * 3 + (("qubit", 2),) * 3)
+
+
+@st.composite
+def closure_cases(draw):
+    """A register of up to three subsystems (bosons of 2 to 5 levels,
+    qubits), up to five monomials of up to four factors each, repeated
+    sites included, with coefficients that may be 0, and the support of
+    psi0: up to three basis states."""
+    subsystems = draw(st.lists(st.one_of(
+        st.tuples(st.just("boson"), st.integers(2, 5)),
+        st.just(("qubit", 2))), min_size=1, max_size=3))
+    layout = RegisterLayout(tuple(subsystems))
+    kinds = {"boson": (CREATE, ANNIHILATE, NUMBER),
+             "qubit": (PAULI_PLUS, PAULI_MINUS, PAULI_Z)}
+    factor = st.integers(0, len(subsystems) - 1).flatmap(
+        lambda i: st.tuples(st.just(i),
+                            st.sampled_from(kinds[subsystems[i][0]])))
+    term = st.builds(mono, st.lists(factor, max_size=4),
+                     st.sampled_from([0.0, 1.0, -0.5, 0.3 - 1.1j]))
+    terms = draw(st.lists(term, max_size=5))
+    support = draw(st.sets(st.integers(0, layout.total_dim - 1),
+                           min_size=1, max_size=3))
+    return layout, terms, sorted(support)
 
 
 class TestEigenstatePhase:
@@ -198,6 +226,23 @@ class TestSectorPath:
         assert genuine_witness_max(vacuum).value == 0.0
         assert optimize_vlf(vacuum).value == 0.0
 
+    def test_norm_series_keeps_the_bits_of_linalg_norm(self):
+        # the norm of every column comes from one stacked product; on each
+        # path it has the bits of np.linalg.norm on that column
+        for spec, psi0, path in (
+                (spec_of(hybrid_interaction(1.0, 10.0)),
+                 fock_state(hybrid_layout(4), (0,) * 6), "sector-eigh"),
+                (driven_displacement(),
+                 fock_state(RegisterLayout.bosons(1, 10), (0,)),
+                 "magnus-dense"),
+                (driven_displacement(),
+                 fock_state(RegisterLayout.bosons(1, 40), (0,)),
+                 "magnus-taylor")):
+            traj = evolve(spec, psi0, np.linspace(0.0, 1.0, 9))
+            assert traj.diagnostics["path"] == path
+            norms = [np.linalg.norm(column) for column in traj.columns.T]
+            np.testing.assert_array_equal(traj.observables["norm"], norms)
+
     def test_oversized_sector_integrates(self):
         # displacements reach all 10,000 states of four 10-level modes,
         # more than a dense eigendecomposition takes; an untouched qubit
@@ -230,8 +275,8 @@ class TestSectorPath:
         assert np.abs(alone.state(1).data - product).max() <= 1e-13
 
     def test_chain_closure_builds_each_level_map_once(self):
-        # a displacement walks one level per pass: 4,096 passes of two
-        # factors each, all served by the two cached level maps
+        # a displacement walks one level per pass: 4,096 passes, and each
+        # factor's level map is looked up once for the whole closure
         terms = [mono([(0, CREATE)], 1.0), mono([(0, ANNIHILATE)], 1.0)]
         psi0 = fock_state(RegisterLayout.bosons(1, 4095), (0,))
         _level_map.cache_clear()
@@ -239,7 +284,35 @@ class TestSectorPath:
         info = _level_map.cache_info()
         np.testing.assert_array_equal(basis, np.arange(4096))
         assert info.misses == 2
-        assert info.hits + info.misses == 2 * 4096
+        assert info.hits + info.misses == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(closure_cases())
+    @example((RegisterLayout((("boson", 3), ("qubit", 2))), [
+        # a a^dag kills the top level, a^dag n both ends, sigma_z
+        # neither, and a^dag with coefficient 0 reaches nothing
+        mono([(0, ANNIHILATE), (0, CREATE)], 0.5),
+        mono([(0, CREATE)], 0.0), mono([(0, CREATE), (0, NUMBER)], 1.0),
+        mono([(1, PAULI_Z), (1, PAULI_PLUS), (0, ANNIHILATE)], -0.3j)],
+        [1, 4]))
+    def test_closure_matches_kronecker_reachability(self, case):
+        # breadth-first search over the nonzero pattern of each term's
+        # Kronecker matrix, which shares no code with the level maps
+        layout, terms, support = case
+        edges = np.zeros((layout.total_dim,) * 2, dtype=bool)
+        for term in terms:
+            edges |= reference_matrix([term], layout) != 0
+        seen = np.zeros(layout.total_dim, dtype=bool)
+        seen[support] = True
+        while True:
+            grown = seen | edges[:, seen].any(axis=1)
+            if (grown == seen).all():
+                break
+            seen = grown
+        data = np.zeros(layout.total_dim, dtype=complex)
+        data[support] = 1.0 / np.sqrt(len(support))
+        basis = _reachable(terms, QuantumState(layout, data))
+        np.testing.assert_array_equal(basis, np.flatnonzero(seen))
 
     @pytest.mark.parametrize("zero_first", [True, False])
     def test_zero_coefficient_reaches_nothing(self, zero_first):

@@ -239,6 +239,39 @@ class TestOperatorOracle:
                 assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("seed", range(3))
+    def test_stacked_moments_keep_the_vdot_bits(self, seed):
+        # Columns on all 60 states of a wider register: the first four
+        # with every amplitude nonzero, so each monomial reads full
+        # columns and takes the stacked product, the last three with
+        # zeros, which take their own vdot. With a non-unit complex
+        # coefficient each column has the bits of expect_monomial, of
+        # the coefficient times vdot on contiguous operands, and of the
+        # column on its own
+        rng = np.random.default_rng(300 + seed)
+        lay = RegisterLayout((("boson", 6), ("qubit", 2), ("boson", 5)))
+        basis = np.arange(lay.total_dim)
+        columns = rng.normal(size=(60, 7)) + 1j * rng.normal(size=(60, 7))
+        columns[:, 4:][rng.random((60, 3)) < 0.3] = 0.0
+        columns[1:, 6] = 0.0
+        terms = [mono(t.factors, t.coefficient * (0.7 - 0.4j))
+                 for t in self.random_terms(rng, 12)]
+        for term in terms:
+            got = _expect_columns(term.factors, lay, basis, columns,
+                                  term.coefficient)
+            for k, value in enumerate(got):
+                state = QuantumState(lay, columns[:, k], validate=False)
+                assert value == expect_monomial(state, term.factors,
+                                                term.coefficient)
+                support = np.flatnonzero(columns[:, k])
+                flat, amp, cols = _on_basis(term.factors, lay, support)
+                data = columns[:, k]
+                scatter = np.vdot(data[flat], amp * data[support[cols]])
+                assert value == term.coefficient * complex(scatter)
+                assert value == _expect_columns(
+                    term.factors, lay, basis, columns[:, k:k + 1],
+                    term.coefficient)[0]
+
+    @pytest.mark.parametrize("seed", range(3))
     def test_expect_columns_match_expect_monomial(self, seed):
         # Columns on a 12-state basis, with exact zeros inside it (column
         # 0 holds one amplitude) and monomials that land outside it: each

@@ -38,6 +38,7 @@ from triphoton.rwa import (
     is_kerr_quartic,
 )
 from triphoton.scenarios import (
+    _STEPS,
     CircuitConfig,
     DceParams,
     ScenarioConfig,
@@ -141,6 +142,34 @@ class TestRun22spdc:
         cfg = fast_config("22spdc", circuit=CircuitConfig(REF_SQUID, REF_CAVITY),
                           pump_frequency=tone)
         run_scenario(cfg)  # should not raise
+
+    def test_covariances_within_the_gaussian_truncation_gaps(self):
+        # pair_interaction is quadratic, so the vacuum stays Gaussian: in
+        # units of 1/g the quadratures obey R' = M R, M = diag(K, -K), K
+        # the pair graph, and C(t) = e^{Mt} (I/2) e^{M^T t} at every
+        # cutoff: e^{2Kt} / 2 and e^{-2Kt} / 2 from one 3 x 3 eigh. On
+        # spdc22.ini's grid the Fock-space covariances lie within the
+        # gaps measured there (6.57e-4, 2.33e-5, 7.67e-7 at cutoffs 4, 6,
+        # 8), and each two more levels cut the gap tenfold at least
+        config = build_scenario_config(
+            load_config(os.path.join(CONFIGS, "spdc22.ini")))
+        w, v = np.linalg.eigh([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0],
+                               [0.0, 1.0, 0.0]])
+        gaps = []
+        for cutoff, bound in ((4, 6.6e-4), (6, 2.4e-5), (8, 7.7e-7)):
+            traj, _ = _STEPS["22spdc"][0](
+                dataclasses.replace(config, cutoff=cutoff))
+            assert len(traj.times) == 101
+            gap = 0.0
+            for k, t in enumerate(traj.times):
+                exact = np.zeros((6, 6))
+                exact[:3, :3] = (v * np.exp(2 * w * t)) @ v.T / 2
+                exact[3:, 3:] = (v * np.exp(-2 * w * t)) @ v.T / 2
+                cov = covariance_matrix(traj.state(k))
+                gap = max(gap, np.abs(cov - exact).max())
+            assert gap <= bound
+            gaps.append(gap)
+        assert gaps[1] < gaps[0] / 10 and gaps[2] < gaps[1] / 10
 
     def test_circuit_pump_tone_checked(self):
         # with no [scenario] tone the circuit's own is checked: 0 stands
