@@ -280,16 +280,14 @@ def coupling_table(spectrum: ModeSpectrum, eff: EffectiveJunction) -> CouplingTa
     czp = cos * zp
 
     def outer(vec: np.ndarray, rank: int) -> np.ndarray:
-        # product over a sorted index tuple, so that any permutation of
-        # the indices evaluates in the same float order (exact symmetry)
-        n = len(vec)
-        out = np.empty((n,) * rank)
-        for idx in np.ndindex(out.shape):
-            p = 1.0
-            for i in sorted(idx):
-                p *= vec[i]
-            out[idx] = p
-        return out
+        # product over each sorted index tuple, left to right from 1.0, so
+        # that any permutation of the indices evaluates in the same float
+        # order (exact symmetry)
+        shape = (len(vec),) * rank
+        out = np.ones(np.prod(shape, dtype=int))
+        for index in np.sort(np.indices(shape).reshape(rank, -1), axis=0):
+            out *= vec[index]
+        return out.reshape(shape)
 
     e = eff.e_bar
     da = eff.delta_alpha

@@ -100,6 +100,13 @@ def _term_labels(modes) -> list[str]:
             product(*((f"a+_{i + 1}", f"a_{i + 1}") for i in modes))]
 
 
+def _formatted(values: np.ndarray) -> list[str]:
+    """``FLOAT_FMT`` of each entry, each distinct value formatted once."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    text = [FLOAT_FMT % v for v in distinct.tolist()]
+    return [text[i] for i in inverse.tolist()]
+
+
 def cmd_rwa(args) -> int:
     cfg = load_config(args.config)
     circuit = _require_circuit(cfg)
@@ -111,7 +118,7 @@ def cmd_rwa(args) -> int:
                               circuit.squid.pump_amplitude, freqs, drive)
     n_resonant = sum(int(resonant.sum()) for _, _, resonant in groups)
     n_rows = sum(len(resonant) for _, _, resonant in groups)
-    magnitudes = [[FLOAT_FMT % c for c in np.abs(group.coefficients).tolist()]
+    magnitudes = [_formatted(np.abs(group.coefficients))
                   for group, _, _ in groups]
 
     def rows(kind: str, take_resonant: bool):
@@ -119,14 +126,15 @@ def cmd_rwa(args) -> int:
             branches = [_DRIVE_LABELS[b] for b in group.branches]
             # one line of hits per index tuple: sign tuple, then branch
             hits = (resonant == take_resonant).reshape(len(coeffs), -1)
-            detunings = w.reshape(hits.shape)
+            if not take_resonant:
+                detunings = iter(_formatted(w[hits.ravel()]))
             for k in np.flatnonzero(hits.any(axis=1)).tolist():
                 labels = _term_labels(group.indices[k].tolist())
                 for j in np.flatnonzero(hits[k]).tolist():
                     s, b = divmod(j, len(branches))
                     row = f"{kind},{labels[s]}{branches[b]},{coeffs[k]}"
                     yield (f"{row}\n" if take_resonant else
-                           f"{row},{FLOAT_FMT % detunings[k, j]}\n")
+                           f"{row},{next(detunings)}\n")
 
     def listing():
         yield (f"# pump = {FLOAT_FMT % drive}, tolerance = "

@@ -330,20 +330,20 @@ def _analyze_spdc(config: ScenarioConfig, traj: Trajectory,
                   details: dict) -> ScenarioResult:
     """Full witness suite over the grid, each series in one call, with
     each distinct moment (19 of 22) evaluated once on every column; one
-    covariance-witness search per grid point; peaks and detection
+    covariance-witness search per run over the grid; peaks and detection
     windows."""
     times = traj.times
     expect = _column_moments(traj)
     modes = traj.layout.boson_indices()
     reports = _mode_reports(expect, modes)
     covs = _covariance(expect, modes)
-    vlf = [_vlf_report(cov) for cov in covs]
-    verdicts = [rep.components["verdict"] for rep in vlf]
+    vlf = _vlf_report(covs)
+    verdicts = vlf.components["verdict"]
     blocks = np.abs(np.stack([covs[:, :3, :3], covs[:, 3:, 3:]], axis=1))
     series = {f"i{p}": reports[f"hz_i{p}"].value for p in (1, 2, 3)}
     series["g1"] = reports["genuine_sum"].value
     series["g2"] = reports["genuine_max"].value
-    series["s_opt"] = np.array([rep.value for rep in vlf])
+    series["s_opt"] = vlf.value
     series["cov_cross_max"] = (blocks * (1.0 - np.eye(3))).max(axis=(1, 2, 3))
     summary = {"scenario": config.name}
     for key, label in (("g2", "g2"), ("g1", "g1"), ("s_opt", "s"),
@@ -357,8 +357,7 @@ def _analyze_spdc(config: ScenarioConfig, traj: Trajectory,
     }
     summary["s_certified_points"] = verdicts.count("certified")
     summary["s_undecided_points"] = verdicts.count("undecided")
-    summary["s_objective_evals"] = sum(
-        rep.components["objective_evals"] for rep in vlf)
+    summary["s_objective_evals"] = sum(vlf.components["objective_evals"])
     summary["norm_drift"] = _norm_drift(traj)
     summary.update(details)
     if config.name == "3spdc":

@@ -112,23 +112,39 @@ def vlf_value(cov: np.ndarray, g, h) -> float:
     """
     x = np.concatenate([np.asarray(g, dtype=float),
                         np.asarray(h, dtype=float)])
-    return float(_vlf_s(np.stack([cov[:3, :3], cov[3:, 3:]]), x[None])[0])
+    return float(_vlf_s(_blocks(cov), x[None])[0])
+
+
+def _blocks(cov: np.ndarray) -> np.ndarray:
+    """[C_x, C_p] of each 6x6 covariance of a stack (..., 6, 6), shape
+    (..., 2, 3, 3)."""
+    return np.stack([cov[..., :3, :3], cov[..., 3:, 3:]], axis=-3)
+
+
+# p @ _BOUND = [p | p_j + p_k] for p_l = g_l h_l: column 3 + i sums the
+# pair (j, k) = (1, 2), (2, 0), (0, 1) of the singled mode i. Products by
+# 0 and 1 are exact, so every entry has the bits of p_i or p_j + p_k.
+_BOUND = np.array([[1.0, 0.0, 0.0, 0.0, 1.0, 1.0],
+                   [0.0, 1.0, 0.0, 1.0, 0.0, 1.0],
+                   [0.0, 0.0, 1.0, 1.0, 1.0, 0.0]])
 
 
 def _vlf_s(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """S of ``vlf_value`` for each row (g, h) of x, shape (m, 6), with
-    blocks = [C_x, C_p] stacked, shape (2, 3, 3).
-
-    The quadratic forms are stacked matmuls, (g C) g per row, so each
-    row sums in the order of ``g @ C @ g`` on one vector."""
+    """S of ``vlf_value`` at each point (g, h) of x, shape (m, 6), with
+    blocks [C_x, C_p] per point, shape (m, 2, 3, 3), or one (2, 3, 3)."""
     p = x[:, :3] * x[:, 3:]
-    # columns 1..3 and 2..4 of (p, p) pair to (j, k) = (1, 2), (2, 0),
-    # (0, 1) for the singled mode i = 0, 1, 2
-    pp = np.concatenate((p, p), axis=1)
-    bound = (np.abs(p) + np.abs(pp[:, 1:4] + pp[:, 2:5])).min(axis=1)
-    v = x.reshape(-1, 2, 1, 3)
-    q = (v @ blocks @ v.transpose(0, 1, 3, 2))[..., 0, 0]
+    terms = np.abs(p @ _BOUND)
+    bound = (terms[:, :3] + terms[:, 3:]).min(axis=1)
+    q = _forms(blocks, x)
     return bound - q[:, 0] - q[:, 1]
+
+
+def _forms(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(g^T C_x g, h^T C_p h) at each point (g, h) of x, shape (m, 2).
+    The forms are stacked matmuls, (g C) g per point, so each sums in
+    the order of ``g @ C @ g`` on one vector."""
+    v = x.reshape(-1, 2, 1, 3)
+    return (v @ blocks @ v.transpose(0, 1, 3, 2))[:, :, 0, 0]
 
 
 def vlf_witness(state: QuantumState, params: VlfParams,
@@ -177,25 +193,42 @@ def optimize_vlf(state: QuantumState, modes=None) -> WitnessReport:
     top-level population cannot fire the witness on a product state.
     Components: the covariance blocks, the ``verdict`` and
     ``objective_evals``, the polish's evaluations (0 when certified).
+
+    This is the one-point case of ``_vlf_report``, which the scenario
+    analyses run once per run over the whole grid, with the same bits
+    for every point.
     """
     modes = _three_sites(state, modes, BOSON)
     return _vlf_report(covariance_matrix(state, modes))
 
 
 def _vlf_report(cov: np.ndarray) -> WitnessReport:
-    """``optimize_vlf`` on the 6x6 covariance of its three modes."""
-    starts = _vlf_dual(cov)
-    if starts is None:
-        verdict, best, best_x, evals = "certified", 0.0, np.zeros(6), 0
-    else:
-        best, best_x, evals = _vlf_polish(cov, starts)
-        verdict = "detected" if best > 0.0 else "undecided"
-    params = VlfParams(g=tuple(best_x[:3]), h=tuple(best_x[3:]))
-    return _report("vlf_s_opt", best,
-                   {"cov_x": cov[:3, :3], "cov_p": cov[3:, 3:],
-                    "verdict": verdict, "objective_evals": evals},
+    """``optimize_vlf`` on the 6x6 covariance of its three modes, or on
+    each covariance of a stack (n, 6, 6) in one search: one dual over
+    every sign pattern of every point and one simplex over the starts of
+    every point the dual leaves open. Floats, a verdict and an
+    evaluation count for one covariance; over a stack, arrays of values
+    and weights and lists of verdicts and counts."""
+    shape = cov.shape[:-2]
+    covs = cov.reshape(-1, 6, 6)
+    starts = _vlf_dual(cov).reshape(-1, _STARTS, 6)
+    open_ = ~np.isnan(starts[:, 0, 0])
+    best, x = np.zeros(len(covs)), np.zeros((len(covs), 6))
+    evals = np.zeros(len(covs), dtype=int)
+    if open_.any():
+        best[open_], x[open_], evals[open_] = _vlf_polish(covs[open_],
+                                                          starts[open_])
+    verdict = _VERDICTS[open_ * (1 + (best > 0.0))]
+    x = x.reshape(shape + (6,)).T
+    params = VlfParams(g=tuple(x[:3]), h=tuple(x[3:]))
+    return _report("vlf_s_opt", best.reshape(shape),
+                   {"cov_x": cov[..., :3, :3], "cov_p": cov[..., 3:, 3:],
+                    "verdict": verdict.reshape(shape).tolist(),
+                    "objective_evals": evals.reshape(shape).tolist()},
                    parameters=params)
 
+
+_VERDICTS = np.array(["certified", "undecided", "detected"])
 
 # Coefficient of g_l h_l in x^T E_i x per sign pattern, (32, 3, 3): s_i
 # for l = i, else t_i; s_0 = +1 (see optimize_vlf)
@@ -205,65 +238,98 @@ _PATTERNS = np.array([
     for t in product((1.0, -1.0), repeat=3)])
 
 
-def _vlf_dual(cov: np.ndarray) -> np.ndarray | None:
-    """Dual of ``optimize_vlf``: None when every sign pattern is
-    certified, else the polish's starting points, shape (_STARTS, 6)."""
-    blocks = np.stack([cov[:3, :3], cov[3:, 3:]])
-    m = np.zeros((len(_PATTERNS), 6, 6))
-    m[:, :3, :3], m[:, 3:, 3:] = -blocks
-    mu = np.full(_PATTERNS.shape[:2], 1.0 / 3.0)
-    uncertified = np.ones(len(_PATTERNS), dtype=bool)
-    tops, k = [], np.arange(3)
+def _vlf_dual(cov: np.ndarray) -> np.ndarray:
+    """Dual of ``optimize_vlf`` on each 6x6 covariance of a stack
+    (..., 6, 6): the polish's starting points, shape (..., _STARTS, 6),
+    NaN where every sign pattern is certified.
+
+    Every pattern of every covariance steps in one batched ``eigh``; a
+    pattern drops out once certified, so later steps take only the live
+    ones. The starts of a covariance are its live patterns' top
+    eigenvectors of every step with the largest S, ties in step and
+    pattern order."""
+    covs = cov.reshape(-1, 6, 6)
+    n, p, k = len(covs), len(_PATTERNS), np.arange(3)
+    owner = np.arange(n).repeat(p)
+    patterns = _PATTERNS[np.arange(n * p) % p]
+    m = np.zeros((n, p, 6, 6))
+    m[:, :, :3, :3] = -covs[:, None, :3, :3]
+    m[:, :, 3:, 3:] = -covs[:, None, 3:, 3:]
+    m = m.reshape(n * p, 6, 6)
+    mu = np.full((n * p, 3), 1.0 / 3.0)
+    tops, top_owner = [], []
     for _ in range(_DUAL_STEPS):
         m[:, k, k + 3] = m[:, k + 3, k] = 0.5 * np.einsum(
-            "pi,pil->pl", mu, _PATTERNS).clip(-1.0, 1.0)
+            "pi,pil->pl", mu, patterns).clip(-1.0, 1.0)
         w, v = np.linalg.eigh(m)
-        uncertified &= w[:, -1] > 0.0
-        if not uncertified.any():
-            return None
-        x = v[:, :, -1]
-        tops.append(x[uncertified])
-        grad = np.einsum("pil,pl->pi", _PATTERNS, x[:, :3] * x[:, 3:])
+        live = w[:, -1] > 0.0
+        owner = owner[live]
+        if not owner.size:
+            break
+        m, mu, patterns = m[live], mu[live], patterns[live]
+        x = v[live, :, -1]
+        tops.append(x)
+        top_owner.append(owner)
+        grad = np.einsum("pil,pl->pi", patterns, x[:, :3] * x[:, 3:])
         mu *= np.exp(-_DUAL_RATE * (grad - grad.min(1, keepdims=True)))
         mu /= mu.sum(axis=1, keepdims=True)
-    tops = np.concatenate(tops)
-    best = tops[np.argsort(-_vlf_s(blocks, tops), kind="stable")[:_STARTS]]
-    return 2.0 * best / np.abs(best).max(axis=1, keepdims=True)
+    starts = np.full((n, _STARTS, 6), np.nan)
+    if owner.size:
+        # the points with a pattern live after the last step
+        points = np.flatnonzero(np.bincount(owner, minlength=n))
+        tops, top_owner = np.concatenate(tops), np.concatenate(top_owner)
+        order = np.lexsort((-_vlf_s(_blocks(covs)[top_owner], tops),
+                            top_owner))
+        first = np.searchsorted(top_owner[order], points)
+        best = tops[order[first[:, None] + np.arange(_STARTS)]]
+        starts[points] = 2.0 * best / np.abs(best).max(axis=-1,
+                                                        keepdims=True)
+    return starts.reshape(cov.shape[:-2] + (_STARTS, 6))
+
+
+def _vlf_penalized(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The search objective at each point of x, shape (m, 6), with blocks
+    [C_x, C_p] as in ``_vlf_s``: -S at the point clipped to the box
+    [-2, 2]^6, plus 100 times the squared distance to the box."""
+    xc = x.clip(-2.0, 2.0)
+    d = x - xc
+    return 100.0 * np.add.reduce(d * d, axis=1) - _vlf_s(blocks, xc)
 
 
 def _vlf_objective(cov: np.ndarray):
-    """The search objective on ``cov``, for rows x of shape (m, 6): -S
-    at the row clipped to the box [-2, 2]^6, plus 100 times the squared
-    distance to the box."""
-    blocks = np.stack([cov[:3, :3], cov[3:, 3:]])
-
-    def objective(x):
-        xc = x.clip(-2.0, 2.0)
-        d = x - xc
-        return 100.0 * np.add.reduce(d * d, axis=1) - _vlf_s(blocks, xc)
-    return objective
+    """The search objective on one covariance, for points (m, 6)."""
+    return partial(_vlf_penalized, blocks=_blocks(cov))
 
 
-def _vlf_polish(cov: np.ndarray,
-                x0: np.ndarray) -> tuple[float, np.ndarray, int]:
-    """Polish of ``optimize_vlf`` from the rows of x0, shape (m, 6): the
-    best S, its weights (g, h) and the objective evaluations. Each end
-    point is clipped to the box and scored there, and counts only above
-    16 eps (sum |g_l h_l| + |g|^T |C_x| |g| + |h|^T |C_p| |h|), the
-    rounding error of S; else the origin's exact 0 stands."""
-    x, _, nfev, _ = _nelder_mead(_vlf_objective(cov), x0, _MAX_ITER,
-                                 xatol=1e-10, fatol=1e-10)
+def _vlf_polish(cov: np.ndarray, x0: np.ndarray):
+    """Polish of ``optimize_vlf`` on each 6x6 covariance of a stack
+    (..., 6, 6) from its rows of x0, shape (..., m, 6), in one batched
+    simplex: the best S, its weights (g, h) and the objective
+    evaluations, shapes (...), (..., 6) and (...). Each end point is
+    clipped to the box and scored there, and counts only above 16 eps
+    (sum |g_l h_l| + |g|^T |C_x| |g| + |h|^T |C_p| |h|), the rounding
+    error of S; else the origin's exact 0 stands. Of the end points that
+    count, the first with the largest S wins."""
+    shape, m = cov.shape[:-2], x0.shape[-2]
+    # every start's own blocks; the simplex keeps the live rows' entries
+    blocks = _blocks(cov.reshape(-1, 6, 6)).repeat(m, axis=0)
+    x, _, nfev, _ = _nelder_mead(_vlf_penalized, x0.reshape(-1, 6),
+                                 _MAX_ITER, xatol=1e-10, fatol=1e-10,
+                                 args=(blocks,))
     x = x.clip(-2.0, 2.0)
-    values = _vlf_s(np.stack([cov[:3, :3], cov[3:, 3:]]), x)
-    abs_cov = np.abs(cov)
-    best, best_x = 0.0, np.zeros(6)
-    for xr, value in zip(x, values):
-        g, h = np.abs(xr[:3]), np.abs(xr[3:])
-        rounding = 16 * np.finfo(float).eps * (
-            g @ h + g @ abs_cov[:3, :3] @ g + h @ abs_cov[3:, 3:] @ h)
-        if value > max(best, rounding):
-            best, best_x = float(value), xr
-    return best, best_x, int(nfev.sum())
+    a = np.abs(x)
+    qa = _forms(np.abs(blocks), a)
+    gh = (a[:, None, :3] @ a[:, 3:, None])[:, 0, 0]
+    rounding = 16 * np.finfo(float).eps * (gh + qa[:, 0] + qa[:, 1])
+    values = _vlf_s(blocks, x).reshape(-1, m)
+    counts = values > rounding.reshape(-1, m)  # rounding >= 0
+    first = np.where(counts, values, -np.inf).argmax(axis=1)
+    each = np.arange(len(values))
+    found = counts.any(axis=1)
+    best = np.where(found, values[each, first], 0.0)
+    best_x = np.where(found[:, None], x.reshape(-1, m, 6)[each, first], 0.0)
+    return (best.reshape(shape)[()], best_x.reshape(shape + (6,)),
+            nfev.reshape(-1, m).sum(axis=1).reshape(shape)[()])
 
 
 # Trial points of a Nelder-Mead step, a xbar - b worst: reflection,
@@ -275,89 +341,128 @@ _TRIAL_B = np.array([1.0, 2.0, 0.5, -0.5])[:, None]
 _SHRINK = 0.5
 
 
+def _step_tables():
+    """scipy's choice after a step, per code of its six comparisons (bit
+    b set when comparison b of ``_nelder_mead`` holds): the trial point
+    kept (0 reflection, 1 expansion, 2 outside, 3 inside contraction),
+    whether the simplex shrinks, and whether a second trial point was
+    evaluated."""
+    pick, shrink, evals = [], [], []
+    for code in range(64):
+        (beats_best, beats_second, beats_worst, expansion_better,
+         outside_worse, inside_better) = (code >> b & 1 for b in range(6))
+        contract = not (beats_best or beats_second)
+        outside = contract and beats_worst
+        inside = contract and not beats_worst
+        pick.append(1 if beats_best and expansion_better else
+                    2 if outside else 3 if inside else 0)
+        shrink.append(outside and outside_worse
+                      or inside and not inside_better)
+        evals.append(int(beats_best or contract))
+    return np.array(pick), np.array(shrink, dtype=bool), np.array(evals)
+
+
+_STEP_PICK, _STEP_SHRINK, _STEP_EVALS = _step_tables()
+
+
 def _nelder_mead(f, x0: np.ndarray, max_iter: int, xatol: float,
-                 fatol: float):
+                 fatol: float, args=()):
     """Minimize f from every row of x0, shape (m, n), at once.
 
     Each row follows scipy's non-adaptive ``_minimize_neldermead`` with
     ``maxiter=max_iter`` step for step: the same initial simplex, trial
     point, shrink and sort arithmetic, so it ends on the same bits, and
     counts the same evaluations, as its own
-    ``minimize(method="Nelder-Mead")`` call. ``f`` maps points (k, n) to
-    values (k,) and must treat rows independently; each step evaluates
-    all four trial points of every live row in one call (a row counts
-    only those scipy would have evaluated). A row stops, and stays
-    frozen, once its vertices are within ``xatol`` and its values within
-    ``fatol`` of the best vertex, or after ``max_iter`` iterations
-    (counted from 1, as scipy does).
+    ``minimize(method="Nelder-Mead")`` call. ``f(x, *args)`` maps points
+    x, shape (k, n), to values (k,) and must treat points independently;
+    each of ``args`` has one entry per row of x0, and f gets each point's
+    row entry (gathered when the live rows change, not per call). Each
+    step evaluates all four trial points of every live row in one call
+    (a row counts only those scipy would have evaluated). A row stops,
+    and stays frozen, once its vertices are within ``xatol`` and its
+    values within ``fatol`` of the best vertex, or after ``max_iter``
+    iterations (counted from 1, as scipy does).
 
     Returns per row the best vertex, its value, the evaluations of f and
     the iterations (scipy's x, fun, nfev, nit).
     """
     m, n = x0.shape
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    # per row the n + 1 vertices, sorted by value, then the four trial
+    # points of a step; column n holds each point's value
+    pts = np.empty((m, n + 5, n + 1))
+    pts[:, :n + 1, :n] = x0[:, None]
     k = np.arange(n)
-    sim[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    fsim = f(sim.reshape(-1, n)).reshape(m, n + 1)
+    pts[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    pts[:, :n + 1, n] = f(pts[:, :n + 1, :n].reshape(-1, n),
+                          *(a.repeat(n + 1, axis=0) for a in args)
+                          ).reshape(m, n + 1)
     rows = each = np.arange(m)
     # scipy sorts the initial simplex twice; with tied values the second
     # argsort need not be the identity, so it is repeated. Rows are
     # sorted by argsort and take, as scipy does.
     for _ in range(2):
-        order = fsim.argsort(axis=1)
-        sim, fsim = sim[each[:, None], order], fsim[each[:, None], order]
+        order = pts[:, :n + 1, n].argsort(axis=1)
+        pts[:, :n + 1] = pts[each[:, None], order]
+    trial_args = tuple(a.repeat(4, axis=0) for a in args)
     x_out, f_out = np.empty((m, n)), np.empty(m)
     nfev_out, nit_out = np.empty(m, dtype=int), np.empty(m, dtype=int)
     # evaluations beyond the n + 1 initial ones and the one reflection of
     # every iteration: expansions, contractions and shrinks
     extra = np.zeros(m, dtype=int)
+    kept_row, step_evals = n + 1 + _STEP_PICK, _STEP_EVALS + n * _STEP_SHRINK
+    # comparison b of a step is v[pairs[b]] < v[pairs[6 + b]] over the
+    # values v of a row's points [vertex 0 .. n, reflection, expansion,
+    # outside, inside point]: the reflection against f_0, f_n-1 and f_n,
+    # the expansion against the reflection, the reflection against the
+    # outside point (scipy's fxc <= fxr, negated) and the inside point
+    # against f_n
+    r, e, c, cc = n + 1, n + 2, n + 3, n + 4
+    pairs = np.array([r, r, r, e, r, cc, 0, n - 1, n, r, c, n])
 
     def freeze(stop, iterations):
         r = rows[stop]
-        x_out[r], f_out[r] = sim[stop, 0], fsim[stop].min(axis=1)
+        x_out[r], f_out[r] = pts[stop, 0, :n], pts[stop, :n + 1, n].min(axis=1)
         nfev_out[r] = n + iterations + extra[stop]
         nit_out[r] = iterations
 
     iterations = 1
     while iterations < max_iter:
         # values are sorted, so max |f_0 - f_i| is f_n - f_0 exactly
-        done = fsim[:, -1] - fsim[:, 0] <= fatol
-        if done.any():
-            done &= np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol
-            if done.any():
+        done = pts[:, n, n] - pts[:, 0, n] <= fatol
+        if np.count_nonzero(done):
+            done &= np.abs(pts[:, 1:n + 1, :n] - pts[:, :1, :n]).max(
+                axis=(1, 2)) <= xatol
+            if np.count_nonzero(done):
                 freeze(done, iterations)
                 live = ~done
-                sim, fsim, extra, rows = (sim[live], fsim[live], extra[live],
-                                          rows[live])
+                pts, extra, rows = pts[live], extra[live], rows[live]
+                args = tuple(a[live] for a in args)
+                trial_args = tuple(a.repeat(4, axis=0) for a in args)
                 each = np.arange(rows.size)
                 if not rows.size:
                     break
-        xbar = np.add.reduce(sim[:, :-1], 1) / n
-        trial = _TRIAL_A * xbar[:, None] - _TRIAL_B * sim[:, -1:]
-        ft = f(trial.reshape(-1, n)).reshape(-1, 4)
-        fxr, fxe, fxc, fxcc = ft.T
-        f_worst = fsim[:, -1]
-        expand = fxr < fsim[:, 0]
-        contract = ~(expand | (fxr < fsim[:, -2]))
-        outside = contract & (fxr < f_worst)
-        inside = contract & ~outside
-        shrink = outside & ~(fxc <= fxr) | inside & ~(fxcc < f_worst)
-        pick = (expand & (fxe < fxr)) + 2 * outside + 3 * inside
-        extra += expand | contract
-        any_shrink = shrink.any()
+        xbar = np.add.reduce(pts[:, :n, :n], 1) / n
+        trial = _TRIAL_A * xbar[:, None] - _TRIAL_B * pts[:, n:n + 1, :n]
+        pts[:, n + 1:, :n] = trial
+        pts[:, n + 1:, n] = f(trial.reshape(-1, n), *trial_args).reshape(-1, 4)
+        v = pts[:, pairs, n]
+        code = np.packbits(v[:, :6] < v[:, 6:], axis=1, bitorder="little")
+        code = code[:, 0]
+        extra += step_evals[code]
+        shrink = _STEP_SHRINK[code]
+        any_shrink = np.count_nonzero(shrink)
         if any_shrink:
-            extra += n * shrink
-            base = sim[shrink, :1]
-            moved = base + _SHRINK * (sim[shrink, 1:] - base)
-            f_moved = f(moved.reshape(-1, n)).reshape(-1, n)
-        sim[:, -1] = trial[each, pick]
-        fsim[:, -1] = ft[each, pick]
+            base = pts[shrink, :1, :n]
+            moved = base + _SHRINK * (pts[shrink, 1:n + 1, :n] - base)
+            f_moved = f(moved.reshape(-1, n),
+                        *(a[shrink].repeat(n, axis=0) for a in args))
+        pts[:, n] = pts[each, kept_row[code]]
         if any_shrink:
-            sim[shrink, 1:] = moved
-            fsim[shrink, 1:] = f_moved
+            pts[shrink, 1:n + 1, :n] = moved
+            pts[shrink, 1:n + 1, n] = f_moved.reshape(-1, n)
         iterations += 1
-        order = fsim.argsort(axis=1)
-        sim, fsim = sim[each[:, None], order], fsim[each[:, None], order]
+        order = pts[:, :n + 1, n].argsort(axis=1)
+        pts[:, :n + 1] = pts[each[:, None], order]
     freeze(np.ones(rows.size, dtype=bool), iterations)
     return x_out, f_out, nfev_out, nit_out
 

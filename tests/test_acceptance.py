@@ -157,11 +157,15 @@ def test_22spdc_covariance_verdicts(default_22spdc):
     """Criterion 3's covariance verdicts point by point: the vacuum is
     certified, every later point detected on one window, each witness
     point reproduces its value, and no value falls below 200 seeded
-    restarts on the same covariance (every fifth point is checked)."""
+    restarts on the same covariance (every fifth point is checked). The
+    grid's one search is pinned; its evaluations and peak read the same
+    under one and two BLAS threads."""
     res, _ = default_22spdc
     s = res.summary
     assert s["s_certified_points"] == 1
     assert s["s_undecided_points"] == 0
+    assert s["s_objective_evals"] == 195_312
+    assert s["s_peak"] == 1.1054547234023853
     assert s["windows"]["s_opt"] == [[0.003, 0.3]]
     for k in range(1, len(res.trajectory.times)):
         rep = optimize_vlf(res.trajectory.state(k))

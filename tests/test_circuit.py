@@ -4,6 +4,7 @@ Expected values are either closed-form limits or frozen outputs of the
 independent oracles defined here (plain bisection, quadrature).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from triphoton import (
     solve_wavenumbers,
     three_spdc_coupling,
 )
+from triphoton.circuit import PHI0
 from triphoton.errors import SingularBiasError
 
 
@@ -247,6 +249,39 @@ class TestCouplingTable:
         assert t.m1_tilde[1] == pytest.approx(t.m1[1] * zp[1], rel=1e-14)
         assert t.n4_tilde[0, 1, 2, 2] == pytest.approx(
             t.n4[0, 1, 2, 2] * zp[0] * zp[1] * zp[2] ** 2, rel=1e-14)
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5])
+    def test_tensors_match_the_loop_form(self, n_modes):
+        # random edge amplitudes and zero-point factors, every tensor of
+        # ranks 1-4 bit for bit against the product per index tuple
+        rng = np.random.default_rng(n_modes)
+        cos = rng.normal(size=n_modes)
+        zp = rng.uniform(0.1, 2.0, size=n_modes)
+        spec = dataclasses.replace(self.spec, edge_amplitudes=cos,
+                                   zero_point=zp)
+        t = coupling_table(spec, self.eff)
+        e, da = self.eff.e_bar, self.eff.delta_alpha
+        for name, prefactor, rank in (
+                ("m1", e * da / PHI0, 1),
+                ("m2", e / (2.0 * PHI0**2), 2),
+                ("m3", e * da / (6.0 * PHI0**3), 3),
+                ("n4", e / (24.0 * PHI0**4), 4),
+                ("m4", self.eff.delta_e / (24.0 * PHI0**4), 4)):
+            for suffix, vec in (("", cos), ("_tilde", cos * zp)):
+                assert np.array_equal(getattr(t, name + suffix),
+                                      prefactor * loop_outer(vec, rank))
+
+
+def loop_outer(vec, rank):
+    """The coupling tensors' products as a loop over index tuples: the
+    factors of each sorted tuple, left to right from 1.0."""
+    out = np.empty((len(vec),) * rank)
+    for idx in np.ndindex(out.shape):
+        p = 1.0
+        for i in sorted(idx):
+            p *= vec[i]
+        out[idx] = p
+    return out
 
 
 class TestAnharmonicity:

@@ -30,10 +30,13 @@ from triphoton.hilbert import (
 from triphoton.rwa import CREATE, NUMBER, LadderMonomial
 from triphoton.witnesses import (
     VlfParams,
+    _blocks,
     _nelder_mead,
     _vlf_dual,
     _vlf_objective,
     _vlf_polish,
+    _vlf_report,
+    _vlf_s,
     dv_genuine_witness,
     genuine_witness_max,
     genuine_witness_sum,
@@ -110,6 +113,12 @@ class TestVlf:
             vlf_witness(state, VlfParams(g=(1, 1, 1), h=(1, 1, 1)))
 
 
+def dual_certifies(cov):
+    """The dual certifies cov: it leaves no start for the polish, only
+    NaN."""
+    return np.isnan(_vlf_dual(cov)).all()
+
+
 def restart_oracle(cov, restarts, seed):
     """The seeded restart search that ``optimize_vlf`` no longer runs:
     the polish from ``restarts`` uniform random points of the box
@@ -150,7 +159,7 @@ class TestOptimizeVlf:
     def test_vacuum_certified_at_exact_zero(self):
         # lambda_max is exactly 0 for several sign patterns here, so a
         # rounding error of the dual weights would leave them open
-        assert _vlf_dual(0.5 * np.eye(6)) is None
+        assert dual_certifies(0.5 * np.eye(6))
         for cutoff in (1, 2, 4, 8):
             rep = optimize_vlf(fock_state(RegisterLayout.bosons(3, cutoff),
                                           (0, 0, 0)))
@@ -307,6 +316,79 @@ class TestBatchedSearchOracle:
         assert rep.parameters == VlfParams(g=(0, 0, 0), h=(0, 0, 0))
 
 
+class TestGridSearchOracle:
+    """One search over many covariances against the search on each."""
+
+    @pytest.mark.parametrize("max_iter", [1, 5, 300])
+    def test_rows_of_different_covariances_match_scipy(self, max_iter):
+        # squeezed-product rows stop early on xatol/fatol, among them the
+        # first row, while the others run on, so the live rows' blocks
+        # are gathered again after each freeze
+        covs = [SQUEEZED_PRODUCT, covariance_matrix(evolved_pair(0.3)),
+                _covariance((0.3, 0.5, 0.7), (0.8, 1.0, 1.2))]
+        owner = np.arange(12) % 3
+        x0 = np.random.default_rng(4).uniform(-2.0, 2.0, size=(12, 6))
+        blocks = _blocks(np.stack(covs))[owner]
+        x, fun, nfev, nit = _nelder_mead(witnesses._vlf_penalized, x0,
+                                         max_iter, xatol=1e-10, fatol=1e-10,
+                                         args=(blocks,))
+        for r, (start, cov) in enumerate(zip(x0, np.array(covs)[owner])):
+            res = TestBatchedSearchOracle.scipy_starts(cov, [start],
+                                                       max_iter)[0]
+            assert np.array_equal(x[r], res.x)
+            assert fun[r] == res.fun
+            assert nfev[r] == res.nfev
+            assert nit[r] == res.nit
+        if max_iter == 300:
+            assert nit[0] < max_iter and min(nit[owner == 0]) < nit[0]
+            assert min(nit[owner != 0]) == max_iter
+
+    def test_stacked_report_matches_each_point(self, monkeypatch):
+        # certified, detected and undecided points in one stack; the
+        # squeezed product is left open with random starts, from which
+        # the polish finds nothing above the rounding bound
+        covs = np.stack([
+            0.5 * np.eye(6), covariance_matrix(evolved_pair(0.3)),
+            SQUEEZED_PRODUCT, covariance_matrix(evolved_triple(0.15)),
+            _covariance((-1.0, 0.5, 0.7), (-1.0, 1.0, 1.2)),
+            covariance_matrix(evolved_pair(0.1))])
+        dual = witnesses._vlf_dual
+        open_starts = np.random.default_rng(0).uniform(-2.0, 2.0, (4, 6))
+
+        def squeezed_left_open(cov):
+            starts = dual(cov)
+            starts[np.all(cov == SQUEEZED_PRODUCT, axis=(-2, -1))] = \
+                open_starts
+            return starts
+
+        monkeypatch.setattr(witnesses, "_vlf_dual", squeezed_left_open)
+        grid = _vlf_report(covs)
+        assert grid.components["verdict"] == [
+            "certified", "detected", "undecided", "certified", "detected",
+            "detected"]
+        for i, cov in enumerate(covs):
+            monkeypatch.setattr(witnesses, "covariance_matrix",
+                                lambda state, modes: cov)
+            rep = optimize_vlf(vacuum3())
+            assert np.array_equal(grid.value[i], rep.value)
+            assert np.signbit(grid.value[i]) == np.signbit(rep.value)
+            assert grid.detects[i] == rep.detects
+            assert grid.components["verdict"][i] == rep.components["verdict"]
+            assert (grid.components["objective_evals"][i]
+                    == rep.components["objective_evals"])
+            assert [g[i] for g in grid.parameters.g] == \
+                list(rep.parameters.g)
+            assert [h[i] for h in grid.parameters.h] == \
+                list(rep.parameters.h)
+            assert np.array_equal(dual(covs)[i], dual(cov), equal_nan=True)
+
+    def test_stacked_value_is_vlf_value(self):
+        cov = covariance_matrix(evolved_pair(0.2))
+        x = np.random.default_rng(3).uniform(-2.0, 2.0, size=(200, 6))
+        assert _vlf_s(_blocks(cov), x).tolist() == [
+            vlf_value(cov, row[:3], row[3:]) for row in x]
+
+
 def _covariance(lam_x, lam_p, seed=0):
     """6x6 (x..., p...) covariance whose blocks have the given spectra
     in random orthonormal bases, with a random x-p block."""
@@ -326,8 +408,9 @@ class TestVlfCertificate:
 
     def assert_never_positive(self, cov, rng):
         assert restart_oracle(cov, 5, 3)[0] <= 1e-9
-        for x in rng.uniform(-2.0, 2.0, size=(10_000, 6)):
-            assert vlf_value(cov, x[:3], x[3:]) <= 1e-12
+        # vlf_value at 10,000 random weights, in one stacked evaluation
+        x = rng.uniform(-2.0, 2.0, size=(10_000, 6))
+        assert np.all(_vlf_s(_blocks(cov), x) <= 1e-12)
 
     def test_certified_states_never_positive(self):
         rng = np.random.default_rng(2024)
@@ -341,7 +424,7 @@ class TestVlfCertificate:
 
     def test_product_above_quarter_certifies_below_half(self):
         cov = _covariance((0.3, 0.5, 0.7), (0.9, 1.0, 1.2))
-        assert _vlf_dual(cov) is None
+        assert dual_certifies(cov)
         self.assert_never_positive(cov, np.random.default_rng(5))
 
     def test_product_below_quarter_not_certified(self):
@@ -350,7 +433,7 @@ class TestVlfCertificate:
         # 1/20 on the box, which the polish reaches
         cov = np.diag([0.3, 0.5, 0.7, 0.8, 1.0, 1.2])
         starts = _vlf_dual(cov)
-        assert starts is not None
+        assert not np.isnan(starts).any()
         best, x, _ = _vlf_polish(cov, starts)
         assert best == pytest.approx(0.05, abs=1e-8)
         assert best >= restart_oracle(cov, 20, 0)[0]
@@ -360,13 +443,13 @@ class TestVlfCertificate:
         # the same spectra in unaligned bases: the product misses it,
         # the dual proves it
         cov = _covariance((0.3, 0.5, 0.7), (0.8, 1.0, 1.2))
-        assert _vlf_dual(cov) is None
+        assert dual_certifies(cov)
         self.assert_never_positive(cov, np.random.default_rng(7))
 
     def test_squeezed_product_certified(self, monkeypatch):
         # lambda_min(C_x) lambda_min(C_p) = e^-1 / 4 misses this
         # separable state; the dual holds with lambda_max = 0
-        assert _vlf_dual(SQUEEZED_PRODUCT) is None
+        assert dual_certifies(SQUEEZED_PRODUCT)
         self.assert_never_positive(SQUEEZED_PRODUCT,
                                    np.random.default_rng(6))
         monkeypatch.setattr(witnesses, "covariance_matrix",
@@ -379,7 +462,7 @@ class TestVlfCertificate:
     def test_negative_spectra_not_certified(self):
         cov = _covariance((-1.0, 0.5, 0.7), (-1.0, 1.0, 1.2))
         starts = _vlf_dual(cov)
-        assert starts is not None
+        assert not np.isnan(starts).any()
         best, x, _ = _vlf_polish(cov, starts)
         assert best > 0.0
         assert best == vlf_value(cov, x[:3], x[3:])
@@ -398,7 +481,7 @@ class TestVlfCertificate:
             for b, signs in zip(blocks, product((1, -1), repeat=3)):
                 b[:3, 3:] = b[3:, :3] = -0.5 * np.diag(signs)
             assert np.linalg.eigvalsh(blocks)[:, 0].min() >= -1e-15
-            assert _vlf_dual(cov) is None
+            assert dual_certifies(cov)
 
 
 class TestHzWitness:
