@@ -12,9 +12,9 @@ partial output file behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
-from itertools import product
 
 import numpy as np
 
@@ -90,21 +90,47 @@ def cmd_modes(args) -> int:
 _DRIVE_LABELS = {1: " e^{+iwd t}", -1: " e^{-iwd t}", 0: ""}
 
 
-def _term_labels(modes) -> list[str]:
-    """The operator labels ``rwa`` lists for one index tuple of the
-    cavity expansion, one per sign tuple in the expansion's order
-    (``product((+1, -1))``): a+_n for a creation (+1), a_n for an
-    annihilation (-1) on mode n, counted from 1, in factor order. The
+def _term_labels(modes: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """The operator labels ``rwa`` lists, as a (tuples, sign tuples)
+    object array over the index tuples ``modes`` and the sign tuples
+    ``signs`` of one expansion group: a+_n for a creation (+1), a_n for
+    an annihilation (-1) on mode n, counted from 1, in factor order. The
     listing appends the drive branch."""
-    return [" ".join(ops) for ops in
-            product(*((f"a+_{i + 1}", f"a_{i + 1}") for i in modes))]
+    ops = np.array([[f"a+_{i + 1}", f"a_{i + 1}"]
+                    for i in range(int(modes.max()) + 1)], dtype=object)
+    spaced = " " + ops
+    # column 0 of ops is the creation, 1 the annihilation
+    pick = (signs < 0).astype(np.intp)
+    labels = ops[modes[:, None, 0], pick[None, :, 0]]
+    for k in range(1, modes.shape[1]):
+        labels = labels + spaced[modes[:, None, k], pick[None, :, k]]
+    return labels
 
 
-def _formatted(values: np.ndarray) -> list[str]:
-    """``FLOAT_FMT`` of each entry, each distinct value formatted once."""
+def _formatted(values: np.ndarray, fmt: str = FLOAT_FMT) -> np.ndarray:
+    """``fmt % v`` of each entry as an object array, each distinct value
+    formatted once."""
     distinct, inverse = np.unique(values, return_inverse=True)
-    text = [FLOAT_FMT % v for v in distinct.tolist()]
-    return [text[i] for i in inverse.tolist()]
+    return np.array([fmt % v for v in distinct.tolist()],
+                    dtype=object)[inverse]
+
+
+def _listing_lines(kind: str, group, pick: np.ndarray, tails) -> np.ndarray:
+    """The ``rwa`` lines of the rows of ``group`` where ``pick`` holds, in
+    row order: ``kind``, operator label and drive branch, |coefficient|,
+    then ``tails`` (a line end, or one per picked row). The rows of every
+    index tuple with a pick are joined by object-array sums; each sum
+    writes over its operand, so one string per row is held at a time."""
+    hits = pick.reshape(len(group.indices), -1)
+    live = np.flatnonzero(hits.any(axis=1))
+    labels = _term_labels(group.indices[live], group.signs)
+    branches = np.array([_DRIVE_LABELS[b] + "," for b in group.branches],
+                        dtype=object)
+    lines = np.add.outer(f"{kind}," + labels, branches)
+    coeffs = _formatted(np.abs(group.coefficients[live]))
+    np.add(lines, coeffs[:, None, None], out=lines)
+    lines = lines.reshape(len(live), -1)[hits[live]]
+    return np.add(lines, tails, out=lines)
 
 
 def cmd_rwa(args) -> int:
@@ -118,34 +144,24 @@ def cmd_rwa(args) -> int:
                               circuit.squid.pump_amplitude, freqs, drive)
     n_resonant = sum(int(resonant.sum()) for _, _, resonant in groups)
     n_rows = sum(len(resonant) for _, _, resonant in groups)
-    magnitudes = [_formatted(np.abs(group.coefficients))
-                  for group, _, _ in groups]
 
-    def rows(kind: str, take_resonant: bool):
-        for (group, w, resonant), coeffs in zip(groups, magnitudes):
-            branches = [_DRIVE_LABELS[b] for b in group.branches]
-            # one line of hits per index tuple: sign tuple, then branch
-            hits = (resonant == take_resonant).reshape(len(coeffs), -1)
-            if not take_resonant:
-                detunings = iter(_formatted(w[hits.ravel()]))
-            for k in np.flatnonzero(hits.any(axis=1)).tolist():
-                labels = _term_labels(group.indices[k].tolist())
-                for j in np.flatnonzero(hits[k]).tolist():
-                    s, b = divmod(j, len(branches))
-                    row = f"{kind},{labels[s]}{branches[b]},{coeffs[k]}"
-                    yield (f"{row}\n" if take_resonant else
-                           f"{row},{next(detunings)}\n")
+    def write(kind: str, take_resonant: bool):
+        # one writelines call per group and pass: the listing is never
+        # held whole
+        for group, w, resonant in groups:
+            pick = resonant == take_resonant
+            if pick.any():
+                tails = ("\n" if take_resonant else
+                         _formatted(w[pick], f",{FLOAT_FMT}\n"))
+                sys.stdout.writelines(
+                    _listing_lines(kind, group, pick, tails))
 
-    def listing():
-        yield (f"# pump = {FLOAT_FMT % drive}, tolerance = "
-               f"{FLOAT_FMT % default_tolerance(freqs)}\n")
-        yield f"# resonant terms: {n_resonant}\n"
-        yield from rows("resonant", True)
-        yield f"# counter-rotating terms: {n_rows - n_resonant}\n"
-        yield from rows("counter", False)
-
-    # one write call, line by line: no joined copy of the whole listing
-    sys.stdout.writelines(listing())
+    sys.stdout.write(f"# pump = {FLOAT_FMT % drive}, tolerance = "
+                     f"{FLOAT_FMT % default_tolerance(freqs)}\n"
+                     f"# resonant terms: {n_resonant}\n")
+    write("resonant", True)
+    sys.stdout.write(f"# counter-rotating terms: {n_rows - n_resonant}\n")
+    write("counter", False)
     return EXIT_OK
 
 
@@ -220,7 +236,10 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` leaves it
+    as it is, so repeated ``main`` calls share it."""
     parser = argparse.ArgumentParser(
         prog="triphoton",
         description="SQUID-terminated cavity down-conversion toolkit: "

@@ -10,6 +10,7 @@ round-trips through text are lossless for doubles.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from typing import Mapping
@@ -36,10 +37,6 @@ def atomic_write_text(path: str, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % x
 
 
 def state_to_json(state: QuantumState) -> str:
@@ -94,34 +91,62 @@ def series_csv(times: np.ndarray, columns: Mapping[str, np.ndarray]) -> str:
         else:
             headers.append(name)
             cols.append(values.astype(float))
-    lines = [",".join(headers)]
-    for row in zip(*cols):
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    # each column formatted at once, then joined row by row
+    texts = [map(FLOAT_FMT.__mod__, col.tolist()) for col in cols]
+    return "\n".join([",".join(headers), *map(",".join, zip(*texts))]) + "\n"
 
 
 def summary_json(summary: dict) -> str:
     return json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
+def _json_array(values: np.ndarray, level: int) -> str:
+    """``json.dumps(values.tolist(), indent=2)`` as it reads ``level``
+    levels deep in a document. Every entry's token comes from one call of
+    json's C encoder on the flat list (its ``NaN`` and ``Infinity``
+    included); the tokens are then joined axis by axis, innermost first,
+    with the line breaks and indents of ``indent=2``."""
+    texts = (json.dumps(values.ravel().tolist())[1:-1].split(", ")
+             if values.size else [])
+    for axis in reversed(range(values.ndim)):
+        n = values.shape[axis]
+        if n == 0:
+            texts = ["[]"] * math.prod(values.shape[:axis])
+            continue
+        inner = "\n" + "  " * (level + axis + 1)
+        outer = "\n" + "  " * (level + axis) + "]"
+        sep = "," + inner
+        texts = ["[" + inner + sep.join(texts[i:i + n]) + outer
+                 for i in range(0, len(texts), n)]
+    return texts[0]
+
+
+def _json_document(doc: dict, level: int = 0) -> str:
+    """``json.dumps(doc, indent=2)`` of nested dicts with array leaves."""
+    inner = "\n" + "  " * (level + 1)
+    items = [f"{json.dumps(key)}: " + (
+                 _json_document(value, level + 1) if isinstance(value, dict)
+                 else _json_array(np.asarray(value), level + 1))
+             for key, value in doc.items()]
+    return "{" + inner + ("," + inner).join(items) + "\n" + "  " * level + "}"
+
+
 def circuit_tables_json(spectrum, table) -> str:
-    """Mode spectrum and coupling tensors as one JSON record."""
+    """Mode spectrum and coupling tensors as one JSON record, the bytes
+    of ``json.dumps(doc, indent=2)`` written from the arrays."""
     doc = {
         "spectrum": {
-            "wavenumbers": spectrum.wavenumbers.tolist(),
-            "frequencies": spectrum.frequencies.tolist(),
-            "mode_caps": spectrum.mode_caps.tolist(),
-            "mode_inds": spectrum.mode_inds.tolist(),
-            "edge_amplitudes": spectrum.edge_amplitudes.tolist(),
-            "zero_point": spectrum.zero_point.tolist(),
+            name: getattr(spectrum, name)
+            for name in ("wavenumbers", "frequencies", "mode_caps",
+                         "mode_inds", "edge_amplitudes", "zero_point")
         },
         "coupling": {
-            name: getattr(table, name).tolist()
+            name: getattr(table, name)
             for name in ("m1", "m2", "m3", "n4", "m4", "m1_tilde",
                          "m2_tilde", "m3_tilde", "n4_tilde", "m4_tilde")
         },
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_document(doc) + "\n"
 
 
 def snapshot_states(trajectory, times, directory: str):

@@ -43,6 +43,7 @@ from triphoton.scenarios import (
     triple_interaction,
 )
 from triphoton.witnesses import (
+    _vlf_polish,
     dv_genuine_witness,
     genuine_witness_max,
     genuine_witness_sum,
@@ -54,7 +55,7 @@ from triphoton.witnesses import (
     vlf_value,
 )
 
-from test_witnesses import restart_oracle
+from test_witnesses import restart_starts
 
 REF_SQUID = SquidParams(ej1=6.1, ej2=4.99, c1=1e-13, c2=1e-13,
                         flux_bias=0.4, pump_amplitude=0.05)
@@ -167,6 +168,7 @@ def test_22spdc_covariance_verdicts(default_22spdc):
     assert s["s_objective_evals"] == 195_312
     assert s["s_peak"] == 1.1054547234023853
     assert s["windows"]["s_opt"] == [[0.003, 0.3]]
+    values, covs, starts = [], [], []
     for k in range(1, len(res.trajectory.times)):
         rep = optimize_vlf(res.trajectory.state(k))
         assert rep.components["verdict"] == "detected"
@@ -174,7 +176,14 @@ def test_22spdc_covariance_verdicts(default_22spdc):
         cov = covariance_matrix(res.trajectory.state(k))
         assert vlf_value(cov, rep.parameters.g, rep.parameters.h) == rep.value
         if k % 5 == 0:
-            assert rep.value >= restart_oracle(cov, 200, 7 + k)[0]
+            values.append(rep.value)
+            covs.append(cov)
+            starts.append(restart_starts(200, 7 + k))
+    # restart_oracle(cov, 200, 7 + k) of every checked point, bit for bit,
+    # in one stacked polish
+    oracle = _vlf_polish(np.stack(covs), np.stack(starts))[0]
+    assert len(values) == len(oracle) == 20
+    assert (np.array(values) >= oracle).all()
 
 
 def _dominance_bank():

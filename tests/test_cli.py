@@ -6,11 +6,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from triphoton.cli import main
+from triphoton.cli import build_parser, main
 from triphoton.circuit import coupling_table
 from triphoton.config import build_scenario_config, load_config, parse_config
 from triphoton.errors import ConfigError
@@ -22,14 +23,17 @@ from triphoton.rwa import (
     PAULI_PLUS,
     PAULI_Z,
     classify_terms,
+    default_tolerance,
     driven_cavity_terms,
 )
 from triphoton.scenarios import ScenarioConfig, resolve_circuit
 from triphoton.hilbert import RegisterLayout, fock_state, ghz_state
 from triphoton.serialize import (
     FLOAT_FMT,
+    circuit_tables_json,
     load_state,
     save_state,
+    series_csv,
     state_from_json,
     state_to_json,
 )
@@ -229,6 +233,39 @@ class TestRwaCommand:
             label = (ops or "1") + branches[term.drive_sign]
             assert row == [kind, label, FLOAT_FMT % abs(term.coefficient),
                            *detuning]
+
+    def test_listing_bytes_follow_classify_terms(self, capsys, rwa_config):
+        # the whole listing, headers included, written out from
+        # classify_terms one term at a time
+        circuit = load_config(rwa_config).circuit
+        eff, spectrum = resolve_circuit(circuit)
+        terms = driven_cavity_terms(coupling_table(spectrum, eff),
+                                    circuit.squid.pump_amplitude,
+                                    spectrum.n_modes)
+        freqs = list(spectrum.frequencies)
+        drive = circuit.squid.pump_frequency or float(np.sum(freqs))
+        cls = classify_terms(terms, freqs, drive)
+
+        def row(kind, term):
+            ops = " ".join(f"{'a+' if k == CREATE else 'a'}_{i + 1}"
+                           for i, k in term.factors)
+            branch = {1: " e^{+iwd t}", -1: " e^{-iwd t}", 0: ""}
+            return (f"{kind},{ops}{branch[term.drive_sign]},"
+                    f"{FLOAT_FMT % abs(term.coefficient)}")
+
+        expected = "".join(
+            [f"# pump = {FLOAT_FMT % drive}, tolerance = "
+             f"{FLOAT_FMT % default_tolerance(freqs)}\n",
+             f"# resonant terms: {len(cls.resonant)}\n"]
+            + [row("resonant", term) + "\n" for term in cls.resonant]
+            + [f"# counter-rotating terms: {len(cls.counter_rotating)}\n"]
+            + [f"{row('counter', term)},{FLOAT_FMT % detuning}\n"
+               for term, detuning in cls.counter_rotating])
+        assert main(["rwa", "--config", rwa_config]) == 0
+        out = capsys.readouterr().out
+        assert out == expected
+        # unpumped: the static n4~ group alone, with no drive branch
+        assert ("e^{" in out) == (circuit.squid.pump_amplitude != 0.0)
 
     def test_scenario_pump_tone_is_listed(self, tmp_path, capsys):
         # the [scenario] tone overrides the circuit's, as in ``run``
@@ -542,6 +579,146 @@ n_steps = 5
         assert out.splitlines()[0] == "witness,value,detects,argmax_bipartition"
         row = [l for l in out.splitlines() if l.startswith("genuine_max,")][0]
         assert row.split(",")[3] in ("1", "2", "3")
+
+
+SPECTRUM_FIELDS = ("wavenumbers", "frequencies", "mode_caps", "mode_inds",
+                   "edge_amplitudes", "zero_point")
+COUPLING_FIELDS = ("m1", "m2", "m3", "n4", "m4", "m1_tilde", "m2_tilde",
+                   "m3_tilde", "n4_tilde", "m4_tilde")
+
+
+def tables_doc(spectrum, table):
+    """The record ``modes --tables-json`` writes, as plain lists."""
+    return {"spectrum": {name: getattr(spectrum, name).tolist()
+                         for name in SPECTRUM_FIELDS},
+            "coupling": {name: getattr(table, name).tolist()
+                         for name in COUPLING_FIELDS}}
+
+
+def rowwise_csv(times, columns):
+    """``series_csv`` formatted value by value, one row at a time."""
+    headers, cols = ["time"], [np.asarray(times, dtype=float)]
+    for name, values in columns.items():
+        values = np.asarray(values)
+        if np.iscomplexobj(values):
+            headers.extend([f"{name}_re", f"{name}_im"])
+            cols.extend([values.real, values.imag])
+        else:
+            headers.append(name)
+            cols.append(values.astype(float))
+    lines = [",".join(headers)]
+    for row in zip(*cols):
+        lines.append(",".join(FLOAT_FMT % v for v in row))
+    return "\n".join(lines) + "\n"
+
+
+# entries whose text differs from a plain decimal: signed zero, a tiny
+# and a whole number, and the non-finite ones json writes as NaN/Infinity
+SPECIAL = [-0.0, 1e-300, 1.0, np.nan, np.inf, -np.inf]
+
+
+def awkward_array(rng, shape):
+    """Seeded entries drawn from SPECIAL and from numbers over 60 decades."""
+    pool = np.concatenate([SPECIAL, rng.normal(size=20)
+                           * 10.0 ** rng.integers(-30, 30, size=20)])
+    return rng.choice(pool, size=shape)
+
+
+class TestEmitters:
+    """The text emitters write the bytes of their plain forms."""
+
+    @pytest.mark.parametrize("n_modes", [3, 4])
+    def test_tables_json_is_json_dumps(self, n_modes):
+        eff, spectrum = resolve_circuit(load_config(REFERENCE).circuit,
+                                        n_modes)
+        table = coupling_table(spectrum, eff)
+        assert circuit_tables_json(spectrum, table) == json.dumps(
+            tables_doc(spectrum, table), indent=2) + "\n"
+
+    def test_tables_json_of_awkward_arrays(self):
+        # ranks 1 to 4 with unequal axes, empty axes and a 0-d entry
+        rng = np.random.default_rng(5)
+        shapes = [(3,), (1,), (0,), (), (2, 0), (4,), (5,), (2, 3),
+                  (3, 1, 2), (2, 2, 3, 2), (1, 4, 2, 3), (0, 2), (4, 4),
+                  (2, 3, 4), (3, 3, 3, 3), (2, 1, 1, 5)]
+        arrays = iter([awkward_array(rng, shape) for shape in shapes])
+        spectrum = SimpleNamespace(**{n: next(arrays)
+                                      for n in SPECTRUM_FIELDS})
+        table = SimpleNamespace(**{n: next(arrays) for n in COUPLING_FIELDS})
+        text = circuit_tables_json(spectrum, table)
+        assert text == json.dumps(tables_doc(spectrum, table),
+                                  indent=2) + "\n"
+        for token in ("-0.0", "1e-300", "1.0", "NaN", "Infinity"):
+            assert token in text
+
+    def test_series_csv_is_rowwise(self):
+        rng = np.random.default_rng(9)
+        times = np.linspace(0.0, 0.3, 193)
+        triple = awkward_array(rng, 193).astype(complex)
+        triple.imag = awkward_array(rng, 193)
+        columns = {"n1": awkward_array(rng, 193), "triple": triple,
+                   "count": np.arange(193), "g2": rng.normal(size=193)}
+        text = series_csv(times, columns)
+        assert text == rowwise_csv(times, columns)
+        assert text.splitlines()[0] == "time,n1,triple_re,triple_im,count,g2"
+        assert series_csv(times, {}) == rowwise_csv(times, {})
+        empty = {"n1": np.zeros(0)}
+        assert series_csv(times[:0], empty) == rowwise_csv(times[:0], empty)
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no option of one call
+    reaches the next."""
+
+    FAST = "[scenario]\nname = 3spdc\ng0 = 1.0\nn_steps = 5\n"
+    HOT = ("[scenario]\nname = 3spdc\ng0 = 1.0\nhorizon = 1.5\n"
+           "cutoff = 4\nn_steps = 9\n")
+
+    def test_one_parser(self):
+        assert build_parser() is build_parser()
+
+    def test_snapshot_times_do_not_carry_over(self, tmp_path):
+        cfg = write(tmp_path, "fast.ini", self.FAST)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["run", "--config", cfg, "--out", str(first),
+                     "--snapshot-times", "0.1"]) == 0
+        assert main(["run", "--config", cfg, "--out", str(second)]) == 0
+        assert sorted(p.name for p in first.iterdir()) == [
+            "state_0.1.json", "summary.json", "trajectory.csv"]
+        assert sorted(p.name for p in second.iterdir()) == [
+            "summary.json", "trajectory.csv"]
+
+    def test_check_convergence_does_not_carry_over(self, tmp_path):
+        cfg = write(tmp_path, "hot.ini", self.HOT)
+        gated, plain = tmp_path / "gated", tmp_path / "plain"
+        assert main(["run", "--config", cfg, "--out", str(gated),
+                     "--check-convergence"]) == 4
+        assert main(["run", "--config", cfg, "--out", str(plain)]) == 0
+        summary = json.loads((plain / "summary.json").read_text())
+        assert "converged" not in summary
+
+    def test_help_twice(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(["--help"])
+            assert info.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("usage: triphoton")
+
+    def test_bad_subcommand_between_good_calls(self, tmp_path, capsys):
+        out = tmp_path / "modes.csv"
+        argv = ["modes", "--config", REFERENCE, "--out", str(out)]
+        assert main(argv) == 0
+        text = out.read_text()
+        out.unlink()
+        with pytest.raises(SystemExit) as info:
+            main(["bogus", "--config", REFERENCE])
+        assert info.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert out.read_text() == text
 
 
 class TestStateSerialization:

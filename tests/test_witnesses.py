@@ -119,14 +119,17 @@ def dual_certifies(cov):
     return np.isnan(_vlf_dual(cov)).all()
 
 
+def restart_starts(restarts, seed):
+    """``restarts`` seeded uniform random points of the box [-2, 2]^6."""
+    return np.random.default_rng(seed).uniform(-2.0, 2.0, size=(restarts, 6))
+
+
 def restart_oracle(cov, restarts, seed):
     """The seeded restart search that ``optimize_vlf`` no longer runs:
-    the polish from ``restarts`` uniform random points of the box
-    [-2, 2]^6, i.e. the former ``_search_vlf(cov, restarts, seed, 300)``
-    with each end point scored at its clipped weights; (best S, weights,
-    objective evaluations)."""
-    x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(restarts, 6))
-    return _vlf_polish(cov, x0)
+    the polish from ``restart_starts(restarts, seed)``, i.e. the former
+    ``_search_vlf(cov, restarts, seed, 300)`` with each end point scored
+    at its clipped weights; (best S, weights, objective evaluations)."""
+    return _vlf_polish(cov, restart_starts(restarts, seed))
 
 
 class TestOptimizeVlf:
@@ -295,6 +298,21 @@ class TestBatchedSearchOracle:
         assert best == 0.0
         assert math.copysign(1.0, best) == 1.0
         assert not x.any()
+
+    def test_first_of_tied_end_points_wins(self):
+        # S is even in (g, h) bit for bit, and a simplex started from -x0
+        # is the mirror of the one from x0 step for step: two end points
+        # of one value. The first one listed is reported.
+        cov = covariance_matrix(evolved_pair(0.3))
+        x0 = _vlf_dual(cov)[:1]
+        best, x, evals = _vlf_polish(cov, x0)
+        assert best > 0 and np.abs(x).max() > 0
+        for starts, end in ((np.vstack([x0, -x0]), x),
+                            (np.vstack([-x0, x0]), -x)):
+            tied_best, tied_x, tied_evals = _vlf_polish(cov, starts)
+            assert tied_best == best
+            assert tied_evals == 2 * evals
+            np.testing.assert_array_equal(tied_x, end)
 
     def test_certified_state_counts_no_evaluations(self):
         rep = optimize_vlf(vacuum3())
