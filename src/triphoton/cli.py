@@ -24,7 +24,6 @@ from .dynamics import CONVERGENCE_THRESHOLD
 from .errors import ConfigError, TriphotonError
 from .rwa import _classify_cavity, default_tolerance
 from .scenarios import (
-    SCENARIO_NAMES,
     _pump_tone,
     convergence_gate,
     resolve_circuit,
@@ -138,7 +137,7 @@ def cmd_rwa(args) -> int:
     circuit = _require_circuit(cfg)
     eff, spectrum = resolve_circuit(circuit)
     freqs = list(spectrum.frequencies)
-    drive = _pump_tone(circuit, freqs, cfg.scenario.get("pump_frequency"))
+    drive = _pump_tone(circuit, freqs)
     # every mask first, so the headers can count the rows
     groups = _classify_cavity(coupling_table(spectrum, eff),
                               circuit.squid.pump_amplitude, freqs, drive)
@@ -167,7 +166,7 @@ def cmd_rwa(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    config = build_scenario_config(cfg, name=args.scenario)
+    config = build_scenario_config(cfg)
     result = run_scenario(config, check_convergence=args.check_convergence)
     out_dir = args.out or cfg.output.get("directory", ".")
     os.makedirs(out_dir, exist_ok=True)
@@ -222,7 +221,7 @@ def cmd_witness(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    config = build_scenario_config(cfg, name=args.scenario)
+    config = build_scenario_config(cfg)
     cutoffs = sorted(int(c) for c in args.cutoffs.split(","))
     report = convergence_gate(config, cutoffs)
     doc = {"cutoffs": cutoffs, "deltas": report.deltas,
@@ -261,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rwa)
 
     p = sub.add_parser("run", help="run a scenario end to end")
-    p.add_argument("--scenario", choices=SCENARIO_NAMES, default=None,
-                   help="scenario name (overrides the config)")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--seed", type=int, default=None, help=_IGNORED_SEED)
@@ -278,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("sweep", help="cutoff convergence sweep")
-    p.add_argument("--scenario", choices=SCENARIO_NAMES, default=None)
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None, help=_IGNORED_SEED)
     p.add_argument("--cutoffs", required=True,

@@ -32,8 +32,8 @@ _CIRCUIT_REQUIRED = ("ej1", "ej2", "c1", "c2", "flux_bias",
 
 _SCENARIO_KEYS = {
     "name": str.strip, "cutoff": int, "n_steps": int, "horizon": float,
-    "seed": int, "g0": float, "pump_frequency": float,
-    "vlf_restarts": int, "pair_coupling": float, "jc_ratio": float,
+    "seed": int, "g0": float, "vlf_restarts": int,
+    "pair_coupling": float, "jc_ratio": float,
     "dce_mode_freq": float, "dce_qubit_freq": float,
     "dce_coupling": float, "dce_envelope": str.strip,
     "dce_tone_delta": float, "dce_cosine_freq": float,
@@ -116,30 +116,20 @@ def load_config(path: str) -> CliConfig:
     return parse_config(text)
 
 
-def build_scenario_config(cli: CliConfig,
-                          name: str | None = None) -> ScenarioConfig:
-    """ScenarioConfig from a parsed file, with an optional name override
-    from the command line. The ``seed`` and ``vlf_restarts`` keys are
-    accepted and not read: no witness is random any more."""
+def build_scenario_config(cli: CliConfig) -> ScenarioConfig:
+    """ScenarioConfig from a parsed file. The ``seed`` and
+    ``vlf_restarts`` keys are accepted and not read: no witness is random
+    any more."""
     raw = dict(cli.scenario)
     raw.pop("seed", None)
     raw.pop("vlf_restarts", None)
-    if name is not None:
-        raw["name"] = name
     if "name" not in raw:
-        raise ConfigError("no scenario name given (config [scenario] name "
-                          "or --scenario)")
-
-    dce_kwargs = {}
-    for key in list(raw):
-        if key.startswith("dce_"):
-            dce_kwargs[key[len("dce_"):]] = raw.pop(key)
-    kwargs = dict(raw)
-    kwargs.pop("name", None)
-    if dce_kwargs:
-        kwargs["dce"] = DceParams(**dce_kwargs)
+        raise ConfigError("no scenario name given ([scenario] name)")
+    dce = {key[len("dce_"):]: raw.pop(key)
+           for key in list(raw) if key.startswith("dce_")}
+    if dce:
+        raw["dce"] = DceParams(**dce)
     try:
-        return ScenarioConfig(name=raw["name"], circuit=cli.circuit,
-                              **kwargs)
+        return ScenarioConfig(circuit=cli.circuit, **raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid scenario parameters: {exc}") from exc

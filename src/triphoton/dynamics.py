@@ -1,7 +1,7 @@
 """Time evolution under static and driven ladder-operator Hamiltonians.
 
-Driven terms carry named real envelopes evaluated exactly at each node;
-no pre-rotation into an interaction picture happens here.
+Driven terms carry real envelopes, sums of tones, evaluated exactly at
+each node; no pre-rotation into an interaction picture happens here.
 
 Every run evolves on its sector: the basis states the Hamiltonian's
 static and driven monomials can reach from psi0 span a subspace H(t)
@@ -75,72 +75,43 @@ from .rwa import LadderMonomial, hermitian_closure_holds
 
 
 @dataclass(frozen=True)
-class Constant:
-    value: float = 1.0
+class Envelope:
+    """A real drive envelope, the sum of its (a, w, phi) tones
+    a cos(w t + phi) taken left to right. ``supremum``, the sum of |a|,
+    bounds every value it takes and sets the step count."""
 
-    def __call__(self, t):
-        return self.value * np.ones_like(np.asarray(t, dtype=float))
-
-    @property
-    def supremum(self) -> float:
-        return abs(self.value)
-
-
-@dataclass(frozen=True)
-class Cosine:
-    amplitude: float
-    frequency: float
-    phase: float = 0.0
-
-    def __call__(self, t):
-        return self.amplitude * np.cos(
-            self.frequency * np.asarray(t, dtype=float) + self.phase)
-
-    @property
-    def supremum(self) -> float:
-        return abs(self.amplitude)
-
-
-@dataclass(frozen=True)
-class TwoTone:
-    amp1: float
-    freq1: float
-    amp2: float
-    freq2: float
-    phase1: float = 0.0
-    phase2: float = 0.0
+    tones: tuple[tuple[float, float, float], ...]
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        return self.amp1 * np.cos(self.freq1 * t + self.phase1) \
-            + self.amp2 * np.cos(self.freq2 * t + self.phase2)
+        (a, w, phi), *rest = self.tones
+        value = a * np.cos(w * t + phi)
+        for a, w, phi in rest:
+            value = value + a * np.cos(w * t + phi)
+        return value
 
     @property
     def supremum(self) -> float:
-        return abs(self.amp1) + abs(self.amp2)
+        return sum(abs(a) for a, _, _ in self.tones)
 
 
-@dataclass(frozen=True)
-class Motional:
+def Constant(value: float = 1.0) -> Envelope:
+    return Envelope(((value, 0.0, 0.0),))
+
+
+def Cosine(amplitude: float, frequency: float, phase: float = 0.0) -> Envelope:
+    return Envelope(((amplitude, frequency, phase),))
+
+
+def TwoTone(amp1: float, freq1: float, amp2: float, freq2: float,
+            phase1: float = 0.0, phase2: float = 0.0) -> Envelope:
+    return Envelope(((amp1, freq1, phase1), (amp2, freq2, phase2)))
+
+
+def Motional(v: float, k: float, x0: float = 0.0) -> Envelope:
     """Coupling sampled by a probe crossing the mode function:
-    cos(k (x0 + v t))."""
-
-    v: float
-    k: float
-    x0: float = 0.0
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.cos(self.k * (self.x0 + self.v * t))
-
-    @property
-    def supremum(self) -> float:
-        return 1.0
-
-
-# An envelope maps an array of times to its real values there, and says
-# the largest |value| it takes (``supremum``), which sets the step count.
-Envelope = Constant | Cosine | TwoTone | Motional
+    cos(k (x0 + v t)), as the tone cos(k v t + k x0)."""
+    return Envelope(((1.0, k * v, k * x0),))
 
 
 @dataclass
@@ -156,7 +127,9 @@ class HamiltonianSpec:
     driven_terms: list[tuple[LadderMonomial, Envelope]] = field(
         default_factory=list)
 
-    def validate(self):
+    def validate(self) -> dict[Envelope, list[LadderMonomial]]:
+        """The driven terms grouped by envelope, in first-seen order,
+        once every group and the static list are Hermitian."""
         if self.static_terms and not hermitian_closure_holds(self.static_terms):
             raise ValueError("static term list is not Hermitian")
         groups: dict[Envelope, list[LadderMonomial]] = {}
@@ -165,7 +138,7 @@ class HamiltonianSpec:
         for env, terms in groups.items():
             if not hermitian_closure_holds(terms):
                 raise ValueError(f"driven group {env} is not Hermitian")
-        return self
+        return groups
 
 
 def split_drive_branches(terms: Sequence[LadderMonomial],
@@ -529,12 +502,9 @@ def evolve(h: HamiltonianSpec,
     if (t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0)
             or not np.isfinite(t_grid).all()):
         raise ValueError("t_grid must be finite and strictly increasing")
-    h.validate()
+    groups = h.validate()
     observables = observables or {}
     layout = psi0.layout
-    groups: dict[Envelope, list[LadderMonomial]] = {}
-    for term, env in h.driven_terms:
-        groups.setdefault(env, []).append(term)
     basis = _reachable([*h.static_terms, *(t for t, _ in h.driven_terms)],
                        psi0)
     exact = not groups and len(basis) <= DENSE_LIMIT

@@ -133,7 +133,6 @@ class ScenarioConfig:
     horizon: float | None = None  # g0*t span; per-scenario default if None
     g0: float | None = None  # direct coupling; overrides the circuit path
     circuit: CircuitConfig | None = None
-    pump_frequency: float | None = None
     pair_coupling: float = 1.0  # 22spdc direct coupling
     jc_ratio: float = 10.0  # hybrid swap: lambda_i = jc_ratio * g0
     dce: DceParams = field(default_factory=DceParams)
@@ -180,15 +179,20 @@ def resolve_circuit(circuit: CircuitConfig, n_modes: int = 3):
     return eff, mode_spectrum(circuit.cavity, e_bar, n_modes)
 
 
-def _pump_tone(circuit: CircuitConfig, frequencies,
-               pump_frequency: float | None = None) -> float:
-    """The pump tone of a circuit: ``pump_frequency`` (the [scenario]
-    key) when given, else the circuit's own; 0 stands for the
-    three-mode resonance w1 + w2 + w3. ``run`` checks this tone and
-    ``rwa`` lists at it."""
-    pump = circuit.squid.pump_frequency if pump_frequency is None \
-        else pump_frequency
-    return pump or float(np.sum(frequencies))
+def _pump_tone(circuit: CircuitConfig, frequencies) -> float:
+    """The pump tone of a circuit, its ``pump_frequency``, where 0 stands
+    for the three-mode resonance w1 + w2 + w3. ``run`` checks this tone
+    and ``rwa`` lists at it."""
+    return circuit.squid.pump_frequency or float(np.sum(frequencies))
+
+
+def _check_pump(circuit: CircuitConfig, frequencies, resonances,
+                mismatch: str) -> None:
+    """``PumpMismatchError`` with ``mismatch`` after the tone unless the
+    circuit's pump tone lies within ``_PUMP_TOL`` of some resonance."""
+    pump = _pump_tone(circuit, frequencies)
+    if all(abs(pump - r) > _PUMP_TOL * r for r in resonances):
+        raise PumpMismatchError(f"pump tone {pump:.9g} {mismatch}")
 
 
 def _resolve_g0(config: ScenarioConfig) -> tuple[float, dict]:
@@ -199,12 +203,8 @@ def _resolve_g0(config: ScenarioConfig) -> tuple[float, dict]:
     eff, spectrum = resolve_circuit(config.circuit)
     ensure_anharmonic(spectrum.frequencies)
     w_sum = float(np.sum(spectrum.frequencies))
-    pump = _pump_tone(config.circuit, spectrum.frequencies,
-                      config.pump_frequency)
-    if abs(pump - w_sum) > _PUMP_TOL * w_sum:
-        raise PumpMismatchError(
-            f"pump tone {pump:.9g} does not match the three-mode "
-            f"resonance {w_sum:.9g}")
+    _check_pump(config.circuit, spectrum.frequencies, [w_sum],
+                f"does not match the three-mode resonance {w_sum:.9g}")
     g0 = three_spdc_coupling(coupling_table(spectrum, eff),
                              config.circuit.squid.pump_amplitude)
     if g0 == 0.0:
@@ -291,12 +291,9 @@ def _resolve_pair_coupling(config: ScenarioConfig) -> tuple[float, dict]:
     if config.circuit is not None:
         _, spectrum = resolve_circuit(config.circuit)
         w = spectrum.frequencies
-        pump = _pump_tone(config.circuit, w, config.pump_frequency)
         pairs = (w[0] + w[1], w[1] + w[2])
-        if all(abs(pump - p) > _PUMP_TOL * p for p in pairs):
-            raise PumpMismatchError(
-                f"pump tone {pump:.9g} matches neither "
-                f"pair resonance {pairs[0]:.9g} / {pairs[1]:.9g}")
+        _check_pump(config.circuit, w, pairs, "matches neither pair "
+                    f"resonance {pairs[0]:.9g} / {pairs[1]:.9g}")
     return config.pair_coupling, {}
 
 

@@ -44,6 +44,7 @@ from triphoton.scenarios import (
 )
 from triphoton.witnesses import (
     _vlf_polish,
+    _vlf_report,
     dv_genuine_witness,
     genuine_witness_max,
     genuine_witness_sum,
@@ -168,22 +169,29 @@ def test_22spdc_covariance_verdicts(default_22spdc):
     assert s["s_objective_evals"] == 195_312
     assert s["s_peak"] == 1.1054547234023853
     assert s["windows"]["s_opt"] == [[0.003, 0.3]]
-    values, covs, starts = [], [], []
-    for k in range(1, len(res.trajectory.times)):
-        rep = optimize_vlf(res.trajectory.state(k))
-        assert rep.components["verdict"] == "detected"
-        assert rep.value == res.witness_series["s_opt"][k]
-        cov = covariance_matrix(res.trajectory.state(k))
-        assert vlf_value(cov, rep.parameters.g, rep.parameters.h) == rep.value
+    traj, series = res.trajectory, res.witness_series["s_opt"]
+    points = range(1, len(traj.times))
+    covs = np.stack([covariance_matrix(traj.state(k)) for k in points])
+    # every later point's search in one stack, and the one-state search
+    # on each point the restarts check
+    vlf = _vlf_report(covs)
+    g, h = np.array(vlf.parameters.g).T, np.array(vlf.parameters.h).T
+    checked = []
+    for i, k in enumerate(points):
+        assert vlf.components["verdict"][i] == "detected"
+        assert vlf.value[i] == series[k]
+        assert vlf_value(covs[i], tuple(g[i]), tuple(h[i])) == vlf.value[i]
         if k % 5 == 0:
-            values.append(rep.value)
-            covs.append(cov)
-            starts.append(restart_starts(200, 7 + k))
+            rep = optimize_vlf(traj.state(k))
+            assert rep.components["verdict"] == "detected"
+            assert rep.value == series[k]
+            checked.append(i)
     # restart_oracle(cov, 200, 7 + k) of every checked point, bit for bit,
     # in one stacked polish
-    oracle = _vlf_polish(np.stack(covs), np.stack(starts))[0]
-    assert len(values) == len(oracle) == 20
-    assert (np.array(values) >= oracle).all()
+    starts = np.stack([restart_starts(200, 7 + points[i]) for i in checked])
+    oracle = _vlf_polish(covs[checked], starts)[0]
+    assert len(checked) == len(oracle) == 20
+    assert (vlf.value[checked] >= oracle).all()
 
 
 def _dominance_bank():

@@ -1,6 +1,7 @@
 """Command-line interface tests: schema validation, exit codes,
 deterministic and atomic output."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,7 +14,12 @@ import pytest
 
 from triphoton.cli import build_parser, main
 from triphoton.circuit import coupling_table
-from triphoton.config import build_scenario_config, load_config, parse_config
+from triphoton.config import (
+    _SCENARIO_KEYS,
+    build_scenario_config,
+    load_config,
+    parse_config,
+)
 from triphoton.errors import ConfigError
 from triphoton.rwa import (
     ANNIHILATE,
@@ -26,7 +32,7 @@ from triphoton.rwa import (
     default_tolerance,
     driven_cavity_terms,
 )
-from triphoton.scenarios import ScenarioConfig, resolve_circuit
+from triphoton.scenarios import DceParams, ScenarioConfig, resolve_circuit
 from triphoton.hilbert import RegisterLayout, fock_state, ghz_state
 from triphoton.serialize import (
     FLOAT_FMT,
@@ -111,8 +117,15 @@ dce_periods = 10
         # is left for them to set
         cfg = parse_config("[scenario]\nname = 3spdc\nseed = 1\n"
                            "vlf_restarts = 4\n")
-        sc = build_scenario_config(cfg, name="22spdc")
-        assert sc == ScenarioConfig(name="22spdc")
+        assert build_scenario_config(cfg) == ScenarioConfig(name="3spdc")
+
+    def test_scenario_keys_are_the_config_fields(self):
+        # each [scenario] key sets one field, and each field has one key;
+        # seed and vlf_restarts are the inert keys the schema still takes
+        fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+        dce = {f"dce_{f.name}" for f in dataclasses.fields(DceParams)}
+        assert set(_SCENARIO_KEYS) == (fields - {"circuit", "dce"}) | dce \
+            | {"seed", "vlf_restarts"}
 
     def test_invalid_scenario_name(self):
         cfg = parse_config("[scenario]\nname = warp\n")
@@ -120,10 +133,10 @@ dce_periods = 10
             build_scenario_config(cfg)
 
     @pytest.mark.parametrize("line", ["kerr = keep", "rtol = 1e-5",
-                                      "atol = 1e-8"])
+                                      "atol = 1e-8", "pump_frequency = 1.0"])
     def test_removed_scenario_keys_rejected(self, line):
-        # the integrator setting is fixed and no scenario reads a Kerr
-        # mode, so these keys are unknown
+        # the integrator setting is fixed, no scenario reads a Kerr mode
+        # and the pump tone is the [circuit] one, so these keys are unknown
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(f"[scenario]\nname = 3spdc\n{line}\n")
 
@@ -267,12 +280,12 @@ class TestRwaCommand:
         # unpumped: the static n4~ group alone, with no drive branch
         assert ("e^{" in out) == (circuit.squid.pump_amplitude != 0.0)
 
-    def test_scenario_pump_tone_is_listed(self, tmp_path, capsys):
-        # the [scenario] tone overrides the circuit's, as in ``run``
+    def test_circuit_pump_tone_is_listed(self, tmp_path, capsys):
+        # rwa lists at the [circuit] tone, the one ``run`` checks
         text = Path(REFERENCE).read_text()
-        assert "[scenario]\n" in text
+        assert "pump_frequency = 0.0\n" in text
         cfg = write(tmp_path, "pumped.ini", text.replace(
-            "[scenario]\n", "[scenario]\npump_frequency = 123\n"))
+            "pump_frequency = 0.0\n", "pump_frequency = 123\n"))
         assert main(["rwa", "--config", cfg]) == 0
         assert capsys.readouterr().out.startswith("# pump = 123, ")
         assert main(["run", "--config", cfg, "--out",
@@ -290,6 +303,18 @@ class TestRwaCommand:
 
 
 class TestRunCommand:
+    @pytest.mark.parametrize("command, extra", [
+        ("run", ["--out"]), ("sweep", ["--cutoffs", "2,3", "--out"])])
+    def test_scenario_flag_rejected(self, tmp_path, capsys, command, extra):
+        # the scenario is named in [scenario] only
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", REFERENCE, "--scenario", "3spdc",
+                  *extra, str(out)])
+        assert info.value.code == 2
+        assert "--scenario" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_22spdc_writes_outputs(self, tmp_path):
         cfg = write(tmp_path, "fast.ini", """
 [scenario]

@@ -769,6 +769,16 @@ ENVELOPES = [Constant(0.7), Cosine(0.3, 1.7, 0.2),
              Motional(v=1.3, k=2.1, x0=0.4)]
 
 
+def gauss_nodes():
+    """A (pieces, substeps, 2) stack of stage times, the Gauss nodes the
+    propagator evaluates each envelope on, once per chunk."""
+    rng = np.random.default_rng(12)
+    starts = rng.uniform(-50.0, 200.0, (30, 10))
+    h = 10.0 ** rng.uniform(-8.0, 0.5, (30, 1))
+    root = np.sqrt(3.0) / 6.0
+    return starts[..., None] + h[..., None] * (0.5 + np.array([-root, root]))
+
+
 class TestEnvelopes:
     @pytest.mark.parametrize("env", ENVELOPES)
     def test_scalar_gives_the_bits_of_an_array(self, env):
@@ -782,14 +792,7 @@ class TestEnvelopes:
 
     @pytest.mark.parametrize("env", ENVELOPES)
     def test_stage_times_give_the_bits_of_each_stage(self, env):
-        # the propagator evaluates each envelope once per chunk, on the
-        # (pieces, substeps, 2) array of its stage times, the Gauss nodes
-        rng = np.random.default_rng(12)
-        starts = rng.uniform(-50.0, 200.0, (30, 10))
-        h = 10.0 ** rng.uniform(-8.0, 0.5, (30, 1))
-        root = np.sqrt(3.0) / 6.0
-        nodes = starts[..., None] + h[..., None] * (
-            0.5 + np.array([-root, root]))
+        nodes = gauss_nodes()
         each = [float(env(t)) for t in nodes.ravel()]
         np.testing.assert_array_equal(env(nodes).ravel(), each)
 
@@ -800,10 +803,42 @@ class TestEnvelopes:
         assert values.max() <= env.supremum
         assert values.max() >= 0.95 * env.supremum
 
+    def test_tones_give_the_bits_of_each_formula(self):
+        # a constant, a cosine and two cosines summed left to right take
+        # the bits of their own closed forms, suprema included
+        t = gauss_nodes()
+        constant, cosine, two_tone = ENVELOPES[:3]
+        for env, value, supremum in (
+                (constant, 0.7 * np.ones_like(t), 0.7),
+                (cosine, 0.3 * np.cos(1.7 * t + 0.2), 0.3),
+                (two_tone, 0.1 * np.cos(1.35 * t + 0.4)
+                 + 0.1 * np.cos(0.65 * t + -1.1), 0.1 + 0.1)):
+            np.testing.assert_array_equal(env(t), value)
+            assert env.supremum == supremum
+
+    @pytest.mark.parametrize("other, path", [
+        (Cosine(0.7, 0.0), "magnus-dense"),
+        (Cosine(0.7, 0.5), "magnus-taylor")])
+    def test_equal_envelopes_form_one_group(self, other, path):
+        # Constant(0.7) is the tone 0.7 cos(0 t + 0), so terms under it
+        # and under Cosine(0.7, 0.0) form one group, and the run takes the
+        # one-group route; a different tone makes a second group
+        assert (Constant(0.7) == other) == (path == "magnus-dense")
+        kick = mono([(0, CREATE)], 0.3)
+        h = HamiltonianSpec([mono([(0, NUMBER)], 1.0)], [
+            (kick, Constant(0.7)), (kick.conjugate(), Constant(0.7)),
+            (mono([(0, NUMBER)], 0.2), other)])
+        traj = evolve(h, fock_state(RegisterLayout.bosons(1, 3), (0,)),
+                      np.linspace(0.0, 1.0, 3))
+        assert traj.diagnostics["path"] == path
+
     def test_motional_is_sampled_mode_function(self):
+        # cos(k (x0 + v t)) to roundoff, with the bits of the tone
+        # cos(k v t + k x0)
         env = Motional(v=2.0, k=1.5, x0=0.3)
         ts = np.linspace(0, 4, 9)
         assert np.allclose(env(ts), np.cos(1.5 * (0.3 + 2.0 * ts)))
+        np.testing.assert_array_equal(env(ts), np.cos(3.0 * ts + 1.5 * 0.3))
 
     def test_two_tone_sum(self):
         env = TwoTone(0.3, 1.0, 0.5, 2.0, phase2=0.7)

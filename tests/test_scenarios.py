@@ -104,8 +104,8 @@ class TestRun3spdc:
         assert res.summary["g0_source"] == "circuit"
 
     def test_pump_mismatch_rejected(self):
-        cfg = fast_config("3spdc", circuit=CircuitConfig(REF_SQUID, REF_CAVITY),
-                          pump_frequency=0.123)
+        squid = dataclasses.replace(REF_SQUID, pump_frequency=0.123)
+        cfg = fast_config("3spdc", circuit=CircuitConfig(squid, REF_CAVITY))
         with pytest.raises(PumpMismatchError):
             run_scenario(cfg)
 
@@ -130,8 +130,8 @@ class TestRun22spdc:
         assert np.abs(n).max() < 1e-12
 
     def test_wrong_pair_tone_rejected(self):
-        cfg = fast_config("22spdc", circuit=CircuitConfig(REF_SQUID, REF_CAVITY),
-                          pump_frequency=1.0)
+        squid = dataclasses.replace(REF_SQUID, pump_frequency=1.0)
+        cfg = fast_config("22spdc", circuit=CircuitConfig(squid, REF_CAVITY))
         with pytest.raises(PumpMismatchError):
             run_scenario(cfg)
 
@@ -139,8 +139,8 @@ class TestRun22spdc:
         eff = effective_junction(REF_SQUID)
         spec = mode_spectrum(REF_CAVITY, eff.e_bar, 3)
         tone = float(spec.frequencies[0] + spec.frequencies[1])
-        cfg = fast_config("22spdc", circuit=CircuitConfig(REF_SQUID, REF_CAVITY),
-                          pump_frequency=tone)
+        squid = dataclasses.replace(REF_SQUID, pump_frequency=tone)
+        cfg = fast_config("22spdc", circuit=CircuitConfig(squid, REF_CAVITY))
         run_scenario(cfg)  # should not raise
 
     def test_covariances_within_the_gaussian_truncation_gaps(self):
@@ -172,8 +172,8 @@ class TestRun22spdc:
         assert gaps[1] < gaps[0] / 10 and gaps[2] < gaps[1] / 10
 
     def test_circuit_pump_tone_checked(self):
-        # with no [scenario] tone the circuit's own is checked: 0 stands
-        # for the three-mode resonance, which is no pair resonance
+        # the circuit's tone is checked: 0 stands for the three-mode
+        # resonance, which is no pair resonance
         eff = effective_junction(REF_SQUID)
         spec = mode_spectrum(REF_CAVITY, eff.e_bar, 3)
         tone = float(spec.frequencies[1] + spec.frequencies[2])
