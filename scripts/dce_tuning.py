@@ -11,22 +11,16 @@ Run:  python scripts/dce_tuning.py [--quick]
 """
 
 import argparse
-import dataclasses
-
-import numpy as np
 
 from triphoton.scenarios import DceParams, ScenarioConfig, run_scenario
 
 
 def score(params: DceParams, cutoff: int = 8) -> dict:
     cfg = ScenarioConfig(name="dce-rabi", cutoff=cutoff, dce=params)
-    res = run_scenario(cfg)
-    s = res.summary
-    # cutoff sensitivity of the photon number
-    cfg_hi = dataclasses.replace(cfg, cutoff=cutoff + 2)
-    res_hi = run_scenario(cfg_hi)
-    dn = float(np.abs(res.trajectory.observables["n"]
-                      - res_hi.trajectory.observables["n"]).max())
+    s = run_scenario(cfg, check_convergence=True).summary
+    # cutoff sensitivity of the photon number, from the run's own
+    # (cutoff, cutoff + 2) gate
+    dn = s["convergence_final_change"]["n"]
     return {
         "monotone": s["windowed_monotone"],
         "n_final": s["n_final"],

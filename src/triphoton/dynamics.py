@@ -12,7 +12,10 @@ it come from the monomials' action on basis states there, the same
 action that builds full-register operators. A static run whose sector
 fits in ``DENSE_LIMIT`` is exact: one eigendecomposition of H there
 propagates the state to every grid point with no tolerance and no norm
-drift.
+drift. Realness is decided once, on the dense sector matrices: when no
+entry of any of them is imaginary, they are held real, and both dense
+paths, this one and the dense Magnus route below, work in real
+arithmetic.
 
 Every other run takes the fourth-order commutator-free Magnus propagator
 CF4 (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006); Alvermann &
@@ -67,7 +70,8 @@ from .hilbert import (
     QuantumState,
     RegisterLayout,
     _basis_matrix,
-    _expect_columns,
+    _column_rows,
+    _expect_rows,
     _level_map,
     terms_to_matrix,
 )
@@ -244,7 +248,9 @@ def _reachable(terms: Sequence[LadderMonomial],
     target *= (layout.total_dim // np.cumprod(dims))[:, None]
     subsystems = np.arange(len(dims))[:, None]
     seen = np.zeros(layout.total_dim, dtype=bool)
-    frontier = np.flatnonzero(psi0.data)
+    # a complex comparison first: flatnonzero of a complex register
+    # takes 2.6x as long
+    frontier = np.flatnonzero(psi0.data != 0)
     while frontier.size:
         seen[frontier] = True
         digits = np.array(np.unravel_index(frontier, layout.dims))
@@ -410,6 +416,14 @@ def _drive_polynomial(parts: np.ndarray):
     return exponentials
 
 
+def _real_product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x for a real m and a complex x, as one real product on x's
+    real and imaginary parts side by side."""
+    x = np.ascontiguousarray(x)
+    pairs = m @ x.view(float).reshape(len(x), -1)
+    return pairs.view(complex).reshape(x.shape)
+
+
 def _polynomial_route(exponentials, psi: np.ndarray, weights: np.ndarray,
                       h: np.ndarray):
     """Each piece's exponentials from ``exponentials``, a
@@ -512,18 +526,24 @@ def evolve(h: HamiltonianSpec,
     sparse = not exact and (len(groups) > 1
                             or len(basis) > SPARSE_EVOLVE_LIMIT)
     matrix = partial(_basis_matrix, layout=layout, basis=basis, sparse=sparse)
-    h_static = matrix(h.static_terms)
+    parts = [matrix(terms) for terms in [h.static_terms, *groups.values()]]
+    # dense matrices with no imaginary entry, as real couplings give, are
+    # held real, so both dense paths work in real arithmetic
+    if not sparse and not any(p.imag.any() for p in parts):
+        parts = [p.real for p in parts]
     psi = psi0.data[basis]
     if exact:
-        w, v = np.linalg.eigh(h_static)
+        w, v = np.linalg.eigh(parts[0])
         phases = np.exp(-1j * np.outer(t_grid - t_grid[0], w))
-        columns = v @ (phases * (v.conj().T @ psi)).T
+        if np.isrealobj(v):
+            columns = _real_product(v, (phases * _real_product(v.T, psi)).T)
+        else:
+            columns = v @ (phases * (v.conj().T @ psi)).T
         # V V^dag psi0 is psi0 only to roundoff, and a roundoff amplitude
         # would read as a detection on the vacuum
         columns[:, 0] = psi
         diagnostics = {"path": "sector-eigh", "rhs_evals": 0}
     else:
-        parts = [h_static, *(matrix(terms) for terms in groups.values())]
         envelopes = list(groups)
         half = _half_steps(parts, envelopes, t_grid)
         if sparse:
@@ -532,9 +552,6 @@ def evolve(h: HamiltonianSpec,
             most = int(2 * half.max(initial=1))
         else:
             parts = np.array(parts)
-            # real symmetric parts keep the polynomial's words real
-            if not parts.imag.any():
-                parts = parts.real
             # a chunk's stack of exponentials holds 2^12 complex entries,
             # and the route holds that stack and its tree's levels; twice
             # the size gave no clear gain in the benchmark's dce-rabi run_s
@@ -550,11 +567,11 @@ def evolve(h: HamiltonianSpec,
         diagnostics = {"path": path,
                        "exponentials": 2 * int(sum(m.sum() for m in counts)),
                        "error_estimate": float(distance.max()) / 15}
-    recorded = {}
+    recorded, rows = {}, _column_rows(columns)
     for name, op in observables.items():
         terms = [op] if isinstance(op, LadderMonomial) else op
         recorded[name] = np.sum([
-            _expect_columns(t.factors, layout, basis, columns, t.coefficient)
+            _expect_rows(t.factors, layout, basis, rows, t.coefficient)
             for t in terms], axis=0)
     # np.linalg.norm's sum of squares, Re.Re + Im.Im, for every column in
     # one stacked product on C-contiguous rows, which keeps its bits

@@ -236,21 +236,37 @@ def _expect_columns(factors, layout: RegisterLayout, basis: np.ndarray,
                     columns: np.ndarray,
                     coefficient: complex = 1.0) -> np.ndarray:
     """``expect_monomial`` of each state given as a column of amplitudes
-    on the basis states (sorted flat indices), from one ``_on_basis``
-    call: an array over the columns. A column sums in its order over its
-    nonzero amplitudes only; summing its zeros too would move the bits.
-    The columns are taken as C-contiguous rows, and every column sums in
-    one stacked product, which has vdot's bits on such rows (on strided
-    ones it does not); a column with a zero among the amplitudes the
+    on the basis states (sorted flat indices): ``_expect_rows`` on the
+    columns' row table."""
+    return _expect_rows(factors, layout, basis, _column_rows(columns),
+                        coefficient)
+
+
+def _column_rows(columns: np.ndarray) -> np.ndarray:
+    """The columns as C-contiguous rows, each with one zero amplitude past
+    its end, which a monomial's target outside the basis reads: the
+    table ``_expect_rows`` takes, built once per trajectory."""
+    states = np.zeros((columns.shape[1], len(columns) + 1), dtype=complex)
+    states[:, :-1] = columns.T
+    return states
+
+
+def _expect_rows(factors, layout: RegisterLayout, basis: np.ndarray,
+                 states: np.ndarray,
+                 coefficient: complex = 1.0) -> np.ndarray:
+    """``expect_monomial`` of each state of a ``_column_rows`` table,
+    from one ``_on_basis`` call: an array over the states. A state sums
+    in its order over its nonzero amplitudes only; summing its zeros too
+    would move the bits. Every state sums in one stacked product on the
+    C-contiguous rows, which has vdot's bits on such rows (on strided
+    ones it does not); a state with a zero among the amplitudes the
     monomial reads sums again by its own vdot over its nonzero ones. The
-    coefficient multiplies each column's sum as a Python complex, whose
+    coefficient multiplies each state's sum as a Python complex, whose
     product keeps the bits an array product would not."""
     flat, amp, cols = _on_basis(factors, layout, basis)
     rows = basis.searchsorted(flat)
     # a target outside the basis reads the zero amplitude past its end
     rows[basis.searchsorted(flat, "right") == rows] = len(basis)
-    states = np.zeros((columns.shape[1], len(basis) + 1), dtype=complex)
-    states[:, :-1] = columns.T
     target, source = states.take(rows, axis=1), states.take(cols, axis=1)
     sums = (target.conj()[:, None, :] @ (amp * source)[:, :, None])[:, 0, 0]
     for k in np.flatnonzero(~source.all(axis=1)):

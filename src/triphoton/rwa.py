@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,6 +64,12 @@ _CONJUGATE_KIND = {
     NUMBER: NUMBER,
     PAULI_Z: PAULI_Z,
 }
+
+
+def _by_subsystem(factors) -> tuple:
+    """Factors sorted by subsystem; the stable sort keeps the relative
+    order of same-subsystem factors."""
+    return tuple(sorted(factors, key=itemgetter(0)))
 
 
 @dataclass(frozen=True)
@@ -107,9 +114,7 @@ class LadderMonomial:
         Factors on distinct subsystems commute, so they are sorted by
         subsystem; the relative order of same-subsystem factors is kept.
         """
-        order = sorted(range(len(self.factors)),
-                       key=lambda j: (self.factors[j][0], j))
-        return tuple(self.factors[j] for j in order), self.drive_sign
+        return _by_subsystem(self.factors), self.drive_sign
 
 
 @dataclass
@@ -444,15 +449,27 @@ def driven_cavity_terms(table: CouplingTable,
 
 def hermitian_closure_holds(terms: Sequence[LadderMonomial]) -> bool:
     """True when the term list is its own Hermitian conjugate as a sum,
-    each coefficient to 1e-12 relative (absolute below magnitude 1)."""
-    merged = combine_like_terms(terms)
-    conjugated = combine_like_terms(t.conjugate() for t in merged)
-    lookup = {t.operator_key(): t.coefficient for t in conjugated}
-    if len(lookup) != len(merged):
-        return False
-    for t in merged:
-        other = lookup.get(t.operator_key())
-        if other is None or abs(other - t.coefficient) > 1e-12 * max(
-                1.0, abs(t.coefficient)):
+    each coefficient to 1e-12 relative (absolute below magnitude 1).
+
+    Terms are summed by ``operator_key`` and exact zeros dropped, as
+    ``combine_like_terms`` does, and a key's conjugate, the operator
+    key of the conjugated monomial, comes from the key itself: each
+    subsystem's factors reversed with their kinds swapped, and the drive
+    branch flipped. A sum that overflows raises ``ValueError``, as the
+    merged monomial would."""
+    merged: dict[tuple, complex] = {}
+    for t in terms:
+        key = t.operator_key()
+        merged[key] = merged[key] + t.coefficient if key in merged \
+            else t.coefficient
+    if not all(map(cmath.isfinite, merged.values())):
+        raise ValueError("coefficient must be finite")
+    merged = {key: c for key, c in merged.items() if c != 0}
+    for (factors, drive_sign), c in merged.items():
+        other = merged.get((_by_subsystem(
+            (i, _CONJUGATE_KIND[k]) for i, k in reversed(factors)),
+            -drive_sign))
+        if other is None or abs(complex(other).conjugate() - c) > 1e-12 * max(
+                1.0, abs(c)):
             return False
     return True

@@ -54,9 +54,10 @@ from .dynamics import (
 from .errors import PumpMismatchError
 from .hilbert import (
     RegisterLayout,
+    _column_rows,
     _covariance,
     _entropies,
-    _expect_columns,
+    _expect_rows,
     _purities,
     _reduce_columns,
     fock_state,
@@ -75,6 +76,7 @@ from .rwa import (
     rwa_reduce,
 )
 from .witnesses import (
+    _blocks,
     _dv_report,
     _mode_reports,
     _negativities,
@@ -318,9 +320,9 @@ def _evolve_spdc(config: ScenarioConfig) -> tuple[Trajectory, dict]:
 def _column_moments(traj: Trajectory):
     """``expect(factors)``: a monomial's moments over the grid, an array
     with one entry per grid point. Each monomial is applied once, to
-    every column of the trajectory."""
-    return cache(partial(_expect_columns, layout=traj.layout,
-                         basis=traj.basis, columns=traj.columns))
+    every column of the trajectory, through one row table."""
+    return cache(partial(_expect_rows, layout=traj.layout, basis=traj.basis,
+                         states=_column_rows(traj.columns)))
 
 
 def _analyze_spdc(config: ScenarioConfig, traj: Trajectory,
@@ -336,7 +338,7 @@ def _analyze_spdc(config: ScenarioConfig, traj: Trajectory,
     covs = _covariance(expect, modes)
     vlf = _vlf_report(covs)
     verdicts = vlf.components["verdict"]
-    blocks = np.abs(np.stack([covs[:, :3, :3], covs[:, 3:, 3:]], axis=1))
+    blocks = np.abs(_blocks(covs))
     series = {f"i{p}": reports[f"hz_i{p}"].value for p in (1, 2, 3)}
     series["g1"] = reports["genuine_sum"].value
     series["g2"] = reports["genuine_max"].value

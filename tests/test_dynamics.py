@@ -666,6 +666,70 @@ def kicked_mode(coefficient):
                            [(kick, env), (kick.conjugate(), env)])
 
 
+class TestRealArithmetic:
+    """Dense sector matrices with no imaginary entry are held real: the
+    exact path diagonalizes H with the real symmetric solver and the
+    dense Magnus route builds its polynomial from the real parts. Any
+    imaginary entry keeps complex arithmetic. The real exact path meets
+    the full-register oracle in ``TestSectorPath`` on ``hybrid-4``; at
+    cutoff 6 the oracle's 2,744-state complex eigendecomposition would
+    dominate the suite, so the columns there are checked against the
+    complex eigendecomposition of the same sector matrix."""
+
+    CASES = {
+        "hybrid-4": (spec_of(hybrid_interaction(1.0, 10.0)),
+                     hybrid_layout(4), "sector-eigh", float),
+        "22spdc": (spec_of(pair_interaction(1.0)), RegisterLayout.bosons(3, 4),
+                   "sector-eigh", complex),
+        # complex coefficients whose imaginary parts cancel entry by entry
+        "cancelling": (spec_of([mono([(0, NUMBER)], 1.0 + 0.5j),
+                                mono([(0, NUMBER)], -0.5j),
+                                mono([(0, CREATE)], 0.2),
+                                mono([(0, ANNIHILATE)], 0.2)]),
+                       RegisterLayout.bosons(1, 5), "sector-eigh", float),
+        "real-kick": (kicked_mode(0.3), RegisterLayout.bosons(1, 9),
+                      "magnus-dense", float),
+        "imaginary-kick": (kicked_mode(0.3j), RegisterLayout.bosons(1, 9),
+                           "magnus-dense", complex),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matrices_are_real_exactly_without_imaginary_entries(
+            self, monkeypatch, name):
+        spec, layout, path, dtype = self.CASES[name]
+        seen = []
+        eigh, polynomial = np.linalg.eigh, dynamics._drive_polynomial
+
+        def eigh_spy(a):
+            seen.append(a.dtype)
+            return eigh(a)
+
+        def polynomial_spy(parts):
+            seen.append(parts.dtype)
+            return polynomial(parts)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+        monkeypatch.setattr(dynamics, "_drive_polynomial", polynomial_spy)
+        traj = evolve(spec, fock_state(layout, (0,) * layout.n_subsystems),
+                      np.linspace(0.0, 1.0, 5))
+        assert traj.diagnostics["path"] == path
+        assert seen == [np.dtype(dtype)]
+        assert traj.columns.dtype == complex
+
+    def test_real_eigh_matches_the_complex_eigendecomposition(self):
+        layout, terms = hybrid_layout(6), hybrid_interaction(1.0, 10.0)
+        psi0 = fock_state(layout, (0,) * 6)
+        grid = np.linspace(0.0, 0.5, 11)
+        traj = evolve(spec_of(terms), psi0, grid)
+        assert traj.diagnostics["path"] == "sector-eigh"
+        h = _basis_matrix(terms, layout, traj.basis)
+        assert h.dtype == complex and not h.imag.any()
+        w, v = np.linalg.eigh(h)
+        psi = psi0.data[traj.basis]
+        columns = v @ (np.exp(-1j * np.outer(grid, w)) * (v.conj().T @ psi)).T
+        assert np.abs(traj.columns - columns).max() <= 1e-13
+
+
 class TestDrivePolynomial:
     """The one-group route: its exponentials against eigendecompositions,
     its states against the Taylor route's on the same substeps, the

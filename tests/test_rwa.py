@@ -337,6 +337,98 @@ def test_conjugation_is_involutive(term):
     assert twice.coefficient == term.coefficient
 
 
+def _closure_by_monomials(terms):
+    """The Hermiticity rule as first written: merge like terms, conjugate
+    the merged monomials, merge again and compare by operator key."""
+    merged = combine_like_terms(terms)
+    conjugated = combine_like_terms(t.conjugate() for t in merged)
+    lookup = {t.operator_key(): t.coefficient for t in conjugated}
+    if len(lookup) != len(merged):
+        return False
+    for t in merged:
+        other = lookup.get(t.operator_key())
+        if other is None or abs(other - t.coefficient) > 1e-12 * max(
+                1.0, abs(t.coefficient)):
+            return False
+    return True
+
+
+# every kind on two subsystems, so same-subsystem factor orders recur
+_any_factor = st.tuples(st.integers(min_value=0, max_value=1),
+                        st.sampled_from([CREATE, ANNIHILATE, NUMBER,
+                                         PAULI_PLUS, PAULI_MINUS, PAULI_Z]))
+_any_term = st.builds(
+    lambda f, c, d: LadderMonomial(tuple(f), c, d),
+    st.lists(_any_factor, min_size=1, max_size=4),
+    st.one_of(_coeff, st.sampled_from([1.0, -2.0, 0.5j, 3.0 + 4.0j])),
+    st.sampled_from([-1, 0, 1]),
+)
+# offsets of a conjugate partner's coefficient, in units of
+# max(1, |coefficient|): on both sides of the 1e-12 relative edge
+_offset = st.sampled_from([0.0, 0.0, 5e-13, 1e-12, 1.5e-12, 1e-6])
+
+
+def _subsystem_order(term, sign=1.0):
+    """term written with its factors sorted by subsystem, same-subsystem
+    order kept: the same operator."""
+    return LadderMonomial(tuple(sorted(term.factors, key=lambda f: f[0])),
+                          sign * term.coefficient, term.drive_sign)
+
+
+@st.composite
+def _near_closed_lists(draw):
+    terms = []
+    for t in draw(st.lists(_any_term, max_size=5)):
+        group = [draw(st.sampled_from([t, _subsystem_order(t)]))]
+        if draw(st.integers(0, 3)):
+            # three times in four a conjugate partner, possibly off by an
+            # offset
+            c = t.conjugate()
+            shift = draw(_offset) * max(1.0, abs(t.coefficient)) * draw(
+                st.sampled_from([1, -1, 1j]))
+            group.append(LadderMonomial(c.factors, c.coefficient + shift,
+                                        c.drive_sign))
+        if not draw(st.integers(0, 3)):
+            # exact cancelling copies of the group's first terms
+            group += [_subsystem_order(g, -1.0)
+                      for g in group[:draw(st.integers(1, len(group)))]]
+        if not draw(st.integers(0, 3)):
+            # same-subsystem factors reversed: another operator, maybe
+            # with its partner
+            r = LadderMonomial(tuple(reversed(t.factors)), t.coefficient,
+                               t.drive_sign)
+            group += [r, r.conjugate()][:draw(st.integers(1, 2))]
+        terms += group
+    return draw(st.permutations(terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_closed_lists())
+def test_closure_matches_the_merged_monomial_rule(terms):
+    assert hermitian_closure_holds(terms) == _closure_by_monomials(terms)
+
+
+@pytest.mark.parametrize("offset, holds", [
+    (0.0, True), (0.9e-12, True), (1.1e-12, False)])
+@pytest.mark.parametrize("coefficient", [0.5j, 3.0 - 4.0j])
+def test_closure_relative_edge(coefficient, offset, holds):
+    up = mono([(0, CREATE), (1, PAULI_MINUS)], coefficient, drive=+1)
+    down = up.conjugate()
+    scale = max(1.0, abs(coefficient))
+    terms = [up, LadderMonomial(down.factors,
+                                down.coefficient + offset * scale,
+                                down.drive_sign)]
+    assert hermitian_closure_holds(terms) is holds
+    assert _closure_by_monomials(terms) is holds
+
+
+def test_closure_overflow_raises_like_the_merged_monomial():
+    terms = [mono([(0, NUMBER)], 1e308), mono([(0, NUMBER)], 1e308)]
+    for rule in (hermitian_closure_holds, _closure_by_monomials):
+        with pytest.raises(ValueError, match="finite"):
+            rule(terms)
+
+
 def test_combine_merges_orderings():
     terms = [
         mono([(0, CREATE), (1, CREATE)], 1.0),
