@@ -356,11 +356,13 @@ def _analyze_spdc(config: ScenarioConfig, traj: Trajectory,
     }
     summary["s_certified_points"] = verdicts.count("certified")
     summary["s_undecided_points"] = verdicts.count("undecided")
-    summary["s_objective_evals"] = sum(vlf.components["objective_evals"])
+    summary["s_ipm_iterations"] = sum(vlf.components["ipm_iterations"])
     summary["norm_drift"] = _norm_drift(traj)
     summary.update(details)
     if config.name == "3spdc":
         summary["cov_cross_max"] = float(series["cov_cross_max"].max())
+    summary["diagnostics"] = {"s_gap_max": float(
+        np.max(vlf.components["s_upper"] - series["s_opt"]))}
     return ScenarioResult(config, traj, series, summary)
 
 
@@ -547,8 +549,12 @@ def sweep_observables(config: ScenarioConfig, cutoff: int) -> dict:
     Witness series are not evaluated.
     """
     evolve_step, _ = _STEPS[config.name]
-    traj, _ = evolve_step(replace(config, cutoff=cutoff,
-                                  n_steps=min(config.n_steps, 41)))
+    return _gated(evolve_step(replace(config, cutoff=cutoff,
+                                      n_steps=min(config.n_steps, 41)))[0])
+
+
+def _gated(traj: Trajectory) -> dict:
+    """A trajectory's recorded observables except ``norm``."""
     return {k: v for k, v in traj.observables.items() if k != "norm"}
 
 
@@ -561,14 +567,19 @@ def convergence_gate(config: ScenarioConfig, cutoffs=None):
 
 def run_scenario(config: ScenarioConfig,
                  check_convergence: bool = False) -> ScenarioResult:
-    """Run a scenario's evolution step, then its analysis step, and copy
-    the evolution's diagnostics into the summary; optionally gate on the
-    cutoff sweep and record the verdict in the summary."""
+    """Run a scenario's evolution step, then its analysis step, and put
+    the evolution's diagnostics ahead of the analysis's in the summary;
+    optionally gate the run's observables on one more evolution, at the
+    cutoff + 2 on its grid, and record the verdict in the summary."""
     evolve_step, analyze = _STEPS[config.name]
     result = analyze(config, *evolve_step(config))
-    result.summary["diagnostics"] = dict(result.trajectory.diagnostics)
+    analysis = result.summary.pop("diagnostics", {})
+    result.summary["diagnostics"] = result.trajectory.diagnostics | analysis
     if check_convergence:
-        report = convergence_gate(config)
+        cutoff = config.effective_cutoff
+        runs = {cutoff: result.trajectory, cutoff + 2: evolve_step(
+            replace(config, cutoff=cutoff + 2))[0]}
+        report = cutoff_sweep(lambda c: _gated(runs[c]), list(runs))
         result.summary["converged"] = report.converged
         result.summary["convergence_final_change"] = {
             k: float(v) for k, v in report.final_change.items()}

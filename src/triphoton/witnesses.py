@@ -34,10 +34,10 @@ from .hilbert import (
 from .rwa import ANNIHILATE, CREATE, PAULI_MINUS, PAULI_PLUS
 
 
-_MAX_ITER = 300  # simplex iterations of the polish in optimize_vlf
-# exponentiated-gradient steps of its dual and their size, and the top
-# eigenvectors that start the polish
-_DUAL_STEPS, _DUAL_RATE, _STARTS = 10, 4.0, 4
+# steps and step size of optimize_vlf's dual stage; its semidefinite
+# stage's relative tolerance, step fraction and iteration cap (_vlf_sdp)
+_DUAL_STEPS, _DUAL_RATE = 10, 4.0
+_SDP_TOL, _SDP_TAU, _SDP_MAX_ITER = 1e-10, 0.98, 50
 
 
 @dataclass(frozen=True)
@@ -160,43 +160,45 @@ def vlf_witness(state: QuantumState, params: VlfParams,
 
 
 def optimize_vlf(state: QuantumState, modes=None) -> WitnessReport:
-    """Best covariance witness over the free weights, with a verdict.
+    """Best covariance witness over the free weights, with a bound and a
+    verdict.
 
-    Write x = (g, h) and C = diag(C_x, C_p) (S never reads C_xp). Each
-    bound term is a maximum over two signs, B_i = max over (s, t) of
-    x^T E_i x = s g_i h_i + t (g_j h_j + g_k h_k). So S(x) > 0 exactly
-    when, for one sign pattern (an (s, t) per i), the three forms
-    f_i = x^T (E_i - C) x are all positive at one x. Of the 64 patterns
-    32 suffice: h -> -h maps a pattern to its negation and leaves C.
-    ``_vlf_dual`` takes exponentiated-gradient steps on mu in the
-    simplex towards min over mu of lambda_max(sum_i mu_i E_i - C), all
-    patterns in one batched ``eigh``; the gradient is f_i at the top
-    unit eigenvector.
+    Write x = (g, h) in the box [-2, 2]^6 (S is homogeneous of degree 2)
+    and C = diag(C_x, C_p) (S never reads C_xp). Each bound term is a
+    maximum over two signs of x^T E_i x = s g_i h_i + t (g_j h_j +
+    g_k h_k), so S is the largest, over sign patterns, of min_i x^T A_i x
+    with A_i = E_i - C; h -> -h pairs the 64 patterns, so 32 are solved.
+    For mu in the simplex and d >= 0 with diag(d) >= sum_i mu_i A_i,
+    min_i x^T A_i x <= 4 sum d on the box.
 
-    "certified": every pattern reached lambda_max <= 0 at some mu. By
-    weak duality that mu is the proof: sum_i mu_i f_i <= 0 everywhere,
-    so some f_i <= 0, S <= 0, and the maximum is exactly 0 at g = h = 0.
-    The first step takes mu uniform; the older block test
-    ([[C_x, -D/2], [-D/2, C_p]] >= 0 for all 8 sign matrices D) makes
-    every mu a proof, since sum_i mu_i E_i - C is then a convex
-    combination of their negatives. The x-p entries, sums of mu_i times
-    signs, are clipped to [-1, 1], so that the rounding of sum mu_i = 1
-    cannot lift the vacuum's zero eigenvalue above 0.
+    ``_vlf_dual`` steps mu towards min lambda_max(sum_i mu_i A_i) for
+    all patterns in one batched ``eigh``: with d = lambda_max a
+    pattern's bound is 24 lambda_max, and at lambda_max <= 0 its
+    maximum is exactly 0, at g = h = 0 (certified). The x-p entries are
+    clipped to [-1, 1] so that rounding cannot lift the vacuum's zero
+    eigenvalue above 0. ``_vlf_sdp`` takes each pattern whose bound lies
+    above the best S its point attained to the Shor relaxation
+    max t: tr(A_i X) >= t, X_ll <= 4, X >= 0, and its dual min 4 sum d
+    (Vandenberghe & Boyd, SIAM Review 38, 49 (1996)). Both stages score
+    S at top eigenvectors (of sum_i mu_i A_i, of X) scaled into the box.
+    Where the optimal X has rank 1, bound and attained S meet. That is
+    observed, not assumed: they agree to 2e-10 on the shipped 22spdc
+    grid and to 1e-9 on random Gaussian states; on covariances that
+    violate the uncertainty relation the gap can stay open.
 
-    Otherwise the top eigenvectors with the largest S(x)/|x|^2, scaled
-    into the box [-2, 2]^6, start one batched simplex polish
-    (``_vlf_polish``); S is homogeneous of degree 2, so the box fixes the
-    scale. "detected": a polished S beats its rounding error, 16 eps
-    times the magnitudes it is summed from; (g, h) is the witness point.
-    "undecided": none does, and the value is the origin's exact 0.
-    Nothing is random. The covariance is exact at the Fock cutoff, so
-    top-level population cannot fire the witness on a product state.
-    Components: the covariance blocks, the ``verdict`` and
-    ``objective_evals``, the polish's evaluations (0 when certified).
-
+    The value is the best S attained, the origin's 0 included; its
+    (g, h) reproduce it through ``vlf_value``. ``s_upper`` is the largest
+    bound over the patterns, each d raised by any negative eigenvalue of
+    diag(d) - sum_i mu_i A_i (``eigvalsh``) plus 16 eps times the largest
+    magnitude. With S's rounding error at x as 16 eps (sum |g_l h_l| +
+    |g|^T |C_x| |g| + |h|^T |C_p| |h|), the verdict is "detected" when
+    the value beats it; else "certified" when the dual stage certifies
+    every pattern or s_upper is within it at the box's corner |x| = 2;
+    else "undecided" (the gap straddles the bound), with the origin's
+    exact 0. Nothing is random. Components: the covariance blocks,
+    ``verdict``, ``s_upper`` and ``ipm_iterations`` (over the patterns).
     This is the one-point case of ``_vlf_report``, which the scenario
-    analyses run once per run over the whole grid, with the same bits
-    for every point.
+    analyses run once over the whole grid, with the same bits per point.
     """
     modes = _three_sites(state, modes, BOSON)
     return _vlf_report(covariance_matrix(state, modes))
@@ -204,28 +206,36 @@ def optimize_vlf(state: QuantumState, modes=None) -> WitnessReport:
 
 def _vlf_report(cov: np.ndarray) -> WitnessReport:
     """``optimize_vlf`` on the 6x6 covariance of its three modes, or on
-    each covariance of a stack (n, 6, 6) in one search: one dual over
-    every sign pattern of every point and one simplex over the starts of
-    every point the dual leaves open. Floats, a verdict and an
-    evaluation count for one covariance; over a stack, arrays of values
-    and weights and lists of verdicts and counts."""
+    each of a stack (n, 6, 6) in one dual stage and one interior point
+    over every (point, pattern) pair the dual stage leaves open: floats
+    for one covariance, arrays and lists over a stack."""
     shape = cov.shape[:-2]
     covs = cov.reshape(-1, 6, 6)
-    starts = _vlf_dual(cov).reshape(-1, _STARTS, 6)
-    open_ = ~np.isnan(starts[:, 0, 0])
-    best, x = np.zeros(len(covs)), np.zeros((len(covs), 6))
-    evals = np.zeros(len(covs), dtype=int)
-    if open_.any():
-        best[open_], x[open_], evals[open_] = _vlf_polish(covs[open_],
-                                                          starts[open_])
-    verdict = _VERDICTS[open_ * (1 + (best > 0.0))]
-    x = x.reshape(shape + (6,)).T
-    params = VlfParams(g=tuple(x[:3]), h=tuple(x[3:]))
-    return _report("vlf_s_opt", best.reshape(shape),
+    n = len(covs)
+    blocks = _blocks(covs)
+    lam, best, x = _vlf_dual(covs)
+    # lam <= 0 lies below best >= 0, so certified patterns never pair
+    point, pattern = np.nonzero(24.0 * lam > best[:, None])
+    s, xs, _, d, iterations = _vlf_sdp(covs[point], pattern, point, best)
+    bound = 24.0 * lam.clip(0.0)
+    bound[point, pattern] = 4.0 * d.sum(axis=1)
+    upper = bound.max(axis=1)
+    value, x = _best_per_point(np.concatenate([np.arange(n), point]),
+                               np.concatenate([best, s]),
+                               np.concatenate([x, xs]), n)
+    detected = value > _rounding(blocks, x)
+    certified = (lam <= 0.0).all(axis=1) | \
+        (upper <= _rounding(blocks, np.full((n, 6), 2.0)))
+    verdict = _VERDICTS[np.where(detected, 2, ~certified)]
+    value = np.where(detected, value, 0.0)
+    x = np.where(detected[:, None], x, 0.0).reshape(shape + (6,)).T
+    iterations = np.bincount(point, iterations, n).astype(int)
+    return _report("vlf_s_opt", value.reshape(shape),
                    {"cov_x": cov[..., :3, :3], "cov_p": cov[..., 3:, 3:],
                     "verdict": verdict.reshape(shape).tolist(),
-                    "objective_evals": evals.reshape(shape).tolist()},
-                   parameters=params)
+                    "s_upper": upper.reshape(shape)[()],
+                    "ipm_iterations": iterations.reshape(shape).tolist()},
+                   parameters=VlfParams(g=tuple(x[:3]), h=tuple(x[3:])))
 
 
 _VERDICTS = np.array(["certified", "undecided", "detected"])
@@ -238,233 +248,210 @@ _PATTERNS = np.array([
     for t in product((1.0, -1.0), repeat=3)])
 
 
-def _vlf_dual(cov: np.ndarray) -> np.ndarray:
-    """Dual of ``optimize_vlf`` on each 6x6 covariance of a stack
-    (..., 6, 6): the polish's starting points, shape (..., _STARTS, 6),
-    NaN where every sign pattern is certified.
+def _box(v: np.ndarray) -> np.ndarray:
+    """Each row of v scaled onto the boundary of the box [-2, 2]^6."""
+    return 2.0 * v / np.abs(v).max(axis=-1, keepdims=True)
 
-    Every pattern of every covariance steps in one batched ``eigh``; a
-    pattern drops out once certified, so later steps take only the live
-    ones. The starts of a covariance are its live patterns' top
-    eigenvectors of every step with the largest S, ties in step and
-    pattern order."""
-    covs = cov.reshape(-1, 6, 6)
-    n, p, k = len(covs), len(_PATTERNS), np.arange(3)
-    owner = np.arange(n).repeat(p)
-    patterns = _PATTERNS[np.arange(n * p) % p]
+
+def _best_per_point(owner, s, x, n):
+    """Per point 0..n-1 the first largest value s of its candidate weights
+    x (owner: the point of each), and those weights; else the origin's 0."""
+    owner = np.concatenate([np.arange(n), owner])
+    s = np.concatenate([np.zeros(n), s])
+    x = np.concatenate([np.zeros((n, 6)), x])
+    order = np.lexsort((-s, owner))
+    first = order[np.searchsorted(owner[order], np.arange(n))]
+    return s[first], x[first]
+
+
+def _rounding(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rounding error of S at each row (g, h) of x, with blocks [C_x, C_p]
+    per row: 16 eps (sum |g_l h_l| + |g|^T |C_x| |g| + |h|^T |C_p| |h|)."""
+    a = np.abs(x)
+    qa = _forms(np.abs(blocks), a)
+    gh = (a[:, None, :3] @ a[:, 3:, None])[:, 0, 0]
+    return 16 * np.finfo(float).eps * (gh + qa[:, 0] + qa[:, 1])
+
+
+def _vlf_dual(cov: np.ndarray):
+    """Dual stage of ``optimize_vlf`` on a stack (n, 6, 6): per point and
+    sign pattern the smallest lambda_max seen, (n, 32), <= 0 where
+    certified; per point the best S at its top eigenvectors scaled into
+    the box, and those weights, as ``_best_per_point`` picks them. All
+    patterns step in one batched ``eigh``; certified ones drop out."""
+    n, p, k = len(cov), len(_PATTERNS), np.arange(3)
+    rows = np.arange(n * p)
+    patterns = _PATTERNS[rows % p]
     m = np.zeros((n, p, 6, 6))
-    m[:, :, :3, :3] = -covs[:, None, :3, :3]
-    m[:, :, 3:, 3:] = -covs[:, None, 3:, 3:]
+    m[:, :, :3, :3] = -cov[:, None, :3, :3]
+    m[:, :, 3:, 3:] = -cov[:, None, 3:, 3:]
     m = m.reshape(n * p, 6, 6)
     mu = np.full((n * p, 3), 1.0 / 3.0)
-    tops, top_owner = [], []
+    lam = np.full(n * p, np.inf)
+    tops, top_rows = [np.empty((0, 6))], [rows[:0]]
     for _ in range(_DUAL_STEPS):
         m[:, k, k + 3] = m[:, k + 3, k] = 0.5 * np.einsum(
             "pi,pil->pl", mu, patterns).clip(-1.0, 1.0)
         w, v = np.linalg.eigh(m)
+        lam[rows] = np.minimum(lam[rows], w[:, -1])
         live = w[:, -1] > 0.0
-        owner = owner[live]
-        if not owner.size:
+        rows = rows[live]
+        if not rows.size:
             break
         m, mu, patterns = m[live], mu[live], patterns[live]
         x = v[live, :, -1]
         tops.append(x)
-        top_owner.append(owner)
+        top_rows.append(rows)
         grad = np.einsum("pil,pl->pi", patterns, x[:, :3] * x[:, 3:])
         mu *= np.exp(-_DUAL_RATE * (grad - grad.min(1, keepdims=True)))
         mu /= mu.sum(axis=1, keepdims=True)
-    starts = np.full((n, _STARTS, 6), np.nan)
-    if owner.size:
-        # the points with a pattern live after the last step
-        points = np.flatnonzero(np.bincount(owner, minlength=n))
-        tops, top_owner = np.concatenate(tops), np.concatenate(top_owner)
-        order = np.lexsort((-_vlf_s(_blocks(covs)[top_owner], tops),
-                            top_owner))
-        first = np.searchsorted(top_owner[order], points)
-        best = tops[order[first[:, None] + np.arange(_STARTS)]]
-        starts[points] = 2.0 * best / np.abs(best).max(axis=-1,
-                                                        keepdims=True)
-    return starts.reshape(cov.shape[:-2] + (_STARTS, 6))
+    owner = np.concatenate(top_rows) // p
+    tops = _box(np.concatenate(tops))
+    best, x = _best_per_point(owner, _vlf_s(_blocks(cov)[owner], tops),
+                              tops, n)
+    return lam.reshape(n, p), best, x
 
 
-def _vlf_penalized(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """The search objective at each point of x, shape (m, 6), with blocks
-    [C_x, C_p] as in ``_vlf_s``: -S at the point clipped to the box
-    [-2, 2]^6, plus 100 times the squared distance to the box."""
-    xc = x.clip(-2.0, 2.0)
-    d = x - xc
-    return 100.0 * np.add.reduce(d * d, axis=1) - _vlf_s(blocks, xc)
+# _vlf_sdp in y = (mu_1, mu_2, d), mu_3 = 1 - mu_1 - mu_2: the slacks are
+# Z = diag(d) - sum_i mu_i A_i = C - E_3 - sum_k y_k F_k and z = (mu, d) =
+# _LP_C - y @ _LP_G, the objective y @ _LP_B = -4 sum d.
+_E = np.zeros((len(_PATTERNS), 3, 6, 6))
+_E[:, :, np.arange(3), np.arange(3, 6)] = 0.5 * _PATTERNS
+_E[:, :, np.arange(3, 6), np.arange(3)] = 0.5 * _PATTERNS
+_F = np.zeros((len(_PATTERNS), 8, 6, 6))
+_F[:, :2] = _E[:, :2] - _E[:, 2:]
+_F[:, np.arange(2, 8), np.arange(6), np.arange(6)] = -1.0
+_LP_G = np.zeros((8, 9))
+_LP_G[:2, :3] = [[-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]]
+_LP_G[2:, 3:] = -np.eye(6)
+_LP_C = np.array([0.0, 0.0, 1.0] + [0.0] * 6)
+_LP_B = np.array([0.0, 0.0] + [-4.0] * 6)
 
 
-def _vlf_objective(cov: np.ndarray):
-    """The search objective on one covariance, for points (m, 6)."""
-    return partial(_vlf_penalized, blocks=_blocks(cov))
+def _vlf_sdp(cov: np.ndarray, pattern: np.ndarray, owner: np.ndarray,
+             floor: np.ndarray):
+    """Semidefinite stage of ``optimize_vlf`` on (covariance, sign
+    pattern) pairs, (m, 6, 6) and (m,), in one batched primal-dual
+    interior point (HKM direction, Mehrotra predictor-corrector, steps
+    ``_SDP_TAU`` of the way to the boundary) from X = I and a
+    dual-feasible (mu, d). A pair leaves the batch once its bound 4 sum d
+    is within ``_SDP_TOL`` (1 + bound) of the best S its point (owner)
+    has attained (floor, per point), once an iterate leaves its cone's
+    interior in floating point, or after ``_SDP_MAX_ITER`` iterations.
+    Returns per pair the best S at the top eigenvectors of its X
+    iterates scaled into the box, and those weights; the certificate
+    (mu, d), diag(d) - sum_i mu_i A_i checked positive semidefinite by
+    ``eigvalsh``; and the iterations."""
+    m = len(cov)
+    F = _F[pattern].reshape(m, 8, 36)
+    a = _E[pattern] - (cov * np.kron(np.eye(2), np.ones((3, 3))))[:, None]
+    c0, blocks = -a[:, 2], _blocks(cov)
+    y = np.full((m, 8), 1.0 / 3.0)
+    y[:, 2:] = np.abs(a.mean(axis=1)).sum(axis=-1) + 1.0
+    # primal slacks x = (u, w): X = I, u = 1 (tr(A_i - A_3) = 0) and
+    # X_ll + w_l = 4 start feasible
+    X = np.broadcast_to(np.eye(6), (m, 6, 6))
+    x = np.tile([1.0, 1.0, 1.0] + [3.0] * 6, (m, 1))
+    floor = floor.copy()
+    best, best_x = np.full(m, -np.inf), np.zeros((m, 6))
+    s_out, x_out, y_out = np.empty(m), np.empty((m, 6)), np.empty((m, 8))
+    iterations = np.empty(m, dtype=int)
+    rows = np.arange(m)
+    for it in range(_SDP_MAX_ITER + 1):
+        z = _LP_C - y @ _LP_G
+        Z = c0 - (y[:, None] @ F).reshape(-1, 6, 6)
+        w, v = np.linalg.eigh(np.concatenate([X, Z]))
+        top = _box(v[:len(X), :, -1])
+        s = _vlf_s(blocks, top)
+        best_x = np.where((s > best)[:, None], top, best_x)
+        best = np.maximum(s, best)
+        np.maximum.at(floor, owner, best)
+        bound = -(y @ _LP_B)
+        done = ((bound - floor[owner] <= _SDP_TOL * (1.0 + np.abs(bound)))
+                | (w[:, 0].reshape(2, -1) <= 0.0).any(axis=0)
+                | (np.hstack([x, z]).min(axis=1) <= 0.0)
+                | (it == _SDP_MAX_ITER))
+        if done.any():
+            r = rows[done]
+            s_out[r], x_out[r], y_out[r] = best[done], best_x[done], y[done]
+            iterations[r] = it
+            keep = ~done
+            rows, owner, X, x, y, Z, z, F, c0, blocks, best, best_x = (
+                t[keep] for t in (rows, owner, X, x, y, Z, z, F, c0, blocks,
+                                  best, best_x))
+            keep = np.concatenate([keep, keep])
+            w, v = w[keep], v[keep]
+        b = len(rows)
+        if not b:
+            break
+        gap = np.einsum("bij,bij->b", X, Z) + np.einsum("bj,bj->b", x, z)
+        # X^(-1/2) and Z^(-1/2) up to rotation, and Z^-1
+        root = v.swapaxes(-1, -2) / np.sqrt(w)[..., None]
+        zi = root[b:].swapaxes(-1, -2) @ root[b:]
+        # Schur complement: tr(F_k X F_l Z^-1) plus the linear part
+        schur = F @ (X[:, None] @ F.reshape(b, 8, 6, 6)
+                     @ zi[:, None]).reshape(b, 8, 36).swapaxes(-1, -2)
+        schur += (_LP_G * (x / z)[:, None]) @ _LP_G.T
+        schur[:, np.arange(8), np.arange(8)] += np.finfo(float).eps * \
+            np.trace(schur, axis1=1, axis2=2)[:, None]
+        inv = np.linalg.inv(schur)
+        step = (X, x, z, zi, F, inv)
+        dX, dx, dy, dZ, dz = _hkm_direction(*step, np.zeros(b))
+        ap, ad = _max_steps(root, x, z, dX, dx, dZ, dz)
+        # Mehrotra: centring from the predictor's gap, its second-order term
+        ahead = np.einsum("bij,bij->b", X + ap[:, None, None] * dX,
+                          Z + ad[:, None, None] * dZ) + \
+            np.einsum("bj,bj->b", x + ap[:, None] * dx, z + ad[:, None] * dz)
+        dX, dx, dy, dZ, dz = _hkm_direction(
+            *step, (ahead / gap) ** 3 * gap / 15.0, dX @ dZ @ zi,
+            dx * dz / z)
+        ap, ad = _max_steps(root, x, z, dX, dx, dZ, dz)
+        X = X + ap[:, None, None] * dX
+        x = x + ap[:, None] * dx
+        y = y + ad[:, None] * dy
+    # (mu, d) in the nonnegative orthant, then diag(d) - sum_i mu_i A_i
+    # made positive semidefinite with a margin for eigvalsh's rounding
+    z = (_LP_C - y_out @ _LP_G).clip(0.0)
+    mu, d = z[:, :3], z[:, 3:]
+    e = np.linalg.eigvalsh(d[:, :, None] * np.eye(6)
+                           - np.einsum("bi,bijk->bjk", mu, a))
+    d = d + (np.maximum(-e[:, 0], 0.0)
+             + 16 * np.finfo(float).eps * np.abs(e).max(axis=1))[:, None]
+    return s_out, x_out, mu, d, iterations
 
 
-def _vlf_polish(cov: np.ndarray, x0: np.ndarray):
-    """Polish of ``optimize_vlf`` on each 6x6 covariance of a stack
-    (..., 6, 6) from its rows of x0, shape (..., m, 6), in one batched
-    simplex: the best S, its weights (g, h) and the objective
-    evaluations, shapes (...), (..., 6) and (...). Each end point is
-    clipped to the box and scored there, and counts only above 16 eps
-    (sum |g_l h_l| + |g|^T |C_x| |g| + |h|^T |C_p| |h|), the rounding
-    error of S; else the origin's exact 0 stands. Of the end points that
-    count, the first with the largest S wins."""
-    shape, m = cov.shape[:-2], x0.shape[-2]
-    # every start's own blocks; the simplex keeps the live rows' entries
-    blocks = _blocks(cov.reshape(-1, 6, 6)).repeat(m, axis=0)
-    x, _, nfev, _ = _nelder_mead(_vlf_penalized, x0.reshape(-1, 6),
-                                 _MAX_ITER, xatol=1e-10, fatol=1e-10,
-                                 args=(blocks,))
-    x = x.clip(-2.0, 2.0)
-    a = np.abs(x)
-    qa = _forms(np.abs(blocks), a)
-    gh = (a[:, None, :3] @ a[:, 3:, None])[:, 0, 0]
-    rounding = 16 * np.finfo(float).eps * (gh + qa[:, 0] + qa[:, 1])
-    values = _vlf_s(blocks, x).reshape(-1, m)
-    counts = values > rounding.reshape(-1, m)  # rounding >= 0
-    first = np.where(counts, values, -np.inf).argmax(axis=1)
-    each = np.arange(len(values))
-    found = counts.any(axis=1)
-    best = np.where(found, values[each, first], 0.0)
-    best_x = np.where(found[:, None], x.reshape(-1, m, 6)[each, first], 0.0)
-    return (best.reshape(shape)[()], best_x.reshape(shape + (6,)),
-            nfev.reshape(-1, m).sum(axis=1).reshape(shape)[()])
+def _hkm_direction(X, x, z, zi, F, inv, target, corr_X=0.0, corr_x=0.0):
+    """HKM direction (dX, dx, dy, dZ, dz) of ``_vlf_sdp`` towards
+    X Z = target I and x z = target, less the corrector terms, with inv
+    the inverse Schur complement: dX = target Z^-1 - corr_X - X - X dZ
+    Z^-1, symmetrized, and likewise for the linear part."""
+    q_X = target[:, None, None] * zi - corr_X
+    q_x = target[:, None] / z - corr_x
+    rhs = _LP_B - (F @ q_X.reshape(-1, 36, 1))[..., 0] - q_x @ _LP_G.T
+    dy = (inv @ rhs[..., None])[..., 0]
+    dZ = -(dy[:, None] @ F).reshape(-1, 6, 6)
+    dz = -dy @ _LP_G
+    # one step of iterative refinement against the Schur complement's own
+    # action, which the inverse misses by its condition number times eps
+    residual = rhs + (F @ (X @ dZ @ zi).reshape(-1, 36, 1))[..., 0] \
+        + (x * dz / z) @ _LP_G.T
+    dy = dy + (inv @ residual[..., None])[..., 0]
+    dZ = -(dy[:, None] @ F).reshape(-1, 6, 6)
+    dz = -dy @ _LP_G
+    dX = q_X - X - X @ dZ @ zi
+    dX = 0.5 * (dX + dX.swapaxes(-1, -2))
+    return dX, q_x - x - x * dz / z, dy, dZ, dz
 
 
-# Trial points of a Nelder-Mead step, a xbar - b worst: reflection,
-# expansion, outside and inside contraction, with scipy's rho = 1,
-# chi = 2, psi = 1/2. The inside point (1 - psi) xbar + psi worst is
-# written with b = -psi, which gives the same bits.
-_TRIAL_A = np.array([2.0, 3.0, 1.5, 0.5])[:, None]
-_TRIAL_B = np.array([1.0, 2.0, 0.5, -0.5])[:, None]
-_SHRINK = 0.5
-
-
-def _step_tables():
-    """scipy's choice after a step, per code of its six comparisons (bit
-    b set when comparison b of ``_nelder_mead`` holds): the trial point
-    kept (0 reflection, 1 expansion, 2 outside, 3 inside contraction),
-    whether the simplex shrinks, and whether a second trial point was
-    evaluated."""
-    pick, shrink, evals = [], [], []
-    for code in range(64):
-        (beats_best, beats_second, beats_worst, expansion_better,
-         outside_worse, inside_better) = (code >> b & 1 for b in range(6))
-        contract = not (beats_best or beats_second)
-        outside = contract and beats_worst
-        inside = contract and not beats_worst
-        pick.append(1 if beats_best and expansion_better else
-                    2 if outside else 3 if inside else 0)
-        shrink.append(outside and outside_worse
-                      or inside and not inside_better)
-        evals.append(int(beats_best or contract))
-    return np.array(pick), np.array(shrink, dtype=bool), np.array(evals)
-
-
-_STEP_PICK, _STEP_SHRINK, _STEP_EVALS = _step_tables()
-
-
-def _nelder_mead(f, x0: np.ndarray, max_iter: int, xatol: float,
-                 fatol: float, args=()):
-    """Minimize f from every row of x0, shape (m, n), at once.
-
-    Each row follows scipy's non-adaptive ``_minimize_neldermead`` with
-    ``maxiter=max_iter`` step for step: the same initial simplex, trial
-    point, shrink and sort arithmetic, so it ends on the same bits, and
-    counts the same evaluations, as its own
-    ``minimize(method="Nelder-Mead")`` call. ``f(x, *args)`` maps points
-    x, shape (k, n), to values (k,) and must treat points independently;
-    each of ``args`` has one entry per row of x0, and f gets each point's
-    row entry (gathered when the live rows change, not per call). Each
-    step evaluates all four trial points of every live row in one call
-    (a row counts only those scipy would have evaluated). A row stops,
-    and stays frozen, once its vertices are within ``xatol`` and its
-    values within ``fatol`` of the best vertex, or after ``max_iter``
-    iterations (counted from 1, as scipy does).
-
-    Returns per row the best vertex, its value, the evaluations of f and
-    the iterations (scipy's x, fun, nfev, nit).
-    """
-    m, n = x0.shape
-    # per row the n + 1 vertices, sorted by value, then the four trial
-    # points of a step; column n holds each point's value
-    pts = np.empty((m, n + 5, n + 1))
-    pts[:, :n + 1, :n] = x0[:, None]
-    k = np.arange(n)
-    pts[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    pts[:, :n + 1, n] = f(pts[:, :n + 1, :n].reshape(-1, n),
-                          *(a.repeat(n + 1, axis=0) for a in args)
-                          ).reshape(m, n + 1)
-    rows = each = np.arange(m)
-    # scipy sorts the initial simplex twice; with tied values the second
-    # argsort need not be the identity, so it is repeated. Rows are
-    # sorted by argsort and take, as scipy does.
-    for _ in range(2):
-        order = pts[:, :n + 1, n].argsort(axis=1)
-        pts[:, :n + 1] = pts[each[:, None], order]
-    trial_args = tuple(a.repeat(4, axis=0) for a in args)
-    x_out, f_out = np.empty((m, n)), np.empty(m)
-    nfev_out, nit_out = np.empty(m, dtype=int), np.empty(m, dtype=int)
-    # evaluations beyond the n + 1 initial ones and the one reflection of
-    # every iteration: expansions, contractions and shrinks
-    extra = np.zeros(m, dtype=int)
-    kept_row, step_evals = n + 1 + _STEP_PICK, _STEP_EVALS + n * _STEP_SHRINK
-    # comparison b of a step is v[pairs[b]] < v[pairs[6 + b]] over the
-    # values v of a row's points [vertex 0 .. n, reflection, expansion,
-    # outside, inside point]: the reflection against f_0, f_n-1 and f_n,
-    # the expansion against the reflection, the reflection against the
-    # outside point (scipy's fxc <= fxr, negated) and the inside point
-    # against f_n
-    r, e, c, cc = n + 1, n + 2, n + 3, n + 4
-    pairs = np.array([r, r, r, e, r, cc, 0, n - 1, n, r, c, n])
-
-    def freeze(stop, iterations):
-        r = rows[stop]
-        x_out[r], f_out[r] = pts[stop, 0, :n], pts[stop, :n + 1, n].min(axis=1)
-        nfev_out[r] = n + iterations + extra[stop]
-        nit_out[r] = iterations
-
-    iterations = 1
-    while iterations < max_iter:
-        # values are sorted, so max |f_0 - f_i| is f_n - f_0 exactly
-        done = pts[:, n, n] - pts[:, 0, n] <= fatol
-        if np.count_nonzero(done):
-            done &= np.abs(pts[:, 1:n + 1, :n] - pts[:, :1, :n]).max(
-                axis=(1, 2)) <= xatol
-            if np.count_nonzero(done):
-                freeze(done, iterations)
-                live = ~done
-                pts, extra, rows = pts[live], extra[live], rows[live]
-                args = tuple(a[live] for a in args)
-                trial_args = tuple(a.repeat(4, axis=0) for a in args)
-                each = np.arange(rows.size)
-                if not rows.size:
-                    break
-        xbar = np.add.reduce(pts[:, :n, :n], 1) / n
-        trial = _TRIAL_A * xbar[:, None] - _TRIAL_B * pts[:, n:n + 1, :n]
-        pts[:, n + 1:, :n] = trial
-        pts[:, n + 1:, n] = f(trial.reshape(-1, n), *trial_args).reshape(-1, 4)
-        v = pts[:, pairs, n]
-        code = np.packbits(v[:, :6] < v[:, 6:], axis=1, bitorder="little")
-        code = code[:, 0]
-        extra += step_evals[code]
-        shrink = _STEP_SHRINK[code]
-        any_shrink = np.count_nonzero(shrink)
-        if any_shrink:
-            base = pts[shrink, :1, :n]
-            moved = base + _SHRINK * (pts[shrink, 1:n + 1, :n] - base)
-            f_moved = f(moved.reshape(-1, n),
-                        *(a[shrink].repeat(n, axis=0) for a in args))
-        pts[:, n] = pts[each, kept_row[code]]
-        if any_shrink:
-            pts[shrink, 1:n + 1, :n] = moved
-            pts[shrink, 1:n + 1, n] = f_moved.reshape(-1, n)
-        iterations += 1
-        order = pts[:, :n + 1, n].argsort(axis=1)
-        pts[:, :n + 1] = pts[each[:, None], order]
-    freeze(np.ones(rows.size, dtype=bool), iterations)
-    return x_out, f_out, nfev_out, nit_out
+def _max_steps(root, x, z, dX, dx, dZ, dz):
+    """Primal and dual step lengths of ``_vlf_sdp``, ``_SDP_TAU`` of the
+    way to the cones' boundary and at most 1; root stacks X^(-1/2) and
+    Z^(-1/2) up to rotation."""
+    d = np.concatenate([dX, dZ])
+    e = np.linalg.eigvalsh(root @ d @ root.swapaxes(-1, -2))[:, 0]
+    e = np.minimum(e, np.concatenate([(dx / x).min(axis=1),
+                                      (dz / z).min(axis=1)]))
+    return np.minimum(1.0, -_SDP_TAU / np.minimum(e, -_SDP_TAU)).reshape(2, -1)
 
 
 # The moment witnesses share one inequality (Hillery-Zubairy):

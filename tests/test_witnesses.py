@@ -12,6 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from triphoton import witnesses
@@ -29,14 +32,14 @@ from triphoton.hilbert import (
 )
 from triphoton.rwa import CREATE, NUMBER, LadderMonomial
 from triphoton.witnesses import (
+    _PATTERNS,
+    _SDP_TOL,
     VlfParams,
     _blocks,
-    _nelder_mead,
     _vlf_dual,
-    _vlf_objective,
-    _vlf_polish,
     _vlf_report,
     _vlf_s,
+    _vlf_sdp,
     dv_genuine_witness,
     genuine_witness_max,
     genuine_witness_sum,
@@ -49,6 +52,8 @@ from triphoton.witnesses import (
     vlf_value,
     vlf_witness,
 )
+
+from oracles import _nelder_mead, _vlf_objective, _vlf_penalized, _vlf_polish
 
 LAY3 = RegisterLayout.bosons(3, 4)
 QUBITS = RegisterLayout.qubits(3)
@@ -114,9 +119,9 @@ class TestVlf:
 
 
 def dual_certifies(cov):
-    """The dual certifies cov: it leaves no start for the polish, only
-    NaN."""
-    return np.isnan(_vlf_dual(cov)).all()
+    """The dual stage certifies cov: every sign pattern reached
+    lambda_max <= 0."""
+    return bool((_vlf_dual(cov[None])[0] <= 0.0).all())
 
 
 def restart_starts(restarts, seed):
@@ -128,8 +133,19 @@ def restart_oracle(cov, restarts, seed):
     """The seeded restart search that ``optimize_vlf`` no longer runs:
     the polish from ``restart_starts(restarts, seed)``, i.e. the former
     ``_search_vlf(cov, restarts, seed, 300)`` with each end point scored
-    at its clipped weights; (best S, weights, objective evaluations)."""
+    at its clipped weights; (best S, weights, objective evaluations).
+    Every value it finds is attained, so it never exceeds the exact
+    optimum."""
     return _vlf_polish(cov, restart_starts(restarts, seed))
+
+
+def sdp_pairs(cov):
+    """The (point, pattern) pairs the dual stage leaves open on one
+    covariance, and the semidefinite stage's output on them."""
+    lam, best, x = _vlf_dual(cov[None])
+    point, pattern = np.nonzero(24.0 * lam > best[:, None])
+    return (lam[0], best[0], x[0], pattern,
+            _vlf_sdp(cov[None][point], pattern, point, best))
 
 
 class TestOptimizeVlf:
@@ -170,24 +186,34 @@ class TestOptimizeVlf:
             assert np.copysign(1.0, rep.value) == 1.0
             assert not rep.detects
             assert rep.components["verdict"] == "certified"
-            assert rep.components["objective_evals"] == 0
+            assert rep.components["ipm_iterations"] == 0
+            assert rep.components["s_upper"] == 0.0
             assert rep.parameters == VlfParams(g=(0, 0, 0), h=(0, 0, 0))
             np.testing.assert_array_equal(rep.components["cov_x"],
                                           0.5 * np.eye(3))
 
     def test_uncertified_path_is_the_search(self):
+        # the open sign patterns go to the semidefinite stage; the value
+        # is the best S attained by either stage, the bound the largest
+        # over the patterns
         state = evolved_pair(0.3)
         rep = optimize_vlf(state)
         cov = covariance_matrix(state)
-        starts = _vlf_dual(cov)
-        assert starts.shape == (4, 6)
-        # every start lies on the boundary of the box
-        np.testing.assert_array_equal(np.abs(starts).max(axis=1), 2.0)
-        best, x, evals = _vlf_polish(cov, starts)
-        assert rep.value == best
-        assert rep.parameters == VlfParams(g=tuple(x[:3]), h=tuple(x[3:]))
-        assert rep.components["objective_evals"] == evals
-        assert rep.value == vlf_value(cov, x[:3], x[3:])
+        lam, best, x0, pattern, (s, x, mu, d, its) = sdp_pairs(cov)
+        assert pattern.size and best > 0.0
+        # the dual stage's weights lie on the boundary of the box
+        assert np.abs(x0).max() == 2.0
+        k = np.argmax(s)
+        assert rep.value == s[k] > best
+        assert rep.parameters == VlfParams(g=tuple(x[k, :3]),
+                                           h=tuple(x[k, 3:]))
+        assert rep.components["ipm_iterations"] == its.sum()
+        bound = 24.0 * lam.clip(0.0)
+        bound[pattern] = 4.0 * d.sum(axis=1)
+        assert rep.components["s_upper"] == bound.max()
+        assert rep.value == vlf_value(cov, x[k, :3], x[k, 3:])
+        assert 0.0 <= rep.components["s_upper"] - rep.value <= \
+            _SDP_TOL * (1.0 + rep.components["s_upper"])
 
     @pytest.mark.parametrize("cutoff, local", [(2, (1, 0, 1)), (1, (1, 1))],
                              ids=["0+2", "0+1"])
@@ -221,7 +247,8 @@ class TestOptimizeVlf:
             "rep = optimize_vlf(state)\n"
             "oracle = restart_oracle(covariance_matrix(state), 200, 1)[0]\n"
             "print(json.dumps([rep.value, rep.components['verdict'],\n"
-            "                  rep.components['objective_evals'],\n"
+            "                  rep.components['ipm_iterations'],\n"
+            "                  rep.components['s_upper'],\n"
             "                  [float(v) for v in rep.parameters.g],\n"
             "                  [float(v) for v in rep.parameters.h],\n"
             "                  oracle]))\n"
@@ -231,13 +258,16 @@ class TestOptimizeVlf:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True,
                              timeout=300).stdout
-        value, verdict, evals, g, h, oracle = json.loads(out)
+        value, verdict, iterations, upper, g, h, oracle = json.loads(out)
         assert verdict == "detected"
-        assert value == 1.1050574181421056
-        assert evals == 2010
-        assert g == [-0.9877389226481117, 2.0, -0.9493594181409755]
-        assert h == [-0.9596772310986907, -2.0, -0.998473850578351]
-        # the 20-restart search pinned here before gave 0.8458822213170961
+        assert value == 1.1058946779172227
+        assert iterations == 11
+        assert upper == 1.1058946779251353
+        assert g == [0.9762281580573199, -2.0, 0.9762281580573207]
+        assert h == [0.9762281580573203, 2.0, 0.9762281580573203]
+        # the simplex polish pinned here before gave 1.1050574181421056,
+        # and the 20-restart search 0.8458822213170961
+        assert upper >= value > 1.1050574181421056
         assert value >= oracle >= 0.8458822213170961
 
 
@@ -279,16 +309,20 @@ class TestBatchedSearchOracle:
             assert max(nit) == max_iter
 
     def test_objective_evals_are_scipys_nfev(self):
+        # the oracle polish counts scipy's evaluations, and its best end
+        # point, scored at its clipped weights, lies between the origin's
+        # 0 and the exact optimum
         state = evolved_pair(0.3)
         rep = optimize_vlf(state)
         cov = covariance_matrix(state)
-        ref = self.scipy_starts(cov, _vlf_dual(cov))
-        assert rep.components["objective_evals"] == sum(r.nfev for r in ref)
-        # each end point is scored at its clipped weights; the origin,
-        # S = 0, is a candidate too
+        x0 = np.vstack([_vlf_dual(cov[None])[2], restart_starts(3, 0)])
+        best, _, evals = _vlf_polish(cov, x0)
+        ref = self.scipy_starts(cov, x0)
+        assert evals == sum(r.nfev for r in ref)
         ends = [r.x.clip(-2.0, 2.0) for r in ref]
-        assert rep.value == max([0.0] + [vlf_value(cov, x[:3], x[3:])
-                                         for x in ends])
+        assert best == max([0.0] + [vlf_value(cov, x[:3], x[3:])
+                                    for x in ends])
+        assert 0.0 < best <= rep.value <= rep.components["s_upper"]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_roundoff_is_not_a_detection(self, seed):
@@ -304,7 +338,7 @@ class TestBatchedSearchOracle:
         # is the mirror of the one from x0 step for step: two end points
         # of one value. The first one listed is reported.
         cov = covariance_matrix(evolved_pair(0.3))
-        x0 = _vlf_dual(cov)[:1]
+        x0 = _vlf_dual(cov[None])[2]
         best, x, evals = _vlf_polish(cov, x0)
         assert best > 0 and np.abs(x).max() > 0
         for starts, end in ((np.vstack([x0, -x0]), x),
@@ -316,22 +350,34 @@ class TestBatchedSearchOracle:
 
     def test_certified_state_counts_no_evaluations(self):
         rep = optimize_vlf(vacuum3())
-        assert rep.components["objective_evals"] == 0
+        assert rep.components["ipm_iterations"] == 0
 
     def test_origin_best_returns_positive_zero(self, monkeypatch):
-        # Started on the squeezed product, which the dual certifies, the
-        # polish finds nothing above the rounding bound: "undecided",
-        # with the origin's +0.0 and no weights.
+        # Left open on the squeezed product, which the dual stage
+        # certifies, the semidefinite stage bounds its zero maximum only
+        # to within its tolerance: "undecided", with the origin's +0.0
+        # and no weights.
         monkeypatch.setattr(witnesses, "covariance_matrix",
                             lambda state, modes: SQUEEZED_PRODUCT)
-        starts = np.random.default_rng(0).uniform(-2.0, 2.0, size=(4, 6))
-        monkeypatch.setattr(witnesses, "_vlf_dual", lambda cov: starts)
+        monkeypatch.setattr(witnesses, "_vlf_dual", left_open(
+            witnesses._vlf_dual, lambda cov: True))
         rep = optimize_vlf(vacuum3())
         assert rep.components["verdict"] == "undecided"
-        assert rep.components["objective_evals"] > 0
+        assert rep.components["ipm_iterations"] > 0
+        assert 0.0 < rep.components["s_upper"] <= _SDP_TOL
         assert rep.value == 0.0
         assert math.copysign(1.0, rep.value) == 1.0
         assert rep.parameters == VlfParams(g=(0, 0, 0), h=(0, 0, 0))
+
+
+def left_open(dual, which):
+    """``_vlf_dual`` with every sign pattern of the covariances picked by
+    ``which`` left open, at lambda_max = 1/100."""
+    def dual_left_open(cov):
+        lam, best, x = dual(cov)
+        lam[np.array([which(c) for c in cov], dtype=bool)] = 0.01
+        return lam, best, x
+    return dual_left_open
 
 
 class TestGridSearchOracle:
@@ -347,7 +393,7 @@ class TestGridSearchOracle:
         owner = np.arange(12) % 3
         x0 = np.random.default_rng(4).uniform(-2.0, 2.0, size=(12, 6))
         blocks = _blocks(np.stack(covs))[owner]
-        x, fun, nfev, nit = _nelder_mead(witnesses._vlf_penalized, x0,
+        x, fun, nfev, nit = _nelder_mead(_vlf_penalized, x0,
                                          max_iter, xatol=1e-10, fatol=1e-10,
                                          args=(blocks,))
         for r, (start, cov) in enumerate(zip(x0, np.array(covs)[owner])):
@@ -363,23 +409,16 @@ class TestGridSearchOracle:
 
     def test_stacked_report_matches_each_point(self, monkeypatch):
         # certified, detected and undecided points in one stack; the
-        # squeezed product is left open with random starts, from which
-        # the polish finds nothing above the rounding bound
+        # squeezed product is left open, and the semidefinite stage
+        # bounds its zero maximum only to within its tolerance
         covs = np.stack([
             0.5 * np.eye(6), covariance_matrix(evolved_pair(0.3)),
             SQUEEZED_PRODUCT, covariance_matrix(evolved_triple(0.15)),
             _covariance((-1.0, 0.5, 0.7), (-1.0, 1.0, 1.2)),
             covariance_matrix(evolved_pair(0.1))])
         dual = witnesses._vlf_dual
-        open_starts = np.random.default_rng(0).uniform(-2.0, 2.0, (4, 6))
-
-        def squeezed_left_open(cov):
-            starts = dual(cov)
-            starts[np.all(cov == SQUEEZED_PRODUCT, axis=(-2, -1))] = \
-                open_starts
-            return starts
-
-        monkeypatch.setattr(witnesses, "_vlf_dual", squeezed_left_open)
+        monkeypatch.setattr(witnesses, "_vlf_dual", left_open(
+            dual, lambda cov: np.all(cov == SQUEEZED_PRODUCT)))
         grid = _vlf_report(covs)
         assert grid.components["verdict"] == [
             "certified", "detected", "undecided", "certified", "detected",
@@ -392,13 +431,15 @@ class TestGridSearchOracle:
             assert np.signbit(grid.value[i]) == np.signbit(rep.value)
             assert grid.detects[i] == rep.detects
             assert grid.components["verdict"][i] == rep.components["verdict"]
-            assert (grid.components["objective_evals"][i]
-                    == rep.components["objective_evals"])
+            assert (grid.components["ipm_iterations"][i]
+                    == rep.components["ipm_iterations"])
+            assert grid.components["s_upper"][i] == rep.components["s_upper"]
             assert [g[i] for g in grid.parameters.g] == \
                 list(rep.parameters.g)
             assert [h[i] for h in grid.parameters.h] == \
                 list(rep.parameters.h)
-            assert np.array_equal(dual(covs)[i], dual(cov), equal_nan=True)
+            for stacked, alone in zip(dual(covs), dual(cov[None])):
+                assert np.array_equal(stacked[i], alone[0])
 
     def test_stacked_value_is_vlf_value(self):
         cov = covariance_matrix(evolved_pair(0.2))
@@ -448,14 +489,14 @@ class TestVlfCertificate:
     def test_product_below_quarter_not_certified(self):
         # x and p of mode 0 alone have 0.3 * 0.8 < 1/4: g_0 h_0 > 0
         # alone gives S = |g_0 h_0| - 0.3 g_0^2 - 0.8 h_0^2, at most
-        # 1/20 on the box, which the polish reaches
+        # 1/20 on the box, which both bounds meet
         cov = np.diag([0.3, 0.5, 0.7, 0.8, 1.0, 1.2])
-        starts = _vlf_dual(cov)
-        assert not np.isnan(starts).any()
-        best, x, _ = _vlf_polish(cov, starts)
-        assert best == pytest.approx(0.05, abs=1e-8)
+        assert not dual_certifies(cov)
+        rep = _vlf_report(cov)
+        best, upper = rep.value, rep.components["s_upper"]
+        assert best <= 0.05 <= upper <= best + _SDP_TOL
         assert best >= restart_oracle(cov, 20, 0)[0]
-        assert best == vlf_value(cov, x[:3], x[3:])
+        assert best == vlf_value(cov, rep.parameters.g, rep.parameters.h)
 
     def test_rotated_blocks_below_quarter_certified(self):
         # the same spectra in unaligned bases: the product misses it,
@@ -479,11 +520,12 @@ class TestVlfCertificate:
 
     def test_negative_spectra_not_certified(self):
         cov = _covariance((-1.0, 0.5, 0.7), (-1.0, 1.0, 1.2))
-        starts = _vlf_dual(cov)
-        assert not np.isnan(starts).any()
-        best, x, _ = _vlf_polish(cov, starts)
-        assert best > 0.0
-        assert best == vlf_value(cov, x[:3], x[3:])
+        assert not dual_certifies(cov)
+        rep = _vlf_report(cov)
+        assert rep.components["verdict"] == "detected"
+        assert rep.value > 0.0
+        assert rep.value == vlf_value(cov, rep.parameters.g,
+                                      rep.parameters.h)
 
     def test_one_step_certifies_what_the_block_test_did(self, monkeypatch):
         # Where [[C_x, -D/2], [-D/2, C_p]] >= 0 for all 8 sign matrices
@@ -500,6 +542,86 @@ class TestVlfCertificate:
                 b[:3, 3:] = b[3:, :3] = -0.5 * np.diag(signs)
             assert np.linalg.eigvalsh(blocks)[:, 0].min() >= -1e-15
             assert dual_certifies(cov)
+
+
+def _gaussian_covariance(h, nu):
+    """6x6 (x..., p...) covariance of the Gaussian state with symplectic
+    eigenvalues nu (each >= 1/2, the vacuum's) and symplectic matrix
+    exp(J H), H symmetric with the 21 upper entries h."""
+    sym = np.zeros((6, 6))
+    sym[np.triu_indices(6)] = h
+    sym = sym + np.triu(sym, 1).T
+    j = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(3))
+    s = expm(j @ sym)
+    return s @ np.diag(np.concatenate([nu, nu])) @ s.T
+
+
+def _independent_bounds(cov, pattern, mu, d):
+    """For each certificate (mu, d) of a sign pattern, the smallest
+    eigenvalue of diag(d) - sum_i mu_i (E_i - C), with E_i and C built
+    here from the pattern's signs and the covariance's blocks."""
+    c = np.zeros((6, 6))
+    c[:3, :3], c[3:, 3:] = cov[:3, :3], cov[3:, 3:]
+    out = []
+    for p, m, dd in zip(pattern, mu, d):
+        slack = np.diag(dd)
+        for i in range(3):
+            e = np.zeros((6, 6))
+            for lo in range(3):
+                e[lo, lo + 3] = e[lo + 3, lo] = 0.5 * _PATTERNS[p][i][lo]
+            slack = slack - m[i] * (e - c)
+        out.append(np.linalg.eigvalsh(slack)[0])
+    return np.array(out)
+
+
+class TestExactOptimum:
+    """The semidefinite stage against its own certificates, against
+    ``vlf_value`` and against the restart oracle, on random
+    covariances."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(-1.0, 2.0), min_size=6, max_size=6),
+           st.integers(0, 2**16))
+    def test_random_spectra(self, spectra, seed):
+        cov = _covariance(spectra[:3], spectra[3:], seed)
+        rep = _vlf_report(cov)
+        g, h, upper = rep.parameters.g, rep.parameters.h, \
+            rep.components["s_upper"]
+        assert max(np.abs(g).max(), np.abs(h).max()) <= 2.0
+        assert rep.value == vlf_value(cov, g, h)
+        assert rep.value <= upper
+        # every open pattern's (mu, d) proves its bound independently
+        lam, _, _, pattern, (_, _, mu, d, _) = sdp_pairs(cov)
+        assert (mu >= 0.0).all() and (d >= 0.0).all()
+        assert np.all(np.abs(mu.sum(axis=1) - 1.0) <= 4e-16)
+        assert (_independent_bounds(cov, pattern, mu, d) >= 0.0).all()
+        # s_upper is the largest bound over the 32 patterns
+        bound = 24.0 * lam.clip(0.0)
+        bound[pattern] = 4.0 * d.sum(axis=1)
+        assert bound.max() == upper
+        # a local search attains what it finds, so never passes the
+        # bound; on these covariances, most of which violate the
+        # uncertainty relation, the relaxation can be loose and the
+        # search can pass the value
+        assert _vlf_polish(cov, restart_starts(8, seed))[0] <= upper
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(-0.6, 0.6), min_size=21, max_size=21),
+           st.lists(st.floats(0.5, 1.5), min_size=3, max_size=3))
+    def test_gaussian_states_close_the_gap(self, h, nu):
+        # On covariances of Gaussian states the relaxation is tight: the
+        # bound meets the attained value wherever S detects. The
+        # iteration stops at _SDP_TOL; where rounding leaves X or Z
+        # singular first, the gap stalls, within ten times that.
+        cov = _gaussian_covariance(h, nu)
+        rep = _vlf_report(cov)
+        upper = rep.components["s_upper"]
+        assert rep.value == vlf_value(cov, rep.parameters.g,
+                                      rep.parameters.h)
+        assert rep.value <= upper
+        if rep.components["verdict"] == "detected":
+            assert upper - rep.value <= 10 * _SDP_TOL * (1.0 + upper)
+        assert _vlf_polish(cov, restart_starts(8, 0))[0] <= rep.value
 
 
 class TestHzWitness:
