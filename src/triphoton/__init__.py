@@ -15,7 +15,6 @@ from .circuit import (
     SquidParams,
     coupling_table,
     effective_junction,
-    exact_josephson_energy,
     mode_spectrum,
     solve_wavenumbers,
     three_spdc_coupling,
@@ -30,7 +29,6 @@ from .dynamics import (
     TwoTone,
     cutoff_sweep,
     evolve,
-    evolve_static_expm,
     split_drive_branches,
 )
 from .errors import (
@@ -48,21 +46,14 @@ from .hilbert import (
     covariance_matrix,
     expect_monomial,
     fock_state,
-    ghz_state,
-    partial_trace,
-    terms_to_matrix,
-    von_neumann_entropy,
-    w_state,
 )
 from .rwa import (
     LadderMonomial,
     TermClassification,
     classify_terms,
-    combine_like_terms,
     driven_cavity_terms,
     ensure_anharmonic,
     free_mode_terms,
-    interaction_frequency,
     rwa_reduce,
 )
 from .scenarios import (
@@ -79,36 +70,27 @@ from .witnesses import (
     VlfParams,
     WitnessReport,
     dv_genuine_witness,
-    genuine_witness_max,
-    genuine_witness_sum,
-    hz_witness,
     negativity,
     optimize_vlf,
-    triple_superposition,
-    vlf_witness,
 )
 
 __all__ = [
     "CavityParams", "CouplingTable", "EffectiveJunction", "ModeSpectrum",
-    "SquidParams", "coupling_table", "effective_junction",
-    "exact_josephson_energy", "mode_spectrum", "solve_wavenumbers",
-    "three_spdc_coupling",
-    "Constant", "ConvergenceReport", "Cosine", "HamiltonianSpec",
-    "Motional", "Trajectory", "TwoTone", "cutoff_sweep", "evolve",
-    "evolve_static_expm", "split_drive_branches",
+    "SquidParams", "coupling_table", "effective_junction", "mode_spectrum",
+    "solve_wavenumbers", "three_spdc_coupling",
+    "Constant", "ConvergenceReport", "Cosine", "HamiltonianSpec", "Motional",
+    "Trajectory", "TwoTone", "cutoff_sweep", "evolve", "split_drive_branches",
     "ConfigError", "DegenerateFrequencyError", "IntegrationError",
     "LayoutMismatchError", "PumpMismatchError", "SingularBiasError",
     "TriphotonError",
-    "QuantumState", "RegisterLayout", "covariance_matrix",
-    "expect_monomial", "fock_state", "ghz_state", "partial_trace",
-    "terms_to_matrix", "von_neumann_entropy", "w_state",
+    "QuantumState", "RegisterLayout", "covariance_matrix", "expect_monomial",
+    "fock_state",
     "LadderMonomial", "TermClassification", "classify_terms",
-    "combine_like_terms", "driven_cavity_terms", "ensure_anharmonic",
-    "free_mode_terms", "interaction_frequency", "rwa_reduce",
+    "driven_cavity_terms", "ensure_anharmonic", "free_mode_terms",
+    "rwa_reduce",
     "CircuitConfig", "DceParams", "ScenarioConfig", "ScenarioResult",
     "cavity_hamiltonian", "convergence_gate", "reduced_cavity_hamiltonian",
     "run_scenario",
-    "VlfParams", "WitnessReport", "dv_genuine_witness",
-    "genuine_witness_max", "genuine_witness_sum", "hz_witness",
-    "negativity", "optimize_vlf", "triple_superposition", "vlf_witness",
+    "VlfParams", "WitnessReport", "dv_genuine_witness", "negativity",
+    "optimize_vlf",
 ]

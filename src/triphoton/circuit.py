@@ -129,14 +129,6 @@ class CouplingTable:
     m4_tilde: np.ndarray
 
 
-def exact_josephson_energy(ej1: float, ej2: float, loop_flux: float) -> float:
-    """Full two-junction effective Josephson energy for a loop flux
-    (in phi0 units), without any small-asymmetry expansion."""
-    return math.sqrt(
-        ej1**2 + ej2**2 + 2.0 * ej1 * ej2 * math.cos(loop_flux / PHI0)
-    )
-
-
 def effective_junction(squid: SquidParams) -> EffectiveJunction:
     """Reduce the SQUID to one flux-tunable junction.
 

@@ -8,9 +8,9 @@ static and driven monomials can reach from psi0 span a subspace H(t)
 maps into itself at every t, so nothing outside it is ever populated.
 The trajectory stays there. The closure composes the factors' level maps
 in ``hilbert``, and the matrices on the sector and the moments read off
-it come from the monomials' action on basis states there, the same
-action that builds full-register operators. A static run whose sector
-fits in ``DENSE_LIMIT`` is exact: one eigendecomposition of H there
+it come from the monomials' action on basis states there; no
+full-register operator is ever built. A static run whose sector fits
+in ``DENSE_LIMIT`` is exact: one eigendecomposition of H there
 propagates the state to every grid point with no tolerance and no norm
 drift. Realness is decided once, on the dense sector matrices: when no
 entry of any of them is imaginary, they are held real, and both dense
@@ -51,8 +51,6 @@ CSR form, and each exponential acts on the state by its Taylor series.
 scipy is imported only there, for ``scipy.sparse``, as it is in
 ``hilbert._basis_matrix``; every other run, the driven ``dce-rabi``
 included, needs numpy alone.
-``evolve_static_expm``, a dense eigendecomposition of the full-register
-Hamiltonian, is the independent oracle for static runs.
 """
 
 from __future__ import annotations
@@ -73,7 +71,6 @@ from .hilbert import (
     _column_rows,
     _expect_rows,
     _level_map,
-    terms_to_matrix,
 )
 from .rwa import LadderMonomial, hermitian_closure_holds
 
@@ -583,34 +580,6 @@ def evolve(h: HamiltonianSpec,
         "path": diagnostics.pop("path"),
         "register_dim": layout.total_dim, "evolved_dim": len(basis),
         **diagnostics})
-
-
-def evolve_static_expm(h_static: Sequence[LadderMonomial] | HamiltonianSpec,
-                       psi0: QuantumState,
-                       t: float) -> QuantumState:
-    """psi(t) = exp(-i H t) psi0 by dense eigendecomposition.
-
-    Static Hamiltonians only; this is the full-register oracle the
-    sector paths are checked against.
-    """
-    if isinstance(h_static, HamiltonianSpec):
-        if h_static.driven_terms:
-            raise ValueError("expm path takes static Hamiltonians only")
-        terms = h_static.static_terms
-    else:
-        terms = list(h_static)
-    layout = psi0.layout
-    if layout.total_dim > DENSE_LIMIT:
-        raise ValueError(
-            f"dimension {layout.total_dim} too large for the dense path")
-    if not psi0.is_pure:
-        raise ValueError("expm path propagates pure states")
-    mat = terms_to_matrix(terms, layout, sparse=False)
-    if not np.allclose(mat, mat.conj().T, atol=1e-12):
-        raise ValueError("static Hamiltonian is not Hermitian")
-    w, v = np.linalg.eigh(mat)
-    psi = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0.data))
-    return QuantumState(layout, psi, validate=False)
 
 
 @dataclass

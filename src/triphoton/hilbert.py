@@ -10,10 +10,9 @@ pauli_plus = |1><0| raises, sigma_z = diag(-1, +1).
 
 Every ladder, number and Pauli factor is a level map: it sends each
 level of its subsystem to at most one level with one amplitude. That map
-is the one primitive: moments (summed over a state's support),
-full-register operators and the matrices on a reachable sector are all
-built from it, so no dense single-subsystem matrix or Kronecker product
-is ever formed.
+is the one primitive: moments (summed over a state's support) and the
+matrices on a reachable sector are built from it, so no dense
+single-subsystem matrix or Kronecker product is ever formed.
 
 Quadratures are x = (a + a^dag)/sqrt(2), p = i(a^dag - a)/sqrt(2), so
 the vacuum variance is 1/2. Covariance matrices are ordered as
@@ -44,7 +43,7 @@ from .rwa import (
 BOSON = "boson"
 QUBIT = "qubit"
 
-DENSE_LIMIT = 4096  # largest total dimension held as a dense operator
+DENSE_LIMIT = 4096  # largest static sector diagonalized densely
 
 _NORM_TOL = 1e-9
 _HERM_TOL = 1e-12
@@ -301,10 +300,10 @@ def _reduce_columns(layout: RegisterLayout, basis: np.ndarray,
 def _basis_matrix(terms: Iterable[LadderMonomial], layout: RegisterLayout,
                   basis: np.ndarray, sparse: bool = False):
     """Matrix of the summed terms between the basis states (sorted flat
-    indices), dense or CSR: H on a sector, or a full-register operator.
-    Amplitudes landing outside the basis are dropped, which is exact on
-    a sector H maps into itself. ``scipy.sparse`` is imported here, on
-    the CSR branch only, so dense builds never load it."""
+    indices), dense or CSR: H on a sector. Amplitudes landing outside the
+    basis are dropped, which is exact on a sector H maps into itself.
+    ``scipy.sparse`` is imported here, on the CSR branch only, so dense
+    builds never load it."""
     m = len(basis)
 
     def entries():
@@ -349,44 +348,6 @@ def expect_monomial(state: QuantumState, factors,
                                data[support][:, None], coefficient)[0]
     flat, amp, cols = _on_basis(factors, layout, np.arange(layout.total_dim))
     return coefficient * complex(np.sum(amp * data[cols, flat]))
-
-
-def terms_to_matrix(terms: Iterable[LadderMonomial], layout: RegisterLayout,
-                    sparse: bool | None = None):
-    """Sum of monomial matrices over the full register; dense below
-    DENSE_LIMIT, CSR above, unless ``sparse`` says otherwise."""
-    if sparse is None:
-        sparse = layout.total_dim > DENSE_LIMIT
-    return _basis_matrix(terms, layout, np.arange(layout.total_dim), sparse)
-
-
-def partial_trace(state: QuantumState, keep: Iterable[int]) -> QuantumState:
-    """Reduced density operator over the kept subsystems (in ascending
-    register order)."""
-    keep = sorted(set(keep))
-    if not keep:
-        raise LayoutMismatchError("keep set must be nonempty")
-    for i in keep:
-        state.layout.check_index(i)
-    dims = state.layout.dims
-    n_sub = len(dims)
-    traced = [i for i in range(n_sub) if i not in keep]
-    keep_dim = int(np.prod([dims[i] for i in keep]))
-    traced_dim = int(np.prod([dims[i] for i in traced])) if traced else 1
-    new_layout = RegisterLayout(
-        tuple(state.layout.subsystems[i] for i in keep))
-    if state.is_pure:
-        support = np.flatnonzero(state.data)
-        rho = _reduce_columns(state.layout, support,
-                              state.data[support][:, None], keep)[0]
-    else:
-        tensor = state.data.reshape(dims + dims)
-        perm = keep + traced + [n_sub + i for i in keep] + \
-            [n_sub + i for i in traced]
-        block = tensor.transpose(perm).reshape(
-            keep_dim, traced_dim, keep_dim, traced_dim)
-        rho = np.einsum("atbt->ab", block)
-    return QuantumState(new_layout, rho, validate=False)
 
 
 def covariance_matrix(state: QuantumState,
@@ -462,32 +423,6 @@ def fock_state(layout: RegisterLayout,
     vec = np.zeros(layout.total_dim, dtype=complex)
     vec[index] = 1.0
     return QuantumState(layout, vec)
-
-
-def _require_three_qubits(layout: RegisterLayout):
-    if layout.subsystems != ((QUBIT, 2),) * 3:
-        raise LayoutMismatchError("this state needs a register of 3 qubits")
-
-
-def ghz_state(layout: RegisterLayout) -> QuantumState:
-    """(|000> + |111>)/sqrt(2) on three qubits."""
-    _require_three_qubits(layout)
-    vec = np.zeros(8, dtype=complex)
-    vec[0] = vec[7] = 1.0 / np.sqrt(2.0)
-    return QuantumState(layout, vec)
-
-
-def w_state(layout: RegisterLayout) -> QuantumState:
-    """(|001> + |010> + |100>)/sqrt(3) on three qubits."""
-    _require_three_qubits(layout)
-    vec = np.zeros(8, dtype=complex)
-    vec[1] = vec[2] = vec[4] = 1.0 / np.sqrt(3.0)
-    return QuantumState(layout, vec)
-
-
-def von_neumann_entropy(state: QuantumState) -> float:
-    """Entropy in nats of the state (0 for any pure state)."""
-    return 0.0 if state.is_pure else float(_entropies(state.data))
 
 
 def _entropies(rhos: np.ndarray) -> np.ndarray:

@@ -20,8 +20,6 @@ as arrays (``_cavity_expansion``: per tensor group, the kept index
 tuples and their coefficients), so the ``rwa`` listing classifies its
 4,404 reference rows without one ``LadderMonomial`` per term, while
 ``driven_cavity_terms`` builds the monomials from the same arrays.
-``interaction_frequency`` stays the scalar definition of one term's
-rotation frequency.
 """
 
 from __future__ import annotations
@@ -127,38 +125,6 @@ class TermClassification:
     tolerance: float = 0.0
 
 
-def combine_like_terms(terms: Iterable[LadderMonomial]
-                       ) -> list[LadderMonomial]:
-    """Merge monomials with identical operator content and drive branch,
-    summing coefficients. Entries whose coefficients cancel to zero are
-    discarded."""
-    acc: dict[tuple, LadderMonomial] = {}
-    for term in terms:
-        key = term.operator_key()
-        if key in acc:
-            prev = acc[key]
-            acc[key] = LadderMonomial(prev.factors,
-                                      prev.coefficient + term.coefficient,
-                                      prev.drive_sign)
-        else:
-            acc[key] = term
-    return [t for t in acc.values() if t.coefficient != 0]
-
-
-def interaction_frequency(term: LadderMonomial,
-                          frequencies: Sequence[float],
-                          drive: float = 0.0) -> float:
-    """Rotation frequency of the monomial in the interaction picture."""
-    total = term.drive_sign * drive
-    for idx, kind in term.factors:
-        if idx >= len(frequencies):
-            raise IndexError(
-                f"factor on subsystem {idx} but only "
-                f"{len(frequencies)} frequencies given")
-        total += _FREQ_SIGN[kind] * frequencies[idx]
-    return total
-
-
 def _boson_subsystems(terms: Iterable[LadderMonomial]) -> set[int]:
     out: set[int] = set()
     for term in terms:
@@ -212,9 +178,10 @@ def _classify_rows(subsystems: np.ndarray, signs: np.ndarray,
     create / pauli_plus, -1 for annihilate / pauli_minus, 0 for number /
     pauli_z; subsystem -1 pads a row shorter than the others. Its
     frequency is drive_signs[r] * drive plus sign * w(subsystem) added
-    left to right, the float operations of ``interaction_frequency`` in
-    its order, so each value has the same bits. A pad adds -0.0, which
-    leaves every sum as it is (+0.0 would turn a -0.0 into +0.0).
+    left to right, the float operations of the scalar sum over the
+    term's factors in their order, so each value has its bits. A pad
+    adds -0.0, which leaves every sum as it is (+0.0 would turn a -0.0
+    into +0.0).
     """
     w = np.asarray(frequencies, dtype=float)
     if subsystems.size and subsystems.max() >= len(w):
@@ -234,8 +201,9 @@ def classify_terms(terms: Sequence[LadderMonomial],
     counter-rotating sets, at the roundoff-scale tolerance
     ``default_tolerance(frequencies)`` that the result records. Both
     sets keep the input order. The terms' factors go to
-    ``_classify_rows`` as rows, so each detuning has the bits of
-    ``interaction_frequency(term, frequencies, drive)``.
+    ``_classify_rows`` as rows, so each detuning has the bits of the
+    scalar sum drive_sign * drive + sum_j s_j w(subsystem_j), added left
+    to right.
 
     Frequencies of subsystems appearing with bosonic ladder factors must
     be mutually anharmonic (no integer ratios), else
@@ -451,12 +419,11 @@ def hermitian_closure_holds(terms: Sequence[LadderMonomial]) -> bool:
     """True when the term list is its own Hermitian conjugate as a sum,
     each coefficient to 1e-12 relative (absolute below magnitude 1).
 
-    Terms are summed by ``operator_key`` and exact zeros dropped, as
-    ``combine_like_terms`` does, and a key's conjugate, the operator
-    key of the conjugated monomial, comes from the key itself: each
-    subsystem's factors reversed with their kinds swapped, and the drive
-    branch flipped. A sum that overflows raises ``ValueError``, as the
-    merged monomial would."""
+    Terms are summed by ``operator_key`` and exact zeros dropped, and a
+    key's conjugate, the operator key of the conjugated monomial, comes
+    from the key itself: each subsystem's factors reversed with their
+    kinds swapped, and the drive branch flipped. A sum that overflows
+    raises ``ValueError``, as a monomial with that coefficient would."""
     merged: dict[tuple, complex] = {}
     for t in terms:
         key = t.operator_key()

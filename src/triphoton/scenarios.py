@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
+from typing import Sequence
 
 import numpy as np
 
@@ -558,10 +559,8 @@ def _gated(traj: Trajectory) -> dict:
     return {k: v for k, v in traj.observables.items() if k != "norm"}
 
 
-def convergence_gate(config: ScenarioConfig, cutoffs=None):
-    """Cutoff sweep for a scenario config; defaults to (cutoff, cutoff+2)."""
-    if cutoffs is None:
-        cutoffs = [config.effective_cutoff, config.effective_cutoff + 2]
+def convergence_gate(config: ScenarioConfig, cutoffs: Sequence[int]):
+    """Cutoff sweep of a scenario config's observables over the cutoffs."""
     return cutoff_sweep(partial(sweep_observables, config), cutoffs)
 
 

@@ -50,7 +50,8 @@ def state_to_json(state: QuantumState) -> str:
 
 def state_from_json(text: str) -> QuantumState:
     """State from its JSON document; ``ConfigError`` when the text is not
-    JSON or a key is missing or malformed."""
+    JSON, a key is missing or malformed, or the data is not a state (a
+    vector of norm 1, or a Hermitian, positive density of trace 1)."""
     try:
         doc = json.loads(text)
         layout = RegisterLayout(tuple((k, int(d)) for k, d in doc["layout"]))
@@ -59,7 +60,7 @@ def state_from_json(text: str) -> QuantumState:
             raise ValueError(f"unknown state kind {doc['kind']!r}")
         n = layout.total_dim
         data = flat if doc["kind"] == "pure" else flat.reshape(n, n)
-        return QuantumState(layout, data, validate=False)
+        return QuantumState(layout, data)
     except KeyError as exc:
         raise ConfigError(f"state JSON has no {exc} key") from exc
     except (TypeError, ValueError) as exc:

@@ -26,10 +26,8 @@ from .hilbert import (
     BOSON,
     QUBIT,
     QuantumState,
-    RegisterLayout,
     covariance_matrix,
     expect_monomial,
-    fock_state,
 )
 from .rwa import ANNIHILATE, CREATE, PAULI_MINUS, PAULI_PLUS
 
@@ -147,18 +145,6 @@ def _forms(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (v @ blocks @ v.transpose(0, 1, 3, 2))[:, :, 0, 0]
 
 
-def vlf_witness(state: QuantumState, params: VlfParams,
-                modes=None) -> WitnessReport:
-    """Covariance (Gaussian) genuine-entanglement witness at fixed
-    weights; positive S certifies genuine tripartite entanglement."""
-    modes = _three_sites(state, modes, BOSON)
-    cov = covariance_matrix(state, modes)
-    value = vlf_value(cov, params.g, params.h)
-    return _report("vlf_s", value,
-                   {"cov_x": cov[:3, :3], "cov_p": cov[3:, 3:]},
-                   parameters=params)
-
-
 def optimize_vlf(state: QuantumState, modes=None) -> WitnessReport:
     """Best covariance witness over the free weights, with a bound and a
     verdict.
@@ -192,11 +178,13 @@ def optimize_vlf(state: QuantumState, modes=None) -> WitnessReport:
     diag(d) - sum_i mu_i A_i (``eigvalsh``) plus 16 eps times the largest
     magnitude. With S's rounding error at x as 16 eps (sum |g_l h_l| +
     |g|^T |C_x| |g| + |h|^T |C_p| |h|), the verdict is "detected" when
-    the value beats it; else "certified" when the dual stage certifies
-    every pattern or s_upper is within it at the box's corner |x| = 2;
-    else "undecided" (the gap straddles the bound), with the origin's
-    exact 0. Nothing is random. Components: the covariance blocks,
-    ``verdict``, ``s_upper`` and ``ipm_iterations`` (over the patterns).
+    the value beats it; else "certified" when every pattern passes the
+    dual stage's test lambda_max <= 0, at the dual stage's mu or at the
+    interior point's final one, or s_upper is within it at the box's
+    corner |x| = 2; else "undecided" (the gap straddles the bound), with
+    the origin's exact 0. Nothing is random. Components: the covariance
+    blocks, ``verdict``, ``s_upper`` and ``ipm_iterations`` (over the
+    patterns).
     This is the one-point case of ``_vlf_report``, which the scenario
     analyses run once over the whole grid, with the same bits per point.
     """
@@ -216,10 +204,15 @@ def _vlf_report(cov: np.ndarray) -> WitnessReport:
     lam, best, x = _vlf_dual(covs)
     # lam <= 0 lies below best >= 0, so certified patterns never pair
     point, pattern = np.nonzero(24.0 * lam > best[:, None])
-    s, xs, _, d, iterations = _vlf_sdp(covs[point], pattern, point, best)
+    s, xs, mu, d, iterations = _vlf_sdp(covs[point], pattern, point, best)
     bound = 24.0 * lam.clip(0.0)
     bound[point, pattern] = 4.0 * d.sum(axis=1)
     upper = bound.max(axis=1)
+    # the dual stage's exact test at each open pair's final mu
+    m = _minus_c(covs[point])
+    _couple(m, mu / mu.sum(axis=1, keepdims=True), _PATTERNS[pattern])
+    lam[point, pattern] = np.minimum(lam[point, pattern],
+                                     np.linalg.eigvalsh(m)[:, -1])
     value, x = _best_per_point(np.concatenate([np.arange(n), point]),
                                np.concatenate([best, s]),
                                np.concatenate([x, xs]), n)
@@ -279,19 +272,15 @@ def _vlf_dual(cov: np.ndarray):
     certified; per point the best S at its top eigenvectors scaled into
     the box, and those weights, as ``_best_per_point`` picks them. All
     patterns step in one batched ``eigh``; certified ones drop out."""
-    n, p, k = len(cov), len(_PATTERNS), np.arange(3)
+    n, p = len(cov), len(_PATTERNS)
     rows = np.arange(n * p)
     patterns = _PATTERNS[rows % p]
-    m = np.zeros((n, p, 6, 6))
-    m[:, :, :3, :3] = -cov[:, None, :3, :3]
-    m[:, :, 3:, 3:] = -cov[:, None, 3:, 3:]
-    m = m.reshape(n * p, 6, 6)
+    m = _minus_c(np.repeat(cov, p, axis=0))
     mu = np.full((n * p, 3), 1.0 / 3.0)
     lam = np.full(n * p, np.inf)
     tops, top_rows = [np.empty((0, 6))], [rows[:0]]
     for _ in range(_DUAL_STEPS):
-        m[:, k, k + 3] = m[:, k + 3, k] = 0.5 * np.einsum(
-            "pi,pil->pl", mu, patterns).clip(-1.0, 1.0)
+        _couple(m, mu, patterns)
         w, v = np.linalg.eigh(m)
         lam[rows] = np.minimum(lam[rows], w[:, -1])
         live = w[:, -1] > 0.0
@@ -310,6 +299,25 @@ def _vlf_dual(cov: np.ndarray):
     best, x = _best_per_point(owner, _vlf_s(_blocks(cov)[owner], tops),
                               tops, n)
     return lam.reshape(n, p), best, x
+
+
+def _minus_c(cov: np.ndarray) -> np.ndarray:
+    """-diag(C_x, C_p) of each 6x6 covariance of a stack (m, 6, 6), the
+    part of sum_i mu_i A_i that mu in the simplex leaves as it is."""
+    m = np.zeros(cov.shape)
+    m[:, :3, :3] = -cov[:, :3, :3]
+    m[:, 3:, 3:] = -cov[:, 3:, 3:]
+    return m
+
+
+def _couple(m: np.ndarray, mu: np.ndarray, patterns: np.ndarray):
+    """Write the x-p entries of sum_i mu_i A_i into each row of m, for
+    the rows of mu and their sign patterns: 0.5 mu @ pattern, clipped to
+    [-1, 1] so that rounding cannot lift the vacuum's zero eigenvalue
+    above 0."""
+    k = np.arange(3)
+    m[:, k, k + 3] = m[:, k + 3, k] = 0.5 * np.einsum(
+        "pi,pil->pl", mu, patterns).clip(-1.0, 1.0)
 
 
 # _vlf_sdp in y = (mu_1, mu_2, d), mu_3 = 1 - mu_1 - mu_2: the slacks are
@@ -513,47 +521,23 @@ def _moment_witness(name: str, triple: complex, moments,
     return _report(name, abs(triple) - bound, comps)
 
 
-def hz_witness(state: QuantumState, singled: int = 0,
-               modes=None) -> WitnessReport:
-    """Pairwise inseparability of one mode from the other two:
-
-        I_alpha = |<a1 a2 a3>| - sqrt(<N_alpha> <N_beta N_gamma>)
-
-    Positive values rule out separability across the alpha | beta gamma
-    split only; this is not yet a genuine-entanglement statement.
-    """
-    if singled not in (0, 1, 2):
-        raise LayoutMismatchError("singled mode index must be 0, 1 or 2")
-    return mode_moment_witnesses(state, modes)[f"hz_i{singled + 1}"]
-
-
-def genuine_witness_sum(state: QuantumState, modes=None) -> WitnessReport:
-    """Genuine tripartite witness with the triangle-inequality bound and
-    anti-normally ordered moments:
-
-        |<a1 a2 a3>| - sum over singled alpha of
-            sqrt(<a_alpha a_alpha+> <a_beta a_beta+ a_gamma a_gamma+>)
-
-    with <a a+> taken as <N> + 1, which stays exact at the cutoff.
-    """
-    return mode_moment_witnesses(state, modes)["genuine_sum"]
-
-
-def genuine_witness_max(state: QuantumState, modes=None) -> WitnessReport:
-    """Sharper genuine tripartite witness: a convex mixture is bounded by
-    its largest branch, so the sum collapses to a max and the moments
-    are photon-number ones:
-
-        |<a1 a2 a3>| - max over singled alpha of
-            sqrt(<N_alpha> <N_beta N_gamma>)
-    """
-    return mode_moment_witnesses(state, modes)["genuine_max"]
-
-
 def mode_moment_witnesses(state: QuantumState,
                           modes=None) -> dict[str, WitnessReport]:
-    """I_1..I_3, genuine_sum and genuine_max, keyed by report name, from
-    one evaluation of the seven moments they share."""
+    """The moment witnesses of three modes, keyed by report name, from
+    one evaluation of the seven moments they share:
+
+    - ``hz_i1`` .. ``hz_i3``: I_alpha = |<a1 a2 a3>| - sqrt(<N_alpha>
+      <N_beta N_gamma>), positive only if mode alpha is inseparable from
+      the other two; not yet a genuine-entanglement statement;
+    - ``genuine_sum``: |<a1 a2 a3>| - sum over alpha of
+      sqrt(<a_alpha a_alpha+> <a_beta a_beta+ a_gamma a_gamma+>), the
+      triangle-inequality bound on antinormal moments;
+    - ``genuine_max``: |<a1 a2 a3>| - max over alpha of sqrt(<N_alpha>
+      <N_beta N_gamma>), sharper, since a convex mixture is bounded by
+      its largest branch.
+
+    Positive ``genuine_sum`` or ``genuine_max`` certifies genuine
+    tripartite entanglement."""
     return _mode_reports(partial(expect_monomial, state),
                          _three_sites(state, modes, BOSON))
 
@@ -634,40 +618,3 @@ def _negativities(rhos: np.ndarray, dims, part) -> np.ndarray:
         tensor = tensor.swapaxes(i - 2 * n_sub, i - n_sub)
     eigs = np.linalg.eigvalsh(tensor.reshape(rhos.shape))
     return -np.sum(eigs, axis=-1, where=eigs < 0.0)
-
-
-def triple_superposition(layout: RegisterLayout, eps: float,
-                         modes=None) -> QuantumState:
-    """Normalized (|000> + eps |111>)/sqrt(1 + eps^2) on three modes."""
-    modes = modes if modes is not None else layout.boson_indices()
-    occ_zero = [0] * layout.n_subsystems
-    occ_one = list(occ_zero)
-    for m in modes:
-        occ_one[m] = 1
-    vec = fock_state(layout, occ_zero).data + \
-        eps * fock_state(layout, occ_one).data
-    vec = vec / np.linalg.norm(vec)
-    return QuantumState(layout, vec)
-
-
-def random_separable_mixture(layout: RegisterLayout,
-                             rng: np.random.Generator,
-                             max_components: int = 4) -> QuantumState:
-    """Random convex mixture of random product pure states.
-
-    Per-subsystem amplitudes are drawn on every level, the top Fock
-    level of each bosonic mode included: the moment witnesses evaluate
-    exact moments there, so no level needs to be held back.
-    """
-    n_components = int(rng.integers(1, max_components + 1))
-    weights = rng.dirichlet(np.ones(n_components))
-    dim = layout.total_dim
-    rho = np.zeros((dim, dim), dtype=complex)
-    for w in weights:
-        vec = np.ones(1, dtype=complex)
-        for _, d in layout.subsystems:
-            local = rng.normal(size=d) + 1j * rng.normal(size=d)
-            local /= np.linalg.norm(local)
-            vec = np.kron(vec, local)
-        rho += w * np.outer(vec, vec.conj())
-    return QuantumState(layout, rho)

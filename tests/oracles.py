@@ -1,5 +1,20 @@
-"""Reference searches that the program no longer runs, kept as oracles
-for its tests.
+"""Oracles and fixtures for the tests: the references that the
+program's own paths are checked against, which no program path runs,
+and the states the tests build.
+
+Full-register references: ``terms_to_matrix`` builds the matrix of a
+term list on the whole register, and ``evolve_static_expm`` propagates
+a static Hamiltonian by its dense eigendecomposition there, the oracle
+of the sector paths. ``partial_trace`` and ``von_neumann_entropy`` are
+the one-state references of the stacked reduced-state cores.
+
+Scalar references that the program's array bits are checked against:
+``exact_josephson_energy`` (the two-junction energy before the
+small-asymmetry expansion), ``combine_like_terms`` and
+``interaction_frequency`` (one term's rotation frequency).
+
+Fixtures: the three-qubit GHZ and W states, the three-mode
+``triple_superposition`` and ``random_separable_mixture``.
 
 The covariance-witness simplex: ``_vlf_polish`` is the batched
 Nelder-Mead search that ``optimize_vlf`` ran before its exact
@@ -9,11 +24,199 @@ from seeded random starts is a lower bound that the exact optimum must
 never fall below.
 """
 
+from __future__ import annotations
+
+import math
 from functools import partial
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from triphoton.circuit import PHI0
+from triphoton.dynamics import HamiltonianSpec
+from triphoton.errors import LayoutMismatchError
+from triphoton.hilbert import (
+    DENSE_LIMIT,
+    QUBIT,
+    QuantumState,
+    RegisterLayout,
+    _basis_matrix,
+    _entropies,
+    _reduce_columns,
+    fock_state,
+)
+from triphoton.rwa import _FREQ_SIGN, LadderMonomial
 from triphoton.witnesses import _blocks, _forms, _vlf_s
+
+
+def terms_to_matrix(terms: Iterable[LadderMonomial], layout: RegisterLayout,
+                    sparse: bool | None = None):
+    """Sum of monomial matrices over the full register; dense below
+    DENSE_LIMIT, CSR above, unless ``sparse`` says otherwise."""
+    if sparse is None:
+        sparse = layout.total_dim > DENSE_LIMIT
+    return _basis_matrix(terms, layout, np.arange(layout.total_dim), sparse)
+
+
+def evolve_static_expm(h_static: Sequence[LadderMonomial] | HamiltonianSpec,
+                       psi0: QuantumState,
+                       t: float) -> QuantumState:
+    """psi(t) = exp(-i H t) psi0 by dense eigendecomposition.
+
+    Static Hamiltonians only; this is the full-register oracle the
+    sector paths are checked against.
+    """
+    if isinstance(h_static, HamiltonianSpec):
+        if h_static.driven_terms:
+            raise ValueError("expm path takes static Hamiltonians only")
+        terms = h_static.static_terms
+    else:
+        terms = list(h_static)
+    layout = psi0.layout
+    if layout.total_dim > DENSE_LIMIT:
+        raise ValueError(
+            f"dimension {layout.total_dim} too large for the dense path")
+    if not psi0.is_pure:
+        raise ValueError("expm path propagates pure states")
+    mat = terms_to_matrix(terms, layout, sparse=False)
+    if not np.allclose(mat, mat.conj().T, atol=1e-12):
+        raise ValueError("static Hamiltonian is not Hermitian")
+    w, v = np.linalg.eigh(mat)
+    psi = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0.data))
+    return QuantumState(layout, psi, validate=False)
+
+
+def partial_trace(state: QuantumState, keep: Iterable[int]) -> QuantumState:
+    """Reduced density operator over the kept subsystems (in ascending
+    register order)."""
+    keep = sorted(set(keep))
+    if not keep:
+        raise LayoutMismatchError("keep set must be nonempty")
+    for i in keep:
+        state.layout.check_index(i)
+    dims = state.layout.dims
+    n_sub = len(dims)
+    traced = [i for i in range(n_sub) if i not in keep]
+    keep_dim = int(np.prod([dims[i] for i in keep]))
+    traced_dim = int(np.prod([dims[i] for i in traced])) if traced else 1
+    new_layout = RegisterLayout(
+        tuple(state.layout.subsystems[i] for i in keep))
+    if state.is_pure:
+        support = np.flatnonzero(state.data)
+        rho = _reduce_columns(state.layout, support,
+                              state.data[support][:, None], keep)[0]
+    else:
+        tensor = state.data.reshape(dims + dims)
+        perm = keep + traced + [n_sub + i for i in keep] + \
+            [n_sub + i for i in traced]
+        block = tensor.transpose(perm).reshape(
+            keep_dim, traced_dim, keep_dim, traced_dim)
+        rho = np.einsum("atbt->ab", block)
+    return QuantumState(new_layout, rho, validate=False)
+
+
+def von_neumann_entropy(state: QuantumState) -> float:
+    """Entropy in nats of the state (0 for any pure state)."""
+    return 0.0 if state.is_pure else float(_entropies(state.data))
+
+
+def exact_josephson_energy(ej1: float, ej2: float, loop_flux: float) -> float:
+    """Full two-junction effective Josephson energy for a loop flux
+    (in phi0 units), without any small-asymmetry expansion."""
+    return math.sqrt(
+        ej1**2 + ej2**2 + 2.0 * ej1 * ej2 * math.cos(loop_flux / PHI0)
+    )
+
+
+def combine_like_terms(terms: Iterable[LadderMonomial]
+                       ) -> list[LadderMonomial]:
+    """Merge monomials with identical operator content and drive branch,
+    summing coefficients. Entries whose coefficients cancel to zero are
+    discarded."""
+    acc: dict[tuple, LadderMonomial] = {}
+    for term in terms:
+        key = term.operator_key()
+        if key in acc:
+            prev = acc[key]
+            acc[key] = LadderMonomial(prev.factors,
+                                      prev.coefficient + term.coefficient,
+                                      prev.drive_sign)
+        else:
+            acc[key] = term
+    return [t for t in acc.values() if t.coefficient != 0]
+
+
+def interaction_frequency(term: LadderMonomial,
+                          frequencies: Sequence[float],
+                          drive: float = 0.0) -> float:
+    """Rotation frequency of the monomial in the interaction picture."""
+    total = term.drive_sign * drive
+    for idx, kind in term.factors:
+        if idx >= len(frequencies):
+            raise IndexError(
+                f"factor on subsystem {idx} but only "
+                f"{len(frequencies)} frequencies given")
+        total += _FREQ_SIGN[kind] * frequencies[idx]
+    return total
+
+
+def _require_three_qubits(layout: RegisterLayout):
+    if layout.subsystems != ((QUBIT, 2),) * 3:
+        raise LayoutMismatchError("this state needs a register of 3 qubits")
+
+
+def ghz_state(layout: RegisterLayout) -> QuantumState:
+    """(|000> + |111>)/sqrt(2) on three qubits."""
+    _require_three_qubits(layout)
+    vec = np.zeros(8, dtype=complex)
+    vec[0] = vec[7] = 1.0 / np.sqrt(2.0)
+    return QuantumState(layout, vec)
+
+
+def w_state(layout: RegisterLayout) -> QuantumState:
+    """(|001> + |010> + |100>)/sqrt(3) on three qubits."""
+    _require_three_qubits(layout)
+    vec = np.zeros(8, dtype=complex)
+    vec[1] = vec[2] = vec[4] = 1.0 / np.sqrt(3.0)
+    return QuantumState(layout, vec)
+
+
+def triple_superposition(layout: RegisterLayout, eps: float,
+                         modes=None) -> QuantumState:
+    """Normalized (|000> + eps |111>)/sqrt(1 + eps^2) on three modes."""
+    modes = modes if modes is not None else layout.boson_indices()
+    occ_zero = [0] * layout.n_subsystems
+    occ_one = list(occ_zero)
+    for m in modes:
+        occ_one[m] = 1
+    vec = fock_state(layout, occ_zero).data + \
+        eps * fock_state(layout, occ_one).data
+    vec = vec / np.linalg.norm(vec)
+    return QuantumState(layout, vec)
+
+
+def random_separable_mixture(layout: RegisterLayout,
+                             rng: np.random.Generator,
+                             max_components: int = 4) -> QuantumState:
+    """Random convex mixture of random product pure states.
+
+    Per-subsystem amplitudes are drawn on every level, the top Fock
+    level of each bosonic mode included: the moment witnesses evaluate
+    exact moments there, so no level needs to be held back.
+    """
+    n_components = int(rng.integers(1, max_components + 1))
+    weights = rng.dirichlet(np.ones(n_components))
+    dim = layout.total_dim
+    rho = np.zeros((dim, dim), dtype=complex)
+    for w in weights:
+        vec = np.ones(1, dtype=complex)
+        for _, d in layout.subsystems:
+            local = rng.normal(size=d) + 1j * rng.normal(size=d)
+            local /= np.linalg.norm(local)
+            vec = np.kron(vec, local)
+        rho += w * np.outer(vec, vec.conj())
+    return QuantumState(layout, rho)
+
 
 _MAX_ITER = 300  # simplex iterations of the polish
 

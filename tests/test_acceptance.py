@@ -25,9 +25,6 @@ from triphoton.hilbert import (
     RegisterLayout,
     covariance_matrix,
     fock_state,
-    ghz_state,
-    terms_to_matrix,
-    w_state,
 )
 from triphoton.rwa import (
     classify_terms,
@@ -45,17 +42,20 @@ from triphoton.scenarios import (
 from triphoton.witnesses import (
     _vlf_report,
     dv_genuine_witness,
-    genuine_witness_max,
-    genuine_witness_sum,
-    hz_witness,
+    mode_moment_witnesses,
     negativity,
     optimize_vlf,
-    random_separable_mixture,
-    triple_superposition,
     vlf_value,
 )
 
-from oracles import _vlf_polish
+from oracles import (
+    _vlf_polish,
+    ghz_state,
+    random_separable_mixture,
+    terms_to_matrix,
+    triple_superposition,
+    w_state,
+)
 from test_witnesses import restart_starts
 
 REF_SQUID = SquidParams(ej1=6.1, ej2=4.99, c1=1e-13, c2=1e-13,
@@ -108,7 +108,7 @@ def test_criterion_01_perturbative_witness_match(default_3spdc):
     for gt in (0.02, 0.05, 0.1):
         # first-order construction, deliberately unnormalized
         state = QuantumState(lay, vac + gt * top, validate=False)
-        i1 = hz_witness(state, singled=0).value
+        i1 = mode_moment_witnesses(state)["hz_i1"].value
         worst_exact = max(worst_exact, abs(i1 - (gt - gt**2)))
         # full evolution at the same grid point
         k = int(np.argmin(np.abs(tau - gt)))
@@ -240,14 +240,16 @@ def test_criterion_04_g2_dominates_g1():
     separating = 0
     worst_gap = np.inf
     for state in bank:
-        g1 = genuine_witness_sum(state).value
-        g2 = genuine_witness_max(state).value
+        reports = mode_moment_witnesses(state)
+        g1 = reports["genuine_sum"].value
+        g2 = reports["genuine_max"].value
         worst_gap = min(worst_gap, g2 - g1)
         if g2 > 0 >= g1:
             separating += 1
     half = triple_superposition(RegisterLayout.bosons(3, 4), 0.5)
-    g2_half = genuine_witness_max(half).value
-    g1_half = genuine_witness_sum(half).value
+    reports = mode_moment_witnesses(half)
+    g2_half = reports["genuine_max"].value
+    g1_half = reports["genuine_sum"].value
     ok = (worst_gap >= 0 and separating >= 1
           and abs(g2_half - 0.2) < 1e-12 and g1_half < 0)
     report(4, ok, f"min(G2-G1)={worst_gap:.3e} over 200 states, "
@@ -386,10 +388,11 @@ def test_criterion_08_soundness(default_3spdc):
     for _ in range(120):
         state = random_separable_mixture(mode_lay, rng)
         worst = max(worst, optimize_vlf(state).value)
+        reports = mode_moment_witnesses(state)
         for singled in range(3):
-            worst = max(worst, hz_witness(state, singled).value)
-        worst = max(worst, genuine_witness_sum(state).value)
-        worst = max(worst, genuine_witness_max(state).value)
+            worst = max(worst, reports[f"hz_i{singled + 1}"].value)
+        worst = max(worst, reports["genuine_sum"].value)
+        worst = max(worst, reports["genuine_max"].value)
     for _ in range(80):
         state = random_separable_mixture(qubit_lay, rng)
         for ordering in ("normal", "antinormal"):

@@ -17,13 +17,14 @@ from triphoton import (
     SquidParams,
     coupling_table,
     effective_junction,
-    exact_josephson_energy,
     mode_spectrum,
     solve_wavenumbers,
     three_spdc_coupling,
 )
 from triphoton.circuit import PHI0
 from triphoton.errors import SingularBiasError
+
+from oracles import exact_josephson_energy
 
 
 def bisect_oracle(f, lo, hi, tol=1e-10):

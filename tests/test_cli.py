@@ -33,7 +33,7 @@ from triphoton.rwa import (
     driven_cavity_terms,
 )
 from triphoton.scenarios import DceParams, ScenarioConfig, resolve_circuit
-from triphoton.hilbert import RegisterLayout, fock_state, ghz_state
+from triphoton.hilbert import QuantumState, RegisterLayout, fock_state
 from triphoton.serialize import (
     FLOAT_FMT,
     circuit_tables_json,
@@ -43,7 +43,8 @@ from triphoton.serialize import (
     state_from_json,
     state_to_json,
 )
-from triphoton.witnesses import triple_superposition
+
+from oracles import ghz_state, triple_superposition
 
 REFERENCE = os.path.join(os.path.dirname(__file__), "..", "configs",
                          "reference.ini")
@@ -430,6 +431,20 @@ class TestWitnessCommand:
         assert main(["witness", "--state", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_unnormalized_state_exits_2(self, tmp_path, capsys):
+        # the product ((|0> + |1>)/sqrt 2)^3 scaled to norm 1.1225: read
+        # unchecked, the covariance witness called it genuinely entangled
+        plus = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+        vec = 1.1225 * np.kron(np.kron(plus, plus), plus)
+        path = str(tmp_path / "product.json")
+        save_state(QuantumState(RegisterLayout.bosons(3, 2), vec,
+                                validate=False), path)
+        assert main(["witness", "--state", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed state JSON: ")
+        assert "norm" in captured.err
 
     def test_restart_options_removed(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -832,11 +847,12 @@ class TestColdStart:
         result = self.fresh("""
 from triphoton.dynamics import (SPARSE_EVOLVE_LIMIT, Cosine,
                                 HamiltonianSpec, evolve)
-from triphoton.hilbert import RegisterLayout, fock_state, terms_to_matrix
+import numpy as np
+from triphoton.hilbert import RegisterLayout, _basis_matrix, fock_state
 from triphoton.rwa import ANNIHILATE, CREATE, NUMBER, LadderMonomial
 layout = RegisterLayout.bosons(1, SPARSE_EVOLVE_LIMIT + 8)
 number = LadderMonomial(((0, NUMBER),), 1.0)
-terms_to_matrix([number], layout, sparse=False)
+_basis_matrix([number], layout, np.arange(layout.total_dim))
 result = {'sparse_after_dense_build': 'scipy.sparse' in sys.modules}
 drive = [(LadderMonomial(((0, kind),), 0.01), Cosine(1.0, 1.0))
          for kind in (CREATE, ANNIHILATE)]

@@ -26,11 +26,6 @@ from triphoton.hilbert import (
     covariance_matrix,
     expect_monomial,
     fock_state,
-    ghz_state,
-    partial_trace,
-    terms_to_matrix,
-    von_neumann_entropy,
-    w_state,
 )
 from triphoton.rwa import (
     ANNIHILATE,
@@ -42,6 +37,14 @@ from triphoton.rwa import (
     LadderMonomial,
 )
 from triphoton.scenarios import _STEPS
+
+from oracles import (
+    ghz_state,
+    partial_trace,
+    terms_to_matrix,
+    von_neumann_entropy,
+    w_state,
+)
 
 
 def mono(factors, coeff=1.0, drive=0):

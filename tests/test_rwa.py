@@ -27,14 +27,14 @@ from triphoton.rwa import (
     LadderMonomial,
     _classify_rows,
     classify_terms,
-    combine_like_terms,
     driven_cavity_terms,
     free_mode_terms,
     hermitian_closure_holds,
-    interaction_frequency,
     is_kerr_quartic,
     rwa_reduce,
 )
+
+from oracles import combine_like_terms, interaction_frequency
 
 # anharmonic triple for direct tests
 FREQS = [0.73, 1.91, 4.39]

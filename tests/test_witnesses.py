@@ -18,7 +18,6 @@ from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from triphoton import witnesses
-from triphoton.dynamics import evolve_static_expm
 from triphoton.errors import LayoutMismatchError
 from triphoton.hilbert import (
     QuantumState,
@@ -26,9 +25,6 @@ from triphoton.hilbert import (
     covariance_matrix,
     expect_monomial,
     fock_state,
-    ghz_state,
-    partial_trace,
-    w_state,
 )
 from triphoton.rwa import CREATE, NUMBER, LadderMonomial
 from triphoton.witnesses import (
@@ -41,19 +37,24 @@ from triphoton.witnesses import (
     _vlf_s,
     _vlf_sdp,
     dv_genuine_witness,
-    genuine_witness_max,
-    genuine_witness_sum,
-    hz_witness,
     mode_moment_witnesses,
     negativity,
     optimize_vlf,
-    random_separable_mixture,
-    triple_superposition,
     vlf_value,
-    vlf_witness,
 )
 
-from oracles import _nelder_mead, _vlf_objective, _vlf_penalized, _vlf_polish
+from oracles import (
+    _nelder_mead,
+    _vlf_objective,
+    _vlf_penalized,
+    _vlf_polish,
+    evolve_static_expm,
+    ghz_state,
+    partial_trace,
+    random_separable_mixture,
+    triple_superposition,
+    w_state,
+)
 
 LAY3 = RegisterLayout.bosons(3, 4)
 QUBITS = RegisterLayout.qubits(3)
@@ -94,28 +95,27 @@ def evolved_pair(gt, cutoff=8):
 
 class TestVlf:
     def test_vacuum_unit_weights_is_boundary(self):
-        params = VlfParams(g=(1, 1, 1), h=(1, 1, 1))
-        rep = vlf_witness(vacuum3(), params)
+        value = vlf_value(covariance_matrix(vacuum3()), (1, 1, 1), (1, 1, 1))
         # 3 - 3/2 - 3/2 with vacuum variance 1/2
-        assert rep.value == pytest.approx(0.0, abs=1e-14)
-        assert not rep.detects
+        assert value == pytest.approx(0.0, abs=1e-14)
+        assert not value > 0.0
 
     def test_zero_weights(self):
-        rep = vlf_witness(vacuum3(), VlfParams(g=(0, 0, 0), h=(0, 0, 0)))
-        assert rep.value == 0.0
+        value = vlf_value(covariance_matrix(vacuum3()), (0, 0, 0), (0, 0, 0))
+        assert value == 0.0
 
     def test_triple_superposition_never_positive(self):
         rng = np.random.default_rng(7)
-        state = evolved_triple(0.2)
+        cov = covariance_matrix(evolved_triple(0.2))
         for _ in range(40):
             x = rng.uniform(-2, 2, size=6)
-            rep = vlf_witness(state, VlfParams(g=tuple(x[:3]), h=tuple(x[3:])))
-            assert rep.value <= 1e-10
+            assert vlf_value(cov, x[:3], x[3:]) <= 1e-10
 
     def test_non_bosonic_subsystem_rejected(self):
         state = ghz_state(QUBITS)
         with pytest.raises(LayoutMismatchError):
-            vlf_witness(state, VlfParams(g=(1, 1, 1), h=(1, 1, 1)))
+            vlf_value(covariance_matrix(state, range(3)), (1, 1, 1),
+                      (1, 1, 1))
 
 
 def dual_certifies(cov):
@@ -624,6 +624,26 @@ class TestExactOptimum:
         assert _vlf_polish(cov, restart_starts(8, 0))[0] <= rep.value
 
 
+    def test_open_pattern_certified_at_the_final_mu(self):
+        # draw 1768 of these Gaussian states: the dual stage leaves one
+        # pattern open, the interior point stops with s_upper ~3.6e-12,
+        # above the rounding bound, and lambda_max at its final mu is
+        # ~-2e-5, which the dual stage's test reads as certified
+        rng = np.random.default_rng(1)
+        for _ in range(1769):
+            h = rng.uniform(-0.3, 0.3, 21)
+            nu = rng.uniform(0.5, 1.5, 3)
+        cov = _gaussian_covariance(h, nu)
+        lam, _, _, pattern, (_, _, mu, _, _) = sdp_pairs(cov)
+        assert len(pattern) == 1 and lam[pattern[0]] > 0.0
+        # lambda_max(sum_i mu_i A_i) < 0: diag(0) - sum_i mu_i A_i > 0
+        assert _independent_bounds(cov, pattern, mu, np.zeros((1, 6)))[0] > 0
+        rep = _vlf_report(cov)
+        assert rep.components["verdict"] == "certified"
+        assert 0.0 < rep.components["s_upper"] < 1e-11
+        assert rep.value == 0.0
+
+
 class TestHzWitness:
     def test_perturbative_value_exact(self):
         g0t = 0.08
@@ -631,30 +651,27 @@ class TestHzWitness:
         vec = fock_state(lay, (0, 0, 0)).data + \
             g0t * fock_state(lay, (1, 1, 1)).data
         state = QuantumState(lay, vec, validate=False)
-        rep = hz_witness(state, singled=0)
+        rep = mode_moment_witnesses(state)["hz_i1"]
         assert rep.value == pytest.approx(g0t - g0t**2, rel=1e-12)
 
     def test_vacuum_is_zero(self):
         for singled in range(3):
-            assert hz_witness(vacuum3(), singled).value == 0.0
+            assert mode_moment_witnesses(vacuum3())[
+                f"hz_i{singled + 1}"].value == 0.0
 
     def test_triple_fock_is_minus_one(self):
         state = fock_state(LAY3, (1, 1, 1))
-        rep = hz_witness(state, singled=0)
+        rep = mode_moment_witnesses(state)["hz_i1"]
         assert rep.value == pytest.approx(-1.0, abs=1e-14)
-
-    def test_invalid_index(self):
-        with pytest.raises(LayoutMismatchError):
-            hz_witness(vacuum3(), singled=3)
 
 
 class TestGenuineSum:
     def test_vacuum(self):
-        rep = genuine_witness_sum(vacuum3())
+        rep = mode_moment_witnesses(vacuum3())["genuine_sum"]
         assert rep.value == pytest.approx(-3.0, abs=1e-14)
 
     def test_triple_fock(self):
-        rep = genuine_witness_sum(fock_state(LAY3, (1, 1, 1)))
+        rep = mode_moment_witnesses(fock_state(LAY3, (1, 1, 1)))["genuine_sum"]
         assert rep.value == pytest.approx(-6 * np.sqrt(2), rel=1e-14)
 
     def test_small_eps_expansion(self):
@@ -662,7 +679,7 @@ class TestGenuineSum:
         # [eps - 3 sqrt((1+2eps^2)(1+4eps^2))] / (1+eps^2)
         for eps in (1e-3, 1e-2, 0.05):
             state = triple_superposition(LAY3, eps)
-            rep = genuine_witness_sum(state)
+            rep = mode_moment_witnesses(state)["genuine_sum"]
             closed = (eps - 3 * np.sqrt((1 + 2 * eps**2) * (1 + 4 * eps**2))) \
                 / (1 + eps**2)
             assert rep.value == pytest.approx(closed, rel=1e-12)
@@ -673,7 +690,7 @@ class TestGenuineSum:
         # <a a+> = c + 1 on |c>, which the truncated a a+ would give as 0
         for c in (1, 2, 4):
             state = fock_state(RegisterLayout.bosons(3, c), (c, c, c))
-            rep = genuine_witness_sum(state)
+            rep = mode_moment_witnesses(state)["genuine_sum"]
             assert rep.value == pytest.approx(-3 * np.sqrt((c + 1)**3),
                                               abs=1e-12)
 
@@ -688,7 +705,7 @@ class TestGenuineSum:
             for a, (b, g) in enumerate(((1, 2), (0, 2), (0, 1))):
                 nn = expect_monomial(state, ((b, NUMBER), (g, NUMBER))).real
                 bound += np.sqrt((n[a] + 1) * (nn + n[b] + n[g] + 1))
-            rep = genuine_witness_sum(state)
+            rep = mode_moment_witnesses(state)["genuine_sum"]
             assert rep.value == pytest.approx(
                 abs(rep.components["triple"]) - bound, rel=1e-12)
 
@@ -715,30 +732,31 @@ class TestMomentEvaluation:
         state = evolved_triple(0.12)
         reports = mode_moment_witnesses(state)
         for singled in range(3):
-            assert hz_witness(state, singled).value == \
-                reports[f"hz_i{singled + 1}"].value
-        assert genuine_witness_sum(state).value == \
+            assert mode_moment_witnesses(state)[
+                f"hz_i{singled + 1}"].value == reports[
+                    f"hz_i{singled + 1}"].value
+        assert mode_moment_witnesses(state)["genuine_sum"].value == \
             reports["genuine_sum"].value
-        assert genuine_witness_max(state).value == \
+        assert mode_moment_witnesses(state)["genuine_max"].value == \
             reports["genuine_max"].value
 
 
 class TestGenuineMax:
     def test_vacuum(self):
-        assert genuine_witness_max(vacuum3()).value == 0.0
+        assert mode_moment_witnesses(vacuum3())["genuine_max"].value == 0.0
 
     def test_eps_family_closed_form(self):
         for eps in (0.1, 0.3, 0.5, 0.9):
             state = triple_superposition(LAY3, eps)
-            rep = genuine_witness_max(state)
+            rep = mode_moment_witnesses(state)["genuine_max"]
             assert rep.value == pytest.approx(
                 eps * (1 - eps) / (1 + eps**2), rel=1e-12)
             assert rep.detects == (0 < eps < 1)
 
     def test_half_eps_reference_point(self):
-        state = triple_superposition(LAY3, 0.5)
-        assert genuine_witness_max(state).value == pytest.approx(0.2, rel=1e-12)
-        assert genuine_witness_sum(state).value < 0.0
+        reports = mode_moment_witnesses(triple_superposition(LAY3, 0.5))
+        assert reports["genuine_max"].value == pytest.approx(0.2, rel=1e-12)
+        assert reports["genuine_sum"].value < 0.0
 
     def test_dominates_sum_variant(self):
         rng = np.random.default_rng(31)
@@ -746,14 +764,14 @@ class TestGenuineMax:
         bank += [triple_superposition(LAY3, e) for e in (0.05, 0.5, 0.9)]
         bank += [evolved_triple(0.15), evolved_pair(0.3)]
         for state in bank:
-            g1 = genuine_witness_sum(state).value
-            g2 = genuine_witness_max(state).value
+            reports = mode_moment_witnesses(state)
+            g1 = reports["genuine_sum"].value
+            g2 = reports["genuine_max"].value
             assert g2 >= g1
 
     def test_strictly_greater_with_photons(self):
-        state = triple_superposition(LAY3, 0.4)
-        assert genuine_witness_max(state).value > \
-            genuine_witness_sum(state).value
+        reports = mode_moment_witnesses(triple_superposition(LAY3, 0.4))
+        assert reports["genuine_max"].value > reports["genuine_sum"].value
 
 
 class TestDvGenuine:
@@ -894,10 +912,11 @@ class TestSoundnessBattery:
         for _ in range(40):
             state = random_separable_mixture(LAY3, rng)
             assert optimize_vlf(state).value <= 1e-9
+            reports = mode_moment_witnesses(state)
             for singled in range(3):
-                assert hz_witness(state, singled).value <= 1e-9
-            assert genuine_witness_sum(state).value <= 1e-9
-            assert genuine_witness_max(state).value <= 1e-9
+                assert reports[f"hz_i{singled + 1}"].value <= 1e-9
+            assert reports["genuine_sum"].value <= 1e-9
+            assert reports["genuine_max"].value <= 1e-9
 
     def test_qubit_witness_on_separable_mixtures(self):
         rng = np.random.default_rng(4321)
@@ -911,7 +930,7 @@ class TestSoundnessBattery:
     def test_detection_implies_negativity(self):
         for gt in (0.05, 0.15):
             state = evolved_triple(gt)
-            assert genuine_witness_max(state).value > 0
+            assert mode_moment_witnesses(state)["genuine_max"].value > 0
             assert any(negativity(state, {i}) > 1e-6 for i in range(3))
 
 
@@ -931,13 +950,15 @@ class TestLocalPhaseInvariance:
         for _ in range(5):
             thetas = rng.uniform(0, 2 * np.pi, size=3)
             rotated = self.dephase(state, thetas)
+            before = mode_moment_witnesses(state)
+            after = mode_moment_witnesses(rotated)
             for singled in range(3):
-                assert hz_witness(rotated, singled).value == pytest.approx(
-                    hz_witness(state, singled).value, abs=1e-12)
-            assert genuine_witness_sum(rotated).value == pytest.approx(
-                genuine_witness_sum(state).value, abs=1e-12)
-            assert genuine_witness_max(rotated).value == pytest.approx(
-                genuine_witness_max(state).value, abs=1e-12)
+                key = f"hz_i{singled + 1}"
+                assert after[key].value == pytest.approx(before[key].value,
+                                                         abs=1e-12)
+            for key in ("genuine_sum", "genuine_max"):
+                assert after[key].value == pytest.approx(before[key].value,
+                                                         abs=1e-12)
 
     def test_qubit_witness_invariant(self):
         rng = np.random.default_rng(78)
@@ -955,21 +976,23 @@ class TestLocalPhaseInvariance:
 
 class TestReportShape:
     def test_detects_iff_positive(self):
-        pos = genuine_witness_max(triple_superposition(LAY3, 0.5))
-        neg = genuine_witness_sum(vacuum3())
+        pos = mode_moment_witnesses(
+            triple_superposition(LAY3, 0.5))["genuine_max"]
+        neg = mode_moment_witnesses(vacuum3())["genuine_sum"]
         assert pos.detects and pos.value > 0
         assert not neg.detects and neg.value <= 0
 
     def test_components_present(self):
-        rep = genuine_witness_max(triple_superposition(LAY3, 0.5))
+        rep = mode_moment_witnesses(
+            triple_superposition(LAY3, 0.5))["genuine_max"]
         assert set(rep.components) == {"triple", "term_1", "term_2", "term_3"}
 
 
 class TestMixedStateInputs:
     def test_witnesses_accept_density_matrices(self):
-        state = evolved_triple(0.1).to_density()
-        assert genuine_witness_max(state).value > 0
-        assert hz_witness(state, 0).value > 0
+        reports = mode_moment_witnesses(evolved_triple(0.1).to_density())
+        assert reports["genuine_max"].value > 0
+        assert reports["hz_i1"].value > 0
 
     def test_qubit_marginal_of_ghz(self):
         # tracing one qubit leaves a separable pair: no negativity
