@@ -44,9 +44,12 @@ driven config is, takes them densely: every exponential is exp(-iX)
 with X = a H_static + b H_g and a fixed by the substep length, its
 Taylor polynomial, regrouped by powers of b, is one table per substep
 length, built once per run, and a chunk's exponentials are one real
-product of its powers of b with that table. Each chunk's unitaries are
-then multiplied together in a batched pairwise tree, so a grid interval
-costs one matrix-vector product. Every other run keeps its matrices in
+product of its powers of b with that table. The table keeps only the
+powers of b the run can need: the run's own bound on |b| ||H_g||, from
+its longest substep and its envelope's supremum, puts every higher
+power below ``SERIES_CUT``. Each chunk's unitaries are then multiplied
+together in a batched pairwise tree, so a grid interval costs one
+matrix-vector product. Every other run keeps its matrices in
 CSR form, and each exponential acts on the state by its Taylor series.
 scipy is imported only there, for ``scipy.sparse``, as it is in
 ``hilbert._basis_matrix``; every other run, the driven ``dce-rabi``
@@ -196,13 +199,23 @@ class Trajectory:
 
 # above this many states, as with two or more envelope groups,
 # exponentials act by Taylor series on CSR matrices. A whole evolve of a
-# cos-driven displacement over 11 grid points, per exponential (one
-# group, one BLAS thread, 2 vCPU), takes 5-6 us on the polynomial route
-# at 16 states against 72-136 us on CSR, 14-19 us against 73-98 us at
-# 32, 71 us against 93 us at 56 and 81 us against 73-82 us at 64. The
-# crossover lies near 64 states, but no workload runs a sector of 17 to
-# 64 states, so no measurement of a run picks a higher limit
+# cos-driven displacement over 11 grid points on [0, 20], per
+# exponential (one group, median of 5, one BLAS thread, 2 vCPU), takes
+# 4-6 us on the polynomial route at 16 states against 71-92 us on CSR,
+# 10-15 us against 73-118 us at 32, 40 us against 77-91 us at 56 and
+# 51-80 us against 80-100 us at 64. The dense route stays ahead up to 64
+# states, but no workload runs a sector of 17 to 64 states, so no
+# measurement of a run picks a higher limit
 SPARSE_EVOLVE_LIMIT = 16
+# complex entries in one batch's stack of dense exponentials, which the
+# route holds with its tree's levels. Fresh processes timing
+# scenarios._evolve_dce on configs/dce.ini (9 states, 64 and 32
+# exponentials per interval; median of 60 calls, 6 processes per budget,
+# one BLAS thread, 2 vCPU) read 26.9-27.3 ms at 2^12 (one interval per
+# batch), 21.9-22.4 at 2^13, 21.8-22.6 at 2^14, 20.6-20.9 at 1.5 2^14
+# and 21.8-29.6 at 2^15, the fastest three processes each. 2^14 raised
+# the benchmark's dce-rabi peak_rss_mb by 0.6 MB, 1.5 2^14 by 1.1 MB
+_STACK_BUDGET = 2**14
 # the largest h ||H|| of a Magnus substep: halved from 0.72, where the
 # error_estimate of configs/dce.ini is 9.4e-8, until it fell below 2.5e-8
 # (half the 5e-8 state gate on that run) there and on the driven specs
@@ -346,7 +359,17 @@ def _taylor_route(parts, psi: np.ndarray, weights: np.ndarray,
         yield psi
 
 
-def _drive_polynomial(parts: np.ndarray):
+def _series_degree(x: float, scale: float = 1.0) -> int:
+    """The fewest n with scale x^(n+1)/(n+1)! <= ``SERIES_CUT``: where a
+    series whose j-th term is bounded by scale x^j/j! stops."""
+    n, tail = 0, scale * x
+    while tail > SERIES_CUT:
+        n += 1
+        tail *= x / (n + 1)
+    return n
+
+
+def _drive_polynomial(parts: np.ndarray, degree: int):
     """exp(-iX), X = a H_static + b H_g, for a run with one envelope
     group, as a function of (a, b): a is h times the static weight, so
     it is fixed by the substep length, and only b varies. The Taylor
@@ -357,40 +380,40 @@ def _drive_polynomial(parts: np.ndarray):
     is the fewest with x^(N+1)/(N+1)! <= ``SERIES_CUT`` at the largest
     column sum of |X| a substep of either run reaches, x = 2 ``THETA``
     sqrt(3)/3: the companion's h ||H|| times the largest sum of |CF4
-    weights| in one exponential. The Q are built here, once, and each
-    a's D table on its first use.
+    weights| in one exponential. Only D_j with j <= ``degree`` (at most
+    N) are kept: the caller picks it by ``_series_degree`` from the run's
+    own bounds, ||D_j(a)|| <= e^(|a| ||H_static||) ||H_g||^j / j! in
+    column-sum norms. The Q are built here, once, and each a's D table
+    on its first use.
 
     The returned function takes one a per piece (n,) and the pieces' b
     (n, m), and gives their exponentials (n, m, d, d): one product of the
     powers of b with the pieces' D tables."""
-    x = 2 * THETA * np.sqrt(3) / 3
-    degree, tail = 0, x
-    while tail > SERIES_CUT:
-        degree += 1
-        tail *= x / (degree + 1)
+    top = _series_degree(2 * THETA * np.sqrt(3) / 3)
+    rows = min(degree, top) + 1
     h_static, h_group = parts
     d = len(h_static)
-    # Q_n^(j) at [j, n], so D_j(a) is row j of the coefficients times
-    # stack j
-    words = np.zeros((degree + 1, degree + 1, d, d), dtype=parts.dtype)
+    # Q_n^(j) at [j, n] for j < rows (0 for j > n), so D_j(a) is row j
+    # of the coefficients times stack j
+    words = np.zeros((rows, top + 1, d, d), dtype=parts.dtype)
     words[0, 0] = np.eye(d)
-    for n in range(1, degree + 1):
-        words[:n, n] = h_static @ words[:n, n - 1]
-        words[1:n + 1, n] += h_group @ words[:n, n - 1]
-    words = words.reshape(degree + 1, degree + 1, d * d)
+    for n in range(1, top + 1):
+        words[:, n] = h_static @ words[:, n - 1]
+        words[1:, n] += h_group @ words[:-1, n - 1]
+    words = words.reshape(rows, top + 1, d * d)
     # D_j(a)'s coefficient of Q_n^(j) at [j, n]: (-i)^n / n! times
     # a^shift, shift = n - j, for n >= j, and 0 below
-    order = np.arange(degree + 1)
+    order = np.arange(top + 1)
     series = np.triu(np.tile(np.array([1, -1j, -1, 1j])[order % 4] / [
-        factorial(n) for n in order], (degree + 1, 1)))
-    shift = np.triu(order - order[:, None])
+        factorial(n) for n in order], (rows, 1)))
+    shift = np.triu(order - order[:rows, None])
     # a linspace grid has a handful of substep lengths, but a grid whose
     # intervals all differ would keep a table per interval: past 1 MB of
     # tables the cache starts again
-    tables, held = {}, max(1, 2**20 // (16 * (degree + 1) * d * d))
+    tables, held = {}, max(1, 2**20 // (16 * rows * d * d))
 
     def exponentials(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        powers = np.empty(b.shape + (degree + 1,))
+        powers = np.empty(b.shape + (rows,))
         powers[..., 0] = 1.0
         powers[..., 1:] = b[..., None]
         powers = np.cumprod(powers, axis=-1)
@@ -405,7 +428,7 @@ def _drive_polynomial(parts: np.ndarray):
                 coefficients = series * (key ** order)[shift]
                 table = coefficients.real[:, None] @ words + 1j * (
                     coefficients.imag[:, None] @ words)
-                tables[key] = table.reshape(degree + 1, -1).view(float)
+                tables[key] = table.reshape(rows, -1).view(float)
             chosen.append(tables[key])
         u = (powers @ np.stack(chosen)).view(complex)
         return u.reshape(*b.shape, d, d)
@@ -549,12 +572,19 @@ def evolve(h: HamiltonianSpec,
             most = int(2 * half.max(initial=1))
         else:
             parts = np.array(parts)
-            # a chunk's stack of exponentials holds 2^12 complex entries,
-            # and the route holds that stack and its tree's levels; twice
-            # the size gave no clear gain in the benchmark's dce-rabi run_s
+            # bounds on |a| ||H_static|| and |b| ||H_g|| over both runs:
+            # the companion's longest substep times 1/2, the static
+            # weight, and times sqrt(3)/3, the largest sum of |CF4
+            # weights|, and the envelope's supremum
+            step = np.max(np.diff(t_grid) / half, initial=0.0)
+            norms = np.abs(parts).sum(axis=1).max(axis=1)
+            degree = _series_degree(
+                step * np.sqrt(3) / 3 * envelopes[0].supremum * norms[1],
+                np.exp(step / 2 * norms[0]))
             path = "magnus-dense"
-            route = partial(_polynomial_route, _drive_polynomial(parts))
-            most = max(1, 2**12 // len(basis) ** 2)
+            route = partial(_polynomial_route,
+                            _drive_polynomial(parts, degree))
+            most = max(1, _STACK_BUDGET // len(basis) ** 2)
         # CF4 is exact for a static generator, which needs no companion
         counts = (2 * half, half) if groups else (2 * half,)
         runs = [_magnus(route, envelopes, t_grid, psi, m, most)

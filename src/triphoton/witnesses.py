@@ -352,7 +352,7 @@ def _vlf_sdp(cov: np.ndarray, pattern: np.ndarray, owner: np.ndarray,
     ``eigvalsh``; and the iterations."""
     m = len(cov)
     F = _F[pattern].reshape(m, 8, 36)
-    a = _E[pattern] - (cov * np.kron(np.eye(2), np.ones((3, 3))))[:, None]
+    a = _E[pattern] + _minus_c(cov)[:, None]
     c0, blocks = -a[:, 2], _blocks(cov)
     y = np.full((m, 8), 1.0 / 3.0)
     y[:, 2:] = np.abs(a.mean(axis=1)).sum(axis=-1) + 1.0

@@ -27,6 +27,7 @@ from triphoton.dynamics import (
     _half_steps,
     _polynomial_route,
     _reachable,
+    _series_degree,
     _taylor_route,
     cutoff_sweep,
     evolve,
@@ -704,9 +705,9 @@ class TestRealArithmetic:
             seen.append(a.dtype)
             return eigh(a)
 
-        def polynomial_spy(parts):
+        def polynomial_spy(parts, degree):
             seen.append(parts.dtype)
-            return polynomial(parts)
+            return polynomial(parts, degree)
 
         monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
         monkeypatch.setattr(dynamics, "_drive_polynomial", polynomial_spy)
@@ -741,7 +742,10 @@ class TestDrivePolynomial:
     def test_exponentials_match_eigh(self, d, dtype):
         # parts of unit column-sum norm and (a, b) pairs whose bound
         # |a| + |b| runs up to the most a substep of either run reaches:
-        # the companion's 2 THETA times sqrt(3)/3
+        # the companion's 2 THETA times sqrt(3)/3. At that full reach
+        # every power of b the a-series keeps is kept; where |b| stays
+        # below 0.05 times it, the bound e^|a| |b|^j / j! puts the powers
+        # from 8 up below SERIES_CUT and only 8 rows are kept
         rng = np.random.default_rng(d)
         parts = rng.standard_normal((2, d, d)).astype(dtype)
         if dtype is complex:
@@ -750,17 +754,34 @@ class TestDrivePolynomial:
         parts /= np.abs(parts).sum(axis=-2).max(axis=-1)[:, None, None]
         x = 2 * THETA * np.sqrt(3) / 3
         a = x * np.array([-0.5, 0.0, 0.1, 0.5, 0.9, 1.0])
-        b = (x - np.abs(a))[:, None] * np.array(
-            [-1.0, -0.6, -0.1, 0.0, 0.3, 0.8, 1.0])
-        u = _drive_polynomial(parts)(a, b)
-        w, v = np.linalg.eigh(a[:, None, None, None] * parts[0]
-                              + b[..., None, None] * parts[1])
-        oracle = (v * np.exp(-1j * w)[..., None, :]) @ v.conj().swapaxes(
-            -1, -2)
         spectral = partial(np.linalg.norm, ord=2, axis=(-2, -1))
-        assert spectral(u - oracle).max() <= 1e-14
-        assert spectral(u.conj().swapaxes(-1, -2) @ u - np.eye(d)).max() \
-            <= 1e-14
+        full = _series_degree(x)
+        assert full == 13 and _series_degree(0.05 * x, np.exp(x)) == 7
+        for reach, degree in [(1.0, full), (0.05, 7)]:
+            b = np.minimum(x - np.abs(a), reach * x)[:, None] * np.array(
+                [-1.0, -0.6, -0.1, 0.0, 0.3, 0.8, 1.0])
+            u = _drive_polynomial(parts, degree)(a, b)
+            w, v = np.linalg.eigh(a[:, None, None, None] * parts[0]
+                                  + b[..., None, None] * parts[1])
+            oracle = (v * np.exp(-1j * w)[..., None, :]) @ v.conj(
+            ).swapaxes(-1, -2)
+            assert spectral(u - oracle).max() <= 1e-14
+            assert spectral(u.conj().swapaxes(-1, -2) @ u
+                            - np.eye(d)).max() <= 1e-14
+
+    def test_degree_counts_the_powers_of_b(self):
+        # at degree J the exponentials are a polynomial of degree J in b,
+        # on five equally spaced b: the J-th difference is nonzero and
+        # the next one vanishes
+        rng = np.random.default_rng(3)
+        parts = rng.standard_normal((2, 3, 3))
+        parts = parts + parts.swapaxes(-1, -2)
+        b = 0.5 * np.arange(-2.0, 3.0)[None, :]
+        for degree in range(4):
+            u = _drive_polynomial(parts, degree)(np.array([0.1]), b)[0]
+            differences = np.diff(u, n=degree, axis=0)
+            assert np.abs(differences).max() > 1e-3
+            assert np.abs(np.diff(differences, axis=0)).max() <= 1e-10
 
     @pytest.mark.parametrize("spec, cutoff, grid", [
         (driven_displacement(), 10, [0.0, 0.31, 0.5, 0.94, 1.2, 1.77, 2.0]),
@@ -794,7 +815,7 @@ class TestDrivePolynomial:
         by_taylor = np.array(list(_taylor_route(
             [matrix(t, sparse=True) for t in terms], psi, weights, h)))
         by_polynomial = np.array(list(_polynomial_route(
-            _drive_polynomial(parts), psi, weights, h)))
+            _drive_polynomial(parts, 13), psi, weights, h)))
         assert np.abs(by_polynomial - by_taylor).max() <= 1e-13
         assert np.abs(np.linalg.norm(by_polynomial, axis=1) - 1).max() \
             < 1e-12
@@ -811,6 +832,50 @@ class TestDrivePolynomial:
         traj = scenarios.run_scenario(config).trajectory
         assert traj.diagnostics["path"] == "magnus-dense"
         assert traj.diagnostics["exponentials"] > 0
+
+    def test_shipped_run_keeps_eight_powers_of_b(self, monkeypatch):
+        # on configs/dce.ini every |b| ||H_g|| stays near 0.027, so the
+        # powers of b from 8 up fall below SERIES_CUT: 8 of the 14 rows
+        # the a-series keeps
+        degrees, polynomial = [], dynamics._drive_polynomial
+
+        def spy(parts, degree):
+            degrees.append(degree)
+            return polynomial(parts, degree)
+
+        monkeypatch.setattr(dynamics, "_drive_polynomial", spy)
+        config = build_scenario_config(load_config(
+            os.path.join(CONFIGS, "dce.ini")))
+        traj = scenarios.run_scenario(config).trajectory
+        assert traj.diagnostics["exponentials"] == 18432
+        assert degrees == [7]
+
+    def test_batches_keep_the_bits(self, monkeypatch):
+        # whole grid intervals go in every batch, each multiplied in the
+        # same pairwise order, so the stack budget changes how many
+        # batches a run takes but not one bit of its states. One period
+        # of configs/dce.ini at its own cutoff: 9 states and 32 substeps
+        # per interval, so the run takes one interval per batch at 2^12
+        config = build_scenario_config(load_config(
+            os.path.join(CONFIGS, "dce.ini")))
+        config = dataclasses.replace(config, dce=dataclasses.replace(
+            config.dce, periods=1, window_periods=1))
+        batches, route = [], dynamics._polynomial_route
+
+        def spy(*args):
+            batches[-1] += 1
+            return route(*args)
+
+        monkeypatch.setattr(dynamics, "_polynomial_route", spy)
+        runs = []
+        for budget in [2**12, dynamics._STACK_BUDGET]:
+            monkeypatch.setattr(dynamics, "_STACK_BUDGET", budget)
+            batches.append(0)
+            runs.append(scenarios.run_scenario(config).trajectory)
+        assert batches[0] > batches[1]
+        assert np.array_equal(runs[0].columns, runs[1].columns)
+        assert (runs[0].diagnostics["exponentials"]
+                == runs[1].diagnostics["exponentials"])
 
     def test_two_groups_take_the_taylor_route(self, monkeypatch):
         calls = []
