@@ -362,8 +362,10 @@ def _analyze_spdc(config: ScenarioConfig, traj: Trajectory,
     summary.update(details)
     if config.name == "3spdc":
         summary["cov_cross_max"] = float(series["cov_cross_max"].max())
-    summary["diagnostics"] = {"s_gap_max": float(
-        np.max(vlf.components["s_upper"] - series["s_opt"]))}
+    summary["diagnostics"] = {
+        "s_gap_max": float(np.max(vlf.components["s_upper"]
+                                  - series["s_opt"])),
+        "s_kkt_pairs": sum(vlf.components["kkt_pairs"])}
     return ScenarioResult(config, traj, series, summary)
 
 

@@ -32,9 +32,16 @@ from .hilbert import (
 from .rwa import ANNIHILATE, CREATE, PAULI_MINUS, PAULI_PLUS
 
 
-# steps and step size of optimize_vlf's dual stage; its semidefinite
+# steps and step size of optimize_vlf's dual stage; its certificate
+# stage's Newton steps and active-set shares (_vlf_kkt); its semidefinite
 # stage's relative tolerance, step fraction and iteration cap (_vlf_sdp)
 _DUAL_STEPS, _DUAL_RATE = 10, 4.0
+_KKT_STEPS, _KKT_ACTIVE, _KKT_FACE = 4, 1.0 / 3.0, 0.05
+# Largest step a Newton path of _vlf_kkt may take: far above every path
+# of the shipped 22spdc grid (steps up to 4.8e4, of pairs that still
+# close, since only the direction of x is scored), far enough below
+# overflow that the next step's products stay finite
+_KKT_REACH = 1e8
 _SDP_TOL, _SDP_TAU, _SDP_MAX_ITER = 1e-10, 0.98, 50
 
 
@@ -162,15 +169,25 @@ def optimize_vlf(state: QuantumState, modes=None) -> WitnessReport:
     pattern's bound is 24 lambda_max, and at lambda_max <= 0 its
     maximum is exactly 0, at g = h = 0 (certified). The x-p entries are
     clipped to [-1, 1] so that rounding cannot lift the vacuum's zero
-    eigenvalue above 0. ``_vlf_sdp`` takes each pattern whose bound lies
-    above the best S its point attained to the Shor relaxation
+    eigenvalue above 0. Each pattern whose bound lies above the best S
+    its point attained is left open for the Shor relaxation
     max t: tr(A_i X) >= t, X_ll <= 4, X >= 0, and its dual min 4 sum d
-    (Vandenberghe & Boyd, SIAM Review 38, 49 (1996)). Both stages score
-    S at top eigenvectors (of sum_i mu_i A_i, of X) scaled into the box.
-    Where the optimal X has rank 1, bound and attained S meet. That is
-    observed, not assumed: they agree to 2e-10 on the shipped 22spdc
-    grid and to 1e-9 on random Gaussian states; on covariances that
-    violate the uncertainty relation the gap can stay open.
+    (Vandenberghe & Boyd, SIAM Review 38, 49 (1996)). ``_vlf_kkt`` first
+    tries the relaxation's rank-one optimum X = x x^T: a few batched
+    Newton steps on its KKT conditions, from the pattern's best top
+    eigenvector, give (x, mu, d) with 4 sum d = S(x), closing the pair
+    where its bound meets its point's value. Only the pairs it leaves
+    open (a wrong active set, a singular Newton system, a relaxation
+    that is not tight, a value within rounding of 0) go to ``_vlf_sdp``,
+    an interior point on the relaxation, against the raised values. The
+    dual and interior-point stages score S at top eigenvectors (of
+    sum_i mu_i A_i, of X) scaled into the box, the certificate stage at
+    its x scaled into the box. Where the optimal X has rank 1, bound and
+    attained S meet. That is observed, not assumed: they agree to
+    1.5e-13 on the shipped 22spdc grid, whose open pairs the
+    certificate closes or the interior point bounds, and to 1e-9 on
+    random Gaussian states; on covariances that violate the uncertainty
+    relation the gap can stay open.
 
     The value is the best S attained, the origin's 0 included; its
     (g, h) reproduce it through ``vlf_value``. ``s_upper`` is the largest
@@ -183,8 +200,8 @@ def optimize_vlf(state: QuantumState, modes=None) -> WitnessReport:
     interior point's final one, or s_upper is within it at the box's
     corner |x| = 2; else "undecided" (the gap straddles the bound), with
     the origin's exact 0. Nothing is random. Components: the covariance
-    blocks, ``verdict``, ``s_upper`` and ``ipm_iterations`` (over the
-    patterns).
+    blocks, ``verdict``, ``s_upper``, ``kkt_pairs`` (patterns closed by
+    a certificate) and ``ipm_iterations`` (over the patterns).
     This is the one-point case of ``_vlf_report``, which the scenario
     analyses run once over the whole grid, with the same bits per point.
     """
@@ -194,40 +211,53 @@ def optimize_vlf(state: QuantumState, modes=None) -> WitnessReport:
 
 def _vlf_report(cov: np.ndarray) -> WitnessReport:
     """``optimize_vlf`` on the 6x6 covariance of its three modes, or on
-    each of a stack (n, 6, 6) in one dual stage and one interior point
-    over every (point, pattern) pair the dual stage leaves open: floats
+    each of a stack (n, 6, 6) in one dual stage, one certificate stage
+    over every (point, pattern) pair the dual stage leaves open, and one
+    interior point over the pairs the certificate leaves open: floats
     for one covariance, arrays and lists over a stack."""
     shape = cov.shape[:-2]
     covs = cov.reshape(-1, 6, 6)
     n = len(covs)
     blocks = _blocks(covs)
-    lam, best, x = _vlf_dual(covs)
+    lam, best, x, starts = _vlf_dual(covs)
     # lam <= 0 lies below best >= 0, so certified patterns never pair
     point, pattern = np.nonzero(24.0 * lam > best[:, None])
-    s, xs, mu, d, iterations = _vlf_sdp(covs[point], pattern, point, best)
     bound = 24.0 * lam.clip(0.0)
-    bound[point, pattern] = 4.0 * d.sum(axis=1)
+    found = [(np.arange(n), best, x)]
+    kkt_pairs = iterations = np.zeros(n, dtype=int)
+    floor = best.copy()
+    if point.size:
+        closed, s, xs, _, d = _vlf_kkt(covs[point], pattern,
+                                       starts[point, pattern], point, floor)
+        c = point[closed]
+        bound[c, pattern[closed]] = 4.0 * d.sum(axis=1)
+        found.append((c, s, xs))
+        np.maximum.at(floor, c, s)
+        kkt_pairs = np.bincount(c, minlength=n)
+        point, pattern = point[~closed], pattern[~closed]
+    if point.size:
+        s, xs, mu, d, its = _vlf_sdp(covs[point], pattern, point, floor)
+        bound[point, pattern] = 4.0 * d.sum(axis=1)
+        # the dual stage's exact test at each open pair's final mu
+        m = _minus_c(covs[point])
+        _couple(m, mu / mu.sum(axis=1, keepdims=True), _PATTERNS[pattern])
+        lam[point, pattern] = np.minimum(lam[point, pattern],
+                                         np.linalg.eigvalsh(m)[:, -1])
+        found.append((point, s, xs))
+        iterations = np.bincount(point, its, n).astype(int)
     upper = bound.max(axis=1)
-    # the dual stage's exact test at each open pair's final mu
-    m = _minus_c(covs[point])
-    _couple(m, mu / mu.sum(axis=1, keepdims=True), _PATTERNS[pattern])
-    lam[point, pattern] = np.minimum(lam[point, pattern],
-                                     np.linalg.eigvalsh(m)[:, -1])
-    value, x = _best_per_point(np.concatenate([np.arange(n), point]),
-                               np.concatenate([best, s]),
-                               np.concatenate([x, xs]), n)
+    value, x = _best_per_point(*map(np.concatenate, zip(*found)), n)
     detected = value > _rounding(blocks, x)
-    certified = (lam <= 0.0).all(axis=1) | \
-        (upper <= _rounding(blocks, np.full((n, 6), 2.0)))
+    certified = (lam <= 0.0).all(axis=1) | (upper <= _corner(blocks))
     verdict = _VERDICTS[np.where(detected, 2, ~certified)]
     value = np.where(detected, value, 0.0)
     x = np.where(detected[:, None], x, 0.0).reshape(shape + (6,)).T
-    iterations = np.bincount(point, iterations, n).astype(int)
     return _report("vlf_s_opt", value.reshape(shape),
                    {"cov_x": cov[..., :3, :3], "cov_p": cov[..., 3:, 3:],
                     "verdict": verdict.reshape(shape).tolist(),
                     "s_upper": upper.reshape(shape)[()],
-                    "ipm_iterations": iterations.reshape(shape).tolist()},
+                    "ipm_iterations": iterations.reshape(shape).tolist(),
+                    "kkt_pairs": kkt_pairs.reshape(shape).tolist()},
                    parameters=VlfParams(g=tuple(x[:3]), h=tuple(x[3:])))
 
 
@@ -252,9 +282,17 @@ def _best_per_point(owner, s, x, n):
     owner = np.concatenate([np.arange(n), owner])
     s = np.concatenate([np.zeros(n), s])
     x = np.concatenate([np.zeros((n, 6)), x])
-    order = np.lexsort((-s, owner))
-    first = order[np.searchsorted(owner[order], np.arange(n))]
+    first = _firsts(owner, s)[1]
     return s[first], x[first]
+
+
+def _firsts(owner, s):
+    """The owners present, ascending, and the index of the first largest
+    s of each."""
+    order = np.lexsort((-s, owner))
+    owner = owner[order]
+    head = np.flatnonzero(np.diff(owner, prepend=-1))
+    return owner[head], order[head]
 
 
 def _rounding(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -266,12 +304,20 @@ def _rounding(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     return 16 * np.finfo(float).eps * (gh + qa[:, 0] + qa[:, 1])
 
 
+def _corner(blocks: np.ndarray) -> np.ndarray:
+    """``_rounding`` at the box's corner |x| = 2, the largest over the box,
+    per row of blocks [C_x, C_p] (m, 2, 3, 3)."""
+    return _rounding(blocks, np.full((len(blocks), 6), 2.0))
+
+
 def _vlf_dual(cov: np.ndarray):
     """Dual stage of ``optimize_vlf`` on a stack (n, 6, 6): per point and
     sign pattern the smallest lambda_max seen, (n, 32), <= 0 where
     certified; per point the best S at its top eigenvectors scaled into
-    the box, and those weights, as ``_best_per_point`` picks them. All
-    patterns step in one batched ``eigh``; certified ones drop out."""
+    the box, and those weights, as ``_best_per_point`` picks them; per
+    point and pattern the first of its own scaled top eigenvectors with
+    the largest S, (n, 32, 6), zero where it had none. All patterns step
+    in one batched ``eigh``; certified ones drop out."""
     n, p = len(cov), len(_PATTERNS)
     rows = np.arange(n * p)
     patterns = _PATTERNS[rows % p]
@@ -294,11 +340,15 @@ def _vlf_dual(cov: np.ndarray):
         grad = np.einsum("pil,pl->pi", patterns, x[:, :3] * x[:, 3:])
         mu *= np.exp(-_DUAL_RATE * (grad - grad.min(1, keepdims=True)))
         mu /= mu.sum(axis=1, keepdims=True)
-    owner = np.concatenate(top_rows) // p
+    top_rows = np.concatenate(top_rows)
+    owner = top_rows // p
     tops = _box(np.concatenate(tops))
-    best, x = _best_per_point(owner, _vlf_s(_blocks(cov)[owner], tops),
-                              tops, n)
-    return lam.reshape(n, p), best, x
+    s = _vlf_s(_blocks(cov)[owner], tops)
+    best, x = _best_per_point(owner, s, tops, n)
+    starts = np.zeros((n * p, 6))
+    row, first = _firsts(top_rows, s)
+    starts[row] = tops[first]
+    return lam.reshape(n, p), best, x, starts.reshape(n, p, 6)
 
 
 def _minus_c(cov: np.ndarray) -> np.ndarray:
@@ -334,6 +384,124 @@ _LP_G[:2, :3] = [[-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]]
 _LP_G[2:, 3:] = -np.eye(6)
 _LP_C = np.array([0.0, 0.0, 1.0] + [0.0] * 6)
 _LP_B = np.array([0.0, 0.0] + [-4.0] * 6)
+
+
+def _vlf_kkt(cov: np.ndarray, pattern: np.ndarray, x: np.ndarray,
+             owner: np.ndarray, floor: np.ndarray):
+    """Certificate stage of ``optimize_vlf`` on (covariance, sign pattern)
+    pairs, (m, 6, 6) and (m,), each from its start x on the box's
+    boundary (m, 6): the pattern's own best top eigenvector from the
+    dual stage (on the shipped 22spdc grid it closes 247 of the 339
+    open pairs; its point's best weights close 153, all among those).
+    Where the Shor relaxation's optimum has rank one,
+    X = x x^T, the KKT conditions give mu in the simplex and d >= 0 with
+    Z = diag(d) - sum_i mu_i A_i >= 0 and Z x = 0, mu_i = 0 on every
+    inactive form and d_l = 0 wherever |x_l| < 2; then 4 sum d =
+    sum_l d_l x_l^2 = sum_i mu_i x^T A_i x = S(x), the bound meets the
+    value.
+
+    The start fixes the active set: form i is active where x^T A_i x
+    lies within ``_KKT_ACTIVE`` of the forms' spread above the lowest,
+    and x_l is on the face at 2 sign(x_l) where |x_l| lies within
+    ``_KKT_FACE`` of the box's half-width from it. ``_KKT_STEPS`` batched
+    Newton steps, from mu uniform on the active forms, d = 0 and
+    t = min_i x^T A_i x, then solve the square system in (x, mu, d, t):
+    Z x = 0; x^T A_i x = t on active forms, mu_i = 0 on inactive ones;
+    x_l = 2 sign(x_l) on faces, d_l = 0 off them; sum mu = 1. A pair
+    leaves the batch once numpy cannot solve its Newton system (an
+    exact zero pivot) or a step passes ``_KKT_REACH``.
+
+    Each end point is scored by S at its weights scaled into the box,
+    and its (mu, d), mu put on the simplex, goes through
+    ``_certificate``. A pair is closed by ``_vlf_sdp``'s exit test,
+    bound - floor <= ``_SDP_TOL`` (1 + |bound|), against its point's
+    (owner's) floor raised by the pairs whose bound meets their own
+    value so; and only where that floor beats the rounding bound at the
+    box's corner, so that its point is detected, since a certificate at
+    a value within rounding of 0 certifies nothing (the interior point's
+    final mu may). Returns which pairs are closed, and for those the S,
+    the weights and the certificate (mu, d)."""
+    m = len(cov)
+    a = _E[pattern] + _minus_c(cov)[:, None]
+    q = (x[:, None, None] @ a @ x[:, None, :, None])[:, :, 0, 0]
+    t = q.min(axis=1, keepdims=True)
+    active = q - t <= _KKT_ACTIVE * (q.max(axis=1, keepdims=True) - t)
+    face = np.abs(x) >= 2.0 * (1.0 - _KKT_FACE)
+    side = 2.0 * np.sign(x)
+    # the Jacobian's rows that no step moves, in u = (x, mu, d, t)
+    k, l = np.arange(3), np.arange(6)
+    jac = np.zeros((m, 16, 16))
+    jac[:, 6 + k, 6 + k] = ~active
+    jac[:, 6:9, 15] = -1.0 * active
+    jac[:, 9 + l, l] = face
+    jac[:, 9 + l, 9 + l] = ~face
+    jac[:, 15, 6:9] = 1.0
+    u = np.hstack([x, active / active.sum(axis=1, keepdims=True),
+                   np.zeros((m, 6)), t])
+    live = np.ones(m, dtype=bool)
+    for _ in range(_KKT_STEPS):
+        x, mu, d, t = u[:, :6], u[:, 6:9], u[:, 9:15], u[:, 15:]
+        ax = (a @ x[:, None, :, None])[..., 0]
+        z = d[:, :, None] * np.eye(6) - (mu[:, None] @ a.reshape(m, 3, 36)
+                                         ).reshape(m, 6, 6)
+        j = jac.copy()
+        j[:, :6, :6] = z
+        j[:, :6, 6:9] = -ax.swapaxes(1, 2)
+        j[:, l, 9 + l] = x
+        j[:, 6:9, :6] = 2.0 * ax * active[..., None]
+        r = np.hstack([(z @ x[..., None])[..., 0],
+                       np.where(active, (ax @ x[..., None])[..., 0] - t, mu),
+                       np.where(face, x - side, d),
+                       mu.sum(axis=1, keepdims=True) - 1.0])
+        j[~live], r[~live] = np.eye(16), 0.0
+        du = _solve_each(j, r)
+        live &= np.abs(du).max(axis=1) <= _KKT_REACH
+        u = np.where(live[:, None], u - du, u)
+    rows = np.flatnonzero(live)
+    a, cov, owner, u = a[rows], cov[rows], owner[rows], u[rows]
+    x = _box(u[:, :6])
+    s = _vlf_s(_blocks(cov), x)
+    mu = u[:, 6:9].clip(0.0)
+    mu, d = _certificate(a, mu / mu.sum(axis=1, keepdims=True), u[:, 9:15])
+    bound = 4.0 * d.sum(axis=1)
+    tol = _SDP_TOL * (1.0 + np.abs(bound))
+    corner = _corner(_blocks(cov))
+    own = (bound - s <= tol) & (s > corner)
+    floor = floor.copy()
+    np.maximum.at(floor, owner[own], s[own])
+    ok = (bound - floor[owner] <= tol) & (floor[owner] > corner)
+    closed = np.zeros(m, dtype=bool)
+    closed[rows[ok]] = True
+    return closed, s[ok], x[ok], mu[ok], d[ok]
+
+
+def _solve_each(j: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solution of each system j u = r of a stack, (m, k, k) and (m, k),
+    in one batched ``solve``; where numpy cannot solve the whole stack,
+    system by system, with NaN for each one it cannot solve."""
+    try:
+        return np.linalg.solve(j, r[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(r.shape, np.nan)
+        for i, (ji, ri) in enumerate(zip(j, r)):
+            try:
+                out[i] = np.linalg.solve(ji, ri)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _certificate(a: np.ndarray, mu: np.ndarray, d: np.ndarray):
+    """(mu, d) in the nonnegative orthant, then diag(d) - sum_i mu_i A_i,
+    for the forms a (m, 3, 6, 6), made positive semidefinite by raising d
+    by any negative eigenvalue (``eigvalsh``) plus a margin for its
+    rounding, 16 eps times the largest magnitude."""
+    mu, d = mu.clip(0.0), d.clip(0.0)
+    e = np.linalg.eigvalsh(d[:, :, None] * np.eye(6)
+                           - np.einsum("bi,bijk->bjk", mu, a))
+    d = d + (np.maximum(-e[:, 0], 0.0)
+             + 16 * np.finfo(float).eps * np.abs(e).max(axis=1))[:, None]
+    return mu, d
 
 
 def _vlf_sdp(cov: np.ndarray, pattern: np.ndarray, owner: np.ndarray,
@@ -417,14 +585,8 @@ def _vlf_sdp(cov: np.ndarray, pattern: np.ndarray, owner: np.ndarray,
         X = X + ap[:, None, None] * dX
         x = x + ap[:, None] * dx
         y = y + ad[:, None] * dy
-    # (mu, d) in the nonnegative orthant, then diag(d) - sum_i mu_i A_i
-    # made positive semidefinite with a margin for eigvalsh's rounding
-    z = (_LP_C - y_out @ _LP_G).clip(0.0)
-    mu, d = z[:, :3], z[:, 3:]
-    e = np.linalg.eigvalsh(d[:, :, None] * np.eye(6)
-                           - np.einsum("bi,bijk->bjk", mu, a))
-    d = d + (np.maximum(-e[:, 0], 0.0)
-             + 16 * np.finfo(float).eps * np.abs(e).max(axis=1))[:, None]
+    z = _LP_C - y_out @ _LP_G
+    mu, d = _certificate(a, z[:, :3], z[:, 3:])
     return s_out, x_out, mu, d, iterations
 
 

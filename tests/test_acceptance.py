@@ -161,14 +161,17 @@ def test_22spdc_covariance_verdicts(default_22spdc):
     point reproduces its value, its bound lies within 1e-9 above it, and
     no value falls below 200 seeded restarts on the same covariance
     (every fifth point is checked). The grid's one solve is pinned; its
-    iterations and peak read the same under one and two BLAS threads."""
+    certificates, iterations and peak read the same under one and two
+    BLAS threads."""
     res, _ = default_22spdc
     s = res.summary
     assert s["s_certified_points"] == 1
     assert s["s_undecided_points"] == 0
-    assert s["s_ipm_iterations"] == 1843
+    # the interior point alone ran 1843 iterations to 1.1058946779172178;
     # the simplex polish pinned 1.1054547234023853 here before
-    assert s["s_peak"] == 1.1058946779172178
+    assert s["s_ipm_iterations"] == 321
+    assert s["diagnostics"]["s_kkt_pairs"] == 247
+    assert s["s_peak"] == 1.1058946779198289
     assert 0.0 <= s["diagnostics"]["s_gap_max"] <= 1e-9
     assert s["windows"]["s_opt"] == [[0.003, 0.3]]
     traj, series = res.trajectory, res.witness_series["s_opt"]

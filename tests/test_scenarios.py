@@ -47,6 +47,7 @@ from triphoton.scenarios import (
     run_scenario,
     sweep_observables,
 )
+from triphoton import witnesses
 from triphoton.witnesses import (
     dv_genuine_witness,
     mode_moment_witnesses,
@@ -324,11 +325,13 @@ class TestShippedConfigs:
     def test_22spdc_search_pinned(self):
         res = self.run("spdc22.ini", n_steps=2)
         s = res.summary
-        # the simplex polish pinned 1.1054547234023853 here before
-        assert s["s_peak"] == 1.1058946779172178
+        # the simplex polish pinned 1.1054547234023853 here before, and
+        # the interior point's 11 iterations 1.1058946779172178
+        assert s["s_peak"] == 1.1058946779198289
         assert s["s_certified_points"] == 1
         assert s["s_undecided_points"] == 0
-        assert s["s_ipm_iterations"] == 11
+        assert s["s_ipm_iterations"] == 0
+        assert s["diagnostics"]["s_kkt_pairs"] == 1
         assert 0.0 <= s["diagnostics"]["s_gap_max"] <= 1e-11
         # the witness point holds on the full-register eigendecomposition
         # state, whose covariance agrees to roundoff
@@ -363,7 +366,7 @@ class TestShippedConfigs:
     @pytest.mark.parametrize("name, changes, diagnostics", [
         ("reference.ini", {"n_steps": 3}, {
             "path": "sector-eigh", "register_dim": 729, "evolved_dim": 9,
-            "rhs_evals": 0, "s_gap_max": 0.0}),
+            "rhs_evals": 0, "s_gap_max": 0.0, "s_kkt_pairs": 0}),
         ("hybrid.ini", {"n_steps": 3}, {
             "path": "sector-eigh", "register_dim": 1000, "evolved_dim": 34,
             "rhs_evals": 0}),
@@ -378,14 +381,35 @@ class TestShippedConfigs:
         assert 0.0 <= estimate < 1e-8
 
     def test_objective_evals_summed_over_points(self):
-        # the covariance witness's work: interior-point iterations
+        # the covariance witness's work: pairs closed by a certificate
+        # and interior-point iterations
         res = self.run("spdc22.ini", n_steps=2)
         traj = res.trajectory
-        expected = sum(optimize_vlf(traj.state(k)).components[
-            "ipm_iterations"] for k in range(len(traj.times)))
-        assert res.summary["s_ipm_iterations"] == expected > 0
+        reps = [optimize_vlf(traj.state(k)) for k in range(len(traj.times))]
+        assert res.summary["diagnostics"]["s_kkt_pairs"] == sum(
+            rep.components["kkt_pairs"] for rep in reps) > 0
+        assert res.summary["s_ipm_iterations"] == sum(
+            rep.components["ipm_iterations"] for rep in reps)
         s3 = self.run("reference.ini", n_steps=3).summary
         assert s3["s_ipm_iterations"] == 0
+        assert s3["diagnostics"]["s_kkt_pairs"] == 0
+
+    def test_coarse_22spdc_never_enters_the_interior_point(self,
+                                                           monkeypatch):
+        # the certificate stage closes the one open pair, so the interior
+        # point is never called
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return sdp(*args)
+
+        sdp = witnesses._vlf_sdp
+        monkeypatch.setattr(witnesses, "_vlf_sdp", spy)
+        s = self.run("spdc22.ini", n_steps=2).summary
+        assert calls == []
+        assert s["diagnostics"]["s_kkt_pairs"] == 1
+        assert s["s_peak"] >= 1.10
 
 
 class TestReproducibility:

@@ -33,6 +33,7 @@ from triphoton.witnesses import (
     VlfParams,
     _blocks,
     _vlf_dual,
+    _vlf_kkt,
     _vlf_report,
     _vlf_s,
     _vlf_sdp,
@@ -142,10 +143,27 @@ def restart_oracle(cov, restarts, seed):
 def sdp_pairs(cov):
     """The (point, pattern) pairs the dual stage leaves open on one
     covariance, and the semidefinite stage's output on them."""
-    lam, best, x = _vlf_dual(cov[None])
+    lam, best, x, _ = _vlf_dual(cov[None])
     point, pattern = np.nonzero(24.0 * lam > best[:, None])
     return (lam[0], best[0], x[0], pattern,
             _vlf_sdp(cov[None][point], pattern, point, best))
+
+
+def kkt_pairs(cov):
+    """The (point, pattern) pairs the dual stage leaves open on one
+    covariance, and the certificate stage's output on them."""
+    lam, best, x, starts = _vlf_dual(cov[None])
+    point, pattern = np.nonzero(24.0 * lam > best[:, None])
+    return (lam[0], best[0], x[0], pattern,
+            _vlf_kkt(cov[None][point], pattern, starts[point, pattern],
+                     point, best))
+
+
+def no_certificates(cov, pattern, x, owner, floor):
+    """``_vlf_kkt`` closing no pair: every open pair goes to the interior
+    point, as before the certificate stage."""
+    return (np.zeros(len(cov), dtype=bool), np.empty(0), np.empty((0, 6)),
+            np.empty((0, 3)), np.empty((0, 6)))
 
 
 class TestOptimizeVlf:
@@ -193,25 +211,49 @@ class TestOptimizeVlf:
                                           0.5 * np.eye(3))
 
     def test_uncertified_path_is_the_search(self):
-        # the open sign patterns go to the semidefinite stage; the value
-        # is the best S attained by either stage, the bound the largest
-        # over the patterns
+        # the open sign patterns go to the certificate stage, which closes
+        # them all here; the value is the best S attained by either
+        # stage, the bound the largest over the patterns, and the
+        # interior point is not entered
         state = evolved_pair(0.3)
         rep = optimize_vlf(state)
         cov = covariance_matrix(state)
-        lam, best, x0, pattern, (s, x, mu, d, its) = sdp_pairs(cov)
+        lam, best, x0, pattern, (closed, s, x, mu, d) = kkt_pairs(cov)
         assert pattern.size and best > 0.0
         # the dual stage's weights lie on the boundary of the box
         assert np.abs(x0).max() == 2.0
+        assert closed.all()
         k = np.argmax(s)
         assert rep.value == s[k] > best
         assert rep.parameters == VlfParams(g=tuple(x[k, :3]),
                                            h=tuple(x[k, 3:]))
-        assert rep.components["ipm_iterations"] == its.sum()
+        assert rep.components["ipm_iterations"] == 0
+        assert rep.components["kkt_pairs"] == pattern.size
         bound = 24.0 * lam.clip(0.0)
         bound[pattern] = 4.0 * d.sum(axis=1)
         assert rep.components["s_upper"] == bound.max()
         assert rep.value == vlf_value(cov, x[k, :3], x[k, 3:])
+        assert 0.0 <= rep.components["s_upper"] - rep.value <= \
+            _SDP_TOL * (1.0 + rep.components["s_upper"])
+
+    def test_interior_point_path_is_the_search(self, monkeypatch):
+        # with the certificate stage closing nothing, the open patterns
+        # go to the interior point: the value is the best S it attained,
+        # within its tolerance of the bound
+        monkeypatch.setattr(witnesses, "_vlf_kkt", no_certificates)
+        state = evolved_pair(0.3)
+        rep = optimize_vlf(state)
+        cov = covariance_matrix(state)
+        lam, best, x0, pattern, (s, x, mu, d, its) = sdp_pairs(cov)
+        k = np.argmax(s)
+        assert rep.value == s[k] > best
+        assert rep.parameters == VlfParams(g=tuple(x[k, :3]),
+                                           h=tuple(x[k, 3:]))
+        assert rep.components["ipm_iterations"] == its.sum() > 0
+        assert rep.components["kkt_pairs"] == 0
+        bound = 24.0 * lam.clip(0.0)
+        bound[pattern] = 4.0 * d.sum(axis=1)
+        assert rep.components["s_upper"] == bound.max()
         assert 0.0 <= rep.components["s_upper"] - rep.value <= \
             _SDP_TOL * (1.0 + rep.components["s_upper"])
 
@@ -260,14 +302,16 @@ class TestOptimizeVlf:
                              timeout=300).stdout
         value, verdict, iterations, upper, g, h, oracle = json.loads(out)
         assert verdict == "detected"
-        assert value == 1.1058946779172227
-        assert iterations == 11
-        assert upper == 1.1058946779251353
-        assert g == [0.9762281580573199, -2.0, 0.9762281580573207]
-        assert h == [0.9762281580573203, 2.0, 0.9762281580573203]
+        # the interior point's 11 iterations gave 1.1058946779172227,
+        # bounded by 1.1058946779251353
+        assert value == 1.1058946779198349
+        assert iterations == 0
+        assert upper == 1.105894677919978
+        assert g == [-0.9762291299387151, 2.0, -0.976229129938715]
+        assert h == [-0.976229129938715, -2.0, -0.9762291299387152]
         # the simplex polish pinned here before gave 1.1050574181421056,
         # and the 20-restart search 0.8458822213170961
-        assert upper >= value > 1.1050574181421056
+        assert upper >= value > 1.1058946779172227
         assert value >= oracle >= 0.8458822213170961
 
 
@@ -374,9 +418,9 @@ def left_open(dual, which):
     """``_vlf_dual`` with every sign pattern of the covariances picked by
     ``which`` left open, at lambda_max = 1/100."""
     def dual_left_open(cov):
-        lam, best, x = dual(cov)
+        lam, *rest = dual(cov)
         lam[np.array([which(c) for c in cov], dtype=bool)] = 0.01
-        return lam, best, x
+        return lam, *rest
     return dual_left_open
 
 
@@ -556,20 +600,29 @@ def _gaussian_covariance(h, nu):
     return s @ np.diag(np.concatenate([nu, nu])) @ s.T
 
 
-def _independent_bounds(cov, pattern, mu, d):
-    """For each certificate (mu, d) of a sign pattern, the smallest
-    eigenvalue of diag(d) - sum_i mu_i (E_i - C), with E_i and C built
+def _independent_forms(cov, p):
+    """The three forms E_i - C of sign pattern p, with E_i and C built
     here from the pattern's signs and the covariance's blocks."""
     c = np.zeros((6, 6))
     c[:3, :3], c[3:, 3:] = cov[:3, :3], cov[3:, 3:]
+    forms = []
+    for i in range(3):
+        e = np.zeros((6, 6))
+        for lo in range(3):
+            e[lo, lo + 3] = e[lo + 3, lo] = 0.5 * _PATTERNS[p][i][lo]
+        forms.append(e - c)
+    return forms
+
+
+def _independent_bounds(cov, pattern, mu, d):
+    """For each certificate (mu, d) of a sign pattern, the smallest
+    eigenvalue of diag(d) - sum_i mu_i (E_i - C), the forms built by
+    ``_independent_forms``."""
     out = []
     for p, m, dd in zip(pattern, mu, d):
         slack = np.diag(dd)
-        for i in range(3):
-            e = np.zeros((6, 6))
-            for lo in range(3):
-                e[lo, lo + 3] = e[lo + 3, lo] = 0.5 * _PATTERNS[p][i][lo]
-            slack = slack - m[i] * (e - c)
+        for m_i, form in zip(m, _independent_forms(cov, p)):
+            slack = slack - m_i * form
         out.append(np.linalg.eigvalsh(slack)[0])
     return np.array(out)
 
@@ -642,6 +695,110 @@ class TestExactOptimum:
         assert rep.components["verdict"] == "certified"
         assert 0.0 < rep.components["s_upper"] < 1e-11
         assert rep.value == 0.0
+
+
+class TestCertificateStage:
+    """The rank-one KKT certificates against their own bounds, the
+    interior point on the same pairs, and the interior point's bits where
+    the certificate fails."""
+
+    @staticmethod
+    def assert_certificates(cov):
+        # every accepted (mu, d) proves its bound independently, with mu
+        # on the simplex; each pattern's own objective min_i x^T A_i x,
+        # at the interior point's weights on the same pair and at the
+        # certificate's, lies at or below that bound 4 sum d
+        _, best, _, pattern, (closed, _, x, mu, d) = kkt_pairs(cov)
+        pattern = pattern[closed]
+        assert (_independent_bounds(cov, pattern, mu, d) >= 0.0).all()
+        assert np.all(np.abs(mu.sum(axis=1) - 1.0) <= 4e-16)
+        point = np.zeros(len(pattern), dtype=int)
+        ipm = _vlf_sdp(cov[None][point], pattern, point,
+                       np.array([best]))[1]
+        for p, bound, weights in zip(pattern, 4.0 * d.sum(axis=1),
+                                     np.stack([ipm, x], axis=1)):
+            forms = _independent_forms(cov, p)
+            for v in weights:
+                assert min(v @ form @ v for form in forms) <= bound
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(-0.6, 0.6), min_size=21, max_size=21),
+           st.lists(st.floats(0.5, 1.5), min_size=3, max_size=3))
+    def test_gaussian_states(self, h, nu):
+        self.assert_certificates(_gaussian_covariance(h, nu))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(-1.0, 2.0), min_size=6, max_size=6),
+           st.integers(0, 2**16))
+    def test_random_spectra(self, spectra, seed):
+        self.assert_certificates(_covariance(spectra[:3], spectra[3:], seed))
+
+    def test_shipped_optimum_matches_its_forms(self):
+        # at g t = 0.3 the one open pattern closes with two active forms
+        # at the value, the third above it, and d on the two faces
+        cov = covariance_matrix(evolved_pair(0.3))
+        _, _, _, pattern, (closed, s, x, mu, d) = kkt_pairs(cov)
+        assert closed.tolist() == [True]
+        q = np.array([x[0] @ form @ x[0]
+                      for form in _independent_forms(cov, pattern[0])])
+        assert np.abs(q[[0, 2]] - s[0]).max() <= 1e-15
+        assert q[1] > s[0] + 1.0
+        assert mu[0, 1] == 0.0
+        # off the faces d is the repair's margin alone
+        off = d[0, [0, 2, 3, 5]]
+        assert (off == off[0]).all() and off[0] < 1e-14
+        assert (d[0, [1, 4]] > 0.1).all()
+
+    def test_wrong_active_set_falls_to_the_interior_point(self, monkeypatch):
+        # every form read as active: the Newton system holds the third
+        # form at the value too, which the optimum does not, so no
+        # certificate closes and the interior point runs as it did alone
+        cov = covariance_matrix(evolved_pair(0.3))
+        with monkeypatch.context() as m:
+            m.setattr(witnesses, "_vlf_kkt", no_certificates)
+            alone = _vlf_report(cov)
+        monkeypatch.setattr(witnesses, "_KKT_ACTIVE", 1.0)
+        rep = _vlf_report(cov)
+        assert rep.components["kkt_pairs"] == 0
+        assert rep.components["ipm_iterations"] > 0
+        assert rep.value == alone.value
+        assert rep.parameters == alone.parameters
+        for key in ("verdict", "s_upper", "ipm_iterations"):
+            assert rep.components[key] == alone.components[key]
+
+    def test_singular_newton_system_falls_to_the_interior_point(
+            self, monkeypatch):
+        # A start at the origin reads every form as active and no face:
+        # the three forms' rows of the Jacobian are equal, so LU meets an
+        # exact zero pivot. That pair alone leaves the batch and goes to
+        # the interior point with the bits it gets without the stage; the
+        # other point's pair still closes.
+        covs = np.stack([covariance_matrix(evolved_pair(t))
+                         for t in (0.3, 0.2)])
+        dual = witnesses._vlf_dual
+
+        def origin_start(cov):
+            lam, best, x, starts = dual(cov)
+            starts[0] = 0.0
+            return lam, best, x, starts
+
+        with monkeypatch.context() as m:
+            m.setattr(witnesses, "_vlf_kkt", no_certificates)
+            alone = _vlf_report(covs)
+        monkeypatch.setattr(witnesses, "_vlf_dual", origin_start)
+        rep = _vlf_report(covs)
+        assert rep.components["kkt_pairs"][0] == 0
+        assert rep.components["kkt_pairs"][1] > 0
+        assert rep.components["ipm_iterations"][1] == 0
+        assert rep.components["ipm_iterations"][0] == \
+            alone.components["ipm_iterations"][0] > 0
+        assert rep.value[0] == alone.value[0]
+        assert rep.components["s_upper"][0] == alone.components["s_upper"][0]
+        assert rep.components["verdict"][0] == alone.components["verdict"][0]
+        assert [g[0] for g in rep.parameters.g] == \
+            [g[0] for g in alone.parameters.g]
+        assert [h[0] for h in rep.parameters.h] == \
+            [h[0] for h in alone.parameters.h]
 
 
 class TestHzWitness:
