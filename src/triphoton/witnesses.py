@@ -164,46 +164,43 @@ def optimize_vlf(state: QuantumState, modes=None) -> WitnessReport:
     For mu in the simplex and d >= 0 with diag(d) >= sum_i mu_i A_i,
     min_i x^T A_i x <= 4 sum d on the box.
 
-    ``_vlf_dual`` steps mu towards min lambda_max(sum_i mu_i A_i) for
-    all patterns in one batched ``eigh``: with d = lambda_max a
-    pattern's bound is 24 lambda_max, and at lambda_max <= 0 its
-    maximum is exactly 0, at g = h = 0 (certified). The x-p entries are
+    Three stages bound each (point, pattern) pair, and a pair keeps the
+    least bound any of them proves. ``_vlf_dual`` steps mu towards
+    min lambda_max(sum_i mu_i A_i) for all pairs in one batched ``eigh``,
+    with the bound 24 lambda_max+ (d = lambda_max+); the x-p entries are
     clipped to [-1, 1] so that rounding cannot lift the vacuum's zero
-    eigenvalue above 0. Each pattern whose bound lies above the best S
-    its point attained is left open for the Shor relaxation
-    max t: tr(A_i X) >= t, X_ll <= 4, X >= 0, and its dual min 4 sum d
-    (Vandenberghe & Boyd, SIAM Review 38, 49 (1996)). ``_vlf_kkt`` first
-    tries the relaxation's rank-one optimum X = x x^T: a few batched
-    Newton steps on its KKT conditions, from the pattern's best top
-    eigenvector, give (x, mu, d) with 4 sum d = S(x), closing the pair
-    where its bound meets its point's value. Only the pairs it leaves
-    open (a wrong active set, a singular Newton system, a relaxation
-    that is not tight, a value within rounding of 0) go to ``_vlf_sdp``,
-    an interior point on the relaxation, against the raised values. The
-    dual and interior-point stages score S at top eigenvectors (of
-    sum_i mu_i A_i, of X) scaled into the box, the certificate stage at
-    its x scaled into the box. Where the optimal X has rank 1, bound and
-    attained S meet. That is observed, not assumed: they agree to
-    1.5e-13 on the shipped 22spdc grid, whose open pairs the
-    certificate closes or the interior point bounds, and to 1e-9 on
-    random Gaussian states; on covariances that violate the uncertainty
+    eigenvalue above 0. The Shor relaxation max t: tr(A_i X) >= t,
+    X_ll <= 4, X >= 0 has the dual min 4 sum d (Vandenberghe & Boyd,
+    SIAM Review 38, 49 (1996)). ``_vlf_kkt`` tries its rank-one optimum
+    X = x x^T: Newton steps on the KKT conditions, from the pattern's
+    best top eigenvector, give (x, mu, d) with 4 sum d = S(x);
+    ``_vlf_sdp``, an interior point on it, bounds by its 4 sum d and by
+    24 lambda_max+ at its final mu. Each stage takes the pairs the one
+    before leaves open, by one rule: a pair stays open while its bound
+    exceeds its floor, the larger of its point's best S so far and the
+    rounding bound at the box's corner (below), checked after every dual
+    step; the later stages, which converge to a tolerance, also close a
+    pair within ``_SDP_TOL`` of a floor that is a detection (``_closes``).
+    Where X has rank 1, bound and attained S meet: observed, not
+    assumed, to 1.5e-13 on the shipped 22spdc grid and 1e-9 on random
+    Gaussian states; on covariances that violate the uncertainty
     relation the gap can stay open.
 
     The value is the best S attained, the origin's 0 included; its
     (g, h) reproduce it through ``vlf_value``. ``s_upper`` is the largest
-    bound over the patterns, each d raised by any negative eigenvalue of
-    diag(d) - sum_i mu_i A_i (``eigvalsh``) plus 16 eps times the largest
-    magnitude. With S's rounding error at x as 16 eps (sum |g_l h_l| +
-    |g|^T |C_x| |g| + |h|^T |C_p| |h|), the verdict is "detected" when
-    the value beats it; else "certified" when every pattern passes the
-    dual stage's test lambda_max <= 0, at the dual stage's mu or at the
-    interior point's final one, or s_upper is within it at the box's
-    corner |x| = 2; else "undecided" (the gap straddles the bound), with
-    the origin's exact 0. Nothing is random. Components: the covariance
-    blocks, ``verdict``, ``s_upper``, ``kkt_pairs`` (patterns closed by
-    a certificate) and ``ipm_iterations`` (over the patterns).
-    This is the one-point case of ``_vlf_report``, which the scenario
-    analyses run once over the whole grid, with the same bits per point.
+    of the patterns' least bounds; each later stage's d is raised by any
+    negative eigenvalue of diag(d) - sum_i mu_i A_i (``eigvalsh``) plus
+    16 eps times the largest magnitude. With S's rounding error at x as
+    16 eps (sum |g_l h_l| + |g|^T |C_x| |g| + |h|^T |C_p| |h|), the
+    verdict is "detected" when the value beats it; else "certified" when
+    s_upper is within it at the box's corner |x| = 2; else "undecided"
+    (the gap straddles the bound), with the origin's exact 0. Nothing is
+    random. Components: the covariance blocks, ``verdict``, ``s_upper``,
+    ``dual_rows`` (rows of the dual stage's ``eigh`` calls),
+    ``kkt_pairs`` (patterns closed by a certificate) and
+    ``ipm_iterations`` (over the patterns). This is the one-point case
+    of ``_vlf_report``, which the scenario analyses run once over the
+    whole grid, with the same bits per point.
     """
     modes = _three_sites(state, modes, BOSON)
     return _vlf_report(covariance_matrix(state, modes))
@@ -219,43 +216,42 @@ def _vlf_report(cov: np.ndarray) -> WitnessReport:
     covs = cov.reshape(-1, 6, 6)
     n = len(covs)
     blocks = _blocks(covs)
-    lam, best, x, starts = _vlf_dual(covs)
-    # lam <= 0 lies below best >= 0, so certified patterns never pair
-    point, pattern = np.nonzero(24.0 * lam > best[:, None])
-    bound = 24.0 * lam.clip(0.0)
+    corner = _corner(blocks)
+    bound, best, x, starts, dual_rows = _vlf_dual(covs, corner)
     found = [(np.arange(n), best, x)]
     kkt_pairs = iterations = np.zeros(n, dtype=int)
     floor = best.copy()
+    point, pattern = np.nonzero(bound > np.maximum(best, corner)[:, None])
     if point.size:
         closed, s, xs, _, d = _vlf_kkt(covs[point], pattern,
                                        starts[point, pattern], point, floor)
         c = point[closed]
-        bound[c, pattern[closed]] = 4.0 * d.sum(axis=1)
+        np.minimum.at(bound, (c, pattern[closed]), 4.0 * d.sum(axis=1))
         found.append((c, s, xs))
         np.maximum.at(floor, c, s)
         kkt_pairs = np.bincount(c, minlength=n)
         point, pattern = point[~closed], pattern[~closed]
     if point.size:
         s, xs, mu, d, its = _vlf_sdp(covs[point], pattern, point, floor)
-        bound[point, pattern] = 4.0 * d.sum(axis=1)
-        # the dual stage's exact test at each open pair's final mu
+        # the dual stage's bound at each open pair's final mu
         m = _minus_c(covs[point])
         _couple(m, mu / mu.sum(axis=1, keepdims=True), _PATTERNS[pattern])
-        lam[point, pattern] = np.minimum(lam[point, pattern],
-                                         np.linalg.eigvalsh(m)[:, -1])
+        lam = np.linalg.eigvalsh(m)[:, -1]
+        np.minimum.at(bound, (point, pattern), np.minimum(
+            4.0 * d.sum(axis=1), 24.0 * lam.clip(0.0)))
         found.append((point, s, xs))
         iterations = np.bincount(point, its, n).astype(int)
     upper = bound.max(axis=1)
     value, x = _best_per_point(*map(np.concatenate, zip(*found)), n)
     detected = value > _rounding(blocks, x)
-    certified = (lam <= 0.0).all(axis=1) | (upper <= _corner(blocks))
-    verdict = _VERDICTS[np.where(detected, 2, ~certified)]
+    verdict = _VERDICTS[np.where(detected, 2, upper > corner)]
     value = np.where(detected, value, 0.0)
     x = np.where(detected[:, None], x, 0.0).reshape(shape + (6,)).T
     return _report("vlf_s_opt", value.reshape(shape),
                    {"cov_x": cov[..., :3, :3], "cov_p": cov[..., 3:, 3:],
                     "verdict": verdict.reshape(shape).tolist(),
                     "s_upper": upper.reshape(shape)[()],
+                    "dual_rows": dual_rows.reshape(shape).tolist(),
                     "ipm_iterations": iterations.reshape(shape).tolist(),
                     "kkt_pairs": kkt_pairs.reshape(shape).tolist()},
                    parameters=VlfParams(g=tuple(x[:3]), h=tuple(x[3:])))
@@ -310,45 +306,52 @@ def _corner(blocks: np.ndarray) -> np.ndarray:
     return _rounding(blocks, np.full((len(blocks), 6), 2.0))
 
 
-def _vlf_dual(cov: np.ndarray):
-    """Dual stage of ``optimize_vlf`` on a stack (n, 6, 6): per point and
-    sign pattern the smallest lambda_max seen, (n, 32), <= 0 where
-    certified; per point the best S at its top eigenvectors scaled into
-    the box, and those weights, as ``_best_per_point`` picks them; per
-    point and pattern the first of its own scaled top eigenvectors with
-    the largest S, (n, 32, 6), zero where it had none. All patterns step
-    in one batched ``eigh``; certified ones drop out."""
+def _vlf_dual(cov: np.ndarray, corner: np.ndarray):
+    """Dual stage of ``optimize_vlf`` on a stack (n, 6, 6), with the
+    rounding bound at the box's corner per point: per pair (point, sign
+    pattern) the least bound 24 lambda_max+ seen, (n, 32); per point the
+    best S at its top eigenvectors scaled into the box, and those
+    weights, as ``_best_per_point`` picks them; per pair the first of its
+    own scaled top eigenvectors with the largest S, (n, 32, 6); per point
+    the rows of its ``eigh`` calls. Open pairs step in one batched
+    ``eigh``; a pair closes once its bound is at or below max(its point's
+    best S so far, corner), at lambda_max <= 0 without scoring its top."""
     n, p = len(cov), len(_PATTERNS)
+    blocks = _blocks(cov)
     rows = np.arange(n * p)
     patterns = _PATTERNS[rows % p]
     m = _minus_c(np.repeat(cov, p, axis=0))
     mu = np.full((n * p, 3), 1.0 / 3.0)
-    lam = np.full(n * p, np.inf)
-    tops, top_rows = [np.empty((0, 6))], [rows[:0]]
+    bound, best = np.full(n * p, np.inf), np.zeros(n)
+    steps = np.zeros(n * p, dtype=int)
+    tops, top_rows, scores = [], [], []
     for _ in range(_DUAL_STEPS):
+        steps[rows] += 1
         _couple(m, mu, patterns)
         w, v = np.linalg.eigh(m)
-        lam[rows] = np.minimum(lam[rows], w[:, -1])
-        live = w[:, -1] > 0.0
+        bound[rows] = np.minimum(bound[rows], 24.0 * w[:, -1].clip(0.0))
+        up = w[:, -1] > 0.0
+        owner = rows[up] // p
+        tops.append(_box(v[up, :, -1]))
+        top_rows.append(rows[up])
+        scores.append(_vlf_s(blocks[owner], tops[-1]))
+        np.maximum.at(best, owner, scores[-1])
+        live = bound[rows] > np.maximum(best, corner)[rows // p]
         rows = rows[live]
         if not rows.size:
             break
         m, mu, patterns = m[live], mu[live], patterns[live]
         x = v[live, :, -1]
-        tops.append(x)
-        top_rows.append(rows)
         grad = np.einsum("pil,pl->pi", patterns, x[:, :3] * x[:, 3:])
         mu *= np.exp(-_DUAL_RATE * (grad - grad.min(1, keepdims=True)))
         mu /= mu.sum(axis=1, keepdims=True)
-    top_rows = np.concatenate(top_rows)
-    owner = top_rows // p
-    tops = _box(np.concatenate(tops))
-    s = _vlf_s(_blocks(cov)[owner], tops)
-    best, x = _best_per_point(owner, s, tops, n)
+    top_rows, s, tops = map(np.concatenate, (top_rows, scores, tops))
+    best, x = _best_per_point(top_rows // p, s, tops, n)
     starts = np.zeros((n * p, 6))
     row, first = _firsts(top_rows, s)
     starts[row] = tops[first]
-    return lam.reshape(n, p), best, x, starts.reshape(n, p, 6)
+    return (bound.reshape(n, p), best, x, starts.reshape(n, p, 6),
+            steps.reshape(n, p).sum(axis=1))
 
 
 def _minus_c(cov: np.ndarray) -> np.ndarray:
@@ -413,14 +416,10 @@ def _vlf_kkt(cov: np.ndarray, pattern: np.ndarray, x: np.ndarray,
 
     Each end point is scored by S at its weights scaled into the box,
     and its (mu, d), mu put on the simplex, goes through
-    ``_certificate``. A pair is closed by ``_vlf_sdp``'s exit test,
-    bound - floor <= ``_SDP_TOL`` (1 + |bound|), against its point's
-    (owner's) floor raised by the pairs whose bound meets their own
-    value so; and only where that floor beats the rounding bound at the
-    box's corner, so that its point is detected, since a certificate at
-    a value within rounding of 0 certifies nothing (the interior point's
-    final mu may). Returns which pairs are closed, and for those the S,
-    the weights and the certificate (mu, d)."""
+    ``_certificate``. ``_closes`` closes a pair against its point's
+    (owner's) floor, raised by the pairs it closes against their own
+    value. Returns which pairs are closed, and for those the S, the
+    weights and the certificate (mu, d)."""
     m = len(cov)
     a = _E[pattern] + _minus_c(cov)[:, None]
     q = (x[:, None, None] @ a @ x[:, None, :, None])[:, :, 0, 0]
@@ -459,36 +458,36 @@ def _vlf_kkt(cov: np.ndarray, pattern: np.ndarray, x: np.ndarray,
         u = np.where(live[:, None], u - du, u)
     rows = np.flatnonzero(live)
     a, cov, owner, u = a[rows], cov[rows], owner[rows], u[rows]
-    x = _box(u[:, :6])
-    s = _vlf_s(_blocks(cov), x)
-    mu = u[:, 6:9].clip(0.0)
+    x, blocks = _box(u[:, :6]), _blocks(cov)
+    s = _vlf_s(blocks, x)
+    # mu exactly 0 on the inactive forms, which Newton meets to rounding
+    mu = (u[:, 6:9] * active[rows]).clip(0.0)
     mu, d = _certificate(a, mu / mu.sum(axis=1, keepdims=True), u[:, 9:15])
     bound = 4.0 * d.sum(axis=1)
-    tol = _SDP_TOL * (1.0 + np.abs(bound))
-    corner = _corner(_blocks(cov))
-    own = (bound - s <= tol) & (s > corner)
+    corner = _corner(blocks)
+    own = _closes(bound, s, corner)
     floor = floor.copy()
     np.maximum.at(floor, owner[own], s[own])
-    ok = (bound - floor[owner] <= tol) & (floor[owner] > corner)
-    closed = np.zeros(m, dtype=bool)
-    closed[rows[ok]] = True
-    return closed, s[ok], x[ok], mu[ok], d[ok]
+    ok = _closes(bound, floor[owner], corner)
+    return np.isin(np.arange(m), rows[ok]), s[ok], x[ok], mu[ok], d[ok]
+
+
+def _closes(bound, best, corner):
+    """Where a later stage closes a pair: its bound at or below
+    max(best, corner), or within ``_SDP_TOL`` (1 + |bound|) of a best
+    above the corner; below it, only a bound under it decides a verdict."""
+    return bound - np.maximum(best, corner) <= \
+        _SDP_TOL * (1.0 + np.abs(bound)) * (best > corner)
 
 
 def _solve_each(j: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Solution of each system j u = r of a stack, (m, k, k) and (m, k),
-    in one batched ``solve``; where numpy cannot solve the whole stack,
-    system by system, with NaN for each one it cannot solve."""
-    try:
-        return np.linalg.solve(j, r[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.full(r.shape, np.nan)
-        for i, (ji, ri) in enumerate(zip(j, r)):
-            try:
-                out[i] = np.linalg.solve(ji, ri)
-            except np.linalg.LinAlgError:
-                pass
-        return out
+    in one batched ``solve`` over those whose LU has no exact zero pivot
+    (``slogdet``'s sign, the same LU), NaN for the others."""
+    out = np.full(r.shape, np.nan)
+    ok = np.linalg.slogdet(j)[0] != 0.0
+    out[ok] = np.linalg.solve(j[ok], r[ok, :, None])[..., 0]
+    return out
 
 
 def _certificate(a: np.ndarray, mu: np.ndarray, d: np.ndarray):
@@ -510,9 +509,9 @@ def _vlf_sdp(cov: np.ndarray, pattern: np.ndarray, owner: np.ndarray,
     pattern) pairs, (m, 6, 6) and (m,), in one batched primal-dual
     interior point (HKM direction, Mehrotra predictor-corrector, steps
     ``_SDP_TAU`` of the way to the boundary) from X = I and a
-    dual-feasible (mu, d). A pair leaves the batch once its bound 4 sum d
-    is within ``_SDP_TOL`` (1 + bound) of the best S its point (owner)
-    has attained (floor, per point), once an iterate leaves its cone's
+    dual-feasible (mu, d). A pair leaves the batch once ``_closes``
+    closes its bound 4 sum d against the best S its point (owner) has
+    attained (floor, per point), once an iterate leaves its cone's
     interior in floating point, or after ``_SDP_MAX_ITER`` iterations.
     Returns per pair the best S at the top eigenvectors of its X
     iterates scaled into the box, and those weights; the certificate
@@ -543,7 +542,7 @@ def _vlf_sdp(cov: np.ndarray, pattern: np.ndarray, owner: np.ndarray,
         best = np.maximum(s, best)
         np.maximum.at(floor, owner, best)
         bound = -(y @ _LP_B)
-        done = ((bound - floor[owner] <= _SDP_TOL * (1.0 + np.abs(bound)))
+        done = (_closes(bound, floor[owner], _corner(blocks))
                 | (w[:, 0].reshape(2, -1) <= 0.0).any(axis=0)
                 | (np.hstack([x, z]).min(axis=1) <= 0.0)
                 | (it == _SDP_MAX_ITER))

@@ -47,7 +47,7 @@ from triphoton.scenarios import (
     run_scenario,
     sweep_observables,
 )
-from triphoton import witnesses
+from triphoton import scenarios, witnesses
 from triphoton.witnesses import (
     dv_genuine_witness,
     mode_moment_witnesses,
@@ -410,6 +410,26 @@ class TestShippedConfigs:
         assert calls == []
         assert s["diagnostics"]["s_kkt_pairs"] == 1
         assert s["s_peak"] >= 1.10
+
+    def test_dual_rows_over_the_full_grids(self, monkeypatch):
+        # the rows the dual stage's batched eigh calls took: on
+        # reference.ini every pair closes at the first step (101 points x
+        # 32 patterns); on spdc22.ini a pair stops stepping once its
+        # bound lies below its point's best S, where stepping each pair
+        # until lambda_max <= 0 took 19,963 rows
+        reports = []
+
+        def spy(covs):
+            reports.append(report(covs))
+            return reports[-1]
+
+        report = scenarios._vlf_report
+        monkeypatch.setattr(scenarios, "_vlf_report", spy)
+        self.run("reference.ini")
+        self.run("spdc22.ini")
+        rows = [sum(rep.components["dual_rows"]) for rep in reports]
+        assert rows[0] == 3_232
+        assert rows[1] < 19_963
 
 
 class TestReproducibility:

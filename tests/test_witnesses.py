@@ -32,6 +32,7 @@ from triphoton.witnesses import (
     _SDP_TOL,
     VlfParams,
     _blocks,
+    _corner,
     _vlf_dual,
     _vlf_kkt,
     _vlf_report,
@@ -119,10 +120,16 @@ class TestVlf:
                       (1, 1, 1))
 
 
+def dual_stage(covs):
+    """``_vlf_dual`` on a stack of covariances, each with its own rounding
+    bound at the box's corner, as ``_vlf_report`` runs it."""
+    return _vlf_dual(covs, _corner(_blocks(covs)))
+
+
 def dual_certifies(cov):
     """The dual stage certifies cov: every sign pattern reached
-    lambda_max <= 0."""
-    return bool((_vlf_dual(cov[None])[0] <= 0.0).all())
+    lambda_max <= 0, a bound of exactly 0."""
+    return bool((dual_stage(cov[None])[0] <= 0.0).all())
 
 
 def restart_starts(restarts, seed):
@@ -140,21 +147,30 @@ def restart_oracle(cov, restarts, seed):
     return _vlf_polish(cov, restart_starts(restarts, seed))
 
 
+def open_pairs(cov):
+    """The dual stage on one covariance: its bounds, best S (an array of
+    one) and weights, its starts, and the (point, pattern) pairs it
+    leaves open, where the bound exceeds max(best S, the rounding bound
+    at the box's corner)."""
+    bound, best, x, starts, _ = dual_stage(cov[None])
+    floor = np.maximum(best, _corner(_blocks(cov[None])))
+    return (bound[0], best, x[0], starts,
+            *np.nonzero(bound > floor[:, None]))
+
+
 def sdp_pairs(cov):
-    """The (point, pattern) pairs the dual stage leaves open on one
-    covariance, and the semidefinite stage's output on them."""
-    lam, best, x, _ = _vlf_dual(cov[None])
-    point, pattern = np.nonzero(24.0 * lam > best[:, None])
-    return (lam[0], best[0], x[0], pattern,
+    """The pairs the dual stage leaves open on one covariance, and the
+    semidefinite stage's output on them."""
+    bound, best, x, _, point, pattern = open_pairs(cov)
+    return (bound, best[0], x, pattern,
             _vlf_sdp(cov[None][point], pattern, point, best))
 
 
 def kkt_pairs(cov):
-    """The (point, pattern) pairs the dual stage leaves open on one
-    covariance, and the certificate stage's output on them."""
-    lam, best, x, starts = _vlf_dual(cov[None])
-    point, pattern = np.nonzero(24.0 * lam > best[:, None])
-    return (lam[0], best[0], x[0], pattern,
+    """The pairs the dual stage leaves open on one covariance, and the
+    certificate stage's output on them."""
+    bound, best, x, starts, point, pattern = open_pairs(cov)
+    return (bound, best[0], x, pattern,
             _vlf_kkt(cov[None][point], pattern, starts[point, pattern],
                      point, best))
 
@@ -218,7 +234,7 @@ class TestOptimizeVlf:
         state = evolved_pair(0.3)
         rep = optimize_vlf(state)
         cov = covariance_matrix(state)
-        lam, best, x0, pattern, (closed, s, x, mu, d) = kkt_pairs(cov)
+        dual_bound, best, x0, pattern, (closed, s, x, mu, d) = kkt_pairs(cov)
         assert pattern.size and best > 0.0
         # the dual stage's weights lie on the boundary of the box
         assert np.abs(x0).max() == 2.0
@@ -229,8 +245,8 @@ class TestOptimizeVlf:
                                            h=tuple(x[k, 3:]))
         assert rep.components["ipm_iterations"] == 0
         assert rep.components["kkt_pairs"] == pattern.size
-        bound = 24.0 * lam.clip(0.0)
-        bound[pattern] = 4.0 * d.sum(axis=1)
+        bound = dual_bound.copy()
+        bound[pattern] = np.minimum(bound[pattern], 4.0 * d.sum(axis=1))
         assert rep.components["s_upper"] == bound.max()
         assert rep.value == vlf_value(cov, x[k, :3], x[k, 3:])
         assert 0.0 <= rep.components["s_upper"] - rep.value <= \
@@ -244,15 +260,15 @@ class TestOptimizeVlf:
         state = evolved_pair(0.3)
         rep = optimize_vlf(state)
         cov = covariance_matrix(state)
-        lam, best, x0, pattern, (s, x, mu, d, its) = sdp_pairs(cov)
+        dual_bound, best, x0, pattern, (s, x, mu, d, its) = sdp_pairs(cov)
         k = np.argmax(s)
         assert rep.value == s[k] > best
         assert rep.parameters == VlfParams(g=tuple(x[k, :3]),
                                            h=tuple(x[k, 3:]))
         assert rep.components["ipm_iterations"] == its.sum() > 0
         assert rep.components["kkt_pairs"] == 0
-        bound = 24.0 * lam.clip(0.0)
-        bound[pattern] = 4.0 * d.sum(axis=1)
+        bound = dual_bound.copy()
+        bound[pattern] = np.minimum(bound[pattern], 4.0 * d.sum(axis=1))
         assert rep.components["s_upper"] == bound.max()
         assert 0.0 <= rep.components["s_upper"] - rep.value <= \
             _SDP_TOL * (1.0 + rep.components["s_upper"])
@@ -320,6 +336,21 @@ class TestOptimizeVlf:
 SQUEEZED_PRODUCT = np.diag([np.exp(-1) / 2, 0.5, 0.5, np.exp(1) / 2, 0.5, 0.5])
 
 
+def _below_vacuum(seed):
+    """The vacuum's I/2 less 1e-15 times a seeded random rank-two form on
+    the x-x and p-p blocks: it breaks the uncertainty relation by
+    ~1e-15, so S's maximum lies within rounding of 0."""
+    q = np.random.default_rng(seed).normal(size=(6, 2))
+    form = q @ q.T
+    form[:3, 3:] = form[3:, :3] = 0.0
+    return 0.5 * np.eye(6) - 1e-15 * form
+
+
+# Of _below_vacuum's seeds the first that reads "undecided": the interior
+# point's bound stops just above the rounding bound at the box's corner.
+UNDECIDED = _below_vacuum(4)
+
+
 class TestBatchedSearchOracle:
     """The batched simplex against scipy's Nelder-Mead, start by start,
     on the same objective and starting points."""
@@ -359,7 +390,7 @@ class TestBatchedSearchOracle:
         state = evolved_pair(0.3)
         rep = optimize_vlf(state)
         cov = covariance_matrix(state)
-        x0 = np.vstack([_vlf_dual(cov[None])[2], restart_starts(3, 0)])
+        x0 = np.vstack([dual_stage(cov[None])[2], restart_starts(3, 0)])
         best, _, evals = _vlf_polish(cov, x0)
         ref = self.scipy_starts(cov, x0)
         assert evals == sum(r.nfev for r in ref)
@@ -382,7 +413,7 @@ class TestBatchedSearchOracle:
         # is the mirror of the one from x0 step for step: two end points
         # of one value. The first one listed is reported.
         cov = covariance_matrix(evolved_pair(0.3))
-        x0 = _vlf_dual(cov[None])[2]
+        x0 = dual_stage(cov[None])[2]
         best, x, evals = _vlf_polish(cov, x0)
         assert best > 0 and np.abs(x).max() > 0
         for starts, end in ((np.vstack([x0, -x0]), x),
@@ -398,29 +429,36 @@ class TestBatchedSearchOracle:
 
     def test_origin_best_returns_positive_zero(self, monkeypatch):
         # Left open on the squeezed product, which the dual stage
-        # certifies, the semidefinite stage bounds its zero maximum only
-        # to within its tolerance: "undecided", with the origin's +0.0
-        # and no weights.
-        monkeypatch.setattr(witnesses, "covariance_matrix",
-                            lambda state, modes: SQUEEZED_PRODUCT)
-        monkeypatch.setattr(witnesses, "_vlf_dual", left_open(
-            witnesses._vlf_dual, lambda cov: True))
-        rep = optimize_vlf(vacuum3())
-        assert rep.components["verdict"] == "undecided"
-        assert rep.components["ipm_iterations"] > 0
-        assert 0.0 < rep.components["s_upper"] <= _SDP_TOL
-        assert rep.value == 0.0
-        assert math.copysign(1.0, rep.value) == 1.0
-        assert rep.parameters == VlfParams(g=(0, 0, 0), h=(0, 0, 0))
+        # certifies, the interior point certifies its zero maximum again.
+        # Just below the vacuum the maximum lies within rounding of 0 and
+        # the bound stays above the rounding bound at the box's corner:
+        # "undecided". Either way the origin's +0.0, with no weights.
+        dual = witnesses._vlf_dual
+        for cov, verdict in ((SQUEEZED_PRODUCT, "certified"),
+                             (UNDECIDED, "undecided")):
+            monkeypatch.setattr(witnesses, "covariance_matrix",
+                                lambda state, modes: cov)
+            monkeypatch.setattr(witnesses, "_vlf_dual", left_open(
+                dual, lambda c: verdict == "certified"))
+            rep = optimize_vlf(vacuum3())
+            assert rep.components["verdict"] == verdict
+            assert rep.components["ipm_iterations"] > 0
+            upper = rep.components["s_upper"]
+            assert (upper <= _corner(_blocks(cov[None]))[0]) == \
+                (verdict == "certified")
+            assert 0.0 <= upper <= _SDP_TOL
+            assert rep.value == 0.0
+            assert math.copysign(1.0, rep.value) == 1.0
+            assert rep.parameters == VlfParams(g=(0, 0, 0), h=(0, 0, 0))
 
 
 def left_open(dual, which):
     """``_vlf_dual`` with every sign pattern of the covariances picked by
-    ``which`` left open, at lambda_max = 1/100."""
-    def dual_left_open(cov):
-        lam, *rest = dual(cov)
-        lam[np.array([which(c) for c in cov], dtype=bool)] = 0.01
-        return lam, *rest
+    ``which`` left open, at lambda_max = 1/100 (a bound of 0.24)."""
+    def dual_left_open(cov, corner):
+        bound, *rest = dual(cov, corner)
+        bound[np.array([which(c) for c in cov], dtype=bool)] = 0.24
+        return bound, *rest
     return dual_left_open
 
 
@@ -454,19 +492,19 @@ class TestGridSearchOracle:
     def test_stacked_report_matches_each_point(self, monkeypatch):
         # certified, detected and undecided points in one stack; the
         # squeezed product is left open, and the semidefinite stage
-        # bounds its zero maximum only to within its tolerance
+        # certifies its zero maximum again
         covs = np.stack([
             0.5 * np.eye(6), covariance_matrix(evolved_pair(0.3)),
             SQUEEZED_PRODUCT, covariance_matrix(evolved_triple(0.15)),
             _covariance((-1.0, 0.5, 0.7), (-1.0, 1.0, 1.2)),
-            covariance_matrix(evolved_pair(0.1))])
+            covariance_matrix(evolved_pair(0.1)), UNDECIDED])
         dual = witnesses._vlf_dual
         monkeypatch.setattr(witnesses, "_vlf_dual", left_open(
             dual, lambda cov: np.all(cov == SQUEEZED_PRODUCT)))
         grid = _vlf_report(covs)
         assert grid.components["verdict"] == [
-            "certified", "detected", "undecided", "certified", "detected",
-            "detected"]
+            "certified", "detected", "certified", "certified", "detected",
+            "detected", "undecided"]
         for i, cov in enumerate(covs):
             monkeypatch.setattr(witnesses, "covariance_matrix",
                                 lambda state, modes: cov)
@@ -475,14 +513,15 @@ class TestGridSearchOracle:
             assert np.signbit(grid.value[i]) == np.signbit(rep.value)
             assert grid.detects[i] == rep.detects
             assert grid.components["verdict"][i] == rep.components["verdict"]
-            assert (grid.components["ipm_iterations"][i]
-                    == rep.components["ipm_iterations"])
+            for key in ("ipm_iterations", "kkt_pairs", "dual_rows"):
+                assert grid.components[key][i] == rep.components[key]
             assert grid.components["s_upper"][i] == rep.components["s_upper"]
             assert [g[i] for g in grid.parameters.g] == \
                 list(rep.parameters.g)
             assert [h[i] for h in grid.parameters.h] == \
                 list(rep.parameters.h)
-            for stacked, alone in zip(dual(covs), dual(cov[None])):
+            for stacked, alone in zip(dual_stage(covs),
+                                      dual_stage(cov[None])):
                 assert np.array_equal(stacked[i], alone[0])
 
     def test_stacked_value_is_vlf_value(self):
@@ -588,6 +627,33 @@ class TestVlfCertificate:
             assert dual_certifies(cov)
 
 
+class TestNearVacuum:
+    def test_certified_without_the_interior_point(self, monkeypatch):
+        # Covariances within roundoff of the vacuum's I/2: 200 draws of a
+        # symmetric 1e-16 perturbation, and the exact Gaussian 22spdc
+        # covariance at t = 0, 3.9e-16 off I/2 from its 3 x 3 eigh. Each
+        # pattern's dual bound lies at or below the rounding bound at the
+        # box's corner, so every point certifies in the dual stage, and
+        # the interior point, which bounds a zero maximum only to within
+        # its tolerance, is never entered.
+        e = np.random.default_rng(0).normal(size=(200, 6, 6)) * 1e-16
+        covs = 0.5 * np.eye(6) + (e + e.swapaxes(1, 2)) / 2
+        _, v = np.linalg.eigh([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0],
+                               [0.0, 1.0, 0.0]])
+        gaussian = np.kron(np.eye(2), v @ v.T / 2)
+        assert 0.0 < np.abs(gaussian - 0.5 * np.eye(6)).max() < 1e-15
+        covs = np.concatenate([covs, gaussian[None]])
+
+        def no_interior_point(*args):
+            raise AssertionError("interior point entered")
+
+        monkeypatch.setattr(witnesses, "_vlf_sdp", no_interior_point)
+        rep = _vlf_report(covs)
+        assert rep.components["verdict"] == ["certified"] * 201
+        assert (rep.components["s_upper"] <= _corner(_blocks(covs))).all()
+        assert not rep.value.any()
+
+
 def _gaussian_covariance(h, nu):
     """6x6 (x..., p...) covariance of the Gaussian state with symplectic
     eigenvalues nu (each >= 1/2, the vacuum's) and symplectic matrix
@@ -644,13 +710,13 @@ class TestExactOptimum:
         assert rep.value == vlf_value(cov, g, h)
         assert rep.value <= upper
         # every open pattern's (mu, d) proves its bound independently
-        lam, _, _, pattern, (_, _, mu, d, _) = sdp_pairs(cov)
+        bound, _, _, pattern, (_, _, mu, d, _) = sdp_pairs(cov)
         assert (mu >= 0.0).all() and (d >= 0.0).all()
         assert np.all(np.abs(mu.sum(axis=1) - 1.0) <= 4e-16)
         assert (_independent_bounds(cov, pattern, mu, d) >= 0.0).all()
-        # s_upper is the largest bound over the 32 patterns
-        bound = 24.0 * lam.clip(0.0)
-        bound[pattern] = 4.0 * d.sum(axis=1)
+        # s_upper is the largest, over the 32 patterns, of the least
+        # bound each pattern got
+        bound[pattern] = np.minimum(bound[pattern], 4.0 * d.sum(axis=1))
         assert bound.max() == upper
         # a local search attains what it finds, so never passes the
         # bound; on these covariances, most of which violate the
@@ -679,21 +745,21 @@ class TestExactOptimum:
 
     def test_open_pattern_certified_at_the_final_mu(self):
         # draw 1768 of these Gaussian states: the dual stage leaves one
-        # pattern open, the interior point stops with s_upper ~3.6e-12,
-        # above the rounding bound, and lambda_max at its final mu is
-        # ~-2e-5, which the dual stage's test reads as certified
+        # pattern open, the interior point's bound 4 sum d stops above
+        # the rounding bound, and lambda_max at its final mu is ~-2e-5,
+        # which bounds the pattern by exactly 0
         rng = np.random.default_rng(1)
         for _ in range(1769):
             h = rng.uniform(-0.3, 0.3, 21)
             nu = rng.uniform(0.5, 1.5, 3)
         cov = _gaussian_covariance(h, nu)
-        lam, _, _, pattern, (_, _, mu, _, _) = sdp_pairs(cov)
-        assert len(pattern) == 1 and lam[pattern[0]] > 0.0
+        bound, _, _, pattern, (_, _, mu, _, _) = sdp_pairs(cov)
+        assert len(pattern) == 1 and bound[pattern[0]] > 0.0
         # lambda_max(sum_i mu_i A_i) < 0: diag(0) - sum_i mu_i A_i > 0
         assert _independent_bounds(cov, pattern, mu, np.zeros((1, 6)))[0] > 0
         rep = _vlf_report(cov)
         assert rep.components["verdict"] == "certified"
-        assert 0.0 < rep.components["s_upper"] < 1e-11
+        assert rep.components["s_upper"] == 0.0
         assert rep.value == 0.0
 
 
@@ -775,17 +841,11 @@ class TestCertificateStage:
         # other point's pair still closes.
         covs = np.stack([covariance_matrix(evolved_pair(t))
                          for t in (0.3, 0.2)])
-        dual = witnesses._vlf_dual
-
-        def origin_start(cov):
-            lam, best, x, starts = dual(cov)
-            starts[0] = 0.0
-            return lam, best, x, starts
-
         with monkeypatch.context() as m:
             m.setattr(witnesses, "_vlf_kkt", no_certificates)
             alone = _vlf_report(covs)
-        monkeypatch.setattr(witnesses, "_vlf_dual", origin_start)
+        monkeypatch.setattr(witnesses, "_vlf_dual",
+                            origin_start(witnesses._vlf_dual))
         rep = _vlf_report(covs)
         assert rep.components["kkt_pairs"][0] == 0
         assert rep.components["kkt_pairs"][1] > 0
@@ -799,6 +859,42 @@ class TestCertificateStage:
             [g[0] for g in alone.parameters.g]
         assert [h[0] for h in rep.parameters.h] == \
             [h[0] for h in alone.parameters.h]
+
+    def test_solve_each_masks_exactly_singular_systems(self, monkeypatch):
+        # The first Newton step's systems, with the first point's pair
+        # started at the origin as above: that system alone has an exact
+        # zero pivot and comes back NaN, and every other carries the bits
+        # of its own solve.
+        covs = np.stack([covariance_matrix(evolved_pair(t))
+                         for t in (0.3, 0.2, 0.1)])
+        systems = []
+
+        def first_systems(j, r):
+            systems.append((j.copy(), r.copy()))
+            return solve_each(j, r)
+
+        solve_each = witnesses._solve_each
+        monkeypatch.setattr(witnesses, "_solve_each", first_systems)
+        monkeypatch.setattr(witnesses, "_vlf_dual",
+                            origin_start(witnesses._vlf_dual))
+        _vlf_report(covs)
+        j, r = systems[0]
+        out = solve_each(j, r)
+        assert len(out) >= 3
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(j[0], r[0])
+        assert np.isnan(out[0]).all()
+        for ji, ri, oi in zip(j[1:], r[1:], out[1:]):
+            assert np.array_equal(oi, np.linalg.solve(ji, ri))
+
+
+def origin_start(dual):
+    """``_vlf_dual`` with the first point's starts at the origin."""
+    def dual_origin_start(cov, corner):
+        out = dual(cov, corner)
+        out[3][0] = 0.0
+        return out
+    return dual_origin_start
 
 
 class TestHzWitness:
