@@ -7,46 +7,51 @@ Layout: an INI document with up to three sections,
     [output]    output directory and formatting
 
 Every key is schema-checked before any computation runs; unknown keys
-or sections are rejected outright rather than ignored.
+or sections are rejected outright rather than ignored. The keys are the
+fields of the config dataclasses; a float key takes finite numbers only.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, fields
+from typing import get_args, get_type_hints
 
 from .circuit import CavityParams, SquidParams
 from .errors import ConfigError
 from .scenarios import CircuitConfig, DceParams, ScenarioConfig
 
 
-_CIRCUIT_KEYS = {
-    "ej1": float, "ej2": float, "c1": float, "c2": float,
-    "flux_bias": float, "pump_amplitude": float, "pump_frequency": float,
-    "length": float, "cap_per_len": float, "ind_per_len": float,
-    "e_bar": float,
-}
-_CIRCUIT_REQUIRED = ("ej1", "ej2", "c1", "c2", "flux_bias",
-                     "pump_amplitude", "length", "cap_per_len",
-                     "ind_per_len")
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
-_SCENARIO_KEYS = {
-    "name": str.strip, "cutoff": int, "n_steps": int, "horizon": float,
-    "seed": int, "g0": float, "vlf_restarts": int,
-    "pair_coupling": float, "jc_ratio": float,
-    "dce_mode_freq": float, "dce_qubit_freq": float,
-    "dce_coupling": float, "dce_envelope": str.strip,
-    "dce_tone_delta": float, "dce_cosine_freq": float,
-    "dce_motional_velocity": float, "dce_motional_wavenumber": float,
-    "dce_motional_origin": float,
-    "dce_periods": int, "dce_steps_per_period": int,
-    "dce_window_periods": int,
-}
 
-_OUTPUT_KEYS = {"directory": str.strip}
+_PARSERS = {int: int, float: _finite, str: str.strip}
 
+
+def _keys(cls, prefix: str = "") -> dict:
+    """``prefix`` + name -> parser for each int, float or str field of the
+    dataclass ``cls``, ``X | None`` included; sub-configs get no key."""
+    kinds = {name: (get_args(hint) or (hint,))[0]
+             for name, hint in get_type_hints(cls).items()}
+    return {prefix + name: _PARSERS[kind] for name, kind in kinds.items()
+            if kind in _PARSERS}
+
+
+_CIRCUIT = (SquidParams, CavityParams)
+_CIRCUIT_KEYS = {**_keys(SquidParams), **_keys(CavityParams),
+                 "e_bar": _finite}
+_CIRCUIT_REQUIRED = tuple(f.name for cls in _CIRCUIT for f in fields(cls)
+                          if f.default is MISSING)
+
+_SCENARIO_KEYS = {**_keys(ScenarioConfig), **_keys(DceParams, "dce_"),
+                  "seed": int, "vlf_restarts": int}
 _SECTIONS = {"circuit": _CIRCUIT_KEYS, "scenario": _SCENARIO_KEYS,
-             "output": _OUTPUT_KEYS}
+             "output": {"directory": str.strip}}
 
 
 @dataclass
@@ -87,14 +92,8 @@ def parse_config(text: str) -> CliConfig:
         if missing:
             raise ConfigError(f"[circuit] is missing keys: {missing}")
         try:
-            squid = SquidParams(
-                ej1=raw["ej1"], ej2=raw["ej2"], c1=raw["c1"], c2=raw["c2"],
-                flux_bias=raw["flux_bias"],
-                pump_amplitude=raw["pump_amplitude"],
-                pump_frequency=raw.get("pump_frequency", 0.0))
-            cavity = CavityParams(length=raw["length"],
-                                  cap_per_len=raw["cap_per_len"],
-                                  ind_per_len=raw["ind_per_len"])
+            squid, cavity = [cls(**{f.name: raw[f.name] for f in fields(cls)
+                                    if f.name in raw}) for cls in _CIRCUIT]
         except ValueError as exc:
             raise ConfigError(f"invalid circuit parameters: {exc}") from exc
         circuit = CircuitConfig(squid=squid, cavity=cavity,

@@ -59,7 +59,7 @@ included, needs numpy alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from math import factorial
 from typing import Callable, Mapping, Sequence
 
@@ -166,6 +166,8 @@ class Trajectory:
     """Time grid, states and recorded observable series. The states stay
     on the sector: column k of ``columns`` holds the amplitudes at time k
     on its sorted flat indices ``basis`` in the register ``layout``.
+    Every moment read off them, the recorded observables' and each
+    analysis's, goes through ``expect``.
 
     ``diagnostics`` says how the states were obtained: ``path``
     (``"sector-eigh"``; ``"magnus-dense"`` for one envelope group on at
@@ -182,8 +184,21 @@ class Trajectory:
     layout: RegisterLayout
     basis: np.ndarray
     columns: np.ndarray
-    observables: dict[str, np.ndarray]
+    observables: dict[str, np.ndarray] = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
+    _moments: Callable | None = field(default=None, init=False, repr=False,
+                                      compare=False)
+
+    def expect(self, factors, coefficient: complex = 1.0) -> np.ndarray:
+        """coefficient times the monomial's moment at every grid point:
+        each distinct (factors, coefficient) is applied once, to every
+        column, through the one row table the trajectory builds, and
+        every later call gets the same array, which no reader writes."""
+        if self._moments is None:
+            self._moments = cache(partial(
+                _expect_rows, layout=self.layout, basis=self.basis,
+                states=_column_rows(self.columns)))
+        return self._moments(tuple(factors), coefficient=coefficient)
 
     def state(self, k: int) -> QuantumState:
         """Column k embedded into the register, for snapshots and tests."""
@@ -330,8 +345,7 @@ def _taylor_route(parts, psi: np.ndarray, weights: np.ndarray,
     """Each exponential applied to the state by its Taylor series, on one
     CSR matrix on the union of the parts' patterns, whose entries are
     rewritten per exponential; yields the state after each piece. The
-    series stops once the bound x^(j+1)/(j+1)! on the first term left
-    out falls below ``SERIES_CUT``, x being a column-sum bound of
+    series stops at ``_series_degree`` of x, a column-sum bound of
     h ||A||, at most 0.42 on a substep of either run."""
     import scipy.sparse as sp
     d = len(psi)
@@ -349,13 +363,10 @@ def _taylor_route(parts, psi: np.ndarray, weights: np.ndarray,
     for piece, step in zip(weights, h[:, 0]):
         for coefficients in piece.reshape(-1, len(parts)):
             np.dot(coefficients, data, out=gen.data)
-            tail = step * np.max(np.abs(coefficients) @ colsums)
-            x, term, j = tail, psi, 0
-            while tail > SERIES_CUT:
-                j += 1
+            x, term = step * np.max(np.abs(coefficients) @ colsums), psi
+            for j in range(1, _series_degree(x) + 1):
                 term = gen @ term * (-1j * step / j)
                 psi = psi + term
-                tail *= x / (j + 1)
         yield psi
 
 
@@ -503,7 +514,8 @@ def evolve(h: HamiltonianSpec,
     Every run evolves on its sector: the support of psi0 closed under
     every static and driven monomial, which H(t) maps into itself. H
     and each envelope group are built there, the states stay there as
-    columns, and each observable is read off all columns at once. A
+    columns, and each observable term is read off all columns at once
+    by ``Trajectory.expect``, which the analyses read again. A
     static spec whose sector fits in ``DENSE_LIMIT`` is propagated
     exactly by one eigendecomposition (path ``"sector-eigh"``). Any other
     spec runs the CF4 Magnus propagator at the fewest even number of
@@ -594,22 +606,21 @@ def evolve(h: HamiltonianSpec,
         diagnostics = {"path": path,
                        "exponentials": 2 * int(sum(m.sum() for m in counts)),
                        "error_estimate": float(distance.max()) / 15}
-    recorded, rows = {}, _column_rows(columns)
+    traj = Trajectory(t_grid, layout, basis, columns, diagnostics={
+        "path": diagnostics.pop("path"),
+        "register_dim": layout.total_dim, "evolved_dim": len(basis),
+        **diagnostics})
     for name, op in observables.items():
         terms = [op] if isinstance(op, LadderMonomial) else op
-        recorded[name] = np.sum([
-            _expect_rows(t.factors, layout, basis, rows, t.coefficient)
-            for t in terms], axis=0)
+        traj.observables[name] = np.sum(
+            [traj.expect(t.factors, t.coefficient) for t in terms], axis=0)
     # np.linalg.norm's sum of squares, Re.Re + Im.Im, for every column in
     # one stacked product on C-contiguous rows, which keeps its bits
     states = np.ascontiguousarray(columns.T)
     squares = [(part[:, None, :] @ part[:, :, None])[:, 0, 0]
                for part in (states.real, states.imag)]
-    recorded["norm"] = np.sqrt(squares[0] + squares[1])
-    return Trajectory(t_grid, layout, basis, columns, recorded, diagnostics={
-        "path": diagnostics.pop("path"),
-        "register_dim": layout.total_dim, "evolved_dim": len(basis),
-        **diagnostics})
+    traj.observables["norm"] = np.sqrt(squares[0] + squares[1])
+    return traj
 
 
 @dataclass

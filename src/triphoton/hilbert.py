@@ -231,16 +231,6 @@ def _on_basis(factors, layout: RegisterLayout, basis: np.ndarray,
             amp[cols], cols)
 
 
-def _expect_columns(factors, layout: RegisterLayout, basis: np.ndarray,
-                    columns: np.ndarray,
-                    coefficient: complex = 1.0) -> np.ndarray:
-    """``expect_monomial`` of each state given as a column of amplitudes
-    on the basis states (sorted flat indices): ``_expect_rows`` on the
-    columns' row table."""
-    return _expect_rows(factors, layout, basis, _column_rows(columns),
-                        coefficient)
-
-
 def _column_rows(columns: np.ndarray) -> np.ndarray:
     """The columns as C-contiguous rows, each with one zero amplitude past
     its end, which a monomial's target outside the basis reads: the
@@ -338,14 +328,16 @@ def expect_monomial(state: QuantumState, factors,
     The monomial moves each basis state s to one state t(s) with one
     amplitude a(s) (``_on_basis``), so the moment is a sum over the
     state's support: conj(psi[t(s)]) a(s) psi[s] over the nonzero
-    amplitudes of a pure state (``_expect_columns`` on one column),
-    Tr(O rho) = a(s) rho[s, t(s)] over every basis state for a density.
+    amplitudes of a pure state (``_expect_rows`` on the one-column
+    table of its support), Tr(O rho) = a(s) rho[s, t(s)] over every
+    basis state for a density.
     """
     data, layout = state.data, state.layout
     if state.is_pure:
         support = np.flatnonzero(data)
-        return _expect_columns(factors, layout, support,
-                               data[support][:, None], coefficient)[0]
+        return _expect_rows(factors, layout, support,
+                            _column_rows(data[support][:, None]),
+                            coefficient)[0]
     flat, amp, cols = _on_basis(factors, layout, np.arange(layout.total_dim))
     return coefficient * complex(np.sum(amp * data[cols, flat]))
 

@@ -13,11 +13,13 @@ exactly for the static scenarios, by the fixed-step Magnus propagator
 for the driven ``dce-rabi``, whose even-parity sector is half its
 register. The summary's ``diagnostics`` records which path ran, on how
 many states and, for the propagator, its error estimate.
-Every analysis reads its moments and reduced states off the
-trajectory's sector columns, as series and density stacks over the
-grid, into the cores the one-state functions use. A cutoff sweep
-reruns only the evolution step, so it shares the run's Hamiltonian,
-pump check and evolution path, and records observables only.
+Every analysis reads its moments through ``Trajectory.expect``, the
+lookup the recorded observables went through, so a moment both read is
+evaluated once; its reduced states come off the sector columns as
+density stacks over the grid. Both feed the cores the one-state
+functions use. A cutoff sweep reruns only the evolution step, so it
+shares the run's Hamiltonian, pump check and evolution path, and
+records observables only.
 
 Times in the down-conversion scenarios are quoted as the dimensionless
 g0 * t; interaction-picture Hamiltonians are static there, so the free
@@ -28,7 +30,7 @@ moment moduli are picture-invariant).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -55,10 +57,8 @@ from .dynamics import (
 from .errors import PumpMismatchError
 from .hilbert import (
     RegisterLayout,
-    _column_rows,
     _covariance,
     _entropies,
-    _expect_rows,
     _purities,
     _reduce_columns,
     fock_state,
@@ -318,25 +318,17 @@ def _evolve_spdc(config: ScenarioConfig) -> tuple[Trajectory, dict]:
     return traj, {"g0": float(g0), **details}
 
 
-def _column_moments(traj: Trajectory):
-    """``expect(factors)``: a monomial's moments over the grid, an array
-    with one entry per grid point. Each monomial is applied once, to
-    every column of the trajectory, through one row table."""
-    return cache(partial(_expect_rows, layout=traj.layout, basis=traj.basis,
-                         states=_column_rows(traj.columns)))
-
-
 def _analyze_spdc(config: ScenarioConfig, traj: Trajectory,
                   details: dict) -> ScenarioResult:
-    """Full witness suite over the grid, each series in one call, with
-    each distinct moment (19 of 22) evaluated once on every column; one
+    """Full witness suite over the grid, each series in one call, from
+    22 moment reads of 19 distinct moments through ``traj.expect``, where
+    <a1 a2 a3> is the recorded observable's evaluation; one
     covariance-witness search per run over the grid; peaks and detection
     windows."""
     times = traj.times
-    expect = _column_moments(traj)
     modes = traj.layout.boson_indices()
-    reports = _mode_reports(expect, modes)
-    covs = _covariance(expect, modes)
+    reports = _mode_reports(traj.expect, modes)
+    covs = _covariance(traj.expect, modes)
     vlf = _vlf_report(covs)
     verdicts = vlf.components["verdict"]
     blocks = np.abs(_blocks(covs))
@@ -423,16 +415,16 @@ def _analyze_hybrid(config: ScenarioConfig, traj: Trajectory,
                     details: dict) -> ScenarioResult:
     """Tracks how the genuinely tripartite moment structure transfers
     from the field register to the qubit register. The field and qubit
-    moments and the qubits' reduced states are read off the sector
-    columns."""
+    moments are read through ``traj.expect``, the qubits' reduced states
+    off the sector columns."""
     tau = traj.times
-    expect = _column_moments(traj)
     sites = [3, 4, 5]
     rhos = _reduce_columns(traj.layout, traj.basis, traj.columns, sites)
-    series = {"dv": _dv_report(expect, sites).value}
+    series = {"dv": _dv_report(traj.expect, sites).value}
     for q in range(3):
         series[f"neg_q{q + 1}"] = _negativities(rhos, (2, 2, 2), [q])
-    series["g2_field"] = _mode_reports(expect, [0, 1, 2])["genuine_max"].value
+    series["g2_field"] = _mode_reports(
+        traj.expect, [0, 1, 2])["genuine_max"].value
     series["swap_fidelity"], series["swap_eta"] = _eta_family_fidelity(rhos)
     series["qubit_purity"] = _purities(rhos)
 

@@ -521,6 +521,7 @@ def _vlf_sdp(cov: np.ndarray, pattern: np.ndarray, owner: np.ndarray,
     F = _F[pattern].reshape(m, 8, 36)
     a = _E[pattern] + _minus_c(cov)[:, None]
     c0, blocks = -a[:, 2], _blocks(cov)
+    corner = _corner(blocks)
     y = np.full((m, 8), 1.0 / 3.0)
     y[:, 2:] = np.abs(a.mean(axis=1)).sum(axis=-1) + 1.0
     # primal slacks x = (u, w): X = I, u = 1 (tr(A_i - A_3) = 0) and
@@ -542,7 +543,7 @@ def _vlf_sdp(cov: np.ndarray, pattern: np.ndarray, owner: np.ndarray,
         best = np.maximum(s, best)
         np.maximum.at(floor, owner, best)
         bound = -(y @ _LP_B)
-        done = (_closes(bound, floor[owner], _corner(blocks))
+        done = (_closes(bound, floor[owner], corner)
                 | (w[:, 0].reshape(2, -1) <= 0.0).any(axis=0)
                 | (np.hstack([x, z]).min(axis=1) <= 0.0)
                 | (it == _SDP_MAX_ITER))
@@ -551,9 +552,9 @@ def _vlf_sdp(cov: np.ndarray, pattern: np.ndarray, owner: np.ndarray,
             s_out[r], x_out[r], y_out[r] = best[done], best_x[done], y[done]
             iterations[r] = it
             keep = ~done
-            rows, owner, X, x, y, Z, z, F, c0, blocks, best, best_x = (
-                t[keep] for t in (rows, owner, X, x, y, Z, z, F, c0, blocks,
-                                  best, best_x))
+            (rows, owner, X, x, y, Z, z, F, c0, blocks, corner, best,
+             best_x) = (t[keep] for t in (rows, owner, X, x, y, Z, z, F, c0,
+                                          blocks, corner, best, best_x))
             keep = np.concatenate([keep, keep])
             w, v = w[keep], v[keep]
         b = len(rows)

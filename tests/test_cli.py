@@ -141,6 +141,37 @@ dce_periods = 10
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(f"[scenario]\nname = 3spdc\n{line}\n")
 
+    @pytest.mark.parametrize("command, key, text", [
+        ("run", "g0", "[scenario]\nname = 3spdc\ng0 = nan\nn_steps = 5\n"),
+        ("run", "pair_coupling",
+         "[scenario]\nname = 22spdc\npair_coupling = inf\nn_steps = 5\n"),
+        ("run", "dce_coupling",
+         "[scenario]\nname = dce-rabi\ndce_coupling = nan\ndce_periods = 2\n"),
+        ("sweep", "horizon",
+         "[scenario]\nname = 3spdc\ng0 = 1.0\nhorizon = inf\nn_steps = 5\n"),
+        ("modes", "length",
+         MINIMAL_CIRCUIT.replace("length = 1.0", "length = inf")),
+        ("modes", "ej1", MINIMAL_CIRCUIT.replace("ej1 = 6.1", "ej1 = nan")),
+        ("rwa", "cap_per_len", MINIMAL_CIRCUIT.replace(
+            "cap_per_len = 1000.0", "cap_per_len = inf")),
+    ], ids=["run-g0", "run-pair_coupling", "run-dce_coupling",
+            "sweep-horizon", "modes-length", "modes-ej1", "rwa-cap_per_len"])
+    def test_non_finite_number_exits_2_without_output(
+            self, tmp_path, capsys, command, key, text):
+        # NaN and +-inf parse as floats, but no key takes them: each is
+        # rejected by name before anything runs or is written
+        cfg = write(tmp_path, "bad.ini", text)
+        out = tmp_path / "never"
+        argv = {"run": ["--out", str(out)],
+                "sweep": ["--cutoffs", "4,6", "--out", str(out)],
+                "modes": ["--out", str(out)], "rwa": []}[command]
+        assert main([command, "--config", cfg, *argv]) == 2
+        captured = capsys.readouterr()
+        assert f"bad value for {key!r}" in captured.err
+        assert "not a finite number" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestModesCommand:
     def test_writes_spectrum_csv(self, tmp_path, capsys):

@@ -19,7 +19,8 @@ from triphoton.errors import LayoutMismatchError
 from triphoton.hilbert import (
     QuantumState,
     RegisterLayout,
-    _expect_columns,
+    _column_rows,
+    _expect_rows,
     _level_map,
     _on_basis,
     _reduce_columns,
@@ -259,8 +260,8 @@ class TestOperatorOracle:
         terms = [mono(t.factors, t.coefficient * (0.7 - 0.4j))
                  for t in self.random_terms(rng, 12)]
         for term in terms:
-            got = _expect_columns(term.factors, lay, basis, columns,
-                                  term.coefficient)
+            got = _expect_rows(term.factors, lay, basis,
+                               _column_rows(columns), term.coefficient)
             for k, value in enumerate(got):
                 state = QuantumState(lay, columns[:, k], validate=False)
                 assert value == expect_monomial(state, term.factors,
@@ -270,9 +271,9 @@ class TestOperatorOracle:
                 data = columns[:, k]
                 scatter = np.vdot(data[flat], amp * data[support[cols]])
                 assert value == term.coefficient * complex(scatter)
-                assert value == _expect_columns(
-                    term.factors, lay, basis, columns[:, k:k + 1],
-                    term.coefficient)[0]
+                assert value == _expect_rows(
+                    term.factors, lay, basis,
+                    _column_rows(columns[:, k:k + 1]), term.coefficient)[0]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_expect_columns_match_expect_monomial(self, seed):
@@ -291,8 +292,8 @@ class TestOperatorOracle:
         terms.append(mono([(0, CREATE), (1, PAULI_PLUS)], 0.3 - 1.1j))
         lands_outside = 0
         for term in terms:
-            got = _expect_columns(term.factors, lay, basis, columns,
-                                  term.coefficient)
+            got = _expect_rows(term.factors, lay, basis,
+                               _column_rows(columns), term.coefficient)
             assert len(got) == columns.shape[1]
             mat = reference_matrix([term], lay)
             for k, value in enumerate(got):

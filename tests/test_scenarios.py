@@ -47,7 +47,7 @@ from triphoton.scenarios import (
     run_scenario,
     sweep_observables,
 )
-from triphoton import scenarios, witnesses
+from triphoton import dynamics, scenarios, witnesses
 from triphoton.witnesses import (
     dv_genuine_witness,
     mode_moment_witnesses,
@@ -430,6 +430,43 @@ class TestShippedConfigs:
         rows = [sum(rep.components["dual_rows"]) for rep in reports]
         assert rows[0] == 3_232
         assert rows[1] < 19_963
+
+    @pytest.mark.parametrize("name, count", [
+        ("reference.ini", 22), ("spdc22.ini", 22), ("hybrid.ini", 17),
+        ("dce.ini", 3)])
+    def test_one_moment_lookup_per_run(self, monkeypatch, name, count):
+        # evolve's observables and the analysis read every moment through
+        # Trajectory.expect, so each distinct monomial is applied once per
+        # run: <a1 a2 a3>, and in hybrid-swap each qubit population, is
+        # the observable's evaluation, which the analysis reads again.
+        # Two lists of moments took 23, 23, 21 and 3 evaluations
+        evaluated, reports = [], []
+        expect_rows = dynamics._expect_rows
+        mode_reports = scenarios._mode_reports
+
+        def expect_spy(factors, *args, **kwargs):
+            evaluated.append((factors, expect_rows(factors, *args, **kwargs)))
+            return evaluated[-1][1]
+
+        def reports_spy(expect, modes):
+            reports.append(mode_reports(expect, modes))
+            return reports[-1]
+
+        monkeypatch.setattr(dynamics, "_expect_rows", expect_spy)
+        monkeypatch.setattr(scenarios, "_mode_reports", reports_spy)
+        traj = self.run(name, n_steps=5).trajectory
+        factors = [f for f, _ in evaluated]
+        assert len(factors) == len(set(factors)) == count
+        if name == "dce.ini":
+            assert reports == []
+            return
+        triple = tuple((i, ANNIHILATE) for i in range(3))
+        [moments] = [m for f, m in evaluated if f == triple]
+        assert np.array_equal(traj.observables["triple"], moments)
+        [report] = reports
+        assert report["hz_i1"].components["triple"] is moments
+        assert traj.expect(triple) is moments
+        assert len(evaluated) == count
 
 
 class TestReproducibility:
