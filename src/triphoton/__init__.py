@@ -21,13 +21,11 @@ from .circuit import (
 )
 from .dynamics import (
     Constant,
-    ConvergenceReport,
     Cosine,
     HamiltonianSpec,
     Motional,
     Trajectory,
     TwoTone,
-    cutoff_sweep,
     evolve,
     split_drive_branches,
 )
@@ -58,6 +56,7 @@ from .rwa import (
 )
 from .scenarios import (
     CircuitConfig,
+    ConvergenceReport,
     DceParams,
     ScenarioConfig,
     ScenarioResult,
@@ -78,8 +77,8 @@ __all__ = [
     "CavityParams", "CouplingTable", "EffectiveJunction", "ModeSpectrum",
     "SquidParams", "coupling_table", "effective_junction", "mode_spectrum",
     "solve_wavenumbers", "three_spdc_coupling",
-    "Constant", "ConvergenceReport", "Cosine", "HamiltonianSpec", "Motional",
-    "Trajectory", "TwoTone", "cutoff_sweep", "evolve", "split_drive_branches",
+    "Constant", "Cosine", "HamiltonianSpec", "Motional", "Trajectory",
+    "TwoTone", "evolve", "split_drive_branches",
     "ConfigError", "DegenerateFrequencyError", "IntegrationError",
     "LayoutMismatchError", "PumpMismatchError", "SingularBiasError",
     "TriphotonError",
@@ -88,7 +87,8 @@ __all__ = [
     "LadderMonomial", "TermClassification", "classify_terms",
     "driven_cavity_terms", "ensure_anharmonic", "free_mode_terms",
     "rwa_reduce",
-    "CircuitConfig", "DceParams", "ScenarioConfig", "ScenarioResult",
+    "CircuitConfig", "ConvergenceReport", "DceParams", "ScenarioConfig",
+    "ScenarioResult",
     "cavity_hamiltonian", "convergence_gate", "reduced_cavity_hamiltonian",
     "run_scenario",
     "VlfParams", "WitnessReport", "dv_genuine_witness", "negativity",

@@ -20,10 +20,10 @@ import numpy as np
 
 from .circuit import coupling_table
 from .config import build_scenario_config, load_config
-from .dynamics import CONVERGENCE_THRESHOLD
 from .errors import ConfigError, TriphotonError
 from .rwa import _classify_cavity, default_tolerance
 from .scenarios import (
+    CONVERGENCE_THRESHOLD,
     _pump_tone,
     convergence_gate,
     resolve_circuit,

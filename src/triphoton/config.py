@@ -126,9 +126,9 @@ def build_scenario_config(cli: CliConfig) -> ScenarioConfig:
         raise ConfigError("no scenario name given ([scenario] name)")
     dce = {key[len("dce_"):]: raw.pop(key)
            for key in list(raw) if key.startswith("dce_")}
-    if dce:
-        raw["dce"] = DceParams(**dce)
     try:
+        if dce:
+            raw["dce"] = DceParams(**dce)
         return ScenarioConfig(circuit=cli.circuit, **raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid scenario parameters: {exc}") from exc

@@ -2,6 +2,8 @@
 
 Driven terms carry real envelopes, sums of tones, evaluated exactly at
 each node; no pre-rotation into an interaction picture happens here.
+This module propagates only: comparing runs across cutoffs is the
+scenarios' convergence gate.
 
 Every run evolves on its sector: the basis states the Hamiltonian's
 static and driven monomials can reach from psi0 span a subspace H(t)
@@ -241,7 +243,6 @@ THETA = 0.36
 # both series routes stop once the bound on the first term left out falls
 # below this, so the whole remainder stays below half the machine epsilon
 SERIES_CUT = np.finfo(float).eps / 4
-CONVERGENCE_THRESHOLD = 1e-6  # a converged sweep's final changes stay below
 
 
 def _reachable(terms: Sequence[LadderMonomial],
@@ -607,9 +608,8 @@ def evolve(h: HamiltonianSpec,
                        "exponentials": 2 * int(sum(m.sum() for m in counts)),
                        "error_estimate": float(distance.max()) / 15}
     traj = Trajectory(t_grid, layout, basis, columns, diagnostics={
-        "path": diagnostics.pop("path"),
-        "register_dim": layout.total_dim, "evolved_dim": len(basis),
-        **diagnostics})
+        **diagnostics, "register_dim": layout.total_dim,
+        "evolved_dim": len(basis)})
     for name, op in observables.items():
         terms = [op] if isinstance(op, LadderMonomial) else op
         traj.observables[name] = np.sum(
@@ -621,45 +621,3 @@ def evolve(h: HamiltonianSpec,
                for part in (states.real, states.imag)]
     traj.observables["norm"] = np.sqrt(squares[0] + squares[1])
     return traj
-
-
-@dataclass
-class ConvergenceReport:
-    """Per-observable max absolute change between successive cutoffs."""
-
-    cutoffs: list[int]
-    deltas: dict[str, list[float]]
-
-    @property
-    def final_change(self) -> dict[str, float]:
-        return {name: d[-1] for name, d in self.deltas.items()}
-
-    @property
-    def converged(self) -> bool:
-        return all(d[-1] < CONVERGENCE_THRESHOLD
-                   for d in self.deltas.values())
-
-
-def cutoff_sweep(run: Callable[[int], Mapping[str, np.ndarray]],
-                 cutoffs: Sequence[int]) -> ConvergenceReport:
-    """Run a scenario at each cutoff and report observable drift.
-
-    ``run(cutoff)`` must return named observable arrays on a common time
-    grid. The cutoffs must be strictly increasing: a repeated cutoff
-    would report a zero change and fake convergence. The report flags
-    non-convergence when the change between the two largest cutoffs is
-    still at least ``CONVERGENCE_THRESHOLD`` (1e-6) for some observable.
-    """
-    cutoffs = list(cutoffs)
-    if len(cutoffs) < 2:
-        raise ValueError("need at least two cutoffs")
-    if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
-        raise ValueError(f"cutoffs must be strictly increasing, got {cutoffs}")
-    results = [run(cutoff) for cutoff in cutoffs]
-    names = list(results[0].keys())
-    deltas: dict[str, list[float]] = {n: [] for n in names}
-    for prev, curr in zip(results, results[1:]):
-        for n in names:
-            deltas[n].append(float(np.max(np.abs(
-                np.asarray(curr[n]) - np.asarray(prev[n])))))
-    return ConvergenceReport(cutoffs=cutoffs, deltas=deltas)

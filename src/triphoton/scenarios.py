@@ -17,9 +17,11 @@ Every analysis reads its moments through ``Trajectory.expect``, the
 lookup the recorded observables went through, so a moment both read is
 evaluated once; its reduced states come off the sector columns as
 density stacks over the grid. Both feed the cores the one-state
-functions use. A cutoff sweep reruns only the evolution step, so it
-shares the run's Hamiltonian, pump check and evolution path, and
-records observables only.
+functions use. Cutoff convergence is judged here, by one comparison
+of recorded observables between successive cutoffs: a sweep
+(``convergence_gate``) reruns only the evolution step at each cutoff,
+so it shares the run's Hamiltonian, pump check and evolution path, and
+a gated run compares its own trajectory with one more evolution.
 
 Times in the down-conversion scenarios are quoted as the dimensionless
 g0 * t; interaction-picture Hamiltonians are static there, so the free
@@ -30,8 +32,7 @@ moment moduli are picture-invariant).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,7 +51,6 @@ from .dynamics import (
     TwoTone,
     Motional,
     Constant,
-    cutoff_sweep,
     evolve,
     split_drive_branches,
 )
@@ -127,6 +127,15 @@ class DceParams:
     steps_per_period: int = 8
     window_periods: int = 2
 
+    def __post_init__(self):
+        if not self.mode_freq > 0:
+            raise ValueError("mode_freq must be positive")
+        for name in ("periods", "steps_per_period", "window_periods"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.window_periods > self.periods:
+            raise ValueError("window_periods must not exceed periods")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -148,6 +157,8 @@ class ScenarioConfig:
             raise ValueError("cutoff must be at least 2")
         if self.n_steps < 2:
             raise ValueError("n_steps must be at least 2")
+        if self.horizon is not None and not self.horizon > 0:
+            raise ValueError("horizon must be positive")
 
     @property
     def effective_cutoff(self) -> int:
@@ -276,12 +287,11 @@ def _detection_windows(times: np.ndarray, values: np.ndarray) -> list:
 
 
 def _mode_observables():
-    return {
-        "n1": mono([(0, NUMBER)]),
-        "n2": mono([(1, NUMBER)]),
-        "n3": mono([(2, NUMBER)]),
-        "triple": mono([(0, ANNIHILATE), (1, ANNIHILATE), (2, ANNIHILATE)]),
-    }
+    """Photon numbers and the triple moment, spelled as the analyses read
+    them, so each is evaluated once per trajectory."""
+    obs = {f"n{i + 1}": mono([(i, CREATE), (i, ANNIHILATE)]) for i in range(3)}
+    obs["triple"] = mono([(i, ANNIHILATE) for i in range(3)])
+    return obs
 
 
 def _norm_drift(traj: Trajectory) -> float:
@@ -535,45 +545,70 @@ _STEPS = {
 }
 
 
-def sweep_observables(config: ScenarioConfig, cutoff: int) -> dict:
-    """Scenario observables at one cutoff, for convergence gating.
+CONVERGENCE_THRESHOLD = 1e-6  # a converged sweep's final changes stay below
 
-    Reruns only the scenario's own evolution step (same Hamiltonian,
-    pump check and evolution path) on the run's grid capped at 41
-    points, and returns every recorded observable except ``norm``.
-    Witness series are not evaluated.
-    """
+
+@dataclass
+class ConvergenceReport:
+    """Per-observable max absolute change between successive cutoffs;
+    converged when every final change is below ``CONVERGENCE_THRESHOLD``."""
+
+    cutoffs: list[int]
+    deltas: dict[str, list[float]]
+
+    @property
+    def final_change(self) -> dict[str, float]:
+        return {name: d[-1] for name, d in self.deltas.items()}
+
+    @property
+    def converged(self) -> bool:
+        return all(d[-1] < CONVERGENCE_THRESHOLD
+                   for d in self.deltas.values())
+
+
+def _convergence(cutoffs: list[int],
+                 recorded: Iterable[dict]) -> ConvergenceReport:
+    """The largest absolute change of every recorded observable except
+    ``norm`` between successive cutoffs, from each trajectory's
+    ``observables``: a sweep keeps no trajectory once it is read."""
+    runs = [{k: v for k, v in obs.items() if k != "norm"} for obs in recorded]
+    return ConvergenceReport(cutoffs, {name: [
+        float(np.max(np.abs(curr[name] - prev[name])))
+        for prev, curr in zip(runs, runs[1:])] for name in runs[0]})
+
+
+def convergence_gate(config: ScenarioConfig,
+                     cutoffs: Sequence[int]) -> ConvergenceReport:
+    """Cutoff sweep of a scenario config: its own evolution step at each
+    of the strictly increasing cutoffs (a repeated one would fake a zero
+    change), on the run's grid capped at 41 points, and no witness."""
+    cutoffs = list(cutoffs)
+    if len(cutoffs) < 2:
+        raise ValueError("need at least two cutoffs")
+    if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
+        raise ValueError(f"cutoffs must be strictly increasing, got {cutoffs}")
     evolve_step, _ = _STEPS[config.name]
-    return _gated(evolve_step(replace(config, cutoff=cutoff,
-                                      n_steps=min(config.n_steps, 41)))[0])
-
-
-def _gated(traj: Trajectory) -> dict:
-    """A trajectory's recorded observables except ``norm``."""
-    return {k: v for k, v in traj.observables.items() if k != "norm"}
-
-
-def convergence_gate(config: ScenarioConfig, cutoffs: Sequence[int]):
-    """Cutoff sweep of a scenario config's observables over the cutoffs."""
-    return cutoff_sweep(partial(sweep_observables, config), cutoffs)
+    n_steps = min(config.n_steps, 41)
+    return _convergence(cutoffs, (
+        evolve_step(replace(config, cutoff=c, n_steps=n_steps))[0].observables
+        for c in cutoffs))
 
 
 def run_scenario(config: ScenarioConfig,
                  check_convergence: bool = False) -> ScenarioResult:
-    """Run a scenario's evolution step, then its analysis step, and put
-    the evolution's diagnostics ahead of the analysis's in the summary;
-    optionally gate the run's observables on one more evolution, at the
-    cutoff + 2 on its grid, and record the verdict in the summary."""
+    """Run a scenario's evolution step, then its analysis step, and add
+    the evolution's diagnostics to the summary's; optionally gate the
+    run's observables on one more evolution, at the cutoff + 2 on its
+    grid, and record the verdict in the summary."""
     evolve_step, analyze = _STEPS[config.name]
     result = analyze(config, *evolve_step(config))
-    analysis = result.summary.pop("diagnostics", {})
-    result.summary["diagnostics"] = result.trajectory.diagnostics | analysis
+    result.summary["diagnostics"] = (result.trajectory.diagnostics
+                                     | result.summary.get("diagnostics", {}))
     if check_convergence:
         cutoff = config.effective_cutoff
-        runs = {cutoff: result.trajectory, cutoff + 2: evolve_step(
-            replace(config, cutoff=cutoff + 2))[0]}
-        report = cutoff_sweep(lambda c: _gated(runs[c]), list(runs))
+        report = _convergence([cutoff, cutoff + 2], [
+            result.trajectory.observables,
+            evolve_step(replace(config, cutoff=cutoff + 2))[0].observables])
         result.summary["converged"] = report.converged
-        result.summary["convergence_final_change"] = {
-            k: float(v) for k, v in report.final_change.items()}
+        result.summary["convergence_final_change"] = report.final_change
     return result

@@ -172,6 +172,29 @@ dce_periods = 10
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, line", [
+        ("window_periods", "dce_window_periods = 0"),
+        ("steps_per_period", "dce_steps_per_period = 0"),
+        ("mode_freq", "dce_mode_freq = 0"),
+        ("window_periods", "dce_window_periods = 30"),
+        ("periods", "dce_periods = 0"),
+        ("horizon", "horizon = 0"),
+    ], ids=["window-zero", "steps-zero", "freq-zero", "window-too-long",
+            "periods-zero", "horizon-zero"])
+    def test_out_of_range_value_exits_2_without_output(
+            self, tmp_path, capsys, field, line):
+        # each would divide by zero, judge photon growth over no window,
+        # or fail later under a name no config has; the field is named
+        cfg = write(tmp_path, "bad.ini",
+                    f"[scenario]\nname = dce-rabi\n{line}\n")
+        out = tmp_path / "never"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "invalid scenario parameters" in captured.err
+        assert field in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestModesCommand:
     def test_writes_spectrum_csv(self, tmp_path, capsys):

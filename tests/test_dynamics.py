@@ -29,7 +29,6 @@ from triphoton.dynamics import (
     _reachable,
     _series_degree,
     _taylor_route,
-    cutoff_sweep,
     evolve,
     split_drive_branches,
 )
@@ -999,47 +998,50 @@ class TestSplitDriveBranches:
 
 
 class TestCutoffSweep:
+    """A cutoff sweep is the scenarios' convergence gate: the scenario's
+    own evolution at each cutoff, compared by one function."""
+
     @staticmethod
-    def run_triple(cutoff, horizon=0.25):
-        lay = RegisterLayout.bosons(3, cutoff)
-        grid = np.linspace(0.0, horizon, 6)
-        traj = evolve(spec_of(triple_spdc_terms()), fock_state(lay, (0, 0, 0)),
-                      grid, observables={
-                          "n1": mono([(0, NUMBER)]),
-                          "triple": mono([(0, ANNIHILATE), (1, ANNIHILATE),
-                                          (2, ANNIHILATE)])})
-        return {k: v for k, v in traj.observables.items() if k != "norm"}
+    def triple(horizon=0.25, g0=1.0):
+        return scenarios.ScenarioConfig(name="3spdc", g0=g0, horizon=horizon,
+                                        n_steps=6)
+
+    @staticmethod
+    def spy_on_evolve(monkeypatch):
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(args)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "evolve", spy)
+        return runs
 
     def test_changes_decrease_with_cutoff(self):
-        report = cutoff_sweep(self.run_triple, [6, 8, 10])
+        report = scenarios.convergence_gate(self.triple(), [6, 8, 10])
+        assert list(report.deltas) == ["n1", "n2", "n3", "triple"]
         for name, deltas in report.deltas.items():
             assert deltas[1] < deltas[0]
 
-    def test_linear_hamiltonian_converges_immediately(self):
-        def run(cutoff):
-            lay = RegisterLayout.bosons(1, cutoff)
-            grid = np.linspace(0.0, 1.0, 5)
-            traj = evolve(spec_of([mono([(0, NUMBER)], 1.7)]),
-                          fock_state(lay, (0,)), grid,
-                          observables={"n": mono([(0, NUMBER)])})
-            return {"n": traj.observables["n"]}
-
-        report = cutoff_sweep(run, [2, 4, 6])
+    def test_switched_off_pump_converges_exactly(self):
+        report = scenarios.convergence_gate(self.triple(g0=0.0), [2, 4, 6])
         assert report.converged
-        assert max(report.final_change.values()) < 1e-10
+        assert all(d == 0.0 for deltas in report.deltas.values()
+                   for d in deltas)
 
     def test_overdriven_scenario_flagged(self):
-        report = cutoff_sweep(
-            lambda c: self.run_triple(c, horizon=1.5), [4, 6])
+        report = scenarios.convergence_gate(self.triple(horizon=1.5), [4, 6])
         assert not report.converged
 
-    def test_requires_two_cutoffs(self):
-        with pytest.raises(ValueError):
-            cutoff_sweep(self.run_triple, [8])
+    def test_requires_two_cutoffs(self, monkeypatch):
+        runs = self.spy_on_evolve(monkeypatch)
+        with pytest.raises(ValueError, match="two cutoffs"):
+            scenarios.convergence_gate(self.triple(), [8])
+        assert runs == []
 
     @pytest.mark.parametrize("cutoffs", [[4, 4], [4, 6, 6], [6, 4]])
-    def test_requires_strictly_increasing_cutoffs(self, cutoffs):
-        runs = []
+    def test_requires_strictly_increasing_cutoffs(self, monkeypatch, cutoffs):
+        runs = self.spy_on_evolve(monkeypatch)
         with pytest.raises(ValueError, match="strictly increasing"):
-            cutoff_sweep(runs.append, cutoffs)
+            scenarios.convergence_gate(self.triple(), cutoffs)
         assert runs == []

@@ -45,7 +45,6 @@ from triphoton.scenarios import (
     pair_interaction,
     reduced_cavity_hamiltonian,
     run_scenario,
-    sweep_observables,
 )
 from triphoton import dynamics, scenarios, witnesses
 from triphoton.witnesses import (
@@ -432,14 +431,14 @@ class TestShippedConfigs:
         assert rows[1] < 19_963
 
     @pytest.mark.parametrize("name, count", [
-        ("reference.ini", 22), ("spdc22.ini", 22), ("hybrid.ini", 17),
+        ("reference.ini", 19), ("spdc22.ini", 19), ("hybrid.ini", 14),
         ("dce.ini", 3)])
     def test_one_moment_lookup_per_run(self, monkeypatch, name, count):
         # evolve's observables and the analysis read every moment through
         # Trajectory.expect, so each distinct monomial is applied once per
-        # run: <a1 a2 a3>, and in hybrid-swap each qubit population, is
-        # the observable's evaluation, which the analysis reads again.
-        # Two lists of moments took 23, 23, 21 and 3 evaluations
+        # run: <a1 a2 a3>, each photon number a+ a, and in hybrid-swap
+        # each qubit population, is the observable's evaluation, which
+        # the analysis reads again
         evaluated, reports = [], []
         expect_rows = dynamics._expect_rows
         mode_reports = scenarios._mode_reports
@@ -520,8 +519,9 @@ class TestConvergenceGate:
 
 
 class TestSweepRunParity:
-    """A sweep point reruns the scenario's own evolution step, so its
-    observables are the run's, bit for bit, at the same cutoff and grid."""
+    """A sweep point reruns the scenario's own evolution step, and a gated
+    run and a sweep compare their trajectories by one function, so both
+    report the same changes, bit for bit, at the same cutoffs and grid."""
 
     @pytest.mark.parametrize("config", [
         fast_config("3spdc", g0=1.0),
@@ -533,25 +533,29 @@ class TestSweepRunParity:
     ], ids=["3spdc", "3spdc-g0-zero", "3spdc-circuit",
             "22spdc", "hybrid-swap", "dce-rabi"])
     def test_sweep_matches_run(self, config):
-        cutoff = 3
-        run = run_scenario(dataclasses.replace(config, cutoff=cutoff))
-        swept = sweep_observables(config, cutoff)
-        recorded = dict(run.trajectory.observables)
-        del recorded["norm"]
-        assert swept.keys() == recorded.keys()
-        for name, values in recorded.items():
-            assert np.array_equal(swept[name], values), name
+        run = run_scenario(dataclasses.replace(config, cutoff=3),
+                           check_convergence=True)
+        report = convergence_gate(config, [3, 5])
+        recorded = set(run.trajectory.observables) - {"norm"}
+        assert report.final_change.keys() == recorded
+        assert run.summary["convergence_final_change"] == report.final_change
 
-    def test_sweep_caps_the_grid(self):
-        swept = sweep_observables(fast_config("3spdc", g0=1.0, n_steps=60),
-                                  3)
-        assert len(swept["n1"]) == 41
+    def test_sweep_caps_the_grid(self, monkeypatch):
+        grids = []
+
+        def spy(h, psi0, t_grid, **kwargs):
+            grids.append(len(t_grid))
+            return evolve(h, psi0, t_grid, **kwargs)
+
+        monkeypatch.setattr(scenarios, "evolve", spy)
+        convergence_gate(fast_config("3spdc", g0=1.0, n_steps=60), [3, 5])
+        assert grids == [41, 41]
 
     def test_sweep_checks_the_pump(self):
         squid = dataclasses.replace(REF_SQUID, pump_frequency=123.0)
         cfg = fast_config("3spdc", circuit=CircuitConfig(squid, REF_CAVITY))
         with pytest.raises(PumpMismatchError):
-            sweep_observables(cfg, 3)
+            convergence_gate(cfg, [3, 5])
 
 
 def reference_table(m1_scale=1.0, m2_scale=1.0, m3_scale=1.0):
